@@ -92,7 +92,15 @@ unitaries:
 def _gather_files(path: Path):
     if path.is_dir():
         # an empty batch is a valid no-op: empty report, exit 0
-        return sorted(p for p in path.iterdir() if p.suffix in (".yaml", ".yml"))
+        files = sorted(p for p in path.iterdir() if p.suffix in (".yaml", ".yml"))
+        by_stem = {}
+        for p in files:
+            if p.stem in by_stem:
+                raise ValidationError(
+                    f"scenario files {by_stem[p.stem]} and {p} would both write the "
+                    f"report {p.stem}.report.txt; rename one of them")
+            by_stem[p.stem] = p
+        return files
     if not path.exists():
         raise ValidationError(f"no such scenario file: {path}")
     return [path]

@@ -1,33 +1,51 @@
 """GNS construction and the equivalence / purity criteria it supports.
 
-The carrier of the cyclic representation of a state f is the quotient of the
-algebra by the null space of the Gram matrix G[b, a] = f(b* a) taken over the
-canonical matrix-unit basis; left multiplication pushed to orthonormal
-coordinates of that quotient gives the representation, and the class of the
-identity is the cyclic vector.
+A state f on A = M_{n_1} + ... + M_{n_k} is a density rho_b per block, and the
+structure theorem for finite-dimensional C*-algebras makes its cyclic
+representation closed-form in their eigendecompositions.  Keep the
+eigenvalues of rho_b above the rank cut, r_b of them, and set
+Theta_b = V_b sqrt(Lambda_b) (n_b x r_b, kept eigenpairs only).  Then:
+
+* the carrier is the sum of C^{n_b} (x) C^{r_b}, of dimension sum n_b r_b
+  (the rank of the Gram matrix f(b* a)), and pi(a) = sum a_b (x) I_{r_b};
+* the cyclic vector is the sum of vec(Theta_b), so <theta, pi(a) theta> =
+  sum trace(rho_b a_b), and pi(x) theta = vec(x_b Theta_b) blockwise;
+* the commutant is the sum of I_{n_b} (x) M_{r_b}, of dimension sum r_b^2,
+  so f is pure iff exactly one r_b is 1 and the rest are 0;
+* two states with equal kernels are equivalent iff their rank vectors agree.
+  Their representations are then the same matrices, the identity intertwines
+  them, and b = Theta_g Theta_f^+ blockwise carries f to g.
+
+Vectors of C^n (x) C^r are stored row-major, so vec(a X) = (a (x) I) vec(X).
+The certificates callers report (reconstruction, intertwiner and transition
+residuals) are evaluated from (pi, theta), not taken from the closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .algebra import AlgebraElement, StarAlgebra, State, evaluate_state
-from .errors import NumericalError, OpalgError, ShapeMismatchError
-from .linalg import (
-    best_invertible,
-    commutant,
-    fix_global_phase,
-    gram_quotient,
-    intertwiner_space,
-    orthonormal_completion,
-    polar_unitary,
-)
+from .errors import InvalidStateError, NumericalError, OpalgError, ShapeMismatchError
+from .linalg import fix_global_phase, fix_phases, hermitize, orthonormal_completion
 
 GRAM_REL_CUT = 1e-12
 KERNEL_TOL = 1e-9
+
+
+def _block_diag(mats) -> np.ndarray:
+    """Place (possibly rectangular or empty) blocks along the diagonal."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=complex)
+    row = col = 0
+    for m in mats:
+        out[row:row + m.shape[0], col:col + m.shape[1]] = m
+        row += m.shape[0]
+        col += m.shape[1]
+    return out
 
 
 @dataclass
@@ -35,32 +53,60 @@ class GnsRep:
     """Cyclic representation data produced by :func:`gns_construct`."""
 
     algebra: StarAlgebra
-    quotient_map: np.ndarray        # (d, D): canonical coordinates -> carrier
-    quotient_pinv: np.ndarray       # (D, d)
-    generator_matrices: tuple       # pi(e_k) for each canonical matrix unit
-    cyclic_vector: np.ndarray
-    gram_rank: int
-    kernel_labels: tuple            # labels of matrix units with pi(e) = 0
+    factors: tuple                  # Theta_b (n_b x r_b): Theta_b Theta_b* = rho_b above the cut
     vanished_blocks: tuple          # block indices entirely inside the kernel
 
     @property
+    def ranks(self) -> tuple:
+        """Multiplicity r_b of block b in the representation."""
+        return tuple(t.shape[1] for t in self.factors)
+
+    @property
+    def kernel_labels(self) -> tuple:
+        """Labels of the matrix units with pi(e) = 0: those of the blocks with r_b = 0."""
+        ranks = self.ranks
+        labels = zip(self.algebra.basis_labels(), self.algebra.basis_triples())
+        return tuple(label for label, (b, _, _) in labels if ranks[b] == 0)
+
+    @property
     def carrier_dim(self) -> int:
-        return int(self.quotient_map.shape[0])
+        return sum(n * r for n, r in zip(self.algebra.blocks, self.ranks))
+
+    @property
+    def gram_rank(self) -> int:
+        """Rank of the Gram matrix f(e_j* e_i); it equals the carrier dimension."""
+        return self.carrier_dim
+
+    @cached_property
+    def cyclic_vector(self) -> np.ndarray:
+        return np.concatenate([t.reshape(-1) for t in self.factors])
+
+    @cached_property
+    def quotient_map(self) -> np.ndarray:
+        """(D, d): column k is pi(e_k) theta, i.e. x -> vec(x_b Theta_b)."""
+        return _block_diag([np.kron(np.eye(n), t.T)
+                            for n, t in zip(self.algebra.blocks, self.factors)])
+
+    @cached_property
+    def quotient_pinv(self) -> np.ndarray:
+        """(d, D) Moore-Penrose inverse of the quotient map: X -> X Theta_b^+."""
+        return _block_diag([np.kron(np.eye(n), np.linalg.pinv(t).T)
+                            for n, t in zip(self.algebra.blocks, self.factors)])
+
+    @cached_property
+    def generator_matrices(self) -> tuple:
+        """pi(e_k) for each canonical matrix unit."""
+        return tuple(self.represent(self.algebra.basis_element(k))
+                     for k in range(self.algebra.dim))
 
     def represent(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra != self.algebra:
             raise ShapeMismatchError("element does not belong to the represented algebra")
-        c = self.algebra.coords(a)
-        out = np.zeros((self.carrier_dim, self.carrier_dim), dtype=complex)
-        for ck, mat in zip(c, self.generator_matrices):
-            if ck != 0.0:
-                out += ck * mat
-        return out
+        return _block_diag([np.kron(m, np.eye(r)) for m, r in zip(a.mats, self.ranks)])
 
     def vector_state_values(self) -> np.ndarray:
         """<pi(e_k) theta | theta> over the canonical basis."""
-        th = self.cyclic_vector
-        return np.array([np.vdot(th, m @ th) for m in self.generator_matrices])
+        return self.cyclic_vector.conj() @ self.quotient_map
 
     def reconstructed_state(self) -> State:
         """Rebuild the state from (pi, theta); equals the input within round-off."""
@@ -68,65 +114,55 @@ class GnsRep:
         dens = []
         k = 0
         for n in self.algebra.blocks:
-            rho = np.zeros((n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    # f(e_ij) = trace(rho e_ij) = rho[j, i]
-                    rho[j, i] = vals[k]
-                    k += 1
-            dens.append(rho)
+            # f(e_ij) = trace(rho e_ij) = rho[j, i]
+            dens.append(vals[k:k + n * n].reshape(n, n).T)
+            k += n * n
         return State(self.algebra, dens)
 
 
 def gns_construct(algebra: StarAlgebra, f: State) -> GnsRep:
     """Run the GNS construction for a state on a finite-dimensional *-algebra.
 
-    Raises :class:`InvalidStateError` via the Gram quotient when the Gram
-    matrix fails to be PSD beyond tolerance.
+    The Gram matrix f(e_j* e_i) restricted to block b is I (x) rho_b^T, so its
+    spectrum is that of the densities: eigenvalues below
+    ``-dim * 1e-10 * max(top, 1)`` raise :class:`InvalidStateError`, and those
+    at most ``dim * GRAM_REL_CUT * top`` count as null directions.
     """
     if f.algebra != algebra:
         raise ShapeMismatchError("state does not live on the given algebra")
-    dim = algebra.dim
-    # Gram[b_idx, a_idx] = f(e_b^* e_a); for matrix units f(e_ji e_kl) = delta_ik rho[l, j]
-    gram = np.zeros((dim, dim), dtype=complex)
-    triples = list(algebra.basis_triples())
-    for row, (b1, i1, j1) in enumerate(triples):
-        for col, (b2, i2, j2) in enumerate(triples):
-            if b1 == b2 and i1 == i2:
-                gram[row, col] = f.densities[b1][j2, j1]
-    t, t_pinv, rank = gram_quotient(gram, GRAM_REL_CUT)
-    if rank == 0:
+    spectra = [np.linalg.eigh(hermitize(d)) for d in f.densities]
+    top = max(float(lam[-1]) for lam, _ in spectra)
+    low = min(float(lam[0]) for lam, _ in spectra)
+    if low < -algebra.dim * 1e-10 * max(top, 1.0):
+        raise InvalidStateError(f"Gram matrix has negative eigenvalue {low:.3e} beyond tolerance")
+    cut = algebra.dim * GRAM_REL_CUT * max(top, 0.0)
+    factors = []
+    for lam, vec in spectra:
+        keep = lam > cut
+        factors.append(fix_phases(vec[:, keep][:, ::-1]) * np.sqrt(lam[keep][::-1])[None, :])
+    if not any(t.shape[1] for t in factors):
         raise NumericalError("state Gram has rank zero")
-    gens = []
-    for idx in range(dim):
-        left = algebra.left_mult_matrix(algebra.basis_element(idx))
-        gens.append(np.ascontiguousarray(t @ left @ t_pinv))
-    theta = t @ algebra.coords(algebra.identity())
-    scale = max(float(np.max(np.abs(m))) for m in gens)
-    kernel = tuple(
-        label
-        for label, m in zip(algebra.basis_labels(), gens)
-        if np.max(np.abs(m)) <= KERNEL_TOL * max(scale, 1.0)
-    )
     vanished = tuple(
         b for b, n in enumerate(algebra.blocks)
         if float(np.trace(f.densities[b]).real) <= KERNEL_TOL
     )
-    return GnsRep(
-        algebra=algebra,
-        quotient_map=t,
-        quotient_pinv=t_pinv,
-        generator_matrices=tuple(gens),
-        cyclic_vector=theta,
-        gram_rank=rank,
-        kernel_labels=kernel,
-        vanished_blocks=vanished,
-    )
+    return GnsRep(algebra=algebra, factors=tuple(factors), vanished_blocks=vanished)
 
 
 def commutant_basis(rep: GnsRep) -> list:
-    """Basis of operators commuting with every generator; contains the identity."""
-    return commutant(rep.generator_matrices)
+    """Basis of pi(A)': I_{n_b} (x) E_pq on each carrier block; the identity lies in its span."""
+    out = []
+    off = 0
+    for n, r in zip(rep.algebra.blocks, rep.ranks):
+        for p in range(r):
+            for q in range(r):
+                unit = np.zeros((r, r))
+                unit[p, q] = 1.0
+                m = np.zeros((rep.carrier_dim, rep.carrier_dim), dtype=complex)
+                m[off:off + n * r, off:off + n * r] = np.kron(np.eye(n), unit)
+                out.append(m)
+        off += n * r
+    return out
 
 
 def purity_check(algebra: StarAlgebra, f: State) -> str:
@@ -154,93 +190,68 @@ class EquivalenceReport:
         return self.verdict in ("equal", "equivalent")
 
 
-def _intertwiner_residual(gamma, first, second) -> float:
-    worst = 0.0
+def _intertwiner_residual(gamma, rep_f, rep_g) -> float:
+    """max_k |gamma pi_f(e_k) gamma^-1 - pi_g(e_k)| over the canonical basis."""
+    algebra = rep_f.algebra
     gamma_inv = np.linalg.inv(gamma)
-    for p, q in zip(first, second):
-        worst = max(worst, float(np.max(np.abs(gamma @ p @ gamma_inv - q))))
+    worst = 0.0
+    for k in range(algebra.dim):
+        e = algebra.basis_element(k)
+        worst = max(worst, float(np.max(np.abs(
+            gamma @ rep_f.represent(e) @ gamma_inv - rep_g.represent(e)))))
     return worst
 
 
 def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceReport:
     """Decide whether two states generate equivalent cyclic representations.
 
-    Kernels (vanishing blocks) are compared first; equal kernels are then
-    settled constructively by solving the joint intertwiner system over all
-    generators and testing invertibility of the best-conditioned solution.
+    Kernels (vanishing blocks) are compared first, then carrier dimensions,
+    then the rank vectors (the multiplicity of each block).  Equal rank
+    vectors give the same representation matrices, so the identity is the
+    intertwiner; its residual and the transition elements are verified.
     """
     rep_f = gns_construct(algebra, f)
     rep_g = gns_construct(algebra, g)
     kernels = (rep_f.vanished_blocks, rep_g.vanished_blocks)
     dims = (rep_f.carrier_dim, rep_g.carrier_dim)
 
-    if rep_f.vanished_blocks != rep_g.vanished_blocks:
-        return EquivalenceReport(
-            verdict="inequivalent",
-            kernel_first=kernels[0],
-            kernel_second=kernels[1],
-            note="representation kernels differ",
-            carrier_dims=dims,
-        )
-    if rep_f.carrier_dim != rep_g.carrier_dim:
-        return EquivalenceReport(
-            verdict="inequivalent",
-            kernel_first=kernels[0],
-            kernel_second=kernels[1],
-            note="equal kernels but different carrier dimensions "
-                 f"{dims[0]} != {dims[1]} (different multiplicities)",
-            carrier_dims=dims,
-        )
+    def inequivalent(note):
+        return EquivalenceReport(verdict="inequivalent", kernel_first=kernels[0],
+                                 kernel_second=kernels[1], note=note, carrier_dims=dims)
 
+    if rep_f.vanished_blocks != rep_g.vanished_blocks:
+        return inequivalent("representation kernels differ")
+    if rep_f.carrier_dim != rep_g.carrier_dim:
+        return inequivalent("equal kernels but different carrier dimensions "
+                            f"{dims[0]} != {dims[1]} (different multiplicities)")
     equal_states = all(
         np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(f.densities, g.densities)
     )
-    if equal_states:
-        gamma = np.eye(rep_f.carrier_dim, dtype=complex)
-        report = EquivalenceReport(
-            verdict="equal",
-            kernel_first=kernels[0],
-            kernel_second=kernels[1],
-            intertwiner=gamma,
-            intertwiner_residual=_intertwiner_residual(
-                gamma, rep_f.generator_matrices, rep_g.generator_matrices
-            ),
-            carrier_dims=dims,
-        )
-        report.transition = (algebra.identity(), algebra.identity())
-        _attach_unitary(report, algebra, f, g)
-        return report
+    if not equal_states and rep_f.ranks != rep_g.ranks:
+        return inequivalent("equal kernels and carrier dimensions but different "
+                            f"multiplicities {list(rep_f.ranks)} != {list(rep_g.ranks)}")
 
-    space = intertwiner_space(rep_f.generator_matrices, rep_g.generator_matrices)
-    gamma, ratio = best_invertible(space)
-    if gamma is None:
-        return EquivalenceReport(
-            verdict="inequivalent",
-            kernel_first=kernels[0],
-            kernel_second=kernels[1],
-            note=f"no invertible intertwiner (best relative sigma_min {ratio:.2e})",
-            carrier_dims=dims,
-        )
+    gamma = np.eye(rep_f.carrier_dim, dtype=complex)
     report = EquivalenceReport(
-        verdict="equivalent",
+        verdict="equal" if equal_states else "equivalent",
         kernel_first=kernels[0],
         kernel_second=kernels[1],
         intertwiner=gamma,
-        intertwiner_residual=_intertwiner_residual(
-            gamma, rep_f.generator_matrices, rep_g.generator_matrices
-        ),
+        intertwiner_residual=_intertwiner_residual(gamma, rep_f, rep_g),
         carrier_dims=dims,
     )
-    report.transition = _transition_from_intertwiner(algebra, f, g, rep_f, rep_g, gamma)
+    if equal_states:
+        report.transition = (algebra.identity(), algebra.identity())
+    else:
+        report.transition = _verified_transition(algebra, f, g, rep_f, rep_g)
     _attach_unitary(report, algebra, f, g)
     return report
 
 
-def _transition_from_intertwiner(algebra, f, g, rep_f, rep_g, gamma):
-    """Solve pi_f(b) theta_f = gamma^-1 theta_g (gamma unitarized) and verify."""
-    u = polar_unitary(gamma)
-    b = algebra.from_coords(rep_f.quotient_pinv @ (u.conj().T @ rep_g.cyclic_vector))
-    b_back = algebra.from_coords(rep_g.quotient_pinv @ (u @ rep_f.cyclic_vector))
+def _verified_transition(algebra, f, g, rep_f, rep_g):
+    """Solve pi_f(b) theta_f = theta_g (and back) on the shared carrier, then verify."""
+    b = algebra.from_coords(rep_f.quotient_pinv @ rep_g.cyclic_vector)
+    b_back = algebra.from_coords(rep_g.quotient_pinv @ rep_f.cyclic_vector)
     worst = 0.0
     for idx in range(algebra.dim):
         e = algebra.basis_element(idx)
@@ -279,7 +290,6 @@ def pure_unitary_intertwiner(algebra: StarAlgebra, f: State, g: State):
     block_g = ranks_g.index(1)
     if block_f != block_g:
         return None  # different kernels: inequivalent
-    n = algebra.blocks[block_f]
     vec_f = _support_vector(f.densities[block_f])
     vec_g = _support_vector(g.densities[block_g])
     basis_f = orthonormal_completion(vec_f[:, None])
@@ -318,17 +328,8 @@ def _support_vector(density: np.ndarray) -> np.ndarray:
 
 def summed_generator_matrices(reps) -> list:
     """Block-diagonal generators of the Hilbert-sum representation."""
-    dims = [r.carrier_dim for r in reps]
-    total = sum(dims)
-    out = []
-    for k in range(reps[0].algebra.dim):
-        m = np.zeros((total, total), dtype=complex)
-        off = 0
-        for r, d in zip(reps, dims):
-            m[off:off + d, off:off + d] = r.generator_matrices[k]
-            off += d
-        out.append(m)
-    return out
+    return [_block_diag([r.generator_matrices[k] for r in reps])
+            for k in range(reps[0].algebra.dim)]
 
 
 def superselection_operator(reps, weights) -> np.ndarray:
@@ -343,11 +344,4 @@ def superselection_operator(reps, weights) -> np.ndarray:
         raise ShapeMismatchError("one weight per representation required")
     if any(r.algebra != reps[0].algebra for r in reps):
         raise ShapeMismatchError("summands must represent the same algebra")
-    total = sum(r.carrier_dim for r in reps)
-    t = np.zeros((total, total), dtype=complex)
-    off = 0
-    for r, w in zip(reps, weights):
-        d = r.carrier_dim
-        t[off:off + d, off:off + d] = w * np.eye(d)
-        off += d
-    return t
+    return _block_diag([w * np.eye(r.carrier_dim) for r, w in zip(reps, weights)])

@@ -1,4 +1,4 @@
-"""Dense linear-algebra helpers: rank-revealing quotients, null spaces, intertwiners.
+"""Dense linear-algebra helpers: rank-revealing quotients, phase pinning, unitary completion.
 
 Everything here is deterministic: eigen/singular decompositions are taken in
 a fixed order and eigenvector phases are pinned, so repeated runs produce
@@ -59,75 +59,6 @@ def gram_quotient(gram: np.ndarray, rel_cut: float = 1e-12):
     t = scale[:, None] * vec_k.conj().T
     t_pinv = vec_k * (1.0 / scale)[None, :]
     return t, t_pinv, int(lam_k.size)
-
-
-def nullspace(m: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the right null space, columns of the result."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(m)
-    tol = rcond * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
-    return fix_phases(vh[rank:].conj().T)
-
-
-def commutant(mats) -> list:
-    """Basis of all X with [X, m] = 0 for every m in ``mats``."""
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    d = mats[0].shape[0]
-    eye = np.eye(d)
-    rows = [np.kron(m.T, eye) - np.kron(eye, m) for m in mats]
-    basis = nullspace(np.vstack(rows))
-    return [basis[:, k].reshape(d, d) for k in range(basis.shape[1])]
-
-
-def intertwiner_space(first, second) -> list:
-    """Basis of all gamma with gamma @ first[k] = second[k] @ gamma."""
-    first = [np.asarray(m, dtype=complex) for m in first]
-    second = [np.asarray(m, dtype=complex) for m in second]
-    d1 = first[0].shape[0]
-    d2 = second[0].shape[0]
-    rows = [np.kron(p.T, np.eye(d2)) - np.kron(np.eye(d1), q) for p, q in zip(first, second)]
-    basis = nullspace(np.vstack(rows))
-    # column-major vec: gamma is d2 x d1
-    return [basis[:, k].reshape(d1, d2).T.copy() for k in range(basis.shape[1])]
-
-
-def best_invertible(candidates, min_rel_sv: float = 1e-8):
-    """Pick the best-conditioned invertible combination from a solution space.
-
-    Tries each basis element and a few fixed deterministic mixtures; returns
-    ``(matrix, sigma_min/sigma_max)`` for the winner, or ``(None, best_ratio)``
-    when nothing clears ``min_rel_sv``.
-    """
-    if not candidates:
-        return None, 0.0
-    trials = list(candidates)
-    if len(candidates) > 1:
-        rng = np.random.default_rng(20240915)
-        for _ in range(8):
-            coeff = rng.normal(size=len(candidates)) + 1j * rng.normal(size=len(candidates))
-            trials.append(sum(c * m for c, m in zip(coeff, candidates)))
-    best, best_ratio = None, 0.0
-    for m in trials:
-        if m.shape[0] != m.shape[1]:
-            continue
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[0] <= 0.0:
-            continue
-        ratio = float(s[-1] / s[0])
-        if ratio > best_ratio:
-            best, best_ratio = m, ratio
-    if best is None or best_ratio <= min_rel_sv:
-        return None, best_ratio
-    return best / np.linalg.norm(best, 2), best_ratio
-
-
-def polar_unitary(m: np.ndarray) -> np.ndarray:
-    """Unitary factor of the polar decomposition."""
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
 
 
 def fix_global_phase(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:

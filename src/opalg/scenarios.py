@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -55,16 +56,35 @@ def _collect_marks(node, path, marks):
             _collect_marks(child, path + (idx,), marks)
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe loader that also reads YAML 1.2 floats such as ``1e-05`` as numbers.
+
+    The YAML 1.1 float pattern needs a dot and a signed exponent; the extra
+    pattern covers exponents without either.  Plain integers still resolve to
+    int, which is tried first.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
 def _load_with_marks(text: str):
+    loader = _Loader(text)
     try:
-        data = yaml.safe_load(text)
-        node = yaml.compose(text)
+        node = loader.get_single_node()
+        data = loader.construct_document(node) if node is not None else None
     except yaml.YAMLError as exc:
         line = None
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
             line = mark.line + 1
         raise ValidationError(f"not well-formed YAML: {exc}", line=line) from exc
+    finally:
+        loader.dispose()
     marks: Dict[tuple, int] = {}
     if node is not None:
         _collect_marks(node, (), marks)
@@ -177,6 +197,8 @@ def parse_scenario(text: str) -> Scenario:
         tmap = w.mapping(top["tolerances"], ("tolerances",), optional=tuple(DEFAULT_TOLERANCES))
         for key, value in tmap.items():
             tolerances[key] = w.number(value, ("tolerances", key))
+            if tolerances[key] <= 0:
+                w.fail(("tolerances", key), f"tolerances must be positive, got {tolerances[key]}")
     for key in top:
         if key in _ALL_PARAM_KEYS and key not in _KIND_PARAM_KEYS[kind]:
             w.fail((key,), f"field {key!r} does not belong to kind {kind!r}")
@@ -730,10 +752,16 @@ def _run_symmetry(scenario: Scenario, report: Report):
     autos = scenario.params["automorphisms"]
     report.info("algebra blocks", list(algebra.blocks), "configured")
     tol, src = _tol(scenario, "stationarity")
+    # a configured stationarity tolerance also decides the implementer's isometry
+    # test, stabilizer membership and orbit distinctness (one threshold keeps the
+    # orbit law consistent); otherwise each keeps its own default
+    implementer_tols, orbit_tols = {}, {}
+    if src == "configured":
+        implementer_tols, orbit_tols = {"tol": tol}, {"tol": tol, "distinct_tol": tol}
     for k, rho in enumerate(autos):
         stationary = symmetry_mod.stationarity_check(state, rho, tol)
         report.info(f"automorphism[{k}].stationary", stationary)
-        result = symmetry_mod.unitary_implementer(state, rho)
+        result = symmetry_mod.unitary_implementer(state, rho, **implementer_tols)
         report.info(f"automorphism[{k}].implementer",
                     "present" if result.unitary is not None else "absent")
         report.info(f"automorphism[{k}].isometry_defect", result.isometry_defect)
@@ -746,7 +774,7 @@ def _run_symmetry(scenario: Scenario, report: Report):
     except (ValueError, OpalgError) as exc:
         report.info("group", f"not a group: {exc}")
         return
-    orbit = symmetry_mod.stabilizer_orbit(state, group)
+    orbit = symmetry_mod.stabilizer_orbit(state, group, **orbit_tols)
     report.info("group_order", orbit.group_order)
     report.info("stabilizer_size", orbit.stabilizer_size)
     report.info("orbit_size", orbit.orbit_size)

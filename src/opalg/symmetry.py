@@ -153,12 +153,9 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
     w = t @ action @ rep.quotient_pinv
     residual = 0.0
     for k in range(f.algebra.dim):
-        image = f.algebra.coords(rho.apply(f.algebra.basis_element(k)))
-        target = np.zeros_like(rep.generator_matrices[0])
-        for ck, mat in zip(image, rep.generator_matrices):
-            target += ck * mat
+        e = f.algebra.basis_element(k)
         residual = max(residual, float(np.max(np.abs(
-            w @ rep.generator_matrices[k] @ w.conj().T - target
+            w @ rep.represent(e) @ w.conj().T - rep.represent(rho.apply(e))
         ))))
     return ImplementerResult(unitary=w, isometry_defect=defect, intertwining_residual=residual)
 
@@ -175,16 +172,20 @@ class OrbitReport:
         return self.group_order // self.stabilizer_size
 
 
-def stabilizer_orbit(f: State, group: AutomorphismGroup,
+def stabilizer_orbit(f: State, group: AutomorphismGroup, tol: float = STATIONARY_TOL,
                      distinct_tol: float = 1e-8) -> OrbitReport:
-    """Stabilizer H = {g : f stationary}, orbit of pushforward states, |orbit| = |G|/|H|."""
+    """Stabilizer H = {g : f stationary}, orbit of pushforward states, |orbit| = |G|/|H|.
+
+    g fixes f when the dual-norm distance of f and its pushforward is at most
+    ``tol``; orbit states closer than ``distinct_tol`` count as one.
+    """
     if f.algebra != group.algebra:
         raise ShapeMismatchError("state and group live on different algebras")
     stabilizer = 0
     orbit: list = []
     for g in group.elements:
         moved = pushforward_state(f, g)
-        if dual_norm_distance(f, moved) <= STATIONARY_TOL:
+        if dual_norm_distance(f, moved) <= tol:
             stabilizer += 1
         if all(dual_norm_distance(moved, seen) > distinct_tol for seen in orbit):
             orbit.append(moved)

@@ -1,0 +1,140 @@
+"""Generic GNS and intertwiner solvers, kept as test oracles for the closed form.
+
+``gram_gns`` is the textbook construction: the carrier is the algebra modulo
+the null space of the Gram matrix f(e_j* e_i) over the matrix units, and
+left multiplication pushed to orthonormal coordinates of that quotient is the
+representation.  Commutants and intertwiners come from Kronecker null-space
+solves.  None of this uses the density eigendecompositions that
+``opalg.gns`` is built on, so agreement between the two is evidence for both.
+The null-space solves cost O(D^6) in the carrier dimension D: use them on
+small algebras only.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from opalg.linalg import fix_phases, gram_quotient
+
+GRAM_REL_CUT = 1e-12
+KERNEL_TOL = 1e-9
+
+
+def nullspace(m: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
+    """Orthonormal basis of the right null space, columns of the result."""
+    m = np.asarray(m, dtype=complex)
+    if m.size == 0:
+        return np.eye(m.shape[1], dtype=complex)
+    # a tall m (every stacked solve here) has all of its null space in the thin
+    # vh, which also skips the (rows x rows) U that nothing reads
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    tol = rcond * (s[0] if s.size else 0.0)
+    rank = int(np.sum(s > tol))
+    return fix_phases(vh[rank:].conj().T)
+
+
+def commutant(mats) -> list:
+    """Basis of all X with [X, m] = 0 for every m in ``mats``."""
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    d = mats[0].shape[0]
+    eye = np.eye(d)
+    rows = [np.kron(m.T, eye) - np.kron(eye, m) for m in mats]
+    basis = nullspace(np.vstack(rows))
+    return [basis[:, k].reshape(d, d) for k in range(basis.shape[1])]
+
+
+def intertwiner_space(first, second) -> list:
+    """Basis of all gamma with gamma @ first[k] = second[k] @ gamma."""
+    first = [np.asarray(m, dtype=complex) for m in first]
+    second = [np.asarray(m, dtype=complex) for m in second]
+    d1 = first[0].shape[0]
+    d2 = second[0].shape[0]
+    rows = [np.kron(p.T, np.eye(d2)) - np.kron(np.eye(d1), q) for p, q in zip(first, second)]
+    basis = nullspace(np.vstack(rows))
+    # column-major vec: gamma is d2 x d1
+    return [basis[:, k].reshape(d1, d2).T.copy() for k in range(basis.shape[1])]
+
+
+def best_invertible(candidates, min_rel_sv: float = 1e-8):
+    """Pick the best-conditioned invertible combination from a solution space.
+
+    Tries each basis element and a few fixed deterministic mixtures; returns
+    ``(matrix, sigma_min/sigma_max)`` for the winner, or ``(None, best_ratio)``
+    when nothing clears ``min_rel_sv``.
+    """
+    if not candidates:
+        return None, 0.0
+    trials = list(candidates)
+    if len(candidates) > 1:
+        rng = np.random.default_rng(20240915)
+        for _ in range(8):
+            coeff = rng.normal(size=len(candidates)) + 1j * rng.normal(size=len(candidates))
+            trials.append(sum(c * m for c, m in zip(coeff, candidates)))
+    best, best_ratio = None, 0.0
+    for m in trials:
+        if m.shape[0] != m.shape[1]:
+            continue
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[0] <= 0.0:
+            continue
+        ratio = float(s[-1] / s[0])
+        if ratio > best_ratio:
+            best, best_ratio = m, ratio
+    if best is None or best_ratio <= min_rel_sv:
+        return None, best_ratio
+    return best / np.linalg.norm(best, 2), best_ratio
+
+
+@dataclass
+class OracleRep:
+    """Gram-quotient GNS data: generators and cyclic vector in the Gram eigenbasis."""
+
+    generator_matrices: tuple
+    cyclic_vector: np.ndarray
+    gram_rank: int
+    kernel_labels: tuple
+    vanished_blocks: tuple
+
+    @property
+    def carrier_dim(self) -> int:
+        return int(self.cyclic_vector.shape[0])
+
+
+def gram_gns(algebra, f) -> OracleRep:
+    """GNS by the quotient of the algebra by the null space of its Gram matrix."""
+    triples = list(algebra.basis_triples())
+    dim = len(triples)
+    # Gram[b_idx, a_idx] = f(e_b^* e_a); for matrix units f(e_ji e_kl) = delta_ik rho[l, j]
+    gram = np.zeros((dim, dim), dtype=complex)
+    for row, (b1, i1, j1) in enumerate(triples):
+        for col, (b2, i2, j2) in enumerate(triples):
+            if b1 == b2 and i1 == i2:
+                gram[row, col] = f.densities[b1][j2, j1]
+    t, t_pinv, rank = gram_quotient(gram, GRAM_REL_CUT)
+    gens = tuple(
+        t @ algebra.left_mult_matrix(algebra.basis_element(k)) @ t_pinv for k in range(dim)
+    )
+    scale = max(float(np.max(np.abs(m))) for m in gens)
+    kernel = tuple(
+        label for label, m in zip(algebra.basis_labels(), gens)
+        if np.max(np.abs(m)) <= KERNEL_TOL * max(scale, 1.0)
+    )
+    vanished = tuple(
+        b for b in range(len(algebra.blocks))
+        if float(np.trace(f.densities[b]).real) <= KERNEL_TOL
+    )
+    return OracleRep(gens, t @ algebra.coords(algebra.identity()), rank, kernel, vanished)
+
+
+def equivalence_verdict(algebra, f, g) -> str:
+    """equal | equivalent | inequivalent, deciding equivalence by an invertible intertwiner."""
+    rep_f, rep_g = gram_gns(algebra, f), gram_gns(algebra, g)
+    if rep_f.vanished_blocks != rep_g.vanished_blocks or rep_f.carrier_dim != rep_g.carrier_dim:
+        return "inequivalent"
+    if all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(f.densities, g.densities)):
+        return "equal"
+    space = intertwiner_space(rep_f.generator_matrices, rep_g.generator_matrices)
+    gamma, _ = best_invertible(space)
+    return "inequivalent" if gamma is None else "equivalent"

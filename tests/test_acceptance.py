@@ -50,7 +50,7 @@ from opalg import (
     unitary_implementer,
     wick_moment,
 )
-from opalg.linalg import best_invertible, intertwiner_space
+from oracles import best_invertible, intertwiner_space
 
 
 def _verdict(name: str, ok: bool, detail: str = ""):

@@ -184,3 +184,60 @@ def test_report_lines_carry_tolerance_provenance():
     line2 = next(l for l in run_scenario(configured).lines
                  if l.startswith("reconstruction_residual_max"))
     assert "configured" in line2
+
+
+def test_parse_reads_yaml_1_2_floats():
+    # YAML 1.1 reads an exponent without a dot (1e-05) or without a sign (6E0) as a string
+    text = ("kind: field\nfield: {mass: 1e-01, cutoff: 6E0, points: 9}\n"
+            "tolerances: {commutator_identity: 1e-05}\n")
+    scenario = parse_scenario(text)
+    assert scenario.params["mass"] == 0.1
+    assert scenario.params["cutoff"] == 6.0
+    assert scenario.tolerances == {"commutator_identity": 1e-05}
+    # integers still resolve to int, and a float is still no integer
+    with pytest.raises(ValidationError) as err:
+        parse_scenario("kind: field\nfield: {mass: 1.0, points: 9e0}\n")
+    assert "expected an integer, got float" in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["0", "0.0", "-1.0e-3"])
+def test_parse_rejects_non_positive_tolerance(value):
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(MINIMAL_GNS + f"tolerances:\n  reconstruction: {value}\n")
+    assert "tolerances.reconstruction" in str(err.value)
+    assert "line 7" in str(err.value)
+    assert "positive" in str(err.value)
+
+
+# every Pauli moves this state by 4e-7 in the dual norm, except the identity and Z
+NEAR_STATIONARY_SYMMETRY = DEMO_SCENARIOS["symmetry"].replace(
+    "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
+    "[[[0.5000001, 0], [0, 0]], [[0, 0], [0.4999999, 0]]]")
+
+
+def test_configured_stationarity_reaches_implementer_and_orbit():
+    default = run_scenario(parse_scenario(NEAR_STATIONARY_SYMMETRY)).lines
+    assert "automorphism[1].stationary = False [computed]" in default
+    assert "automorphism[1].implementer = absent [computed]" in default
+    assert "stabilizer_size = 2 [computed]" in default
+    assert "orbit_size = 2 [computed]" in default
+    configured = run_scenario(parse_scenario(
+        NEAR_STATIONARY_SYMMETRY + "tolerances: {stationarity: 1.0e-6}\n")).lines
+    assert "automorphism[1].stationary = True [computed]" in configured
+    assert "automorphism[1].implementer = present [computed]" in configured
+    assert "stabilizer_size = 4 [computed]" in configured
+    assert "orbit_size = 1 [computed]" in configured
+    assert "orbit_law_exact = True [computed]" in configured
+
+
+def test_cli_batch_rejects_colliding_report_names(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(MINIMAL_GNS)
+    (batch / "a.yml").write_text(DEMO_SCENARIOS["equiv"])
+    out_dir = tmp_path / "reports"
+    assert main(["run", str(batch), "--out", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "schema error" in err
+    assert str(batch / "a.yaml") in err and str(batch / "a.yml") in err
+    assert not out_dir.exists()

@@ -16,7 +16,7 @@ from opalg import (
     orthogonality_check,
     symmetric_group,
 )
-from opalg.linalg import best_invertible, intertwiner_space
+from oracles import best_invertible, intertwiner_space
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
