@@ -16,6 +16,7 @@ from .algebra import (
     evaluate_state,
     operator_norm,
     tensor_elements,
+    transport_residual,
 )
 from .ccr import (
     CcrSpace,

@@ -9,6 +9,8 @@ elsewhere in the package decidable by dense linear algebra.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import InvalidStateError, ShapeMismatchError
@@ -37,9 +39,6 @@ class StarAlgebra:
             self._offsets.append(off)
             off += n * n
         self._dim = off
-        self._labels = tuple(
-            f"e{b}[{i},{j}]" for b, n in enumerate(blocks) for i in range(n) for j in range(n)
-        )
 
     @property
     def dim(self) -> int:
@@ -72,6 +71,10 @@ class StarAlgebra:
 
     def basis_labels(self):
         return self._labels
+
+    @cached_property
+    def _labels(self) -> tuple:
+        return tuple(f"e{b}[{i},{j}]" for b, i, j in self.basis_triples())
 
     def basis_triples(self):
         """Canonical matrix-unit order: blocks, then row-major within a block."""
@@ -249,6 +252,21 @@ def evaluate_state(f: State, a: AlgebraElement) -> complex:
     if a.algebra != f.algebra:
         raise ShapeMismatchError("state and element live on different algebras")
     return complex(sum(np.trace(d @ m) for d, m in zip(f.densities, a.mats)))
+
+
+def transport_residual(f: State, g: State, b: AlgebraElement) -> float:
+    """max_k |g(e_k) - f(b* e_k b)| over the matrix units, in O(sum n_b^3).
+
+    f(b* E_ij b) = trace(b rho_f b* E_ij) = (b rho_f b*)_ji, so the residual
+    is the largest entry of rho_g,b - b_b rho_f,b b_b* over all blocks, and it
+    vanishes exactly when g(a) = f(b* a b) for every a.
+    """
+    if not f.algebra == g.algebra == b.algebra:
+        raise ShapeMismatchError("states and element live on different algebras")
+    return max(
+        float(np.max(np.abs(dg - m @ df @ m.conj().T)))
+        for df, dg, m in zip(f.densities, g.densities, b.mats)
+    )
 
 
 def dual_norm_distance(f: State, g: State) -> float:

@@ -201,20 +201,34 @@ def gaussian_density(space: CcrSpace, w) -> float:
 
 
 class FockTruncation:
-    """Ladder matrices on occupation tuples with total occupation <= n_max.
+    """Ladder operators on occupation tuples with total occupation <= n_max.
 
     Creation entries that would leave the truncation are dropped, so the
     canonical commutator holds exactly on the protected subspace of total
     occupation <= n_max - 1 and the vacuum is annihilated exactly.
+
+    No ladder matrix is stored.  Mode m's creation operator a+(e_m) has one
+    entry per column j, sqrt(occ_j[m] + 1) in row ``raise_rows[m, j]``
+    (``raise_values[m, j]``; the row is -1 where the raised tuple leaves the
+    truncation), and a-(e_m) is its transpose, so ``lower_rows`` inverts
+    ``raise_rows``.  These (n, dim) arrays take O(n dim) memory;
+    :meth:`commutator_defect` and :meth:`a_minus_action` work on them in
+    O(n^2 dim).  :meth:`a_plus`, :meth:`a_minus`, :meth:`field`,
+    :meth:`momentum` and :meth:`number_operator` build dense dim x dim
+    matrices from them on request.  The basis size C(n + n_max, n) is checked
+    against ``basis_limit`` before any tuple is enumerated.
     """
 
     def __init__(self, space: CcrSpace, n_max: int, basis_limit: int = 5000):
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
+        n = space.n
+        size = math.comb(n + int(n_max), n)
+        if size > basis_limit:
+            raise NumericalError(f"truncated basis of size {size} exceeds limit {basis_limit}")
         self.space = space
         self.n_max = int(n_max)
         self.modes = space.orthonormal_modes()
-        n = space.n
         states = []
 
         def grow(prefix, budget):
@@ -226,32 +240,34 @@ class FockTruncation:
 
         grow([], self.n_max)
         states.sort(key=lambda t: (sum(t), t))
-        if len(states) > basis_limit:
-            raise NumericalError(
-                f"truncated basis of size {len(states)} exceeds limit {basis_limit}"
-            )
         self.occupations = tuple(states)
         self.index = {t: i for i, t in enumerate(states)}
         self.dim = len(states)
-        raise_mats = []
-        for mode in range(n):
-            m = np.zeros((self.dim, self.dim))
-            for occ, col in self.index.items():
-                if sum(occ) + 1 <= self.n_max:
-                    lifted = list(occ)
-                    lifted[mode] += 1
-                    m[self.index[tuple(lifted)], col] = math.sqrt(occ[mode] + 1)
-            raise_mats.append(m)
-        self._raise = tuple(raise_mats)
-        self._lower = tuple(m.T.copy() for m in raise_mats)
+        self.raise_rows = np.full((n, self.dim), -1, dtype=np.intp)
+        self.lower_rows = np.full((n, self.dim), -1, dtype=np.intp)
+        for col, occ in enumerate(states):
+            if sum(occ) < self.n_max:
+                for mode in range(n):
+                    row = self.index[occ[:mode] + (occ[mode] + 1,) + occ[mode + 1:]]
+                    self.raise_rows[mode, col] = row
+                    self.lower_rows[mode, row] = col
+        self.raise_values = np.sqrt(np.array(states, dtype=float).T + 1.0)
+
+    def _ladder(self, q, transpose: bool) -> np.ndarray:
+        c = self.space.mode_coefficients(q)
+        out = np.zeros((self.dim, self.dim))
+        cols = np.arange(self.dim)
+        for ck, rows, vals in zip(c, self.raise_rows, self.raise_values):
+            keep = rows >= 0
+            at = (cols[keep], rows[keep]) if transpose else (rows[keep], cols[keep])
+            out[at] = ck * vals[keep]
+        return out
 
     def a_plus(self, q) -> np.ndarray:
-        c = self.space.mode_coefficients(q)
-        return sum(ck * m for ck, m in zip(c, self._raise))
+        return self._ladder(q, transpose=False)
 
     def a_minus(self, q) -> np.ndarray:
-        c = self.space.mode_coefficients(q)
-        return sum(ck * m for ck, m in zip(c, self._lower))
+        return self._ladder(q, transpose=True)
 
     def field(self, q) -> np.ndarray:
         """phi(q) = (a+(q) + a-(q)) / sqrt(2)."""
@@ -262,7 +278,55 @@ class FockTruncation:
         return 1j * (self.a_plus(q) - self.a_minus(q)) / math.sqrt(2.0)
 
     def number_operator(self) -> np.ndarray:
-        return sum(r @ l for r, l in zip(self._raise, self._lower))
+        diag = np.zeros(self.dim)
+        for rows, vals in zip(self.raise_rows, self.raise_values):
+            keep = rows >= 0
+            diag[rows[keep]] += vals[keep] ** 2
+        return np.diag(diag)
+
+    def a_minus_action(self, q, v) -> np.ndarray:
+        """a-(q) v, read off the ladder arrays: (a-(e_m) v)_j = sqrt(occ_j[m] + 1) v[raise_m(j)]."""
+        c = self.space.mode_coefficients(q)
+        v = np.asarray(v)
+        out = np.zeros(self.dim, dtype=np.result_type(v, float))
+        for ck, rows, vals in zip(c, self.raise_rows, self.raise_values):
+            keep = rows >= 0
+            out[keep] += ck * vals[keep] * v[rows[keep]]
+        return out
+
+    def commutator_defect(self, q, qp) -> float:
+        """max |[a-(q), a+(q')] - <q, q'> I| over the protected rows and columns.
+
+        Both products keep the total occupation, so the protected columns map
+        into the protected rows; each of the n^2 mode pairs (m, m') adds the
+        entries of a-(e_m) a+(e_m') and a+(e_m') a-(e_m) on those columns.
+        """
+        c = self.space.mode_coefficients(q)
+        cp = self.space.mode_coefficients(qp)
+        prot = self.protected_indices()
+        rows, cols, vals = [], [], []
+        for m in range(self.space.n):
+            for mp in range(self.space.n):
+                # a-(e_m) a+(e_m'): raise j by m' to k (always inside), lower k by m
+                k = self.raise_rows[mp, prot]
+                i = self.lower_rows[m, k]
+                keep = i >= 0
+                rows.append(i[keep])
+                cols.append(prot[keep])
+                vals.append((c[m] * self.raise_values[m, i[keep]])
+                            * (cp[mp] * self.raise_values[mp, prot[keep]]))
+                # a+(e_m') a-(e_m): lower j by m to k, raise k by m' (inside again)
+                k = self.lower_rows[m, prot]
+                keep = k >= 0
+                k = k[keep]
+                rows.append(self.raise_rows[mp, k])
+                cols.append(prot[keep])
+                vals.append(-(cp[mp] * self.raise_values[mp, k]) * (c[m] * self.raise_values[m, k]))
+        keys, where = np.unique(np.concatenate(rows) * self.dim + np.concatenate(cols),
+                                return_inverse=True)
+        entries = np.bincount(where, weights=np.concatenate(vals))
+        entries[keys // self.dim == keys % self.dim] -= self.space.inner(q, qp)
+        return float(np.max(np.abs(entries)))
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim)
@@ -270,8 +334,8 @@ class FockTruncation:
         return v
 
     def protected_indices(self) -> np.ndarray:
-        """Basis indices with total occupation <= n_max - 1."""
-        return np.array([i for t, i in self.index.items() if sum(t) <= self.n_max - 1])
+        """Basis indices with total occupation <= n_max - 1 (a prefix of the basis order)."""
+        return np.arange(math.comb(self.space.n + self.n_max - 1, self.space.n))
 
 
 def build_fock_operators(space: CcrSpace, n_max: int = 8) -> FockTruncation:

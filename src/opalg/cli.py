@@ -8,6 +8,7 @@ directories of scenario files, each file one analysis.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -206,6 +207,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # the schema's rule for configured tolerances holds for the override too
+        if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValidationError(f"tolerances must be positive and finite, got {args.tol}",
+                                  path="--tol")
         return args.handler(args)
     except ValidationError as exc:
         sys.stderr.write(f"schema error: {exc}\n")

@@ -17,8 +17,10 @@ Theta_b = V_b sqrt(Lambda_b) (n_b x r_b, kept eigenpairs only).  Then:
   them, and b = Theta_g Theta_f^+ blockwise carries f to g.
 
 Vectors of C^n (x) C^r are stored row-major, so vec(a X) = (a (x) I) vec(X).
-The certificates callers report (reconstruction, intertwiner and transition
-residuals) are evaluated from (pi, theta), not taken from the closed form.
+The certificates callers report are not taken from the closed form: the
+intertwiner and reconstruction residuals are evaluated from (pi, theta), and
+the transition residual from the two states themselves, by
+:func:`opalg.algebra.transport_residual`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, StarAlgebra, State, evaluate_state
+from .algebra import AlgebraElement, StarAlgebra, State, transport_residual
 from .errors import InvalidStateError, NumericalError, OpalgError, ShapeMismatchError
 from .linalg import fix_global_phase, fix_phases, hermitize, orthonormal_completion
 
@@ -181,6 +183,7 @@ class EquivalenceReport:
     intertwiner: Optional[np.ndarray] = None
     intertwiner_residual: Optional[float] = None
     transition: Optional[tuple] = None             # (b, b') with f'(a)=f(b*ab), f(a)=f'(b'*ab')
+    transition_residual: Optional[float] = None    # max_k |f'(e_k) - f(b*e_k b)|, and back
     unitary: Optional[AlgebraElement] = None
     note: str = ""
     carrier_dims: tuple = field(default=())
@@ -243,23 +246,16 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     if equal_states:
         report.transition = (algebra.identity(), algebra.identity())
     else:
-        report.transition = _verified_transition(algebra, f, g, rep_f, rep_g)
-    _attach_unitary(report, algebra, f, g)
-    return report
-
-
-def _verified_transition(algebra, f, g, rep_f, rep_g):
-    """Solve pi_f(b) theta_f = theta_g (and back) on the shared carrier, then verify."""
-    b = algebra.from_coords(rep_f.quotient_pinv @ rep_g.cyclic_vector)
-    b_back = algebra.from_coords(rep_g.quotient_pinv @ rep_f.cyclic_vector)
-    worst = 0.0
-    for idx in range(algebra.dim):
-        e = algebra.basis_element(idx)
-        worst = max(worst, abs(evaluate_state(g, e) - evaluate_state(f, b.star * e * b)))
-        worst = max(worst, abs(evaluate_state(f, e) - evaluate_state(g, b_back.star * e * b_back)))
+        # pi_f(b) theta_f = theta_g and back, solved on the shared carrier
+        report.transition = (algebra.from_coords(rep_f.quotient_pinv @ rep_g.cyclic_vector),
+                             algebra.from_coords(rep_g.quotient_pinv @ rep_f.cyclic_vector))
+    b, b_back = report.transition
+    worst = max(transport_residual(f, g, b), transport_residual(g, f, b_back))
     if worst > 1e-8:
         raise NumericalError(f"transition elements failed verification ({worst:.3e})")
-    return (b, b_back)
+    report.transition_residual = worst
+    _attach_unitary(report, algebra, f, g)
+    return report
 
 
 def _attach_unitary(report, algebra, f, g):
@@ -298,10 +294,7 @@ def pure_unitary_intertwiner(algebra: StarAlgebra, f: State, g: State):
     mats = [np.eye(m, dtype=complex) for m in algebra.blocks]
     mats[block_f] = u_block
     u = algebra.element(mats)
-    worst = 0.0
-    for idx in range(algebra.dim):
-        e = algebra.basis_element(idx)
-        worst = max(worst, abs(evaluate_state(g, e) - evaluate_state(f, u.star * e * u)))
+    worst = transport_residual(f, g, u)
     if worst > 1e-8:
         raise NumericalError(f"unitary intertwiner failed verification ({worst:.3e})")
     return u

@@ -76,9 +76,8 @@ class QubitConfig:
             vecs = np.stack([np.cos(a), np.sin(a)], axis=1).astype(complex)
         else:
             vecs = np.tile(self.default, (len(sites), 1))
-        for k, s in enumerate(sites):
-            if int(s) in self.overrides:
-                vecs[k] = self.overrides[int(s)]
+        for site, vec in self.overrides.items():
+            vecs[sites == site] = vec
         return vecs
 
     def asymptotic(self):

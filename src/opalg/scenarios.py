@@ -24,7 +24,7 @@ from . import fields as fields_mod
 from . import groups as groups_mod
 from . import qubits as qubits_mod
 from . import symmetry as symmetry_mod
-from .algebra import StarAlgebra, State, dual_norm_distance, evaluate_state
+from .algebra import StarAlgebra, State, dual_norm_distance, transport_residual
 from .errors import OpalgError, ValidationError
 from .gns import commutant_basis, equivalence_check, gns_construct
 
@@ -535,10 +535,9 @@ def _run_gns(scenario: Scenario, report: Report):
     report.info("algebra blocks", list(algebra.blocks), "configured")
     report.info("carrier_dim", rep.carrier_dim)
     report.info("gram_rank", rep.gram_rank)
-    values = rep.vector_state_values()
-    worst = 0.0
-    for k in range(algebra.dim):
-        worst = max(worst, abs(values[k] - evaluate_state(state, algebra.basis_element(k))))
+    # f(e_ij) = rho[j, i]: the transposed densities in matrix-unit order
+    expected = np.concatenate([d.T.reshape(-1) for d in state.densities])
+    worst = float(np.max(np.abs(rep.vector_state_values() - expected)))
     tol, src = _tol(scenario, "reconstruction")
     report.check("reconstruction_residual_max", worst, tol, src)
     comm = commutant_basis(rep)
@@ -564,16 +563,9 @@ def _run_equiv(scenario: Scenario, report: Report):
         report.check("intertwiner_residual", result.intertwiner_residual, tol, src)
     if result.intertwiner is not None and result.intertwiner.shape[0] <= 8:
         report.matrix("intertwiner", result.intertwiner)
-    if result.transition is not None:
-        b, b_back = result.transition
-        worst = 0.0
-        for k in range(algebra.dim):
-            e = algebra.basis_element(k)
-            worst = max(worst, abs(evaluate_state(g, e) - evaluate_state(f, b.star * e * b)))
-            worst = max(worst, abs(
-                evaluate_state(f, e) - evaluate_state(g, b_back.star * e * b_back)))
+    if result.transition_residual is not None:
         tol, src = _tol(scenario, "transition")
-        report.check("transition_identity_residual", worst, tol, src)
+        report.check("transition_identity_residual", result.transition_residual, tol, src)
     report.info("pure_unitary_intertwiner", "present" if result.unitary is not None else "absent")
     if result.unitary is not None:
         for idx, block in enumerate(result.unitary.mats):
@@ -593,15 +585,9 @@ def _run_qubit(scenario: Scenario, report: Report):
         return
     report.info("local_transition_support", list(transition.sites))
     if transition.sites:
-        algebra = transition.algebra
         _, state_first = qubits_mod.finite_marginal_state(first, transition.sites)
         _, state_second = qubits_mod.finite_marginal_state(second, transition.sites)
-        b = transition.element
-        worst = 0.0
-        for k in range(algebra.dim):
-            e = algebra.basis_element(k)
-            worst = max(worst, abs(
-                evaluate_state(state_second, e) - evaluate_state(state_first, b.star * e * b)))
+        worst = transport_residual(state_first, state_second, transition.element)
         tol, src = _tol(scenario, "reconstruction")
         report.check("local_transition_residual", worst, tol, src)
 
@@ -674,14 +660,10 @@ def _run_ccr(scenario: Scenario, report: Report):
         q[0] = 1.0
         qp = np.zeros(space.n)
         qp[-1] = 1.0
-        comm = fock.a_minus(q) @ fock.a_plus(qp) - fock.a_plus(qp) @ fock.a_minus(q)
-        prot = fock.protected_indices()
-        defect = comm - space.inner(q, qp) * np.eye(fock.dim)
-        worst = float(np.max(np.abs(defect[np.ix_(prot, prot)])))
         tol, src = _tol(scenario, "commutation")
-        report.check("fock_commutator_defect_protected", worst, tol, src)
+        report.check("fock_commutator_defect_protected", fock.commutator_defect(q, qp), tol, src)
         vac = fock.vacuum()
-        annil = max(float(np.max(np.abs(fock.a_minus(q) @ vac))) for q in np.eye(space.n))
+        annil = max(float(np.max(np.abs(fock.a_minus_action(q, vac)))) for q in np.eye(space.n))
         report.check("vacuum_annihilation", annil, 0.0, "default", passed=(annil == 0.0))
     if "eigenvalue_model" in scenario.params:
         verdict = ccr_mod.gaussian_equivalence_verdict(scenario.params["eigenvalue_model"])
@@ -753,15 +735,12 @@ def _run_symmetry(scenario: Scenario, report: Report):
     report.info("algebra blocks", list(algebra.blocks), "configured")
     tol, src = _tol(scenario, "stationarity")
     # a configured stationarity tolerance also decides the implementer's isometry
-    # test, stabilizer membership and orbit distinctness (one threshold keeps the
-    # orbit law consistent); otherwise each keeps its own default
-    implementer_tols, orbit_tols = {}, {}
-    if src == "configured":
-        implementer_tols, orbit_tols = {"tol": tol}, {"tol": tol, "distinct_tol": tol}
+    # test and the stabilizer orbit; otherwise each keeps its own default
+    configured = {"tol": tol} if src == "configured" else {}
     for k, rho in enumerate(autos):
         stationary = symmetry_mod.stationarity_check(state, rho, tol)
         report.info(f"automorphism[{k}].stationary", stationary)
-        result = symmetry_mod.unitary_implementer(state, rho, **implementer_tols)
+        result = symmetry_mod.unitary_implementer(state, rho, **configured)
         report.info(f"automorphism[{k}].implementer",
                     "present" if result.unitary is not None else "absent")
         report.info(f"automorphism[{k}].isometry_defect", result.isometry_defect)
@@ -774,7 +753,7 @@ def _run_symmetry(scenario: Scenario, report: Report):
     except (ValueError, OpalgError) as exc:
         report.info("group", f"not a group: {exc}")
         return
-    orbit = symmetry_mod.stabilizer_orbit(state, group, **orbit_tols)
+    orbit = symmetry_mod.stabilizer_orbit(state, group, **configured)
     report.info("group_order", orbit.group_order)
     report.info("stabilizer_size", orbit.stabilizer_size)
     report.info("orbit_size", orbit.orbit_size)

@@ -172,12 +172,13 @@ class OrbitReport:
         return self.group_order // self.stabilizer_size
 
 
-def stabilizer_orbit(f: State, group: AutomorphismGroup, tol: float = STATIONARY_TOL,
-                     distinct_tol: float = 1e-8) -> OrbitReport:
+def stabilizer_orbit(f: State, group: AutomorphismGroup,
+                     tol: float = STATIONARY_TOL) -> OrbitReport:
     """Stabilizer H = {g : f stationary}, orbit of pushforward states, |orbit| = |G|/|H|.
 
     g fixes f when the dual-norm distance of f and its pushforward is at most
-    ``tol``; orbit states closer than ``distinct_tol`` count as one.
+    ``tol``, and orbit states within ``tol`` of each other count as one: a
+    single threshold keeps the two counts consistent with the orbit law.
     """
     if f.algebra != group.algebra:
         raise ShapeMismatchError("state and group live on different algebras")
@@ -187,7 +188,7 @@ def stabilizer_orbit(f: State, group: AutomorphismGroup, tol: float = STATIONARY
         moved = pushforward_state(f, g)
         if dual_norm_distance(f, moved) <= tol:
             stabilizer += 1
-        if all(dual_norm_distance(moved, seen) > distinct_tol for seen in orbit):
+        if all(dual_norm_distance(moved, seen) > tol for seen in orbit):
             orbit.append(moved)
     report = OrbitReport(
         stabilizer_size=stabilizer,

@@ -1,4 +1,4 @@
-"""Generic GNS and intertwiner solvers, kept as test oracles for the closed form.
+"""Generic GNS and intertwiner solvers and per-matrix-unit checks, kept as test oracles.
 
 ``gram_gns`` is the textbook construction: the carrier is the algebra modulo
 the null space of the Gram matrix f(e_j* e_i) over the matrix units, and
@@ -8,6 +8,10 @@ solves.  None of this uses the density eigendecompositions that
 ``opalg.gns`` is built on, so agreement between the two is evidence for both.
 The null-space solves cost O(D^6) in the carrier dimension D: use them on
 small algebras only.
+
+``transport_residual_by_units`` evaluates both states on every transported
+matrix unit; ``opalg.algebra.transport_residual`` gets the same number from
+one density identity per block.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from opalg.algebra import evaluate_state
 from opalg.linalg import fix_phases, gram_quotient
 
 GRAM_REL_CUT = 1e-12
@@ -138,3 +143,13 @@ def equivalence_verdict(algebra, f, g) -> str:
     space = intertwiner_space(rep_f.generator_matrices, rep_g.generator_matrices)
     gamma, _ = best_invertible(space)
     return "inequivalent" if gamma is None else "equivalent"
+
+
+def transport_residual_by_units(f, g, b) -> float:
+    """max_k |g(e_k) - f(b* e_k b)|, one state evaluation per matrix unit."""
+    algebra = f.algebra
+    worst = 0.0
+    for k in range(algebra.dim):
+        e = algebra.basis_element(k)
+        worst = max(worst, abs(evaluate_state(g, e) - evaluate_state(f, b.star * e * b)))
+    return worst

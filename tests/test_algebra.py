@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from opalg import (
     InvalidStateError,
     ShapeMismatchError,
@@ -10,6 +13,7 @@ from opalg import (
     dual_norm_distance,
     evaluate_state,
     operator_norm,
+    transport_residual,
 )
 from opalg.linalg import nuclear_norm
 
@@ -193,3 +197,41 @@ def test_shape_mismatch_errors():
         evaluate_state(f, other)
     with pytest.raises(ShapeMismatchError):
         dual_norm_distance(f, State.tracial(M2M2))
+
+
+def _random_state(alg, rng):
+    dens = []
+    for n in alg.blocks:
+        r = int(rng.integers(0, n + 1))
+        m = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        dens.append(m @ m.conj().T)
+    if not any(np.trace(d).real > 0 for d in dens):
+        dens[0] = np.eye(alg.blocks[0])
+    total = sum(np.trace(d).real for d in dens)
+    return State(alg, [d / total for d in dens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 30.0]),
+       partner=st.sampled_from(["random", "transported"]))
+def test_transport_residual_agrees_with_per_unit_oracle(blocks, seed, scale, partner):
+    rng = np.random.default_rng(seed)
+    alg = StarAlgebra(blocks)
+    f = _random_state(alg, rng)
+    if partner == "transported":
+        # g = f(b* . b) for a blockwise unitary b: both residuals are round-off
+        b = alg.element([np.linalg.qr(m)[0] for m in alg.random_element(rng).mats])
+        g = State(alg, [m @ d @ m.conj().T for m, d in zip(b.mats, f.densities)])
+    else:
+        b = alg.random_element(rng, scale)
+        g = _random_state(alg, rng)
+    got = transport_residual(f, g, b)
+    want = oracles.transport_residual_by_units(f, g, b)
+    # float64 round-off of the n_b-term sums in b rho b*, for entries of size |b|^2
+    assert abs(got - want) <= 1e-13 * max(1.0, b.norm() ** 2)
+
+
+def test_transport_residual_rejects_mixed_algebras():
+    with pytest.raises(ShapeMismatchError):
+        transport_residual(State.tracial(M2), State.tracial(M2M2), M2.identity())

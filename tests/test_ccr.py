@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalg import (
     CcrSpace,
@@ -242,6 +245,65 @@ def test_fock_generating_function_second_moment():
 def test_fock_basis_size_guard():
     with pytest.raises(NumericalError):
         build_fock_operators(unit_space(4), 40)
+
+
+def _traced_peak_mb(func):
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_fock_size_guard_runs_before_enumeration():
+    # C(65, 5) = 8.3 million tuples: enumerating them would take over 1 GB
+    def build():
+        with pytest.raises(NumericalError, match="truncated basis of size 8259888 exceeds limit 5000"):
+            build_fock_operators(unit_space(5), 60)
+    assert _traced_peak_mb(build) < 1.0
+
+
+def test_fock_build_and_defect_stay_small():
+    # dense ladders for this basis (2002 states, 5 modes) and their transposes take 320 MB
+    space = unit_space(5)
+    q, qp = np.eye(5)[0], np.eye(5)[-1]
+    defect = []
+    peak = _traced_peak_mb(lambda: defect.append(
+        build_fock_operators(space, 9).commutator_defect(q, qp)))
+    assert defect == [0.0]
+    assert peak < 16.0, f"peak {peak:.1f} MB"
+
+
+def _dense_commutator_defect(fock, q, qp):
+    """The dense reference: [a-(q), a+(q')] - <q, q'> I on the protected block."""
+    comm = fock.a_minus(q) @ fock.a_plus(qp) - fock.a_plus(qp) @ fock.a_minus(q)
+    defect = comm - fock.space.inner(q, qp) * np.eye(fock.dim)
+    prot = fock.protected_indices()
+    return float(np.max(np.abs(defect[np.ix_(prot, prot)])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), n_max=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_index_array_ladders_match_dense_products(n, n_max, seed):
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    fock = build_fock_operators(space, n_max)
+    q, qp = rng.normal(size=n), rng.normal(size=n)
+    scale = (1.0 + n_max) * max(1.0, float(np.sum(np.abs(space.mode_coefficients(q))))
+                                * float(np.sum(np.abs(space.mode_coefficients(qp)))))
+    defect = fock.commutator_defect(q, qp)
+    assert defect <= 1e-13 * scale
+    assert abs(defect - _dense_commutator_defect(fock, q, qp)) <= 1e-13 * scale
+    v = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
+    assert np.max(np.abs(fock.a_minus_action(q, v) - fock.a_minus(q) @ v)) <= 1e-13 * scale
+    assert not np.any(fock.a_minus_action(q, fock.vacuum()))
+    # the same kernels on distorted ladder values, where the defect is of order one,
+    # still agree with the dense products built from those values
+    fock.raise_values = fock.raise_values * rng.uniform(0.5, 1.5, size=fock.raise_values.shape)
+    dense = _dense_commutator_defect(fock, q, qp)
+    assert abs(fock.commutator_defect(q, qp) - dense) <= 1e-13 * scale
+    assert np.max(np.abs(fock.a_minus_action(q, v) - fock.a_minus(q) @ v)) <= 1e-13 * scale
 
 
 def test_shifted_vacuum_means():

@@ -241,3 +241,47 @@ def test_cli_batch_rejects_colliding_report_names(tmp_path, capsys):
     assert "schema error" in err
     assert str(batch / "a.yaml") in err and str(batch / "a.yml") in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_cli_rejects_non_positive_global_tolerance(value, capsys):
+    assert main(["demo", "gns", "--tol", value]) == 1
+    captured = capsys.readouterr()
+    assert "schema error: --tol:" in captured.err and "positive" in captured.err
+    assert captured.out == ""
+
+
+def test_stabilizer_orbit_uses_one_threshold():
+    # X and iY move this state by 4e-9, past the stabilizer threshold 1e-10; a
+    # looser distinctness threshold would merge their orbit points and break
+    # the orbit law
+    text = DEMO_SCENARIOS["symmetry"].replace(
+        "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
+        "[[[0.500000001, 0], [0, 0]], [[0, 0], [0.499999999, 0]]]")
+    lines = run_scenario(parse_scenario(text)).lines
+    assert "stabilizer_size = 2 [computed]" in lines
+    assert "orbit_size = 2 [computed]" in lines
+    assert "orbit_law_exact = True [computed]" in lines
+
+
+def test_qubit_transition_on_eight_sites():
+    # M256 has 65536 matrix units; the transport identity checks them all at once
+    vectors = ["[[0.6, 0], [0, 0.8]]", "[[0, 0], [1, 0]]", "[[0.8, 0], [0.6, 0]]"]
+    overrides = "".join(f"      - {{site: {s}, vector: {vectors[s % 3]}}}\n" for s in range(1, 9))
+    text = ("kind: qubit\nconfigs:\n  - default: [[1, 0], [0, 0]]\n"
+            "  - default: [[1, 0], [0, 0]]\n    overrides:\n" + overrides)
+    lines = run_scenario(parse_scenario(text)).lines
+    assert "verdict = convergent [computed]" in lines
+    assert "local_transition_support = [1, 2, 3, 4, 5, 6, 7, 8] [computed]" in lines
+    residual = [line for line in lines if line.startswith("local_transition_residual")]
+    assert len(residual) == 1 and residual[0].endswith("[tol 1.0e-09 default, computed] pass")
+
+
+def test_gns_reconstruction_of_a_complex_density():
+    # f(e_ij) = rho[j, i]: a real density cannot tell rho from its transpose
+    text = MINIMAL_GNS.replace("[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
+                               "[[[0.5, 0], [0.2, 0.3]], [[0.2, -0.3], [0.5, 0]]]")
+    lines = run_scenario(parse_scenario(text)).lines
+    residual = [line for line in lines if line.startswith("reconstruction_residual_max")]
+    assert len(residual) == 1 and residual[0].endswith("[tol 1.0e-09 default, computed] pass")
+    assert float(residual[0].split(" = ")[1].split()[0]) <= 1e-15
