@@ -65,6 +65,7 @@ from .gns import (
     commutant_basis,
     equivalence_check,
     gns_construct,
+    intertwining_residual,
     pure_unitary_intertwiner,
     purity_check,
     summed_generator_matrices,

@@ -114,10 +114,14 @@ def _apply_global_tol(scenario, tol):
     return scenario
 
 
-def _execute(name: str, text: str, args):
-    scenario = _apply_global_tol(parse_scenario(text), args.tol)
-    report = run_scenario(scenario)
-    return name, scenario, report
+def _execute(source: str, text: str, args):
+    """Run one scenario; ``source`` (a file path or demo name) also names its report."""
+    try:
+        scenario = _apply_global_tol(parse_scenario(text), args.tol)
+        return Path(source).stem, scenario, run_scenario(scenario)
+    except OpalgError as exc:
+        exc.source = source
+        raise
 
 
 def _emit(results, args) -> None:
@@ -143,7 +147,7 @@ def _emit(results, args) -> None:
 def _run_many(jobs, args) -> int:
     worker_count = max(1, args.jobs)
     if worker_count == 1 or len(jobs) == 1:
-        results = [_execute(name, text, args) for name, text in jobs]
+        results = [_execute(source, text, args) for source, text in jobs]
     else:
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
             results = list(pool.map(lambda item: _execute(item[0], item[1], args), jobs))
@@ -154,7 +158,7 @@ def _run_many(jobs, args) -> int:
 
 def cmd_run(args) -> int:
     files = _gather_files(Path(args.path))
-    jobs = [(p.stem, p.read_text()) for p in files]
+    jobs = [(str(p), p.read_text()) for p in files]
     return _run_many(jobs, args)
 
 
@@ -212,11 +216,12 @@ def main(argv=None) -> int:
             raise ValidationError(f"tolerances must be positive and finite, got {args.tol}",
                                   path="--tol")
         return args.handler(args)
-    except ValidationError as exc:
-        sys.stderr.write(f"schema error: {exc}\n")
-        return 1
     except OpalgError as exc:
-        sys.stderr.write(f"numerical failure: {type(exc).__name__}: {exc}\n")
+        where = f"{exc.source}: " if exc.source else ""
+        if isinstance(exc, ValidationError):
+            sys.stderr.write(f"schema error: {where}{exc}\n")
+            return 1
+        sys.stderr.write(f"numerical failure: {where}{type(exc).__name__}: {exc}\n")
         return 2
 
 

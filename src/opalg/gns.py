@@ -17,10 +17,11 @@ Theta_b = V_b sqrt(Lambda_b) (n_b x r_b, kept eigenpairs only).  Then:
   them, and b = Theta_g Theta_f^+ blockwise carries f to g.
 
 Vectors of C^n (x) C^r are stored row-major, so vec(a X) = (a (x) I) vec(X).
-The certificates callers report are not taken from the closed form: the
-intertwiner and reconstruction residuals are evaluated from (pi, theta), and
-the transition residual from the two states themselves, by
-:func:`opalg.algebra.transport_residual`.
+Certificates are recomputed rather than read off the closed form: every
+intertwining identity W pi(a) W^-1 = pi(sigma(a)) (the identity intertwiner
+here, the implementers of :mod:`opalg.symmetry`) is checked over all matrix
+units by the one kernel :func:`intertwining_residual`, and every transition
+by :func:`opalg.algebra.transport_residual`.
 """
 
 from __future__ import annotations
@@ -33,21 +34,10 @@ import numpy as np
 
 from .algebra import AlgebraElement, StarAlgebra, State, transport_residual
 from .errors import InvalidStateError, NumericalError, OpalgError, ShapeMismatchError
-from .linalg import fix_global_phase, fix_phases, hermitize, orthonormal_completion
+from .linalg import block_diag, fix_global_phase, fix_phases, hermitize, two_vector_unitary
 
 GRAM_REL_CUT = 1e-12
 KERNEL_TOL = 1e-9
-
-
-def _block_diag(mats) -> np.ndarray:
-    """Place (possibly rectangular or empty) blocks along the diagonal."""
-    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=complex)
-    row = col = 0
-    for m in mats:
-        out[row:row + m.shape[0], col:col + m.shape[1]] = m
-        row += m.shape[0]
-        col += m.shape[1]
-    return out
 
 
 @dataclass
@@ -84,42 +74,28 @@ class GnsRep:
         return np.concatenate([t.reshape(-1) for t in self.factors])
 
     @cached_property
-    def quotient_map(self) -> np.ndarray:
-        """(D, d): column k is pi(e_k) theta, i.e. x -> vec(x_b Theta_b)."""
-        return _block_diag([np.kron(np.eye(n), t.T)
-                            for n, t in zip(self.algebra.blocks, self.factors)])
-
-    @cached_property
-    def quotient_pinv(self) -> np.ndarray:
-        """(d, D) Moore-Penrose inverse of the quotient map: X -> X Theta_b^+."""
-        return _block_diag([np.kron(np.eye(n), np.linalg.pinv(t).T)
-                            for n, t in zip(self.algebra.blocks, self.factors)])
-
-    @cached_property
     def generator_matrices(self) -> tuple:
-        """pi(e_k) for each canonical matrix unit."""
-        return tuple(self.represent(self.algebra.basis_element(k))
-                     for k in range(self.algebra.dim))
+        """pi(e_k) for each canonical matrix unit: pi(E_ij) = sum_p |b,i,p><b,j,p| in block b."""
+        gens = np.zeros((self.algebra.dim, self.carrier_dim, self.carrier_dim), dtype=complex)
+        unit = off = 0
+        for n, r in zip(self.algebra.blocks, self.ranks):
+            i, j, p = np.ix_(np.arange(n), np.arange(n), np.arange(r))
+            gens[unit + i * n + j, off + i * r + p, off + j * r + p] = 1.0
+            unit, off = unit + n * n, off + n * r
+        return tuple(gens)
 
     def represent(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra != self.algebra:
             raise ShapeMismatchError("element does not belong to the represented algebra")
-        return _block_diag([np.kron(m, np.eye(r)) for m, r in zip(a.mats, self.ranks)])
+        return block_diag([np.kron(m, np.eye(r)) for m, r in zip(a.mats, self.ranks)])
 
     def vector_state_values(self) -> np.ndarray:
-        """<pi(e_k) theta | theta> over the canonical basis."""
-        return self.cyclic_vector.conj() @ self.quotient_map
+        """<theta, pi(E_ij) theta> = (conj(Theta_b) Theta_b^T)_ij over the canonical basis."""
+        return np.concatenate([(t.conj() @ t.T).reshape(-1) for t in self.factors])
 
     def reconstructed_state(self) -> State:
-        """Rebuild the state from (pi, theta); equals the input within round-off."""
-        vals = self.vector_state_values()
-        dens = []
-        k = 0
-        for n in self.algebra.blocks:
-            # f(e_ij) = trace(rho e_ij) = rho[j, i]
-            dens.append(vals[k:k + n * n].reshape(n, n).T)
-            k += n * n
-        return State(self.algebra, dens)
+        """Rebuild the state from (pi, theta): its densities are Theta_b Theta_b*."""
+        return State(self.algebra, [t @ t.conj().T for t in self.factors])
 
 
 def gns_construct(algebra: StarAlgebra, f: State) -> GnsRep:
@@ -193,15 +169,33 @@ class EquivalenceReport:
         return self.verdict in ("equal", "equivalent")
 
 
-def _intertwiner_residual(gamma, rep_f, rep_g) -> float:
-    """max_k |gamma pi_f(e_k) gamma^-1 - pi_g(e_k)| over the canonical basis."""
-    algebra = rep_f.algebra
-    gamma_inv = np.linalg.inv(gamma)
+def intertwining_residual(w, w_inv, rep_src: GnsRep, rep_dst: GnsRep,
+                          u: Optional[AlgebraElement] = None) -> float:
+    """max |W pi_src(E_ij) W^-1 - pi_dst(u E_ij u*)| over blocks b and matrix units E_ij.
+
+    In block b, pi(E_ij) = E_ij (x) I_{r_b}, so W pi_src(E_ij) W^-1 is the column
+    slab W[:, (b,i,.)] times the row slab W^-1[(b,j,.), :]; for each i, all j
+    are one batched product.  pi_dst(u E_ij u*) is the n_b x n_b matrix
+    u_b E_ij u_b* on each copy (b,.,p) of C^{n_b}; ``u=None`` is the identity.
+    Costs O(sum n_b^2 D^2 r_b) time and n_b D^2 memory, D the carrier dimension.
+    """
+    algebra = rep_src.algebra
+    if rep_dst.algebra != algebra or (u is not None and u.algebra != algebra):
+        raise ShapeMismatchError("representations and unitary live on different algebras")
     worst = 0.0
-    for k in range(algebra.dim):
-        e = algebra.basis_element(k)
-        worst = max(worst, float(np.max(np.abs(
-            gamma @ rep_f.represent(e) @ gamma_inv - rep_g.represent(e)))))
+    off_src = off_dst = 0
+    for b, (n, r_src, r_dst) in enumerate(zip(algebra.blocks, rep_src.ranks, rep_dst.ranks)):
+        ub = np.eye(n) if u is None else u.mats[b]
+        cols = w[:, off_src:off_src + n * r_src].reshape(len(w), n, r_src)
+        rows = w_inv[off_src:off_src + n * r_src].reshape(n, r_src, len(w))
+        for i in range(n):
+            diff = cols[:, i] @ rows                                    # W pi_src(E_ij) W^-1
+            moved = ub[:, i][None, :, None] * ub.conj().T[:, None, :]   # u_b E_ij u_b*
+            for p in range(r_dst):
+                copy = slice(off_dst + p, off_dst + n * r_dst, r_dst)
+                diff[:, copy, copy] -= moved
+            worst = max(worst, float(np.max(np.abs(diff))))
+        off_src, off_dst = off_src + n * r_src, off_dst + n * r_dst
     return worst
 
 
@@ -240,29 +234,26 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
         kernel_first=kernels[0],
         kernel_second=kernels[1],
         intertwiner=gamma,
-        intertwiner_residual=_intertwiner_residual(gamma, rep_f, rep_g),
+        intertwiner_residual=intertwining_residual(gamma, gamma, rep_f, rep_g),  # I^-1 = I
         carrier_dims=dims,
     )
     if equal_states:
         report.transition = (algebra.identity(), algebra.identity())
     else:
-        # pi_f(b) theta_f = theta_g and back, solved on the shared carrier
-        report.transition = (algebra.from_coords(rep_f.quotient_pinv @ rep_g.cyclic_vector),
-                             algebra.from_coords(rep_g.quotient_pinv @ rep_f.cyclic_vector))
+        # pi_f(b) theta_f = vec(b Theta_f) = theta_g for b = Theta_g Theta_f^+, and back
+        report.transition = tuple(
+            algebra.element([tg @ np.linalg.pinv(tf) for tf, tg in zip(src.factors, dst.factors)])
+            for src, dst in ((rep_f, rep_g), (rep_g, rep_f)))
     b, b_back = report.transition
     worst = max(transport_residual(f, g, b), transport_residual(g, f, b_back))
     if worst > 1e-8:
         raise NumericalError(f"transition elements failed verification ({worst:.3e})")
     report.transition_residual = worst
-    _attach_unitary(report, algebra, f, g)
-    return report
-
-
-def _attach_unitary(report, algebra, f, g):
     try:
         report.unitary = pure_unitary_intertwiner(algebra, f, g)
     except OpalgError:
-        report.unitary = None
+        pass        # mixed states have no unitary intertwiner
+    return report
 
 
 def transition_elements(algebra: StarAlgebra, f: State, g: State):
@@ -280,7 +271,7 @@ def pure_unitary_intertwiner(algebra: StarAlgebra, f: State, g: State):
     """
     ranks_f = _rank_pattern(f)
     ranks_g = _rank_pattern(g)
-    if not (_is_pure_pattern(ranks_f) and _is_pure_pattern(ranks_g)):
+    if sum(ranks_f) != 1 or sum(ranks_g) != 1:      # one block of rank one each
         raise OpalgError("pure_unitary_intertwiner requires pure states")
     block_f = ranks_f.index(1)
     block_g = ranks_g.index(1)
@@ -288,9 +279,7 @@ def pure_unitary_intertwiner(algebra: StarAlgebra, f: State, g: State):
         return None  # different kernels: inequivalent
     vec_f = _support_vector(f.densities[block_f])
     vec_g = _support_vector(g.densities[block_g])
-    basis_f = orthonormal_completion(vec_f[:, None])
-    basis_g = orthonormal_completion(vec_g[:, None])
-    u_block = fix_global_phase(basis_g @ basis_f.conj().T)
+    u_block = fix_global_phase(two_vector_unitary(vec_f, vec_g))
     mats = [np.eye(m, dtype=complex) for m in algebra.blocks]
     mats[block_f] = u_block
     u = algebra.element(mats)
@@ -308,10 +297,6 @@ def _rank_pattern(f: State, tol: float = 1e-9):
     return ranks
 
 
-def _is_pure_pattern(ranks) -> bool:
-    return sorted(ranks)[-1] == 1 and sum(ranks) == 1
-
-
 def _support_vector(density: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh(density)
     v = vec[:, -1]
@@ -321,8 +306,11 @@ def _support_vector(density: np.ndarray) -> np.ndarray:
 
 def summed_generator_matrices(reps) -> list:
     """Block-diagonal generators of the Hilbert-sum representation."""
-    return [_block_diag([r.generator_matrices[k] for r in reps])
-            for k in range(reps[0].algebra.dim)]
+    ends = np.cumsum([0] + [r.carrier_dim for r in reps])
+    out = np.zeros((reps[0].algebra.dim, ends[-1], ends[-1]), dtype=complex)
+    for r, lo, hi in zip(reps, ends, ends[1:]):
+        out[:, lo:hi, lo:hi] = r.generator_matrices
+    return list(out)
 
 
 def superselection_operator(reps, weights) -> np.ndarray:
@@ -337,4 +325,4 @@ def superselection_operator(reps, weights) -> np.ndarray:
         raise ShapeMismatchError("one weight per representation required")
     if any(r.algebra != reps[0].algebra for r in reps):
         raise ShapeMismatchError("summands must represent the same algebra")
-    return _block_diag([w * np.eye(r.carrier_dim) for r, w in zip(reps, weights)])
+    return block_diag([w * np.eye(r.carrier_dim) for r, w in zip(reps, weights)])

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import PSD_TOL
 from .errors import InvalidStateError, ShapeMismatchError
 from .linalg import gram_quotient
-
-PSD_TOL = 1e-10
 
 
 class FiniteGroup:

@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import InvalidStateError
 
-EPS = np.finfo(float).eps
-
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
@@ -21,6 +19,17 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of singular values (trace norm)."""
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+def block_diag(mats) -> np.ndarray:
+    """Place (possibly rectangular or empty) blocks along the diagonal."""
+    out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=complex)
+    row = col = 0
+    for m in mats:
+        out[row:row + m.shape[0], col:col + m.shape[1]] = m
+        row += m.shape[0]
+        col += m.shape[1]
+    return out
 
 
 def fix_phases(vectors: np.ndarray) -> np.ndarray:

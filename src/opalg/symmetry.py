@@ -1,21 +1,27 @@
 """Inner automorphisms acting on states: stationarity, implementers, orbits, flows.
 
 Automorphisms of a finite direct sum of matrix blocks are realized as
-conjugation by a unitary element; two automorphisms are the same exactly when
-they agree on the canonical basis (the defining unitary is only fixed up to a
-phase, which the group bookkeeping quotients away but records as a multiplier).
+conjugation by a unitary element U; on canonical coordinates a -> U a U* is
+the sum of U_b (x) conj(U_b), and two automorphisms are the same exactly when
+these matrices agree (U is only fixed up to a phase, which the group
+bookkeeping quotients away but records as a multiplier).  On the GNS carrier
+of a stationary state the implementer is closed-form too, the sum of
+U_b (x) V_b with V_b = (Theta_b^+ U_b* Theta_b)^T, and
+:func:`opalg.gns.intertwining_residual` certifies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
 
 from .algebra import AlgebraElement, State, dual_norm_distance
 from .errors import OpalgError, ShapeMismatchError
-from .gns import gns_construct
+from .gns import gns_construct, intertwining_residual
+from .linalg import block_diag
 
 STATIONARY_TOL = 1e-10
 ACTION_TOL = 1e-9
@@ -29,25 +35,19 @@ class InnerAutomorphism:
             raise OpalgError("defining element is not unitary within 1e-12")
         self.unitary = unitary
         self.algebra = unitary.algebra
-        self._action_matrix = None
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         if a.algebra != self.algebra:
             raise ShapeMismatchError("element lives on a different algebra")
         return self.unitary * a * self.unitary.star
 
+    @cached_property
     def action_matrix(self) -> np.ndarray:
-        """Matrix of the action on canonical coordinates (cached)."""
-        if self._action_matrix is None:
-            dim = self.algebra.dim
-            cols = np.zeros((dim, dim), dtype=complex)
-            for k in range(dim):
-                cols[:, k] = self.algebra.coords(self.apply(self.algebra.basis_element(k)))
-            self._action_matrix = cols
-        return self._action_matrix
+        """a -> U a U* on canonical (row-major) coordinates: the sum of U_b (x) conj(U_b)."""
+        return block_diag([np.kron(u, u.conj()) for u in self.unitary.mats])
 
     def same_action(self, other: "InnerAutomorphism", tol: float = ACTION_TOL) -> bool:
-        return bool(np.max(np.abs(self.action_matrix() - other.action_matrix())) <= tol)
+        return bool(np.max(np.abs(self.action_matrix - other.action_matrix)) <= tol)
 
     def compose(self, other: "InnerAutomorphism") -> "InnerAutomorphism":
         return InnerAutomorphism(self.unitary * other.unitary)
@@ -84,7 +84,7 @@ class AutomorphismGroup:
                     raise ValueError(f"closure fails: product of elements {i} and {j} not in list")
         identity = None
         for k, g in enumerate(elements):
-            if np.max(np.abs(g.action_matrix() - np.eye(algebra.dim))) <= ACTION_TOL:
+            if np.max(np.abs(g.action_matrix - np.eye(algebra.dim))) <= ACTION_TOL:
                 identity = k
                 break
         if identity is None:
@@ -137,26 +137,21 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
                         tol: float = 1e-9) -> ImplementerResult:
     """Unitary on the GNS carrier with U pi(a) U^-1 = pi(rho(a)) and U theta = theta.
 
-    The defining assignment pi(a) theta -> pi(rho(a)) theta is accepted only
-    if it preserves the Gram quadratic form within ``tol``; otherwise the
-    state is not stationary and no implementer exists.
+    pi(a) theta -> pi(rho(a)) theta preserves the Gram form iff U_b* rho~_b U_b =
+    rho~_b in every block (rho~_b = Theta_b Theta_b*, the density above the rank
+    cut, whose entries are at most 1).  Past ``tol`` the state is not stationary
+    and no implementer exists; otherwise it is the sum of U_b (x) V_b with
+    V_b = (Theta_b^+ U_b* Theta_b)^T, sending vec(x Theta_b) to vec(U_b x U_b* Theta_b).
     """
     rep = gns_construct(f.algebra, f)
-    action = rho.action_matrix()
-    t = rep.quotient_map
-    # Gram preservation: R^H G R == G with G = T^H T
-    gram = t.conj().T @ t
-    defect = float(np.max(np.abs(action.conj().T @ gram @ action - gram)))
-    scale = max(float(np.max(np.abs(gram))), 1.0)
-    if defect > tol * scale:
+    kept = [t @ t.conj().T for t in rep.factors]
+    defect = max(float(np.max(np.abs(u.conj().T @ d @ u - d)))
+                 for u, d in zip(rho.unitary.mats, kept))
+    if defect > tol:
         return ImplementerResult(unitary=None, isometry_defect=defect)
-    w = t @ action @ rep.quotient_pinv
-    residual = 0.0
-    for k in range(f.algebra.dim):
-        e = f.algebra.basis_element(k)
-        residual = max(residual, float(np.max(np.abs(
-            w @ rep.represent(e) @ w.conj().T - rep.represent(rho.apply(e))
-        ))))
+    w = block_diag([np.kron(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)
+                    for u, t in zip(rho.unitary.mats, rep.factors)])
+    residual = intertwining_residual(w, w.conj().T, rep, rep, rho.unitary)
     return ImplementerResult(unitary=w, isometry_defect=defect, intertwining_residual=residual)
 
 

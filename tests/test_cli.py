@@ -285,3 +285,34 @@ def test_gns_reconstruction_of_a_complex_density():
     residual = [line for line in lines if line.startswith("reconstruction_residual_max")]
     assert len(residual) == 1 and residual[0].endswith("[tol 1.0e-09 default, computed] pass")
     assert float(residual[0].split(" = ")[1].split()[0]) <= 1e-15
+
+
+def test_cli_numerical_failure_names_the_scenario_file(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(MINIMAL_GNS)
+    (batch / "b.yaml").write_text(
+        "kind: field\nfield: {mass: 1.0, second_mass: 1.0000001, cutoff: 6.0, points: 9}\n")
+    assert main(["run", str(batch)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {batch / 'b.yaml'}: OpalgError: mass_witness: ")
+
+
+def test_cli_schema_error_names_the_scenario_file(tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(MINIMAL_GNS)
+    (batch / "b.yaml").write_text(MINIMAL_GNS.replace("[[[1, 0], [0, 0]]", "[[[0.5, 0], [0, 0]]"))
+    assert main(["run", str(batch), "--jobs", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {batch / 'b.yaml'}: state.densities (line 5): ")
+
+
+def test_cli_demo_reports_identical_across_worker_counts(tmp_path):
+    reports = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["demo", "all", "--jobs", jobs, "--out", str(out)]) == 0
+        reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(reports[0]) == len(DEMO_SCENARIOS)
+    assert reports[0] == reports[1]

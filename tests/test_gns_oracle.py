@@ -1,4 +1,4 @@
-"""The closed-form GNS construction against the generic Gram-quotient oracle."""
+"""The closed-form GNS construction and its intertwining kernel against generic oracles."""
 
 import tracemalloc
 
@@ -7,7 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from opalg import StarAlgebra, State, commutant_basis, equivalence_check, gns_construct
+from opalg import (
+    InnerAutomorphism,
+    StarAlgebra,
+    State,
+    commutant_basis,
+    equivalence_check,
+    gns_construct,
+    intertwining_residual,
+    unitary_implementer,
+)
 
 
 def _state(alg, rng, ranks):
@@ -70,6 +79,69 @@ def test_closed_form_agrees_with_gram_quotient_oracle(shape, seed, partner):
     g = f if partner == "equal" else _state(
         alg, rng, ranks if partner == "same_ranks" else other_ranks)
     assert equivalence_check(alg, f, g).verdict == oracles.equivalence_verdict(alg, f, g)
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _stationary(alg, rng, ranks):
+    """A unitary u and a state of the given rank vector that u leaves fixed."""
+    us, dens = [], []
+    for n, r in zip(alg.blocks, ranks):
+        v = _unitary(rng, n)
+        us.append((v * np.exp(1j * rng.uniform(0, 2 * np.pi, n))[None, :]) @ v.conj().T)
+        lam = np.zeros(n)
+        lam[:r] = rng.uniform(0.2, 1.0, r)
+        dens.append((v * lam[None, :]) @ v.conj().T)
+    total = sum(np.trace(d).real for d in dens)
+    return alg.element(us), State(alg, [d / total for d in dens])
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=shapes(), seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from(["identity", "implementer", "perturbed", "rectangular"]))
+# two populated blocks, so a block offset that is not advanced shows
+@example(shape=([2, 3], [1, 2], [2, 1]), seed=1, case="rectangular")
+@example(shape=([2, 3], [2, 1], [2, 1]), seed=2, case="implementer")
+def test_intertwining_kernel_agrees_with_per_unit_oracle(shape, seed, case):
+    blocks, ranks, other_ranks = shape
+    rng = np.random.default_rng(seed)
+    alg = StarAlgebra(blocks)
+    u, f = _stationary(alg, rng, ranks)
+    rep_src = gns_construct(alg, f)
+    if case == "identity":
+        # W = I between two representations with the same rank vector
+        rep_dst, u = gns_construct(alg, _state(alg, rng, ranks)), None
+        w = w_inv = np.eye(rep_src.carrier_dim, dtype=complex)
+    elif case == "rectangular":
+        rep_dst = gns_construct(alg, _state(alg, rng, other_ranks))
+        w = (rng.normal(size=(rep_dst.carrier_dim, rep_src.carrier_dim))
+             + 1j * rng.normal(size=(rep_dst.carrier_dim, rep_src.carrier_dim)))
+        w_inv = np.linalg.pinv(w)
+    else:
+        rep_dst = rep_src
+        result = unitary_implementer(f, InnerAutomorphism(u))
+        w = result.unitary
+        assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[0]))) <= 1e-12
+        assert result.intertwining_residual <= 1e-12
+        if case == "perturbed":
+            w = w + 0.5 * rng.normal(size=w.shape)
+            w_inv = np.linalg.inv(w)
+        else:
+            w_inv = w.conj().T
+
+    got = intertwining_residual(w, w_inv, rep_src, rep_dst, u)
+    want = oracles.intertwining_residual_by_units(w, w_inv, rep_src, rep_dst, u)
+    # float64 round-off of sums of at most four products W_xy W^-1_yz
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(w))) * float(np.max(np.abs(w_inv))))
+    assert abs(got - want) <= tol, (got, want)
+    if case == "identity":
+        assert got == 0.0
+    if case == "perturbed" and rep_src.carrier_dim > 1:
+        # typically of order one; on C^1 every invertible W commutes with pi
+        assert want > 1e-6
 
 
 def test_oracle_commutant_of_faithful_m4_stays_small():
