@@ -18,10 +18,10 @@ Theta_b = V_b sqrt(Lambda_b) (n_b x r_b, kept eigenpairs only).  Then:
 
 Vectors of C^n (x) C^r are stored row-major, so vec(a X) = (a (x) I) vec(X).
 Certificates are recomputed rather than read off the closed form: every
-intertwining identity W pi(a) W^-1 = pi(sigma(a)) (the identity intertwiner
-here, the implementers of :mod:`opalg.symmetry`) is checked over all matrix
-units by the one kernel :func:`intertwining_residual`, and every transition
-by :func:`opalg.algebra.transport_residual`.
+intertwining identity W pi(a) W* = pi(sigma(a)) of a unitary W (the identity
+intertwiner here, the implementers of :mod:`opalg.symmetry`) is checked over
+all matrix units by the one kernel :func:`intertwining_residual`, and every
+transition by :func:`opalg.algebra.transport_residual`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .linalg import block_diag, fix_global_phase, fix_phases, hermitize, two_vec
 
 GRAM_REL_CUT = 1e-12
 KERNEL_TOL = 1e-9
+BATCH_ENTRIES = 2**15     # intertwining_residual holds at most this many D x D entries (or one term)
 
 
 @dataclass
@@ -75,14 +76,8 @@ class GnsRep:
 
     @cached_property
     def generator_matrices(self) -> tuple:
-        """pi(e_k) for each canonical matrix unit: pi(E_ij) = sum_p |b,i,p><b,j,p| in block b."""
-        gens = np.zeros((self.algebra.dim, self.carrier_dim, self.carrier_dim), dtype=complex)
-        unit = off = 0
-        for n, r in zip(self.algebra.blocks, self.ranks):
-            i, j, p = np.ix_(np.arange(n), np.arange(n), np.arange(r))
-            gens[unit + i * n + j, off + i * r + p, off + j * r + p] = 1.0
-            unit, off = unit + n * n, off + n * r
-        return tuple(gens)
+        """pi(e_k) for each canonical matrix unit, in basis order."""
+        return tuple(self.represent(self.algebra.from_coords(c)) for c in np.eye(self.algebra.dim))
 
     def represent(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra != self.algebra:
@@ -169,32 +164,36 @@ class EquivalenceReport:
         return self.verdict in ("equal", "equivalent")
 
 
-def intertwining_residual(w, w_inv, rep_src: GnsRep, rep_dst: GnsRep,
+def intertwining_residual(w, rep_src: GnsRep, rep_dst: GnsRep,
                           u: Optional[AlgebraElement] = None) -> float:
-    """max |W pi_src(E_ij) W^-1 - pi_dst(u E_ij u*)| over blocks b and matrix units E_ij.
+    """max |W pi_src(E_ij) W* - pi_dst(u E_ij u*)| over blocks b and matrix units E_ij.
 
-    In block b, pi(E_ij) = E_ij (x) I_{r_b}, so W pi_src(E_ij) W^-1 is the column
-    slab W[:, (b,i,.)] times the row slab W^-1[(b,j,.), :]; for each i, all j
-    are one batched product.  pi_dst(u E_ij u*) is the n_b x n_b matrix
-    u_b E_ij u_b* on each copy (b,.,p) of C^{n_b}; ``u=None`` is the identity.
-    Costs O(sum n_b^2 D^2 r_b) time and n_b D^2 memory, D the carrier dimension.
+    In block b, pi(E_ij) = E_ij (x) I_{r_b}, so W pi_src(E_ij) W* is the column
+    slab W[:, (b,i,.)] times the adjoint of the column slab W[:, (b,j,.)], and
+    pi_dst(u E_ij u*) is (u_b E_ij u_b*) (x) I_{r_b} on carrier block b;
+    ``u=None`` is the identity.  For each i, the terms of consecutive j are one
+    batched product of at most ``BATCH_ENTRIES`` entries (at least one term):
+    O(sum n_b^2 D^2 r_b) time and O(D^2) memory, D the carrier dimension.
     """
     algebra = rep_src.algebra
     if rep_dst.algebra != algebra or (u is not None and u.algebra != algebra):
         raise ShapeMismatchError("representations and unitary live on different algebras")
+    step = max(1, BATCH_ENTRIES // len(w) ** 2)
     worst = 0.0
     off_src = off_dst = 0
     for b, (n, r_src, r_dst) in enumerate(zip(algebra.blocks, rep_src.ranks, rep_dst.ranks)):
         ub = np.eye(n) if u is None else u.mats[b]
         cols = w[:, off_src:off_src + n * r_src].reshape(len(w), n, r_src)
-        rows = w_inv[off_src:off_src + n * r_src].reshape(n, r_src, len(w))
+        rows = cols.conj().transpose(1, 2, 0)                               # W*[(b,j,.), :]
         for i in range(n):
-            diff = cols[:, i] @ rows                                    # W pi_src(E_ij) W^-1
-            moved = ub[:, i][None, :, None] * ub.conj().T[:, None, :]   # u_b E_ij u_b*
-            for p in range(r_dst):
-                copy = slice(off_dst + p, off_dst + n * r_dst, r_dst)
-                diff[:, copy, copy] -= moved
-            worst = max(worst, float(np.max(np.abs(diff))))
+            for j in range(0, n, step):
+                js = slice(j, j + step)
+                diff = cols[:, i] @ rows[js]                                # W pi_src(E_ij) W*
+                moved = ub[:, i][None, :, None] * ub.conj().T[js, None, :]  # u_b E_ij u_b*
+                for p in range(r_dst):
+                    copy = slice(off_dst + p, off_dst + n * r_dst, r_dst)
+                    diff[:, copy, copy] -= moved
+                worst = max(worst, float(np.max(np.abs(diff))))
         off_src, off_dst = off_src + n * r_src, off_dst + n * r_dst
     return worst
 
@@ -234,7 +233,7 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
         kernel_first=kernels[0],
         kernel_second=kernels[1],
         intertwiner=gamma,
-        intertwiner_residual=intertwining_residual(gamma, gamma, rep_f, rep_g),  # I^-1 = I
+        intertwiner_residual=intertwining_residual(gamma, rep_f, rep_g),
         carrier_dims=dims,
     )
     if equal_states:
@@ -306,11 +305,7 @@ def _support_vector(density: np.ndarray) -> np.ndarray:
 
 def summed_generator_matrices(reps) -> list:
     """Block-diagonal generators of the Hilbert-sum representation."""
-    ends = np.cumsum([0] + [r.carrier_dim for r in reps])
-    out = np.zeros((reps[0].algebra.dim, ends[-1], ends[-1]), dtype=complex)
-    for r, lo, hi in zip(reps, ends, ends[1:]):
-        out[:, lo:hi, lo:hi] = r.generator_matrices
-    return list(out)
+    return [block_diag(list(gens)) for gens in zip(*(r.generator_matrices for r in reps))]
 
 
 def superselection_operator(reps, weights) -> np.ndarray:

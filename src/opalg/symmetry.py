@@ -151,7 +151,7 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
         return ImplementerResult(unitary=None, isometry_defect=defect)
     w = block_diag([np.kron(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)
                     for u, t in zip(rho.unitary.mats, rep.factors)])
-    residual = intertwining_residual(w, w.conj().T, rep, rep, rho.unitary)
+    residual = intertwining_residual(w, rep, rep, rho.unitary)
     return ImplementerResult(unitary=w, isometry_defect=defect, intertwining_residual=residual)
 
 

@@ -12,9 +12,9 @@ small algebras only.
 ``transport_residual_by_units`` evaluates both states on every transported
 matrix unit; ``opalg.algebra.transport_residual`` gets the same number from
 one density identity per block.  ``intertwining_residual_by_units`` builds
-the dense D x D matrices W pi(e_k) W^-1 and pi(u e_k u*) for every matrix
-unit; ``opalg.gns.intertwining_residual`` gets the same number from column
-and row slabs of W and W^-1, block by block.
+the dense D x D matrices W pi(e_k) W* and pi(u e_k u*) for every matrix
+unit; ``opalg.gns.intertwining_residual`` gets the same number from products
+of column slabs of W, block by block.
 """
 
 from __future__ import annotations
@@ -158,13 +158,13 @@ def transport_residual_by_units(f, g, b) -> float:
     return worst
 
 
-def intertwining_residual_by_units(w, w_inv, rep_src, rep_dst, u=None) -> float:
-    """max_k |W pi_src(e_k) W^-1 - pi_dst(u e_k u*)|, two dense D x D matrices per matrix unit."""
+def intertwining_residual_by_units(w, rep_src, rep_dst, u=None) -> float:
+    """max_k |W pi_src(e_k) W* - pi_dst(u e_k u*)|, two dense D x D matrices per matrix unit."""
     algebra = rep_src.algebra
     worst = 0.0
     for k in range(algebra.dim):
         e = algebra.basis_element(k)
         moved = e if u is None else u * e * u.star
         worst = max(worst, float(np.max(np.abs(
-            w @ rep_src.represent(e) @ w_inv - rep_dst.represent(moved)))))
+            w @ rep_src.represent(e) @ w.conj().T - rep_dst.represent(moved)))))
     return worst

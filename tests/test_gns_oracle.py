@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from opalg import gns
+from opalg.linalg import block_diag
 from opalg import (
     InnerAutomorphism,
     StarAlgebra,
@@ -101,11 +103,13 @@ def _stationary(alg, rng, ranks):
 
 @settings(max_examples=80, deadline=None)
 @given(shape=shapes(), seed=st.integers(0, 2**32 - 1),
-       case=st.sampled_from(["identity", "implementer", "perturbed", "rectangular"]))
-# two populated blocks, so a block offset that is not advanced shows
-@example(shape=([2, 3], [1, 2], [2, 1]), seed=1, case="rectangular")
-@example(shape=([2, 3], [2, 1], [2, 1]), seed=2, case="implementer")
-def test_intertwining_kernel_agrees_with_per_unit_oracle(shape, seed, case):
+       case=st.sampled_from(["identity", "implementer", "perturbed", "rectangular", "embedding"]),
+       batch=st.sampled_from([gns.BATCH_ENTRIES, 1, 300]))
+# two populated blocks with different source and target offsets in the second
+@example(shape=([2, 3], [1, 2], [2, 1]), seed=1, case="rectangular", batch=1)
+@example(shape=([2, 3], [1, 2], [2, 1]), seed=1, case="embedding", batch=1)
+@example(shape=([2, 3], [2, 1], [2, 1]), seed=2, case="implementer", batch=gns.BATCH_ENTRIES)
+def test_intertwining_kernel_agrees_with_per_unit_oracle(shape, seed, case, batch):
     blocks, ranks, other_ranks = shape
     rng = np.random.default_rng(seed)
     alg = StarAlgebra(blocks)
@@ -114,12 +118,19 @@ def test_intertwining_kernel_agrees_with_per_unit_oracle(shape, seed, case):
     if case == "identity":
         # W = I between two representations with the same rank vector
         rep_dst, u = gns_construct(alg, _state(alg, rng, ranks)), None
-        w = w_inv = np.eye(rep_src.carrier_dim, dtype=complex)
+        w = np.eye(rep_src.carrier_dim, dtype=complex)
     elif case == "rectangular":
         rep_dst = gns_construct(alg, _state(alg, rng, other_ranks))
         w = (rng.normal(size=(rep_dst.carrier_dim, rep_src.carrier_dim))
              + 1j * rng.normal(size=(rep_dst.carrier_dim, rep_src.carrier_dim)))
-        w_inv = np.linalg.pinv(w)
+        # growing column norms put the largest terms in the last source block
+        w *= 1.0 + np.arange(rep_src.carrier_dim)[None, :]
+    elif case == "embedding":
+        # 2 (u_b (x) J_b), J_b the leading part of the identity C^{r_src} -> C^{r_dst}: the
+        # two terms overlap only on shared copies, so a misplaced slab or copy changes the max
+        rep_dst = gns_construct(alg, _state(alg, rng, other_ranks))
+        w = 2 * block_diag([np.kron(m, np.eye(r_dst, r_src)) for m, r_dst, r_src
+                            in zip(u.mats, rep_dst.ranks, rep_src.ranks)])
     else:
         rep_dst = rep_src
         result = unitary_implementer(f, InnerAutomorphism(u))
@@ -128,19 +139,20 @@ def test_intertwining_kernel_agrees_with_per_unit_oracle(shape, seed, case):
         assert result.intertwining_residual <= 1e-12
         if case == "perturbed":
             w = w + 0.5 * rng.normal(size=w.shape)
-            w_inv = np.linalg.inv(w)
-        else:
-            w_inv = w.conj().T
 
-    got = intertwining_residual(w, w_inv, rep_src, rep_dst, u)
-    want = oracles.intertwining_residual_by_units(w, w_inv, rep_src, rep_dst, u)
-    # float64 round-off of sums of at most four products W_xy W^-1_yz
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(w))) * float(np.max(np.abs(w_inv))))
+    saved, gns.BATCH_ENTRIES = gns.BATCH_ENTRIES, batch   # 1: one D x D term per product
+    try:
+        got = intertwining_residual(w, rep_src, rep_dst, u)
+    finally:
+        gns.BATCH_ENTRIES = saved
+    want = oracles.intertwining_residual_by_units(w, rep_src, rep_dst, u)
+    # float64 round-off of sums of at most four products W_xy conj(W_zy)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(w))) ** 2)
     assert abs(got - want) <= tol, (got, want)
     if case == "identity":
         assert got == 0.0
     if case == "perturbed" and rep_src.carrier_dim > 1:
-        # typically of order one; on C^1 every invertible W commutes with pi
+        # typically of order one: the perturbed W is far from unitary
         assert want > 1e-6
 
 
@@ -157,3 +169,19 @@ def test_oracle_commutant_of_faithful_m4_stays_small():
         tracemalloc.stop()
     assert len(basis) == 16
     assert peak < 100 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_equivalence_check_memory_stays_quadratic_in_carrier_dim():
+    # a faithful M12 pair has D = 144; a buffer of all n_b terms of one row of
+    # matrix units would hold 12 D x D complex matrices (4 MB) plus their abs
+    alg = StarAlgebra([12])
+    rng = np.random.default_rng(12)
+    f, g = _state(alg, rng, [12]), _state(alg, rng, [12])
+    tracemalloc.start()
+    try:
+        report = equivalence_check(alg, f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.intertwiner_residual == 0.0
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
