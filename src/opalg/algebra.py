@@ -14,9 +14,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidStateError, ShapeMismatchError
-from .linalg import hermitize, nuclear_norm
+from .linalg import PSD_TOL, hermitize, nuclear_norm
 
-PSD_TOL = 1e-10
+HERMITIAN_TOL = 1e-10   # is_hermitian: entrywise defect relative to max(1, norm)
+UNITARY_TOL = 1e-12     # is_unitary: entrywise defect of u* u - I relative to max(1, n)
+TRACE_TOL = 1e-8        # a state's densities have total trace 1 within this
 
 
 def _freeze(mat: np.ndarray) -> np.ndarray:
@@ -161,12 +163,13 @@ class AlgebraElement:
     def norm(self) -> float:
         return operator_norm(self)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(np.max(np.abs(m - m.conj().T)) <= tol * max(1.0, self.norm()) for m in self.mats)
+    def is_hermitian(self) -> bool:
+        bound = HERMITIAN_TOL * max(1.0, self.norm())
+        return all(np.max(np.abs(m - m.conj().T)) <= bound for m in self.mats)
 
-    def is_unitary(self, tol: float = 1e-12) -> bool:
+    def is_unitary(self) -> bool:
         return all(
-            np.max(np.abs(m.conj().T @ m - np.eye(n))) <= tol * max(1.0, n)
+            np.max(np.abs(m.conj().T @ m - np.eye(n))) <= UNITARY_TOL * max(1.0, n)
             for m, n in zip(self.mats, self.algebra.blocks)
         )
 
@@ -190,7 +193,7 @@ class State:
     :class:`InvalidStateError` unless ``validate=False``.
     """
 
-    def __init__(self, algebra: StarAlgebra, densities, validate: bool = True, tol: float = PSD_TOL):
+    def __init__(self, algebra: StarAlgebra, densities, validate: bool = True):
         self.algebra = algebra
         densities = tuple(np.asarray(d, dtype=complex) for d in densities)
         if len(densities) != len(algebra.blocks):
@@ -199,11 +202,11 @@ class State:
             if d.shape != (n, n):
                 raise ShapeMismatchError(f"density of shape {d.shape} does not match M{n}")
         if validate:
-            densities = self._validated(densities, tol)
+            densities = self._validated(densities)
         self.densities = tuple(_freeze(d) for d in densities)
 
     @staticmethod
-    def _validated(densities, tol):
+    def _validated(densities):
         scale = sum(abs(np.trace(d)) for d in densities)
         if scale <= 0.0:
             raise InvalidStateError("all densities vanish")
@@ -214,12 +217,13 @@ class State:
                 raise InvalidStateError(f"density is not Hermitian (defect {herm_defect:.3e})")
             h = hermitize(d)
             lam, vec = np.linalg.eigh(h)
-            if lam.size and lam[0] < -tol * max(scale, 1.0):
-                raise InvalidStateError(f"density eigenvalue {lam[0]:.3e} below -{tol:.0e} * scale")
+            if lam.size and lam[0] < -PSD_TOL * max(scale, 1.0):
+                raise InvalidStateError(
+                    f"density eigenvalue {lam[0]:.3e} below -{PSD_TOL:.0e} * scale")
             lam = np.clip(lam, 0.0, None)
             clean.append((vec * lam[None, :]) @ vec.conj().T)
         total = sum(float(np.trace(d).real) for d in clean)
-        if abs(total - 1.0) > 1e-8:
+        if abs(total - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"total trace {total!r} != 1")
         return [d / total for d in clean]
 

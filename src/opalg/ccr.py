@@ -21,6 +21,11 @@ import numpy as np
 from .errors import NumericalError, ShapeMismatchError
 from .series import SeriesVerdict, p_series_verdict
 
+COND_LIMIT = 1e12           # CcrSpace rejects K with a larger condition number
+FOCK_BASIS_LIMIT = 5000     # largest truncated Fock basis FockTruncation enumerates
+ORACLE_STEP = 0.25          # moment_oracle: coarsest stencil step on unit K^-1-images
+ORACLE_LEVELS = 5           # moment_oracle: stencils, halving the step each time
+
 
 def pair_partitions(m: int):
     """All partitions of {0..m-1} into ordered pairs (i < j), deterministic order.
@@ -50,7 +55,7 @@ class CcrSpace:
     Gram and is exactly what the quasi-invariance cocycle law requires.
     """
 
-    def __init__(self, gram, k_op, cond_limit: float = 1e12):
+    def __init__(self, gram, k_op):
         gram = np.asarray(gram, dtype=float)
         k_op = np.asarray(k_op, dtype=float)
         n = gram.shape[0]
@@ -61,7 +66,7 @@ class CcrSpace:
         lam = np.linalg.eigvalsh(gram)
         if lam[0] <= 0.0:
             raise ValueError(f"gram matrix must be positive definite (min eigenvalue {lam[0]:.3e})")
-        if np.linalg.cond(k_op) > cond_limit:
+        if np.linalg.cond(k_op) > COND_LIMIT:
             raise ValueError("operator K is numerically singular")
         self.n = n
         self.gram = gram
@@ -130,12 +135,12 @@ def wick_moment(space: CcrSpace, args: Sequence) -> float:
     return total
 
 
-def moment_oracle(space: CcrSpace, args: Sequence, step: float = 0.25, levels: int = 5) -> float:
+def moment_oracle(space: CcrSpace, args: Sequence) -> float:
     """Moments from mixed central differences of the generating function.
 
     Independent of :func:`wick_moment`: evaluates
     i^-m d^m/dalpha_1..dalpha_m  Z(sum alpha_i q_i) at alpha = 0 on a
-    2^m stencil with ``levels`` Richardson eliminations.  Arguments are
+    2^m stencil with ``ORACLE_LEVELS`` Richardson eliminations.  Arguments are
     normalized to unit K^-1-image (moments are multilinear) so the step is
     scale-free.  Limited to m <= 6; beyond that step noise dominates.
     """
@@ -163,8 +168,8 @@ def moment_oracle(space: CcrSpace, args: Sequence, step: float = 0.25, levels: i
         terms = parity * np.expm1(exponent)
         return math.fsum(terms.tolist()) / (2.0 * h) ** m
 
-    values = [stencil(step / 2 ** j) for j in range(levels)]
-    for level in range(1, levels):
+    values = [stencil(ORACLE_STEP / 2 ** j) for j in range(ORACLE_LEVELS)]
+    for level in range(1, ORACLE_LEVELS):
         factor = 4.0 ** level
         values = [
             (factor * values[i + 1] - values[i]) / (factor - 1.0)
@@ -216,16 +221,16 @@ class FockTruncation:
     O(n^2 dim).  :meth:`a_plus`, :meth:`a_minus`, :meth:`field`,
     :meth:`momentum` and :meth:`number_operator` build dense dim x dim
     matrices from them on request.  The basis size C(n + n_max, n) is checked
-    against ``basis_limit`` before any tuple is enumerated.
+    against ``FOCK_BASIS_LIMIT`` before any tuple is enumerated.
     """
 
-    def __init__(self, space: CcrSpace, n_max: int, basis_limit: int = 5000):
+    def __init__(self, space: CcrSpace, n_max: int):
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
         n = space.n
         size = math.comb(n + int(n_max), n)
-        if size > basis_limit:
-            raise NumericalError(f"truncated basis of size {size} exceeds limit {basis_limit}")
+        if size > FOCK_BASIS_LIMIT:
+            raise NumericalError(f"truncated basis of size {size} exceeds limit {FOCK_BASIS_LIMIT}")
         self.space = space
         self.n_max = int(n_max)
         self.modes = space.orthonormal_modes()

@@ -145,6 +145,13 @@ def _emit(results, args) -> None:
 
 
 def _run_many(jobs, args) -> int:
+    for flag, target in (("--out", args.out), ("--csv", args.csv)):
+        if not target:
+            continue
+        # fail before any scenario runs, not in _emit after all of them
+        existing = next(q for q in (Path(target), *Path(target).parents) if q.exists())
+        if not existing.is_dir():
+            raise ValidationError(f"{existing} exists and is not a directory", path=flag)
     worker_count = max(1, args.jobs)
     if worker_count == 1 or len(jobs) == 1:
         results = [_execute(source, text, args) for source, text in jobs]
@@ -165,7 +172,11 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     files = _gather_files(Path(args.path))
     for p in files:
-        scenario = parse_scenario(p.read_text())
+        try:
+            scenario = parse_scenario(p.read_text())
+        except OpalgError as exc:
+            exc.source = str(p)
+            raise
         sys.stdout.write(f"{p}: valid scenario of kind {scenario.kind}\n")
     return 0
 

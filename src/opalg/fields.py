@@ -20,6 +20,7 @@ from .ccr import pair_partitions
 from .errors import NumericalError, ShapeMismatchError
 
 TWO_PI = 2.0 * np.pi
+REALITY_TOL = 1e-12     # TestFunction: |neg(p) - conj(pos(-p))| relative to the sheet scale
 
 
 class MassShellGrid:
@@ -70,7 +71,7 @@ class TestFunction:
 
     __test__ = False  # keep pytest collection away from the Test* name
 
-    def __init__(self, grid: MassShellGrid, pos, neg, tol: float = 1e-12):
+    def __init__(self, grid: MassShellGrid, pos, neg):
         self.grid = grid
         pos = np.asarray(pos, dtype=complex)
         neg = np.asarray(neg, dtype=complex)
@@ -78,7 +79,7 @@ class TestFunction:
             raise ShapeMismatchError("sheet data must have one value per grid point")
         scale = max(float(np.max(np.abs(pos))), float(np.max(np.abs(neg))), 1.0)
         defect = float(np.max(np.abs(neg - np.conj(pos[grid.flip]))))
-        if defect > tol * scale:
+        if defect > REALITY_TOL * scale:
             raise ValueError(f"reality constraint violated (defect {defect:.3e})")
         self.pos = pos
         self.neg = neg
@@ -324,15 +325,14 @@ class EuclideanLattice:
             val *= float(np.sum(np.cos(self.axis * xi)))
         return val
 
-    def green_identity_residual(self, h: Optional[float] = None) -> float:
+    def green_identity_residual(self) -> float:
         """Relative defect of (-lap_h + m^2) w against the band-limited delta at 0.
 
         The reference value is exact for the lattice Green function (weights
         1/(phat^2 + m^2)), so this measures the continuum-vs-lattice symbol
-        mismatch: O(h^2) with the default step 8 / (cutoff * (points - 1)).
+        mismatch: O(h^2) with the step h = 8 / (cutoff * (points - 1)).
         """
-        if h is None:
-            h = 8.0 / (self.cutoff * (self.points - 1))
+        h = 8.0 / (self.cutoff * (self.points - 1))
         origin = np.zeros(4)
         w0 = self.propagator(origin)
         lap = 0.0

@@ -34,10 +34,11 @@ import numpy as np
 
 from .algebra import AlgebraElement, StarAlgebra, State, transport_residual
 from .errors import InvalidStateError, NumericalError, OpalgError, ShapeMismatchError
-from .linalg import block_diag, fix_global_phase, fix_phases, hermitize, two_vector_unitary
+from .linalg import (GRAM_REL_CUT, PSD_TOL, block_diag, fix_global_phase, fix_phases, hermitize,
+                     two_vector_unitary)
 
-GRAM_REL_CUT = 1e-12
-KERNEL_TOL = 1e-9
+KERNEL_TOL = 1e-9         # blocks of trace at most this lie in the representation kernel
+TRANSITION_TOL = 1e-8     # transition and pure-unitary certificates raise past this
 BATCH_ENTRIES = 2**15     # intertwining_residual holds at most this many D x D entries (or one term)
 
 
@@ -60,6 +61,11 @@ class GnsRep:
         ranks = self.ranks
         labels = zip(self.algebra.basis_labels(), self.algebra.basis_triples())
         return tuple(label for label, (b, _, _) in labels if ranks[b] == 0)
+
+    @property
+    def commutant_dim(self) -> int:
+        """Dimension sum r_b^2 of the commutant, without building :func:`commutant_basis`."""
+        return sum(r * r for r in self.ranks)
 
     @property
     def carrier_dim(self) -> int:
@@ -98,7 +104,7 @@ def gns_construct(algebra: StarAlgebra, f: State) -> GnsRep:
 
     The Gram matrix f(e_j* e_i) restricted to block b is I (x) rho_b^T, so its
     spectrum is that of the densities: eigenvalues below
-    ``-dim * 1e-10 * max(top, 1)`` raise :class:`InvalidStateError`, and those
+    ``-dim * PSD_TOL * max(top, 1)`` raise :class:`InvalidStateError`, and those
     at most ``dim * GRAM_REL_CUT * top`` count as null directions.
     """
     if f.algebra != algebra:
@@ -106,7 +112,7 @@ def gns_construct(algebra: StarAlgebra, f: State) -> GnsRep:
     spectra = [np.linalg.eigh(hermitize(d)) for d in f.densities]
     top = max(float(lam[-1]) for lam, _ in spectra)
     low = min(float(lam[0]) for lam, _ in spectra)
-    if low < -algebra.dim * 1e-10 * max(top, 1.0):
+    if low < -algebra.dim * PSD_TOL * max(top, 1.0):
         raise InvalidStateError(f"Gram matrix has negative eigenvalue {low:.3e} beyond tolerance")
     cut = algebra.dim * GRAM_REL_CUT * max(top, 0.0)
     factors = []
@@ -140,8 +146,7 @@ def commutant_basis(rep: GnsRep) -> list:
 
 def purity_check(algebra: StarAlgebra, f: State) -> str:
     """'pure' iff the GNS commutant is one-dimensional, else 'mixed'."""
-    rep = gns_construct(algebra, f)
-    return "pure" if len(commutant_basis(rep)) == 1 else "mixed"
+    return "pure" if gns_construct(algebra, f).commutant_dim == 1 else "mixed"
 
 
 @dataclass
@@ -245,13 +250,11 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
             for src, dst in ((rep_f, rep_g), (rep_g, rep_f)))
     b, b_back = report.transition
     worst = max(transport_residual(f, g, b), transport_residual(g, f, b_back))
-    if worst > 1e-8:
+    if worst > TRANSITION_TOL:
         raise NumericalError(f"transition elements failed verification ({worst:.3e})")
     report.transition_residual = worst
-    try:
+    if rep_f.commutant_dim == rep_g.commutant_dim == 1:    # pure states only
         report.unitary = pure_unitary_intertwiner(algebra, f, g)
-    except OpalgError:
-        pass        # mixed states have no unitary intertwiner
     return report
 
 
@@ -264,12 +267,13 @@ def transition_elements(algebra: StarAlgebra, f: State, g: State):
 def pure_unitary_intertwiner(algebra: StarAlgebra, f: State, g: State):
     """Unitary U in A with g(a) = f(U* a U) for equivalent pure states.
 
-    Raises on mixed input; returns None when the pure states are inequivalent.
-    The U(1) phase family is pinned by making the first nonzero column entry
-    real positive.
+    Raises on mixed input, judged by the rank vectors of :func:`gns_construct`
+    (the rule behind :func:`purity_check`); returns None when the pure states
+    are inequivalent.  The U(1) phase family is pinned by making the first
+    nonzero column entry real positive.
     """
-    ranks_f = _rank_pattern(f)
-    ranks_g = _rank_pattern(g)
+    ranks_f = gns_construct(algebra, f).ranks
+    ranks_g = gns_construct(algebra, g).ranks
     if sum(ranks_f) != 1 or sum(ranks_g) != 1:      # one block of rank one each
         raise OpalgError("pure_unitary_intertwiner requires pure states")
     block_f = ranks_f.index(1)
@@ -283,17 +287,9 @@ def pure_unitary_intertwiner(algebra: StarAlgebra, f: State, g: State):
     mats[block_f] = u_block
     u = algebra.element(mats)
     worst = transport_residual(f, g, u)
-    if worst > 1e-8:
+    if worst > TRANSITION_TOL:
         raise NumericalError(f"unitary intertwiner failed verification ({worst:.3e})")
     return u
-
-
-def _rank_pattern(f: State, tol: float = 1e-9):
-    ranks = []
-    for d in f.densities:
-        lam = np.linalg.eigvalsh(d)
-        ranks.append(int(np.sum(lam > tol * max(float(lam[-1]), 1e-300))))
-    return ranks
 
 
 def _support_vector(density: np.ndarray) -> np.ndarray:

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PSD_TOL
 from .errors import InvalidStateError, ShapeMismatchError
-from .linalg import gram_quotient
+from .linalg import PSD_TOL, gram_quotient
 
 
 class FiniteGroup:
@@ -24,7 +23,7 @@ class FiniteGroup:
     triples above that.
     """
 
-    def __init__(self, table, names=None, check: bool = True):
+    def __init__(self, table, names=None):
         table = np.asarray(table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n) or np.any(table < 0) or np.any(table >= n):
@@ -47,18 +46,13 @@ class FiniteGroup:
                 raise ValueError(f"element {g} has no two-sided inverse")
             inv[g] = hits[0]
         self.inverse = inv
-        if check:
-            self._check_associativity()
-
-    def _check_associativity(self):
-        n = self.order
         if n <= 24:
             triples = itertools.product(range(n), repeat=3)
         else:
             rng = np.random.default_rng(0)
             triples = (tuple(rng.integers(0, n, size=3)) for _ in range(2000))
         for a, b, c in triples:
-            if self.table[self.table[a, b], c] != self.table[a, self.table[b, c]]:
+            if table[table[a, b], c] != table[a, table[b, c]]:
                 raise ValueError(f"associativity fails on ({a}, {b}, {c})")
 
     def mul(self, a: int, b: int) -> int:
@@ -128,12 +122,12 @@ def pd_kernel(group: FiniteGroup, psi) -> np.ndarray:
     return psi[group.table[group.inverse]].T
 
 
-def is_positive_definite(group: FiniteGroup, psi, tol: float = PSD_TOL) -> bool:
+def is_positive_definite(group: FiniteGroup, psi) -> bool:
     k = pd_kernel(group, psi)
-    if np.max(np.abs(k - k.conj().T)) > tol * max(1.0, float(np.max(np.abs(k)))):
+    if np.max(np.abs(k - k.conj().T)) > PSD_TOL * max(1.0, float(np.max(np.abs(k)))):
         return False
     lam = np.linalg.eigvalsh(0.5 * (k + k.conj().T))
-    return bool(lam[0] >= -tol * max(float(lam[-1]), 1.0))
+    return bool(lam[0] >= -PSD_TOL * max(float(lam[-1]), 1.0))
 
 
 @dataclass

@@ -11,6 +11,10 @@ import numpy as np
 
 from .errors import InvalidStateError
 
+PSD_TOL = 1e-10           # relative allowance for negative eigenvalues of a PSD matrix
+GRAM_REL_CUT = 1e-12      # eigenvalues up to size * GRAM_REL_CUT * top are null directions
+PHASE_PIVOT_TOL = 1e-12   # fix_global_phase skips entries up to this magnitude
+
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
@@ -44,19 +48,20 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_quotient(gram: np.ndarray, rel_cut: float = 1e-12):
+def gram_quotient(gram: np.ndarray, rel_cut: float = GRAM_REL_CUT):
     """Orthonormal coordinates for the quotient by the null space of a PSD Gram.
 
     Returns ``(T, T_pinv, rank)`` where ``T`` maps raw coordinates to an
     orthonormal basis of the quotient ( ``y^H (T b)^H (T a) y`` reproduces the
     Gram pairing ) and ``T_pinv`` is its Moore-Penrose inverse.  Eigenvalues
-    below ``size * rel_cut * max_eigenvalue`` count as null directions.
+    below ``-size * PSD_TOL * max(top, 1)`` raise :class:`InvalidStateError`,
+    and those at most ``size * rel_cut * top`` count as null directions.
     """
     gram = hermitize(np.asarray(gram, dtype=complex))
     n = gram.shape[0]
     lam, vec = np.linalg.eigh(gram)
     top = float(lam[-1]) if n else 0.0
-    if n and lam[0] < -n * 1e-10 * max(top, 1.0):
+    if n and lam[0] < -n * PSD_TOL * max(top, 1.0):
         raise InvalidStateError(
             f"Gram matrix has negative eigenvalue {lam[0]:.3e} beyond tolerance"
         )
@@ -70,12 +75,12 @@ def gram_quotient(gram: np.ndarray, rel_cut: float = 1e-12):
     return t, t_pinv, int(lam_k.size)
 
 
-def fix_global_phase(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Scale a matrix by a unit phase so its first nonzero entry, scanned
-    column by column, is real positive."""
+def fix_global_phase(m: np.ndarray) -> np.ndarray:
+    """Scale a matrix by a unit phase so its first entry above ``PHASE_PIVOT_TOL``,
+    scanned column by column, is real positive."""
     flat = m.T.reshape(-1)
     for entry in flat:
-        if abs(entry) > tol:
+        if abs(entry) > PHASE_PIVOT_TOL:
             return m * (abs(entry) / entry)
     return m
 

@@ -19,7 +19,8 @@ from .errors import ShapeMismatchError
 from .series import SeriesVerdict, p_series_verdict
 
 PARTIAL_SUM_WINDOW = 10_000
-RAY_TOL = 1e-12
+UNIT_TOL = 1e-12          # unit norms, and same rays: | |<v, w>| - 1 | at most this
+MARGINAL_SITE_CAP = 8     # finite_marginal_state builds M_{2^k} for k up to this
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class QubitConfig:
         if default.shape != (2,):
             raise ShapeMismatchError("default vector must live in C^2")
         norm = np.linalg.norm(default)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("default vector must have unit norm within 1e-12")
+        if abs(norm - 1.0) > UNIT_TOL:
+            raise ValueError(f"default vector must have unit norm within {UNIT_TOL:.0e}")
         self.default = default
         self.tail = tail
         clean: Dict[int, np.ndarray] = {}
@@ -56,7 +57,7 @@ class QubitConfig:
             if site < 1:
                 raise ValueError("sites are positive integers")
             vec = np.asarray(vec, dtype=complex)
-            if vec.shape != (2,) or abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+            if vec.shape != (2,) or abs(np.linalg.norm(vec) - 1.0) > UNIT_TOL:
                 raise ValueError(f"override at site {site} is not a unit vector in C^2")
             clean[site] = vec
         self.overrides = clean
@@ -94,8 +95,8 @@ def overlap_defect(sigma: QubitConfig, sigma2: QubitConfig, site: int) -> float:
     return abs(abs(np.vdot(v, w)) - 1.0)
 
 
-def _partial_sum(sigma, sigma2, window=PARTIAL_SUM_WINDOW) -> float:
-    sites = np.arange(1, window + 1)
+def _partial_sum(sigma, sigma2) -> float:
+    sites = np.arange(1, PARTIAL_SUM_WINDOW + 1)
     v = sigma.vectors_on(sites)
     w = sigma2.vectors_on(sites)
     overlaps = np.abs(np.sum(np.conj(v) * w, axis=1))
@@ -103,11 +104,10 @@ def _partial_sum(sigma, sigma2, window=PARTIAL_SUM_WINDOW) -> float:
 
 
 def _same_ray(v, w) -> bool:
-    return abs(abs(np.vdot(v, w)) - 1.0) <= RAY_TOL
+    return abs(abs(np.vdot(v, w)) - 1.0) <= UNIT_TOL
 
 
-def equivalence_verdict(sigma: QubitConfig, sigma2: QubitConfig,
-                        window: int = PARTIAL_SUM_WINDOW) -> SeriesVerdict:
+def equivalence_verdict(sigma: QubitConfig, sigma2: QubitConfig) -> SeriesVerdict:
     """Decide the overlap-defect series by comparing declared tail models.
 
     Finite-support differences converge; matching power tails reduce to a
@@ -116,13 +116,13 @@ def equivalence_verdict(sigma: QubitConfig, sigma2: QubitConfig,
     against constant on different rays carries no tail model and stays
     undecided (the partial sum is still reported).
     """
-    partial = _partial_sum(sigma, sigma2, window)
+    partial = _partial_sum(sigma, sigma2)
     a = sigma.asymptotic()
     b = sigma2.asymptotic()
 
     def finite_support() -> SeriesVerdict:
         return SeriesVerdict(
-            "convergent", partial, window,
+            "convergent", partial, PARTIAL_SUM_WINDOW,
             "configurations differ on a finite set of sites",
         )
 
@@ -130,7 +130,7 @@ def equivalence_verdict(sigma: QubitConfig, sigma2: QubitConfig,
         if _same_ray(a[1], b[1]):
             return finite_support()
         return SeriesVerdict(
-            "undecided", partial, window,
+            "undecided", partial, PARTIAL_SUM_WINDOW,
             "incompatible default vectors with no tail model; numeric window only",
         )
 
@@ -146,7 +146,7 @@ def equivalence_verdict(sigma: QubitConfig, sigma2: QubitConfig,
     pb = as_power(b)
     if pa is None or pb is None:
         return SeriesVerdict(
-            "divergent", partial, window,
+            "divergent", partial, PARTIAL_SUM_WINDOW,
             "defect tends to a positive constant (asymptotic rays differ)",
         )
 
@@ -158,19 +158,19 @@ def equivalence_verdict(sigma: QubitConfig, sigma2: QubitConfig,
     if ea is not None and eb is not None and ea == eb:
         if ca == cb:
             return finite_support()
-        return p_series_verdict(2.0 * ea, partial, window,
+        return p_series_verdict(2.0 * ea, partial, PARTIAL_SUM_WINDOW,
                                 f"defect ~ ((c-c') s^-p)^2/2 with p={ea:g}")
     exponents = [e for c, e in ((ca, ea), (cb, eb)) if c != 0.0 and e is not None]
     lead = min(exponents)
-    return p_series_verdict(2.0 * lead, partial, window,
+    return p_series_verdict(2.0 * lead, partial, PARTIAL_SUM_WINDOW,
                             f"defect ~ alpha_s^2/2 with leading angle exponent {lead:g}")
 
 
-def finite_marginal_state(sigma: QubitConfig, sites, cap: int = 8):
+def finite_marginal_state(sigma: QubitConfig, sites):
     """Pure product state on the 2^k-dimensional local algebra over ``sites``."""
     sites = [int(s) for s in sites]
-    if len(sites) > cap:
-        raise ShapeMismatchError(f"marginal over {len(sites)} sites exceeds cap {cap}")
+    if len(sites) > MARGINAL_SITE_CAP:
+        raise ShapeMismatchError(f"marginal over {len(sites)} sites exceeds cap {MARGINAL_SITE_CAP}")
     if len(sites) != len(set(sites)):
         raise ValueError("sites must be distinct")
     vec = np.array([1.0 + 0.0j])
@@ -189,8 +189,7 @@ class LocalTransition:
     algebra: StarAlgebra
 
 
-def local_transition_element(sigma: QubitConfig, sigma2: QubitConfig,
-                             search_window: int = PARTIAL_SUM_WINDOW):
+def local_transition_element(sigma: QubitConfig, sigma2: QubitConfig):
     """Unitary b on the difference support with f_sigma'(a) = f_sigma(b* a b).
 
     Returns None when the configurations differ on an infinite set (their

@@ -24,21 +24,21 @@ from . import fields as fields_mod
 from . import groups as groups_mod
 from . import qubits as qubits_mod
 from . import symmetry as symmetry_mod
-from .algebra import StarAlgebra, State, dual_norm_distance, transport_residual
+from .algebra import TRACE_TOL, StarAlgebra, State, dual_norm_distance, transport_residual
 from .errors import OpalgError, ValidationError
-from .gns import commutant_basis, equivalence_check, gns_construct
+from .gns import TRANSITION_TOL, equivalence_check, gns_construct
 
 KINDS = ("gns", "equiv", "qubit", "group", "ccr", "field", "symmetry")
 
 DEFAULT_TOLERANCES = {
     "reconstruction": 1e-9,
     "intertwiner": 1e-8,
-    "transition": 1e-8,
+    "transition": TRANSITION_TOL,
     "commutation": 1e-12,
     "cocycle": 1e-10,
     "moment_relative": 1e-6,
     "commutator_identity": 1e-10,
-    "stationarity": 1e-10,
+    "stationarity": symmetry_mod.STATIONARY_TOL,
 }
 
 
@@ -224,7 +224,7 @@ def _parse_state(w, obj, path, algebra):
                f"expected {len(algebra.blocks)} density blocks, got {len(rows)}")
     dens = [w.complex_matrix(r, path + ("densities", k)) for k, r in enumerate(rows)]
     total = sum(float(np.trace(d).real) for d in dens)
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > TRACE_TOL:
         w.fail(path + ("densities",),
                f"densities must be normalized: total trace {total:.6g} != 1")
     try:
@@ -516,11 +516,9 @@ class Report:
         return buf.getvalue()
 
 
-def _tol(scenario, key, overrides=None):
+def _tol(scenario, key):
     if key in scenario.tolerances:
         return scenario.tolerances[key], "configured"
-    if overrides is not None:
-        return overrides, "configured"
     return DEFAULT_TOLERANCES[key], "default"
 
 
@@ -540,9 +538,8 @@ def _run_gns(scenario: Scenario, report: Report):
     worst = float(np.max(np.abs(rep.vector_state_values() - expected)))
     tol, src = _tol(scenario, "reconstruction")
     report.check("reconstruction_residual_max", worst, tol, src)
-    comm = commutant_basis(rep)
-    report.info("commutant_dim", len(comm))
-    report.info("purity", "pure" if len(comm) == 1 else "mixed")
+    report.info("commutant_dim", rep.commutant_dim)
+    report.info("purity", "pure" if rep.commutant_dim == 1 else "mixed")
     report.info("kernel_block_indices", list(rep.vanished_blocks))
 
 
@@ -734,8 +731,8 @@ def _run_symmetry(scenario: Scenario, report: Report):
     autos = scenario.params["automorphisms"]
     report.info("algebra blocks", list(algebra.blocks), "configured")
     tol, src = _tol(scenario, "stationarity")
-    # a configured stationarity tolerance also decides the implementer's isometry
-    # test and the stabilizer orbit; otherwise each keeps its own default
+    # the stabilizer orbit always judges at the stationarity tolerance; the
+    # implementer's isometry test (ISOMETRY_TOL on another norm) only when configured
     configured = {"tol": tol} if src == "configured" else {}
     for k, rho in enumerate(autos):
         stationary = symmetry_mod.stationarity_check(state, rho, tol)
@@ -753,7 +750,7 @@ def _run_symmetry(scenario: Scenario, report: Report):
     except (ValueError, OpalgError) as exc:
         report.info("group", f"not a group: {exc}")
         return
-    orbit = symmetry_mod.stabilizer_orbit(state, group, **configured)
+    orbit = symmetry_mod.stabilizer_orbit(state, group, tol)
     report.info("group_order", orbit.group_order)
     report.info("stabilizer_size", orbit.stabilizer_size)
     report.info("orbit_size", orbit.orbit_size)

@@ -18,21 +18,22 @@ from typing import List, Optional
 
 import numpy as np
 
-from .algebra import AlgebraElement, State, dual_norm_distance
+from .algebra import UNITARY_TOL, AlgebraElement, State, dual_norm_distance
 from .errors import OpalgError, ShapeMismatchError
 from .gns import gns_construct, intertwining_residual
 from .linalg import block_diag
 
-STATIONARY_TOL = 1e-10
-ACTION_TOL = 1e-9
+STATIONARY_TOL = 1e-10    # dual-norm distance of f and its pushforward
+ACTION_TOL = 1e-9         # entrywise distance of two action matrices
+ISOMETRY_TOL = 1e-9       # entrywise defect of U_b* rho~_b U_b - rho~_b
 
 
 class InnerAutomorphism:
     """a -> U a U^-1 for a unitary element U of the algebra."""
 
     def __init__(self, unitary: AlgebraElement):
-        if not unitary.is_unitary(1e-12):
-            raise OpalgError("defining element is not unitary within 1e-12")
+        if not unitary.is_unitary():
+            raise OpalgError(f"defining element is not unitary within {UNITARY_TOL:.0e}")
         self.unitary = unitary
         self.algebra = unitary.algebra
 
@@ -46,8 +47,8 @@ class InnerAutomorphism:
         """a -> U a U* on canonical (row-major) coordinates: the sum of U_b (x) conj(U_b)."""
         return block_diag([np.kron(u, u.conj()) for u in self.unitary.mats])
 
-    def same_action(self, other: "InnerAutomorphism", tol: float = ACTION_TOL) -> bool:
-        return bool(np.max(np.abs(self.action_matrix - other.action_matrix)) <= tol)
+    def same_action(self, other: "InnerAutomorphism") -> bool:
+        return bool(np.max(np.abs(self.action_matrix - other.action_matrix)) <= ACTION_TOL)
 
     def compose(self, other: "InnerAutomorphism") -> "InnerAutomorphism":
         return InnerAutomorphism(self.unitary * other.unitary)
@@ -82,11 +83,8 @@ class AutomorphismGroup:
                         break
                 else:
                     raise ValueError(f"closure fails: product of elements {i} and {j} not in list")
-        identity = None
-        for k, g in enumerate(elements):
-            if np.max(np.abs(g.action_matrix - np.eye(algebra.dim))) <= ACTION_TOL:
-                identity = k
-                break
+        unit = InnerAutomorphism(algebra.identity())
+        identity = next((k for k, g in enumerate(elements) if g.same_action(unit)), None)
         if identity is None:
             raise ValueError("group contains no identity automorphism")
         self.identity = identity
@@ -134,7 +132,7 @@ class ImplementerResult:
 
 
 def unitary_implementer(f: State, rho: InnerAutomorphism,
-                        tol: float = 1e-9) -> ImplementerResult:
+                        tol: float = ISOMETRY_TOL) -> ImplementerResult:
     """Unitary on the GNS carrier with U pi(a) U^-1 = pi(rho(a)) and U theta = theta.
 
     pi(a) theta -> pi(rho(a)) theta preserves the Gram form iff U_b* rho~_b U_b =
@@ -204,7 +202,7 @@ def one_parameter_flow(b: AlgebraElement, t: float, a: AlgebraElement) -> Algebr
 
     The derivative at t = 0 is -i[b, a].
     """
-    if not b.is_hermitian(1e-10):
+    if not b.is_hermitian():
         raise OpalgError("flow generator must be Hermitian")
     if a.algebra != b.algebra:
         raise ShapeMismatchError("flow generator and argument live on different algebras")

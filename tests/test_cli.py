@@ -1,7 +1,12 @@
+import re
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from opalg import ValidationError, parse_scenario, run_scenario
 from opalg.cli import DEMO_SCENARIOS, main
+from opalg.scenarios import DEFAULT_TOLERANCES
 
 MINIMAL_GNS = """\
 kind: gns
@@ -316,3 +321,111 @@ def test_cli_demo_reports_identical_across_worker_counts(tmp_path):
         reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert len(reports[0]) == len(DEMO_SCENARIOS)
     assert reports[0] == reports[1]
+
+
+def test_cli_validate_names_the_rejected_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    vdir = tmp_path / "vdir"
+    vdir.mkdir()
+    (vdir / "a.yaml").write_text(MINIMAL_GNS)
+    (vdir / "b.yaml").write_text(MINIMAL_GNS.replace("[[[1, 0], [0, 0]]", "[[[0.5, 0], [0, 0]]"))
+    assert main(["validate", "vdir"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "vdir/a.yaml: valid scenario of kind gns\n"
+    assert captured.err.startswith("schema error: vdir/b.yaml: state.densities (line 5): ")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_cli_output_target_naming_a_file_fails_before_running(flag, tmp_path, capsys, monkeypatch):
+    def must_not_run(scenario):
+        raise AssertionError("a scenario ran before the output target was checked")
+
+    monkeypatch.setattr("opalg.cli.run_scenario", must_not_run)
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    for target in (afile, afile / "sub"):
+        assert main(["demo", "gns", flag, str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"schema error: {flag}: {afile} exists and is not a directory\n"
+        assert captured.out == ""
+    assert afile.read_text() == "keep"
+
+
+def test_faithful_m16_gns_scenario_stays_small():
+    rng = np.random.default_rng(16)
+    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    rows = ", ".join("[" + ", ".join(f"[{v.real:.17e}, {v.imag:.17e}]" for v in row) + "]" for row in rho)
+    scenario = parse_scenario(f"kind: gns\nalgebra: {{blocks: [16]}}\n"
+                              f"state: {{densities: [[{rows}]]}}\n")
+    tracemalloc.start()
+    try:
+        lines = run_scenario(scenario).lines
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "commutant_dim = 256 [computed]" in lines and "purity = mixed [computed]" in lines
+    assert peak < 4 * 2**20      # the 256 commutant matrices of size 256^2 alone take 256 MB
+
+
+EQUIVALENT_PAIR = """\
+kind: equiv
+algebra: {blocks: [2]}
+states:
+  - densities: [[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]]
+  - densities: [[[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+"""
+
+LOCAL_QUBIT_PAIR = """\
+kind: qubit
+configs:
+  - default: [[1, 0], [0, 0]]
+  - default: [[1, 0], [0, 0]]
+    overrides:
+      - {site: 2, vector: [[0, 0], [1, 0]]}
+"""
+
+SAMPLED_FIELD = """\
+kind: field
+field:
+  mass: 1.0
+  points: 9
+  sample_points: [[0.3, 0.1, -0.2, 0.4], [-0.1, 0.5, 0.2, -0.3]]
+"""
+
+# every tolerance key with the report lines it judges, as in the README table;
+# "[k]" stands for any index
+TOLERANCE_LINES = {
+    "reconstruction": [(MINIMAL_GNS, ["reconstruction_residual_max"]),
+                       (LOCAL_QUBIT_PAIR, ["local_transition_residual"]),
+                       (DEMO_SCENARIOS["group"], ["function[k].reconstruction_residual"])],
+    "intertwiner": [(EQUIVALENT_PAIR, ["intertwiner_residual"]),
+                    (DEMO_SCENARIOS["symmetry"], ["automorphism[k].intertwining_residual"])],
+    "transition": [(EQUIVALENT_PAIR, ["transition_identity_residual"])],
+    "commutation": [(DEMO_SCENARIOS["group"], ["function[k].unitarity_defect"]),
+                    (DEMO_SCENARIOS["ccr"], ["fock_commutator_defect_protected"])],
+    "cocycle": [(DEMO_SCENARIOS["ccr"], ["cocycle_residual_rel"])],
+    "moment_relative": [(DEMO_SCENARIOS["ccr"], ["moment_cross_validation_worst_rel"])],
+    "commutator_identity": [(SAMPLED_FIELD, ["commutator_identity_residual"])],
+}
+
+
+@pytest.mark.parametrize("via", ["scenario", "--tol"])
+@pytest.mark.parametrize("key", [k for k in DEFAULT_TOLERANCES if k != "stationarity"])
+def test_configured_tolerance_reaches_every_line_it_judges(key, via, tmp_path, capsys):
+    for text, names in TOLERANCE_LINES[key]:
+        path = tmp_path / "s.yaml"
+        if via == "scenario":
+            path.write_text(text + f"tolerances: {{{key}: 3.0e-07}}\n")
+            assert main(["run", str(path)]) == 0
+        else:
+            path.write_text(text)
+            assert main(["run", str(path), "--tol", "3.0e-07"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        patterns = [re.escape(name).replace(r"\[k\]", r"\[\d+\]") + " = " for name in names]
+        judged = [line for line in lines if any(re.match(p, line) for p in patterns)]
+        assert len(judged) >= len(names)
+        assert all("[tol 3.0e-07 configured, computed]" in line for line in judged)
+        if via == "scenario":   # and no line of another key
+            assert sum("configured, computed]" in line for line in lines) == len(judged)

@@ -10,8 +10,10 @@ from opalg import (
     equivalence_check,
     evaluate_state,
     gns_construct,
+    parse_scenario,
     pure_unitary_intertwiner,
     purity_check,
+    run_scenario,
     summed_generator_matrices,
     superselection_operator,
     transition_elements,
@@ -295,6 +297,30 @@ def test_pure_unitary_intertwiner_rejects_mixed_and_cross_block():
     f = State.pure(M2M2, 0, [1.0, 0.0])
     g = State.pure(M2M2, 1, [1.0, 0.0])
     assert pure_unitary_intertwiner(M2M2, f, g) is None
+
+
+NEARLY_PURE_PAIR = """\
+kind: equiv
+algebra: {blocks: [2]}
+states:
+  - densities: [[[[0.9999999999, 0], [0, 0]], [[0, 0], [1.0e-10, 0]]]]
+  - densities: [[[[1.0e-10, 0], [0, 0]], [[0, 0], [0.9999999999, 0]]]]
+"""
+
+
+def test_pure_unitary_intertwiner_judges_purity_by_the_gns_ranks():
+    # the small eigenvalue 1e-10 lies above the GNS rank cut (4e-12 on M2), so
+    # both states are mixed, whatever a looser relative cut would say
+    f, g = parse_scenario(NEARLY_PURE_PAIR).params["states"]
+    assert gns_construct(M2, f).ranks == gns_construct(M2, g).ranks == (2,)
+    assert purity_check(M2, f) == purity_check(M2, g) == "mixed"
+    with pytest.raises(OpalgError):
+        pure_unitary_intertwiner(M2, f, g)
+    lines = run_scenario(parse_scenario(NEARLY_PURE_PAIR)).lines
+    assert "verdict = equivalent [computed]" in lines
+    assert "carrier_dims = [4, 4] [computed]" in lines
+    assert "pure_unitary_intertwiner = absent [computed]" in lines
+    assert not any(line.startswith("unitary_block") for line in lines)
 
 
 def test_norm_distance_criterion_for_pure_states():

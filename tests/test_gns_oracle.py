@@ -67,6 +67,7 @@ def test_closed_form_agrees_with_gram_quotient_oracle(shape, seed, partner):
     assert rep.carrier_dim == oracle.carrier_dim == _carrier(blocks, ranks)
     assert rep.gram_rank == oracle.gram_rank
     assert len(commutant_basis(rep)) == len(oracles.commutant(oracle.generator_matrices))
+    assert rep.commutant_dim == len(commutant_basis(rep))
     assert rep.kernel_labels == oracle.kernel_labels
     assert rep.vanished_blocks == oracle.vanished_blocks
 

@@ -36,6 +36,10 @@ def test_bad_table_rejected():
         FiniteGroup([[0, 1], [0, 1]])      # no identity column structure
     with pytest.raises(ValueError):
         FiniteGroup([[1, 0], [1, 0]])
+    # a loop of order 5 (identity, inverses, Latin square) that is not associative
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(ValueError, match="associativity fails"):
+        FiniteGroup(loop)
 
 
 def test_delta_is_convolution_unit():
