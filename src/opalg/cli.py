@@ -114,10 +114,26 @@ def _apply_global_tol(scenario, tol):
     return scenario
 
 
+def _check_directory(target, where) -> None:
+    """Reject ``target`` as a directory to write in if an existing ancestor is no directory.
+
+    Output targets are checked before their scenarios run, not in _emit
+    after all of them.
+    """
+    existing = next(q for q in (Path(target), *Path(target).parents) if q.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"{existing} exists and is not a directory", path=where)
+
+
 def _execute(source: str, text: str, args):
     """Run one scenario; ``source`` (a file path or demo name) also names its report."""
     try:
         scenario = _apply_global_tol(parse_scenario(text), args.tol)
+        if scenario.report_path:
+            report = Path(scenario.report_path)
+            if report.is_dir():
+                raise ValidationError(f"{report} is a directory", path="report")
+            _check_directory(report.parent, "report")
         return Path(source).stem, scenario, run_scenario(scenario)
     except OpalgError as exc:
         exc.source = source
@@ -134,7 +150,9 @@ def _emit(results, args) -> None:
     for name, scenario, report in results:
         text = report.render()
         if scenario.report_path:
-            Path(scenario.report_path).write_text(text)
+            report_path = Path(scenario.report_path)
+            report_path.parent.mkdir(parents=True, exist_ok=True)
+            report_path.write_text(text)
         elif out_dir:
             (out_dir / f"{name}.report.txt").write_text(text)
         else:
@@ -146,12 +164,8 @@ def _emit(results, args) -> None:
 
 def _run_many(jobs, args) -> int:
     for flag, target in (("--out", args.out), ("--csv", args.csv)):
-        if not target:
-            continue
-        # fail before any scenario runs, not in _emit after all of them
-        existing = next(q for q in (Path(target), *Path(target).parents) if q.exists())
-        if not existing.is_dir():
-            raise ValidationError(f"{existing} exists and is not a directory", path=flag)
+        if target:
+            _check_directory(target, flag)
     worker_count = max(1, args.jobs)
     if worker_count == 1 or len(jobs) == 1:
         results = [_execute(source, text, args) for source, text in jobs]

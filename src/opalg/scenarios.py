@@ -56,39 +56,61 @@ def _collect_marks(node, path, marks):
             _collect_marks(child, path + (idx,), marks)
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """Safe loader that also reads YAML 1.2 floats such as ``1e-05`` as numbers.
 
-    The YAML 1.1 float pattern needs a dot and a signed exponent; the extra
-    pattern covers exponents without either.  Plain integers still resolve to
-    int, which is tried first.
+    It parses with libyaml when PyYAML was built with it.  The YAML 1.1 float
+    pattern needs a dot and a signed exponent; the extra pattern covers
+    exponents without either.  Plain integers still resolve to int, which is
+    tried first.
     """
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."),
-)
+class _PyLoader(yaml.SafeLoader):
+    """The pure-Python parser with the same resolver; its errors quote the source."""
 
 
-def _load_with_marks(text: str):
-    loader = _Loader(text)
+for _cls in (_Loader, _PyLoader):
+    _cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+
+# Text on which libyaml and the pure-Python parser may disagree is read by the
+# pure-Python parser alone.  libyaml accepts tabs as separators, '?' and '!'
+# inside plain scalars and a BOM within the stream, so any character outside
+# printable ASCII without '!' and '?' (newline aside) counts; and it marks an
+# empty flow value on the line of the ',', '}' or ']' after it, not of its ':'.
+_PY_ONLY_CHAR = re.compile(r"[^\n \"->@-~]")
+_EMPTY_FLOW_VALUE = re.compile(r":[ ]*(?:#[^\n]*)?\n(?:[ ]*(?:#[^\n]*)?\n)*[ ]*[,}\]]")
+
+
+def _compose(loader_cls, text: str):
+    loader = loader_cls(text)
     try:
         node = loader.get_single_node()
         data = loader.construct_document(node) if node is not None else None
-    except yaml.YAMLError as exc:
-        line = None
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            line = mark.line + 1
-        raise ValidationError(f"not well-formed YAML: {exc}", line=line) from exc
     finally:
         loader.dispose()
     marks: Dict[tuple, int] = {}
     if node is not None:
         _collect_marks(node, (), marks)
     return data, marks
+
+
+def _load_with_marks(text: str):
+    if not (_PY_ONLY_CHAR.search(text) or _EMPTY_FLOW_VALUE.search(text)):
+        try:
+            return _compose(_Loader, text)
+        except yaml.YAMLError:
+            pass  # libyaml's messages omit the source snippet: re-parse for the error
+    try:
+        return _compose(_PyLoader, text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark is not None else None
+        raise ValidationError(f"not well-formed YAML: {exc}", line=line) from exc
 
 
 def _path_str(path) -> str:
@@ -295,8 +317,12 @@ def _parse_group(w, top):
         w.fail(("group",), "give exactly one of 'name' or 'table'")
     if "name" in spec:
         name = str(spec["name"])
-        if name.startswith("z") and name[1:].isdigit() and int(name[1:]) >= 1:
-            group = groups_mod.cyclic_group(int(name[1:]))
+        order = int(name[1:]) if name.startswith("z") and name[1:].isdigit() else 0
+        if order > groups_mod.ORDER_LIMIT:
+            w.fail(("group", "name"), f"built-in group {name!r} is larger than the "
+                   f"order limit {groups_mod.ORDER_LIMIT}")
+        if order >= 1:
+            group = groups_mod.cyclic_group(order)
         elif name == "s3":
             group = groups_mod.symmetric_group(3)
         else:

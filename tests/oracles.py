@@ -15,13 +15,22 @@ one density identity per block.  ``intertwining_residual_by_units`` builds
 the dense D x D matrices W pi(e_k) W* and pi(u e_k u*) for every matrix
 unit; ``opalg.gns.intertwining_residual`` gets the same number from products
 of column slabs of W, block by block.
+
+``associativity_failure_by_loop`` walks the triples of a multiplication
+table one at a time, as ``opalg.groups.FiniteGroup`` compares them in one
+array expression.  ``load_with_marks_by_python`` reads a scenario document
+with PyYAML's pure-Python parser alone, the reference for the libyaml path
+of ``opalg.scenarios``.
 """
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 import numpy as np
+import yaml
 
 from opalg.algebra import evaluate_state
 from opalg.linalg import fix_phases, gram_quotient
@@ -168,3 +177,66 @@ def intertwining_residual_by_units(w, rep_src, rep_dst, u=None) -> float:
         worst = max(worst, float(np.max(np.abs(
             w @ rep_src.represent(e) @ w.conj().T - rep_dst.represent(moved)))))
     return worst
+
+
+def associativity_failure_by_loop(table):
+    """The message for the first non-associative triple, or None.
+
+    Every triple for order <= 24, else 2000 triples drawn one at a time from
+    default_rng(0).
+    """
+    table = np.asarray(table)
+    n = table.shape[0]
+    if n <= 24:
+        triples = itertools.product(range(n), repeat=3)
+    else:
+        rng = np.random.default_rng(0)
+        triples = (tuple(rng.integers(0, n, size=3)) for _ in range(2000))
+    for a, b, c in triples:
+        if table[table[a, b], c] != table[a, table[b, c]]:
+            return f"associativity fails on ({a}, {b}, {c})"
+    return None
+
+
+class PythonYaml12Loader(yaml.SafeLoader):
+    """PyYAML's pure-Python safe loader plus the YAML 1.2 exponent floats."""
+
+
+PythonYaml12Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."),
+)
+
+
+def load_with_marks_by_python(text):
+    """("ok", data, marks) or ("error", message, line) from the pure-Python parser.
+
+    marks maps each node's path (mapping keys and sequence indices) to its
+    1-based start line; the message is the text opalg reports after
+    "not well-formed YAML: ".
+    """
+    try:
+        loader = PythonYaml12Loader(text)
+        try:
+            node = loader.get_single_node()
+            data = loader.construct_document(node) if node is not None else None
+        finally:
+            loader.dispose()
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        return "error", str(exc), None if mark is None else mark.line + 1
+    marks = {}
+
+    def walk(item, path):   # in document order, so a repeated key keeps its last line
+        marks[path] = item.start_mark.line + 1
+        if isinstance(item, yaml.MappingNode):
+            for key, value in item.value:
+                walk(value, path + (str(key.value),))
+        elif isinstance(item, yaml.SequenceNode):
+            for index, value in enumerate(item.value):
+                walk(value, path + (index,))
+
+    if node is not None:
+        walk(node, ())
+    return "ok", data, marks

@@ -3,8 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opalg import ValidationError, parse_scenario, run_scenario
+import oracles
+from opalg import ValidationError, groups, parse_scenario, run_scenario, scenarios
 from opalg.cli import DEMO_SCENARIOS, main
 from opalg.scenarios import DEFAULT_TOLERANCES
 
@@ -72,6 +76,144 @@ def test_yaml_syntax_error_reports_line():
     with pytest.raises(ValidationError) as err:
         parse_scenario("kind: gns\n  bad indent: [\n")
     assert "line" in str(err.value)
+
+
+def test_yaml_syntax_error_text_comes_from_the_python_parser():
+    # libyaml would say "did not find expected ',' or ']'" and quote no source
+    with pytest.raises(ValidationError) as err:
+        parse_scenario("kind: gns\nalgebra: {blocks: [2}\n")
+    assert str(err.value) == (
+        "<document> (line 2): not well-formed YAML: while parsing a flow sequence\n"
+        '  in "<unicode string>", line 2, column 19:\n'
+        "    algebra: {blocks: [2}\n"
+        "                      ^\n"
+        "expected ',' or ']', but got '}'\n"
+        '  in "<unicode string>", line 2, column 21:\n'
+        "    algebra: {blocks: [2}\n"
+        "                        ^")
+    assert err.value.line == 2
+
+
+# malformed documents and documents on which libyaml and the pure-Python parser
+# could disagree (tabs, '?', '!', a BOM inside the stream, empty flow values)
+YAML_CORPUS = {
+    "unclosed_flow": "kind: gns\nalgebra: {blocks: [2}\n",
+    "bad_indent": "kind: gns\n  bad indent: [\n",
+    "tab_indent": "kind: gns\nalgebra:\n\tblocks: [2]\n",
+    "tab_separator": "kind: field\nfield: {mass:\t1e-01, cutoff: 6E0}\n",
+    "tab_in_flow": "a: [1,\t2]\n",
+    "undefined_alias": "kind: gns\nalgebra: *nope\n",
+    "two_documents": "kind: gns\n---\nkind: equiv\n",
+    "unterminated_quote": "kind: \"gns\nalgebra: {blocks: [2]}\n",
+    "yaml_1_3": "%YAML 1.3\n---\nkind: gns\nvalues: [1e-05, 6E0]\n",
+    "yaml_2_0": "%YAML 2.0\n---\nkind: gns\n",
+    "crlf": "kind: field\r\nfield: {mass: 1e-01, cutoff: 6E0}\r\n",
+    "bom": "\ufeffkind: field\nfield: {mass: 1e-01}\n",
+    "bom_inside": "kind: gns\n\ufeffalgebra: {blocks: [2]}\n",
+    "duplicate_key": "kind: gns\nkind: equiv\n",
+    "empty": "",
+    "comment_only": "# nothing\n",
+    "control_character": "kind: gns\x07\n",
+    "lone_surrogate": "kind: g\ud800ns\n",
+    "python_tag": "kind: !!python/object gns\n",
+    "bare_tag": "a: [[1, 0], [!, 0]]\n",
+    "question_mark_in_flow": "a: {k?nd: power}\n",
+    "question_mark_at_end": "a: [1, 2]\n?",
+    "empty_flow_value": "a: {site: \n, vector: [1e-05, 2]}\n",
+    "empty_flow_value_after_comment": "a: {site: # none\n\n}\n",
+    "empty_flow_pair_in_sequence": "a: [x: \n, 1]\n",
+    "nested_mapping_value": "kind: gns: x\n",
+    "anchor_and_alias": "a: &x [1e-05, 2]\nb: *x\n",
+    "merge_key": "a: &x {p: 1}\nb: {<<: *x, q: 2}\n",
+}
+
+
+def _python_outcome(text):
+    status, first, second = oracles.load_with_marks_by_python(text)
+    if status == "ok":
+        return first, second
+    return str(ValidationError(f"not well-formed YAML: {first}", line=second)), second
+
+
+@pytest.mark.parametrize("name", sorted(YAML_CORPUS))
+def test_yaml_outcome_matches_the_python_parser(name):
+    text = YAML_CORPUS[name]
+    try:
+        got = scenarios._load_with_marks(text)
+    except ValidationError as exc:
+        got = str(exc), exc.line
+    assert got == _python_outcome(text)
+
+
+def _exponent(mantissa, sign, exponent):
+    return f"{mantissa}e{sign}{exponent:02d}"
+
+
+SCALARS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: "%.17e" % x),
+    st.builds(_exponent, st.integers(1, 9), st.sampled_from(["", "-", "+"]), st.integers(0, 12)),
+    st.integers(-10**9, 10**9).map(str),
+)
+NESTED = st.recursive(SCALARS, lambda inner: st.lists(inner, min_size=1, max_size=4),
+                      max_leaves=24)
+
+
+def _flow(value):
+    return value if isinstance(value, str) else "[" + ", ".join(_flow(v) for v in value) + "]"
+
+
+@st.composite
+def scenario_documents(draw):
+    """Mappings of nested number lists in flow and block style, with comments and blank lines."""
+    lines = []
+
+    def extra():
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "# a comment", "   # indented comment"])))
+
+    def suffix():
+        return draw(st.sampled_from(["", "", "  # trailing"]))
+
+    def block(value, indent):
+        for item in value:
+            if isinstance(item, list) and draw(st.booleans()):
+                lines.append(" " * indent + "-" + suffix())
+                block(item, indent + 2)
+            else:
+                lines.append(" " * indent + "- " + _flow(item) + suffix())
+            extra()
+
+    for k in range(draw(st.integers(1, 4))):
+        extra()
+        value = draw(NESTED)
+        style = draw(st.sampled_from(["flow", "block", "mapping"]))
+        if style == "mapping":
+            lines.append(f"key{k}: {{inner: {_flow(value)}, n: {draw(SCALARS)}}}" + suffix())
+        elif style == "block" and isinstance(value, list):
+            lines.append(f"key{k}:" + suffix())
+            block(value, draw(st.sampled_from([0, 2, 4])))
+        else:
+            lines.append(f"key{k}: {_flow(value)}" + suffix())
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario_documents())
+def test_libyaml_loader_reads_documents_like_the_python_parser(text):
+    assert scenarios._compose(scenarios._Loader, text) == _python_outcome(text)
+    assert scenarios._load_with_marks(text) == _python_outcome(text)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_scenario_documents_are_parsed_by_libyaml(monkeypatch):
+    assert issubclass(scenarios._Loader, yaml.CSafeLoader)
+
+    def no_python_parser(text):
+        raise AssertionError("a well-formed scenario went to the pure-Python parser")
+
+    monkeypatch.setattr(scenarios, "_PyLoader", no_python_parser)
+    for text in DEMO_SCENARIOS.values():
+        parse_scenario(text)
 
 
 def test_run_scenario_deterministic_bytes():
@@ -429,3 +571,65 @@ def test_configured_tolerance_reaches_every_line_it_judges(key, via, tmp_path, c
         assert all("[tol 3.0e-07 configured, computed]" in line for line in judged)
         if via == "scenario":   # and no line of another key
             assert sum("configured, computed]" in line for line in lines) == len(judged)
+
+
+def test_cyclic_group_above_the_order_limit_is_rejected_before_building():
+    text = "kind: group\ngroup: {name: z100000}\nfunctions:\n  - [[1, 0]]\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (f"group.name (line 2): built-in group 'z100000' is larger than "
+                              f"the order limit {groups.ORDER_LIMIT}")
+    assert peak < 1 << 20
+    # the limit itself is accepted: the document fails on its function length instead
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text.replace("z100000", f"z{groups.ORDER_LIMIT}"))
+    assert f"expected {groups.ORDER_LIMIT} values" in str(err.value)
+
+
+def test_cli_report_into_a_missing_directory_is_created(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(MINIMAL_GNS)
+    (batch / "b.yaml").write_text(MINIMAL_GNS + "report: nodir/x.txt\n")
+    (batch / "c.yaml").write_text(DEMO_SCENARIOS["equiv"])
+    assert main(["run", str(batch), "--out", "reports"]) == 0
+    assert "carrier_dim = 2" in (tmp_path / "nodir" / "x.txt").read_text()
+    assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == ["a.report.txt",
+                                                                        "c.report.txt"]
+
+
+def test_cli_report_under_a_file_fails_before_that_scenario_runs(tmp_path, capsys, monkeypatch):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    real_run = scenarios.run_scenario
+
+    def guarded_run(scenario):
+        if scenario.report_path and scenario.report_path.startswith(str(afile)):
+            raise AssertionError("the scenario ran before its report target was checked")
+        return real_run(scenario)
+
+    monkeypatch.setattr("opalg.cli.run_scenario", guarded_run)
+    bad = tmp_path / "bad.yaml"
+    for target in (afile / "x.txt", afile / "sub" / "x.txt"):
+        bad.write_text(MINIMAL_GNS + f"report: {target}\n")
+        assert main(["run", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"schema error: {bad}: report: {afile} exists and is not a directory\n"
+    bad.write_text(MINIMAL_GNS + f"report: {tmp_path}\n")
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err == f"schema error: {bad}: report: {tmp_path} is a directory\n"
+    assert afile.read_text() == "keep"
+
+
+def test_cli_unreadable_character_is_a_schema_error_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(MINIMAL_GNS.replace("kind: gns", "kind: gns\x07"))
+    assert main(["run", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"schema error: {bad}: <document>: not well-formed YAML: unacceptable character #x0007")

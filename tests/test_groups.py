@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalg import (
     FiniteGroup,
@@ -16,7 +18,7 @@ from opalg import (
     orthogonality_check,
     symmetric_group,
 )
-from oracles import best_invertible, intertwiner_space
+from oracles import associativity_failure_by_loop, best_invertible, intertwiner_space
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -40,6 +42,26 @@ def test_bad_table_rejected():
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     with pytest.raises(ValueError, match="associativity fails"):
         FiniteGroup(loop)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 32), st.lists(st.tuples(st.integers(1, 31), st.integers(1, 31),
+                                              st.integers(1, 31)), max_size=3))
+def test_associativity_check_matches_triple_loop(n, swaps):
+    # swapping two non-identity entries of a non-identity row keeps the identity
+    # and the inverses, so only the associativity check can reject the table
+    table = cyclic_group(n).table.copy()
+    for row, i, j in swaps:
+        row, i, j = row % n or 1, i % n or 1, j % n or 1
+        if table[row, i] != 0 and table[row, j] != 0:
+            table[row, [i, j]] = table[row, [j, i]]
+    expected = associativity_failure_by_loop(table)
+    if expected is None:
+        assert FiniteGroup(table).order == n
+    else:
+        with pytest.raises(ValueError) as err:
+            FiniteGroup(table)
+        assert str(err.value) == expected
 
 
 def test_delta_is_convolution_unit():
