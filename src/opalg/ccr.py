@@ -92,9 +92,6 @@ class CcrSpace:
         """Dual coordinates of u_q, defined by <r, u_q> = <r | q>."""
         return self.gram @ np.asarray(q, dtype=float)
 
-    def generating_function(self, q) -> float:
-        return float(np.exp(-0.5 * self.covariance_form(q)))
-
     def orthonormal_modes(self) -> np.ndarray:
         """Columns form a Gram-orthonormal basis (inverse Cholesky transpose)."""
         return np.linalg.inv(self._chol).T

@@ -88,14 +88,17 @@ _EMPTY_FLOW_VALUE = re.compile(r":[ ]*(?:#[^\n]*)?\n(?:[ ]*(?:#[^\n]*)?\n)*[ ]*[
 
 def _compose(loader_cls, text: str):
     loader = loader_cls(text)
+    marks: Dict[tuple, int] = {}
     try:
         node = loader.get_single_node()
         data = loader.construct_document(node) if node is not None else None
+        if node is not None:
+            _collect_marks(node, (), marks)
+    except RecursionError:
+        # the pure-Python composer, the constructor and _collect_marks all recurse per level
+        raise ValidationError("document nested too deeply to read") from None
     finally:
         loader.dispose()
-    marks: Dict[tuple, int] = {}
-    if node is not None:
-        _collect_marks(node, (), marks)
     return data, marks
 
 
@@ -317,12 +320,15 @@ def _parse_group(w, top):
         w.fail(("group",), "give exactly one of 'name' or 'table'")
     if "name" in spec:
         name = str(spec["name"])
-        order = int(name[1:]) if name.startswith("z") and name[1:].isdigit() else 0
-        if order > groups_mod.ORDER_LIMIT:
+        match = re.fullmatch(r"z0*([0-9]*)", name)
+        digits = match.group(1) if match else ""
+        # count the digits before int(), which refuses strings of more than 4300
+        too_long = len(digits) > len(str(groups_mod.ORDER_LIMIT))
+        if too_long or int(digits or 0) > groups_mod.ORDER_LIMIT:
             w.fail(("group", "name"), f"built-in group {name!r} is larger than the "
                    f"order limit {groups_mod.ORDER_LIMIT}")
-        if order >= 1:
-            group = groups_mod.cyclic_group(order)
+        if digits:
+            group = groups_mod.cyclic_group(int(digits))
         elif name == "s3":
             group = groups_mod.symmetric_group(3)
         else:

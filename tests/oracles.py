@@ -21,11 +21,18 @@ table one at a time, as ``opalg.groups.FiniteGroup`` compares them in one
 array expression.  ``load_with_marks_by_python`` reads a scenario document
 with PyYAML's pure-Python parser alone, the reference for the libyaml path
 of ``opalg.scenarios``.
+
+The ``*_by_grid`` functions are the direct sums over the full symmetric
+momentum lattice: one phase per lattice point, as ``opalg.fields`` summed
+before it folded every sum onto the octant p_i >= 0 as cosine products.
+Each returns the value with the sum of the absolute values of its terms, the
+scale its rounding error is bounded by.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -33,6 +40,7 @@ import numpy as np
 import yaml
 
 from opalg.algebra import evaluate_state
+from opalg.fields import TWO_PI, MassShellGrid, TestFunction, shell_bilinear_form
 from opalg.linalg import fix_phases, gram_quotient
 
 GRAM_REL_CUT = 1e-12
@@ -240,3 +248,48 @@ def load_with_marks_by_python(text):
     if node is not None:
         walk(node, ())
     return "ok", data, marks
+
+
+def pauli_jordan_minus_by_grid(grid, x):
+    """D^-(x) = i/2 (2 pi)^-3 sum_p w(p) exp(-i(omega x0 - p.x)) over every lattice point."""
+    x = np.asarray(x, dtype=float)
+    terms = 0.5j * TWO_PI**-3 * grid.weights * np.exp(-1j * (grid.omega * x[0] - grid.momenta @ x[1:]))
+    return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def pauli_jordan_by_grid(grid, x):
+    """D(x) = (2 pi)^-3 sum_p w(p) sin(omega x0) cos(p.x) over every lattice point."""
+    x = np.asarray(x, dtype=float)
+    terms = TWO_PI**-3 * grid.weights * np.sin(grid.omega * x[0]) * np.cos(grid.momenta @ x[1:])
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def euclidean_propagator_by_grid(lattice, x):
+    """w(x) = (2 pi)^-4 dp^4 sum_p cos(p.x) / (p^2 + m^2) over every lattice point."""
+    x = np.asarray(x, dtype=float)
+    terms = lattice.measure * np.cos(lattice.momenta @ x) / (lattice.p_squared + lattice.mass**2)
+    return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def witness_shell_values_by_grid(mass_first, mass_second, cutoff, points):
+    """The two shell forms (psi | psi)_m of the mass witness's profile.
+
+    Restricts the profile to both sheets of the full grid of each mass with
+    ``TestFunction.from_profile`` and pairs it with ``shell_bilinear_form``.
+    Every term is positive, so each value is also its own scale.
+    """
+    gap = mass_first**2 - mass_second**2
+    beta = math.log(1e10) / (2.0 * gap * gap)
+    width = max(cutoff / 3.0, 1e-6)
+
+    def profile(p0, p):
+        bump = np.exp(-np.sum(p * p, axis=1) / (2.0 * width**2))
+        offshell = p0 * p0 - np.sum(p * p, axis=1) - mass_second**2
+        return np.exp(-beta * offshell**2) * bump
+
+    values = []
+    for mass in (mass_first, mass_second):
+        grid = MassShellGrid(mass, cutoff, points)
+        psi = TestFunction.from_profile(grid, profile)
+        values.append(float(shell_bilinear_form(grid, psi, psi).real))
+    return tuple(values)

@@ -591,6 +591,34 @@ def test_cyclic_group_above_the_order_limit_is_rejected_before_building():
     assert f"expected {groups.ORDER_LIMIT} values" in str(err.value)
 
 
+@pytest.mark.parametrize("name, message", [
+    ("z\u00b2", "unknown built-in group 'z\u00b2' (zN for N >= 1, s3)"),   # a digit to isdigit only
+    ("z" + "7" * 5000, "built-in group 'z7777777777"),       # past int()'s 4300-digit limit
+], ids=["superscript-digit", "5000-digits"])
+def test_group_name_that_is_no_ascii_number_is_a_schema_error(tmp_path, capsys, name, message):
+    path = tmp_path / "g.yaml"
+    path.write_text(f'kind: group\ngroup: {{name: "{name}"}}\nfunctions:\n  - [[1, 0]]\n')
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {path}: group.name (line 2): {message}")
+    if len(name) > 10:
+        assert err.endswith(f"is larger than the order limit {groups.ORDER_LIMIT}\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("body", [
+    "[" * 1200 + "]" * 1200,                          # libyaml, then _collect_marks overflows
+    "{<<: " * 1200 + "{a: 1}" + "}" * 1200,           # libyaml, then the constructor overflows
+    "[" * 1200 + "]" * 1200 + "  # \u00e9",          # the pure-Python composer overflows
+], ids=["collect-marks", "constructor", "python-composer"])
+def test_deeply_nested_document_is_a_schema_error(tmp_path, capsys, command, body):
+    path = tmp_path / "deep.yaml"
+    path.write_text(f"kind: gns\nalgebra: {body}\nstate: {{densities: []}}\n")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"schema error: {path}: <document>: document nested too deeply to read\n")
+
+
 def test_cli_report_into_a_missing_directory_is_created(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     batch = tmp_path / "batch"

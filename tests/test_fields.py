@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from opalg import (
     EuclideanLattice,
     MassShellGrid,
@@ -12,7 +17,10 @@ from opalg import (
     klein_gordon_residual,
     l_form,
     mass_kernel_witness,
+    parse_scenario,
     pauli_jordan,
+    pauli_jordan_minus,
+    run_scenario,
     shell_bilinear_form,
     tau_decompose,
     three_momentum_form,
@@ -290,3 +298,71 @@ def test_chronological_reorder_rejects_large_orders():
     ev = WightmanEvaluator(GRID)
     with pytest.raises(NumericalError):
         chronological_reorder([np.zeros(4)] * 7, ev)
+
+
+# The folded sums and the full-grid oracles add the same terms in another
+# order, with each phase split into per-axis cosines.  For |x_i| <= 2 and a
+# cutoff <= 6 every phase is below 60 in size, so each term carries a relative
+# error of a few times 60 ulp (~1e-14); the summation adds about log2(N^4) ulp.
+# 1e-13 (about 450 ulp) times the sum of the absolute values of the terms
+# bounds both with room to spare.
+FOLD_TOL = 1e-13
+
+coordinates = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+four_vectors = st.lists(coordinates, min_size=4, max_size=4).map(np.array)
+
+
+@settings(max_examples=80, deadline=None)
+@given(points=st.integers(1, 10).map(lambda k: 2 * k + 1), mass=st.floats(0.1, 3.0),
+       cutoff=st.floats(0.5, 6.0), x=four_vectors)
+@example(points=3, mass=1.0, cutoff=4.0, x=np.zeros(4))
+@example(points=21, mass=0.5, cutoff=6.0, x=np.array([0.0, 0.0, 1.3, 0.0]))
+@example(points=9, mass=2.0, cutoff=3.0, x=np.array([1.1, 0.0, 0.0, 0.0]))
+def test_folded_shell_sums_match_the_full_grid(points, mass, cutoff, x):
+    grid = MassShellGrid(mass, cutoff, points)
+    for folded, by_grid in ((pauli_jordan_minus, oracles.pauli_jordan_minus_by_grid),
+                            (pauli_jordan, oracles.pauli_jordan_by_grid)):
+        want, scale = by_grid(grid, x)
+        assert abs(folded(grid, x) - want) <= FOLD_TOL * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(1, 5).map(lambda k: 2 * k + 1), mass=st.floats(0.1, 3.0),
+       cutoff=st.floats(0.5, 6.0), x=four_vectors)
+@example(points=3, mass=1.0, cutoff=6.0, x=np.zeros(4))
+@example(points=11, mass=0.3, cutoff=6.0, x=np.array([0.0, 0.0, 0.0, 1.7]))
+def test_folded_euclidean_propagator_matches_the_full_grid(points, mass, cutoff, x):
+    lattice = EuclideanLattice(mass, cutoff, points)
+    want, scale = oracles.euclidean_propagator_by_grid(lattice, x)
+    assert abs(lattice.propagator(x) - want) <= FOLD_TOL * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.integers(1, 10).map(lambda k: 2 * k + 1), cutoff=st.floats(1.0, 6.0),
+       first=st.floats(0.05, 0.95), second=st.floats(0.05, 0.95))
+@example(points=17, cutoff=6.0, first=1 / 6, second=2 / 6)
+def test_folded_witness_shell_values_match_the_full_grid(points, cutoff, first, second):
+    mass_first, mass_second = first * cutoff, second * cutoff
+    assume(abs(mass_first - mass_second) >= 2 * cutoff / (points - 1) / 10.0)
+    report = mass_kernel_witness(mass_first, mass_second, cutoff, points)
+    want = oracles.witness_shell_values_by_grid(mass_first, mass_second, cutoff, points)
+    got = (report.value_on_first_shell, report.value_on_second_shell)
+    for value, reference in zip(got, want):
+        assert abs(value - reference) <= FOLD_TOL * reference
+
+
+def test_large_field_scenario_runs_in_bounded_memory():
+    # the full N^3 x 3 and N^4 x 4 momentum arrays of these sizes would take
+    # several hundred MB; the octant sums stay far below
+    text = ("kind: field\nfield:\n  mass: 1.0\n  second_mass: 2.0\n  points: 121\n"
+            "  sample_points: [[0.1, 0.2, -0.3, 0.4], [-0.2, 0.1, 0.0, 0.3]]\n"
+            "  euclidean: {points: 51}\n")
+    scenario = parse_scenario(text)
+    tracemalloc.start()
+    try:
+        report = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "FAIL" not in report.render()
+    assert peak < 40 << 20
