@@ -68,7 +68,6 @@ from .gns import (
     intertwining_residual,
     pure_unitary_intertwiner,
     purity_check,
-    summed_generator_matrices,
     superselection_operator,
     transition_elements,
 )

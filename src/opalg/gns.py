@@ -17,11 +17,11 @@ Theta_b = V_b sqrt(Lambda_b) (n_b x r_b, kept eigenpairs only).  Then:
   them, and b = Theta_g Theta_f^+ blockwise carries f to g.
 
 Vectors of C^n (x) C^r are stored row-major, so vec(a X) = (a (x) I) vec(X).
-Certificates are recomputed rather than read off the closed form: every
-intertwining identity W pi(a) W* = pi(sigma(a)) of a unitary W (the identity
-intertwiner here, the implementers of :mod:`opalg.symmetry`) is checked over
-all matrix units by the one kernel :func:`intertwining_residual`, and every
-transition by :func:`opalg.algebra.transport_residual`.
+Certificates are recomputed rather than read off the closed form.  Every
+intertwiner certified here (the identity, the implementers of :mod:`opalg.symmetry`)
+is W = sum U_b (x) V_b, and :func:`intertwining_residual` checks W pi(a) W* =
+pi(U a U*) over all matrix units from the factors (U_b, V_b) without forming W;
+every transition is checked by :func:`opalg.algebra.transport_residual`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .linalg import (GRAM_REL_CUT, PSD_TOL, block_diag, fix_global_phase, fix_ph
 
 KERNEL_TOL = 1e-9         # blocks of trace at most this lie in the representation kernel
 TRANSITION_TOL = 1e-8     # transition and pure-unitary certificates raise past this
-BATCH_ENTRIES = 2**15     # intertwining_residual holds at most this many D x D entries (or one term)
 
 
 @dataclass
@@ -79,11 +78,6 @@ class GnsRep:
     @cached_property
     def cyclic_vector(self) -> np.ndarray:
         return np.concatenate([t.reshape(-1) for t in self.factors])
-
-    @cached_property
-    def generator_matrices(self) -> tuple:
-        """pi(e_k) for each canonical matrix unit, in basis order."""
-        return tuple(self.represent(self.algebra.from_coords(c)) for c in np.eye(self.algebra.dim))
 
     def represent(self, a: AlgebraElement) -> np.ndarray:
         if a.algebra != self.algebra:
@@ -169,37 +163,20 @@ class EquivalenceReport:
         return self.verdict in ("equal", "equivalent")
 
 
-def intertwining_residual(w, rep_src: GnsRep, rep_dst: GnsRep,
-                          u: Optional[AlgebraElement] = None) -> float:
-    """max |W pi_src(E_ij) W* - pi_dst(u E_ij u*)| over blocks b and matrix units E_ij.
+def intertwining_residual(factors) -> float:
+    """max |W pi(E_ij) W* - pi(U E_ij U*)| over matrix units, for W = sum U_b (x) V_b.
 
-    In block b, pi(E_ij) = E_ij (x) I_{r_b}, so W pi_src(E_ij) W* is the column
-    slab W[:, (b,i,.)] times the adjoint of the column slab W[:, (b,j,.)], and
-    pi_dst(u E_ij u*) is (u_b E_ij u_b*) (x) I_{r_b} on carrier block b;
-    ``u=None`` is the identity.  For each i, the terms of consecutive j are one
-    batched product of at most ``BATCH_ENTRIES`` entries (at least one term):
-    O(sum n_b^2 D^2 r_b) time and O(D^2) memory, D the carrier dimension.
+    ``factors`` holds the pair (U_b, V_b) of each block, V_b of order r_b.  On
+    carrier block b, pi(E_ij) = E_ij (x) I_{r_b}, so the difference is
+    (U_b E_ij U_b*) (x) (V_b V_b* - I), whose largest entry over all i, j is
+    (max |U_b|)^2 max |V_b V_b* - I|: O(sum n_b^2 + r_b^3), and blocks with
+    r_b = 0 carry nothing.
     """
-    algebra = rep_src.algebra
-    if rep_dst.algebra != algebra or (u is not None and u.algebra != algebra):
-        raise ShapeMismatchError("representations and unitary live on different algebras")
-    step = max(1, BATCH_ENTRIES // len(w) ** 2)
     worst = 0.0
-    off_src = off_dst = 0
-    for b, (n, r_src, r_dst) in enumerate(zip(algebra.blocks, rep_src.ranks, rep_dst.ranks)):
-        ub = np.eye(n) if u is None else u.mats[b]
-        cols = w[:, off_src:off_src + n * r_src].reshape(len(w), n, r_src)
-        rows = cols.conj().transpose(1, 2, 0)                               # W*[(b,j,.), :]
-        for i in range(n):
-            for j in range(0, n, step):
-                js = slice(j, j + step)
-                diff = cols[:, i] @ rows[js]                                # W pi_src(E_ij) W*
-                moved = ub[:, i][None, :, None] * ub.conj().T[js, None, :]  # u_b E_ij u_b*
-                for p in range(r_dst):
-                    copy = slice(off_dst + p, off_dst + n * r_dst, r_dst)
-                    diff[:, copy, copy] -= moved
-                worst = max(worst, float(np.max(np.abs(diff))))
-        off_src, off_dst = off_src + n * r_src, off_dst + n * r_dst
+    for u, v in factors:
+        if len(v):
+            defect = float(np.max(np.abs(v @ v.conj().T - np.eye(len(v)))))
+            worst = max(worst, float(np.max(np.abs(u))) ** 2 * defect)
     return worst
 
 
@@ -210,6 +187,7 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     then the rank vectors (the multiplicity of each block).  Equal rank
     vectors give the same representation matrices, so the identity is the
     intertwiner; its residual and the transition elements are verified.
+    States within 1e-12 are one state, and I is certified on pi_f alone.
     """
     rep_f = gns_construct(algebra, f)
     rep_g = gns_construct(algebra, g)
@@ -225,20 +203,18 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     if rep_f.carrier_dim != rep_g.carrier_dim:
         return inequivalent("equal kernels but different carrier dimensions "
                             f"{dims[0]} != {dims[1]} (different multiplicities)")
-    equal_states = all(
-        np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(f.densities, g.densities)
-    )
+    equal_states = all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(f.densities, g.densities))
     if not equal_states and rep_f.ranks != rep_g.ranks:
         return inequivalent("equal kernels and carrier dimensions but different "
                             f"multiplicities {list(rep_f.ranks)} != {list(rep_g.ranks)}")
 
-    gamma = np.eye(rep_f.carrier_dim, dtype=complex)
     report = EquivalenceReport(
         verdict="equal" if equal_states else "equivalent",
         kernel_first=kernels[0],
         kernel_second=kernels[1],
-        intertwiner=gamma,
-        intertwiner_residual=intertwining_residual(gamma, rep_f, rep_g),
+        intertwiner=np.eye(rep_f.carrier_dim, dtype=complex),
+        intertwiner_residual=intertwining_residual(
+            [(np.eye(n), np.eye(r)) for n, r in zip(algebra.blocks, rep_f.ranks)]),
         carrier_dims=dims,
     )
     if equal_states:
@@ -297,11 +273,6 @@ def _support_vector(density: np.ndarray) -> np.ndarray:
     v = vec[:, -1]
     idx = int(np.argmax(np.abs(v)))
     return v * (abs(v[idx]) / v[idx])
-
-
-def summed_generator_matrices(reps) -> list:
-    """Block-diagonal generators of the Hilbert-sum representation."""
-    return [block_diag(list(gens)) for gens in zip(*(r.generator_matrices for r in reps))]
 
 
 def superselection_operator(reps, weights) -> np.ndarray:

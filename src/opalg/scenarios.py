@@ -85,6 +85,11 @@ for _cls in (_Loader, _PyLoader):
 _PY_ONLY_CHAR = re.compile(r"[^\n \"->@-~]")
 _EMPTY_FLOW_VALUE = re.compile(r":[ ]*(?:#[^\n]*)?\n(?:[ ]*(?:#[^\n]*)?\n)*[ ]*[,}\]]")
 
+# libyaml's composer recurses in C per nesting level and overflows the C stack
+# (a crash, not an exception) a few tens of thousands of levels deep; deeper
+# documents are refused from the parse events first, which need no recursion.
+MAX_NESTING = 10_000
+
 
 def _compose(loader_cls, text: str):
     loader = loader_cls(text)
@@ -102,7 +107,23 @@ def _compose(loader_cls, text: str):
     return data, marks
 
 
+def _check_nesting(text: str):
+    depth = 0
+    try:
+        for event in yaml.parse(text, Loader=_Loader):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ValidationError("document nested too deeply to read")
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    except yaml.YAMLError:
+        pass  # malformed within the limit: the loaders below report it
+
+
 def _load_with_marks(text: str):
+    if len(text) > MAX_NESTING:   # every level takes at least one character
+        _check_nesting(text)
     if not (_PY_ONLY_CHAR.search(text) or _EMPTY_FLOW_VALUE.search(text)):
         try:
             return _compose(_Loader, text)

@@ -7,7 +7,7 @@ these matrices agree (U is only fixed up to a phase, which the group
 bookkeeping quotients away but records as a multiplier).  On the GNS carrier
 of a stationary state the implementer is closed-form too, the sum of
 U_b (x) V_b with V_b = (Theta_b^+ U_b* Theta_b)^T, and
-:func:`opalg.gns.intertwining_residual` certifies it.
+:func:`opalg.gns.intertwining_residual` certifies it from the pairs (U_b, V_b).
 """
 
 from __future__ import annotations
@@ -140,6 +140,7 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
     cut, whose entries are at most 1).  Past ``tol`` the state is not stationary
     and no implementer exists; otherwise it is the sum of U_b (x) V_b with
     V_b = (Theta_b^+ U_b* Theta_b)^T, sending vec(x Theta_b) to vec(U_b x U_b* Theta_b).
+    The same pairs (U_b, V_b) build the dense unitary and its certificate.
     """
     rep = gns_construct(f.algebra, f)
     kept = [t @ t.conj().T for t in rep.factors]
@@ -147,10 +148,11 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
                  for u, d in zip(rho.unitary.mats, kept))
     if defect > tol:
         return ImplementerResult(unitary=None, isometry_defect=defect)
-    w = block_diag([np.kron(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)
-                    for u, t in zip(rho.unitary.mats, rep.factors)])
-    residual = intertwining_residual(w, rep, rep, rho.unitary)
-    return ImplementerResult(unitary=w, isometry_defect=defect, intertwining_residual=residual)
+    pairs = [(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)
+             for u, t in zip(rho.unitary.mats, rep.factors)]
+    w = block_diag([np.kron(u, v) for u, v in pairs])
+    return ImplementerResult(unitary=w, isometry_defect=defect,
+                             intertwining_residual=intertwining_residual(pairs))
 
 
 @dataclass

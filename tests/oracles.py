@@ -13,8 +13,10 @@ small algebras only.
 matrix unit; ``opalg.algebra.transport_residual`` gets the same number from
 one density identity per block.  ``intertwining_residual_by_units`` builds
 the dense D x D matrices W pi(e_k) W* and pi(u e_k u*) for every matrix
-unit; ``opalg.gns.intertwining_residual`` gets the same number from products
-of column slabs of W, block by block.
+unit, O(n^2 D^3) for any W; ``opalg.gns.intertwining_residual`` never forms
+W and gets the same number for W = sum U_b (x) V_b from the factors alone,
+as (max |U_b|)^2 max |V_b V_b* - I| per block.  ``generator_matrices`` and
+``summed_generator_matrices`` build pi(e_k) densely for every matrix unit.
 
 ``associativity_failure_by_loop`` walks the triples of a multiplication
 table one at a time, as ``opalg.groups.FiniteGroup`` compares them in one
@@ -41,7 +43,7 @@ import yaml
 
 from opalg.algebra import evaluate_state
 from opalg.fields import TWO_PI, MassShellGrid, TestFunction, shell_bilinear_form
-from opalg.linalg import fix_phases, gram_quotient
+from opalg.linalg import block_diag, fix_phases, gram_quotient
 
 GRAM_REL_CUT = 1e-12
 KERNEL_TOL = 1e-9
@@ -185,6 +187,16 @@ def intertwining_residual_by_units(w, rep_src, rep_dst, u=None) -> float:
         worst = max(worst, float(np.max(np.abs(
             w @ rep_src.represent(e) @ w.conj().T - rep_dst.represent(moved)))))
     return worst
+
+
+def generator_matrices(rep) -> list:
+    """pi(e_k) for each canonical matrix unit, in basis order."""
+    return [rep.represent(rep.algebra.basis_element(k)) for k in range(rep.algebra.dim)]
+
+
+def summed_generator_matrices(reps) -> list:
+    """Block-diagonal generators of the Hilbert-sum representation."""
+    return [block_diag(list(gens)) for gens in zip(*(generator_matrices(r) for r in reps))]
 
 
 def associativity_failure_by_loop(table):

@@ -44,13 +44,12 @@ from opalg import (
     quasi_invariance_factor,
     stabilizer_orbit,
     stationarity_check,
-    summed_generator_matrices,
     superselection_operator,
     symmetric_group,
     unitary_implementer,
     wick_moment,
 )
-from oracles import best_invertible, intertwiner_space
+from oracles import best_invertible, intertwiner_space, summed_generator_matrices
 
 
 def _verdict(name: str, ok: bool, detail: str = ""):

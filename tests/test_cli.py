@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -617,6 +621,43 @@ def test_deeply_nested_document_is_a_schema_error(tmp_path, capsys, command, bod
     assert main([command, str(path)]) == 1
     assert capsys.readouterr().err == (
         f"schema error: {path}: <document>: document nested too deeply to read\n")
+
+
+@pytest.mark.parametrize("text", [
+    "algebra: " + "[" * 40000 + "]" * 40000 + "\n",
+    "algebra: " + "[" * 100000 + "]" * 100000 + "\n",
+    "algebra: " + "[" * 100000 + "\n",                  # never closed: not well-formed either
+    "- " * 100000 + "x\n",                             # compact block sequences
+], ids=["40000", "100000", "100000-unclosed", "100000-compact"])
+def test_nesting_past_the_stack_of_libyaml_is_a_schema_error(tmp_path, text):
+    # libyaml's recursive composer crashed the process here (exit 139), so
+    # the CLI runs in a child rather than in the test process
+    path = tmp_path / "deep.yaml"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(scenarios.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "opalg.cli", "validate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"schema error: {path}: <document>: document nested too deeply to read\n"
+
+
+def test_cli_equal_states_split_at_the_rank_cut(tmp_path, capsys):
+    # states 8e-13 apart whose rank vectors are (2, 1) and (1, 2): one state,
+    # so the identity is certified on the first state's representation
+    path = tmp_path / "split.yaml"
+    path.write_text(
+        "kind: equiv\nalgebra: {blocks: [2, 2]}\nstates:\n"
+        "  - densities:\n"
+        "      - [[[0.5, 0], [0, 0]], [[0, 0], [4.4e-12, 0]]]\n"
+        "      - [[[0.5, 0], [0, 0]], [[0, 0], [3.6e-12, 0]]]\n"
+        "  - densities:\n"
+        "      - [[[0.5, 0], [0, 0]], [[0, 0], [3.6e-12, 0]]]\n"
+        "      - [[[0.5, 0], [0, 0]], [[0, 0], [4.4e-12, 0]]]\n")
+    assert main(["run", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verdict = equal [computed]" in lines
+    assert ("intertwiner_residual = +0.000000000000e+00 [tol 1.0e-08 default, computed] pass"
+            in lines)
 
 
 def test_cli_report_into_a_missing_directory_is_created(tmp_path, monkeypatch):

@@ -14,10 +14,10 @@ from opalg import (
     pure_unitary_intertwiner,
     purity_check,
     run_scenario,
-    summed_generator_matrices,
     superselection_operator,
     transition_elements,
 )
+import oracles
 
 M2 = StarAlgebra([2])
 M2M2 = StarAlgebra([2, 2])
@@ -106,7 +106,7 @@ def test_gns_is_star_homomorphism_with_cyclic_vector():
         assert np.max(np.abs(rep.represent(a * b) - pa @ pb)) <= 1e-9
         assert np.max(np.abs(rep.represent(a.star) - pa.conj().T)) <= 1e-9
         # cyclicity: pi(basis) theta spans the carrier
-        span = np.stack([m @ rep.cyclic_vector for m in rep.generator_matrices], axis=1)
+        span = np.stack([m @ rep.cyclic_vector for m in oracles.generator_matrices(rep)], axis=1)
         assert np.linalg.matrix_rank(span, tol=1e-10) == rep.carrier_dim
 
 
@@ -213,6 +213,20 @@ def test_equivalence_detects_multiplicity_mismatch():
     report = equivalence_check(M2M2, f, g)
     assert report.verdict == "inequivalent"
     assert report.kernel_first == report.kernel_second == ()
+
+
+def test_equal_states_whose_rank_vectors_split_at_the_cut():
+    # 4.4e-12 lies above the rank cut dim * 1e-12 * 0.5 = 4e-12 and 3.6e-12
+    # below it, so the two states differ by 8e-13 but get rank vectors (2, 1)
+    # and (1, 2); as one state, I intertwines pi_f with itself
+    f = State(M2M2, [np.diag([0.5, 4.4e-12]), np.diag([0.5, 3.6e-12])])
+    g = State(M2M2, [np.diag([0.5, 3.6e-12]), np.diag([0.5, 4.4e-12])])
+    assert (gns_construct(M2M2, f).ranks, gns_construct(M2M2, g).ranks) == ((2, 1), (1, 2))
+    report = equivalence_check(M2M2, f, g)
+    assert report.verdict == oracles.equivalence_verdict(M2M2, f, g) == "equal"
+    assert report.intertwiner_residual == 0.0
+    assert np.array_equal(report.intertwiner, np.eye(6))
+    assert report.transition_residual <= 1e-12
 
 
 def test_equivalence_with_matching_multiplicities_on_mixed_blocks():
@@ -350,7 +364,7 @@ def test_superselection_operator_examples():
     rng = np.random.default_rng(29)
     reps = _three_reps(rng)[:2]
     t = superselection_operator(reps, [0.0, 1.0])
-    gens = summed_generator_matrices(reps)
+    gens = oracles.summed_generator_matrices(reps)
     worst = max(float(np.max(np.abs(t @ g - g @ t))) for g in gens)
     assert worst <= 1e-12
     # constant weights give the scalar operator

@@ -16,6 +16,7 @@ from opalg import (
     stationarity_check,
     unitary_implementer,
 )
+from oracles import generator_matrices
 
 M2 = StarAlgebra([2])
 
@@ -102,7 +103,7 @@ def test_implementer_uniqueness_via_independent_solve():
     result = unitary_implementer(f, rho)
     rep = gns_construct(M2, f)
     # oracle: cyclicity pins W through W pi(a) theta = pi(rho(a)) theta
-    columns = np.stack([m @ rep.cyclic_vector for m in rep.generator_matrices], axis=1)
+    columns = np.stack([m @ rep.cyclic_vector for m in generator_matrices(rep)], axis=1)
     images = np.stack(
         [rep.represent(rho.apply(M2.basis_element(k))) @ rep.cyclic_vector
          for k in range(M2.dim)], axis=1)
