@@ -11,8 +11,10 @@ sequence models, never by numerical truncation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,19 +34,39 @@ def pair_partitions(m: int):
 
     Yields lists of (m//2) pairs; there are (m-1)!! of them for even m.
     """
-    idx = tuple(range(m))
+    for partition in _pairings(m).tolist():
+        yield [tuple(pair) for pair in partition]
 
-    def rec(remaining):
-        if not remaining:
-            yield []
-            return
-        first = remaining[0]
-        for k in range(1, len(remaining)):
-            rest = remaining[1:k] + remaining[k + 1:]
-            for tail in rec(rest):
-                yield [(first, remaining[k])] + tail
 
-    yield from rec(idx)
+@functools.lru_cache(maxsize=None)
+def _pairings(m: int) -> np.ndarray:
+    """The partitions of :func:`pair_partitions` as a ((m-1)!!, m//2, 2) index array.
+
+    0 is paired with each p in turn, ahead of the pairings of the rest, which
+    are those of m - 2 relabelled onto the elements left.  The array takes
+    (m-1)!! m 8 bytes and is kept for the life of the process: 15 rows at
+    m = 6, the highest order a scenario asks for, and 260 MB at m = 16.
+    """
+    if m % 2:
+        return np.zeros((0, m // 2, 2), dtype=np.intp)
+    parts = np.zeros((1, 0, 2), dtype=np.intp)
+    for size in range(2, m + 1, 2):
+        blocks = []
+        for p in range(1, size):
+            head = np.broadcast_to(np.array([0, p]), (len(parts), 1, 2))
+            blocks.append(np.concatenate([head, np.delete(np.arange(size), [0, p])[parts]], axis=1))
+        parts = np.concatenate(blocks)
+    parts.flags.writeable = False       # shared by every caller through the cache
+    return parts
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_signs(m: int):
+    """The 2^m sign vectors of the mixed central difference and their parities."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+    parity = np.prod(signs, axis=1)
+    signs.flags.writeable = parity.flags.writeable = False
+    return signs, parity
 
 
 class CcrSpace:
@@ -89,20 +111,21 @@ class CcrSpace:
         return self.pair_value(q, q)
 
     def gram_image(self, q) -> np.ndarray:
-        """Dual coordinates of u_q, defined by <r, u_q> = <r | q>."""
-        return self.gram @ np.asarray(q, dtype=float)
+        """Dual coordinates of u_q, defined by <r, u_q> = <r | q>; q may be a stack."""
+        return np.asarray(q, dtype=float) @ self.gram.T
 
     def orthonormal_modes(self) -> np.ndarray:
         """Columns form a Gram-orthonormal basis (inverse Cholesky transpose)."""
         return np.linalg.inv(self._chol).T
 
     def mode_coefficients(self, q) -> np.ndarray:
-        """Expansion of q in the Gram-orthonormal mode basis."""
-        return self._chol.T @ self._check_vector(q)
+        """Expansion of q (or of each vector of a stack) in the Gram-orthonormal mode basis."""
+        return self._check_vector(q, stack=True) @ self._chol
 
-    def _check_vector(self, q) -> np.ndarray:
+    def _check_vector(self, q, stack: bool = False) -> np.ndarray:
+        """q as floats: one vector of length n, or with ``stack`` any stack of them."""
         q = np.asarray(q, dtype=float)
-        if q.shape != (self.n,):
+        if q.shape[-1:] != (self.n,) or (q.ndim != 1 and not stack):
             raise ShapeMismatchError(f"vector of shape {q.shape} does not match dimension {self.n}")
         return q
 
@@ -111,7 +134,8 @@ def wick_moment(space: CcrSpace, args: Sequence) -> float:
     """Gaussian moment <phi(q_1) ... phi(q_m)> by pair-partition enumeration.
 
     Odd m vanishes; even m sums the product of two-point values over all
-    (m-1)!! pairings.
+    (m-1)!! pairings.  Each two-point value is ``space.pair_value`` from the
+    images K^-1 q_i and (K^-1 q_i) G, computed once per argument.
     """
     vecs = [space._check_vector(q) for q in args]
     m = len(vecs)
@@ -119,17 +143,15 @@ def wick_moment(space: CcrSpace, args: Sequence) -> float:
         return 0.0
     if m == 0:
         return 1.0
-    pair = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair[(i, j)] = space.pair_value(vecs[i], vecs[j])
-    total = 0.0
-    for partition in pair_partitions(m):
-        prod = 1.0
-        for ij in partition:
-            prod *= pair[ij]
-        total += prod
-    return total
+    images = [space.k_inv @ q for q in vecs]
+    rows = [w @ space.gram for w in images]
+    pair = np.zeros((m, m))
+    for i, j in itertools.combinations(range(m), 2):
+        pair[i, j] = rows[i] @ images[j]
+    parts = _pairings(m)
+    prods = np.prod(pair[parts[..., 0], parts[..., 1]], axis=1)
+    # summed left to right from 0.0, pairing by pairing
+    return functools.reduce(operator.add, prods.tolist(), 0.0)
 
 
 def moment_oracle(space: CcrSpace, args: Sequence) -> float:
@@ -140,6 +162,11 @@ def moment_oracle(space: CcrSpace, args: Sequence) -> float:
     2^m stencil with ``ORACLE_LEVELS`` Richardson eliminations.  Arguments are
     normalized to unit K^-1-image (moments are multilinear) so the step is
     scale-free.  Limited to m <= 6; beyond that step noise dominates.
+
+    Every step h = ORACLE_STEP / 2^j is a power of two, so scaling the stencil
+    points by h is exact and the exponent -<x|x>/2 at step h is h^2 times the
+    one at step 1, bit for bit (barring underflow): the quadratic form is
+    evaluated once and every level takes its exponentials from it.
     """
     vecs = [space._check_vector(q) for q in args]
     m = len(vecs)
@@ -154,18 +181,14 @@ def moment_oracle(space: CcrSpace, args: Sequence) -> float:
     if any(s == 0.0 for s in norms):
         return 0.0
     unit = np.stack([w / s for w, s in zip(images, norms)])
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
-    parity = np.prod(signs, axis=1)
-
-    def stencil(h: float) -> float:
-        # evaluate Z on the summed vector directly; no pair-value sharing with
-        # the partition enumerator
-        combos = (signs * h) @ unit
-        exponent = -0.5 * np.einsum("ki,ij,kj->k", combos, space.gram, combos)
-        terms = parity * np.expm1(exponent)
-        return math.fsum(terms.tolist()) / (2.0 * h) ** m
-
-    values = [stencil(ORACLE_STEP / 2 ** j) for j in range(ORACLE_LEVELS)]
+    signs, parity = _stencil_signs(m)
+    # evaluate Z on the summed vectors directly; no pair-value sharing with
+    # the partition enumerator
+    combos = signs @ unit
+    exponent = -0.5 * np.einsum("ki,ij,kj->k", combos, space.gram, combos)
+    steps = (ORACLE_STEP / 2.0 ** np.arange(ORACLE_LEVELS)).tolist()
+    terms = parity * np.expm1(np.square(steps)[:, None] * exponent)
+    values = [math.fsum(row) / (2.0 * h) ** m for row, h in zip(terms.tolist(), steps)]
     for level in range(1, ORACLE_LEVELS):
         factor = 4.0 ** level
         values = [
@@ -175,16 +198,20 @@ def moment_oracle(space: CcrSpace, args: Sequence) -> float:
     return values[0] * (-1.0) ** (m // 2) * float(np.prod(norms))
 
 
-def quasi_invariance_factor(space: CcrSpace, q, u) -> float:
+def quasi_invariance_factor(space: CcrSpace, q, u):
     """Radon-Nikodym square root a_K(q, u) = exp(-M_K(Sq)/4 - <Sq, u>/2).
 
     Satisfies a(0, u) = 1 and the cocycle law
     a(q + q', u) = a(q, u) * a(q', u + u_q) with u_q the Gram image of q.
+    q and u may be stacks of vectors along leading axes (last axis n); the
+    factors come back in their broadcast shape, a float for two vectors.
     """
-    q = space._check_vector(q)
-    u = space._check_vector(u)
-    sq = space.s_op @ q
-    return float(np.exp(-0.25 * space.covariance_form(sq) - 0.5 * float(sq @ u)))
+    q = space._check_vector(q, stack=True)
+    u = space._check_vector(u, stack=True)
+    sq = q @ space.s_op.T
+    w = sq @ space.k_inv.T
+    value = np.exp(-0.25 * np.sum((w @ space.gram) * w, axis=-1) - 0.5 * np.sum(sq * u, axis=-1))
+    return float(value) if value.ndim == 0 else value
 
 
 def gaussian_density(space: CcrSpace, w) -> float:
@@ -209,16 +236,23 @@ class FockTruncation:
     canonical commutator holds exactly on the protected subspace of total
     occupation <= n_max - 1 and the vacuum is annihilated exactly.
 
-    No ladder matrix is stored.  Mode m's creation operator a+(e_m) has one
-    entry per column j, sqrt(occ_j[m] + 1) in row ``raise_rows[m, j]``
-    (``raise_values[m, j]``; the row is -1 where the raised tuple leaves the
-    truncation), and a-(e_m) is its transpose, so ``lower_rows`` inverts
-    ``raise_rows``.  These (n, dim) arrays take O(n dim) memory;
-    :meth:`commutator_defect` and :meth:`a_minus_action` work on them in
-    O(n^2 dim).  :meth:`a_plus`, :meth:`a_minus`, :meth:`field`,
+    ``occupations`` is the (dim, n) integer array of the basis tuples in
+    (total, lexicographic) order.  No ladder matrix is stored.  Mode m's
+    creation operator a+(e_m) has one entry per column j, sqrt(occ_j[m] + 1)
+    in row ``raise_rows[m, j]`` (``raise_values[m, j]``; the row is -1 where
+    the raised tuple leaves the truncation), and a-(e_m) is its transpose, so
+    ``lower_rows`` inverts ``raise_rows``.  These (n, dim) arrays take O(n dim)
+    memory; :meth:`commutator_defect` and :meth:`a_minus_action` work on them
+    in O(n^2 dim).  :meth:`a_plus`, :meth:`a_minus`, :meth:`field`,
     :meth:`momentum` and :meth:`number_operator` build dense dim x dim
     matrices from them on request.  The basis size C(n + n_max, n) is checked
     against ``FOCK_BASIS_LIMIT`` before any tuple is enumerated.
+
+    The basis is built with arrays, one mode at a time, and each raised
+    tuple's row is its rank: with R_i = s - t_0 - ... - t_{i-1} for a tuple t
+    of total s and k_i = n - 1 - i, the tuples of total s that precede t
+    lexicographically number sum_i C(R_i + k_i, k_i) - C(R_{i+1} + k_i, k_i),
+    and C(n + s - 1, n) tuples have a smaller total.
     """
 
     def __init__(self, space: CcrSpace, n_max: int):
@@ -229,31 +263,41 @@ class FockTruncation:
         if size > FOCK_BASIS_LIMIT:
             raise NumericalError(f"truncated basis of size {size} exceeds limit {FOCK_BASIS_LIMIT}")
         self.space = space
-        self.n_max = int(n_max)
+        self.n_max = top = int(n_max)
         self.modes = space.orthonormal_modes()
-        states = []
-
-        def grow(prefix, budget):
-            if len(prefix) == n:
-                states.append(tuple(prefix))
-                return
-            for k in range(budget + 1):
-                grow(prefix + [k], budget - k)
-
-        grow([], self.n_max)
-        states.sort(key=lambda t: (sum(t), t))
-        self.occupations = tuple(states)
-        self.index = {t: i for i, t in enumerate(states)}
-        self.dim = len(states)
-        self.raise_rows = np.full((n, self.dim), -1, dtype=np.intp)
-        self.lower_rows = np.full((n, self.dim), -1, dtype=np.intp)
-        for col, occ in enumerate(states):
-            if sum(occ) < self.n_max:
-                for mode in range(n):
-                    row = self.index[occ[:mode] + (occ[mode] + 1,) + occ[mode + 1:]]
-                    self.raise_rows[mode, col] = row
-                    self.lower_rows[mode, row] = col
-        self.raise_values = np.sqrt(np.array(states, dtype=float).T + 1.0)
+        self.dim = size
+        # count[b, r] = C(b + r, r): the r-mode tuples of total <= b
+        count = np.array([[math.comb(b + r, r) for r in range(n + 1)] for b in range(top + 1)])
+        # lexicographic order over all totals: a prefix of the first i modes
+        # that leaves budget b spans count[b, n - i] rows, split by t_i = 0..b
+        occ = np.empty((n, size), dtype=np.intp)
+        budget = np.array([top])
+        for i in range(n):
+            spans = budget + 1
+            digit = np.arange(spans.sum()) - np.repeat(np.cumsum(spans) - spans, spans)
+            budget = np.repeat(budget, spans) - digit
+            occ[i] = np.repeat(digit, count[budget, n - 1 - i])
+        order = np.argsort(top - budget, kind="stable")
+        occ = occ[:, order]
+        self.occupations = occ.T
+        self.raise_values = np.sqrt(occ + 1.0)
+        # rank t + e_m for every protected tuple t and mode m: the terms of the
+        # sum over i are those of t shifted by one budget unit for i < m, mixed
+        # at i = m and those of t itself for i > m
+        prot = self.protected_indices()
+        total = (top - budget[order])[prot]
+        rem = total - np.concatenate([np.zeros((1, len(prot)), dtype=np.intp),
+                                      np.cumsum(occ[:, prot], axis=0)])
+        k = np.arange(n - 1, -1, -1)[:, None]
+        before = count[rem[:-1] + 1, k] - count[rem[1:] + 1, k]
+        after = count[rem[:-1], k] - count[rem[1:], k]
+        at = count[rem[:-1] + 1, k] - count[rem[1:], k]
+        raised = (count[total, n] + np.cumsum(before, axis=0) - before + at
+                  + np.sum(after, axis=0) - np.cumsum(after, axis=0))
+        self.raise_rows = np.full((n, size), -1, dtype=np.intp)
+        self.raise_rows[:, prot] = raised
+        self.lower_rows = np.full((n, size), -1, dtype=np.intp)
+        self.lower_rows[np.arange(n)[:, None], raised] = prot
 
     def _ladder(self, q, transpose: bool) -> np.ndarray:
         c = self.space.mode_coefficients(q)
@@ -287,43 +331,40 @@ class FockTruncation:
         return np.diag(diag)
 
     def a_minus_action(self, q, v) -> np.ndarray:
-        """a-(q) v, read off the ladder arrays: (a-(e_m) v)_j = sqrt(occ_j[m] + 1) v[raise_m(j)]."""
-        c = self.space.mode_coefficients(q)
+        """a-(q) v, read off the ladder arrays: (a-(e_m) v)_j = sqrt(occ_j[m] + 1) v[raise_m(j)].
+
+        A stack of vectors q (last axis n) gives the stack of their actions.
+        """
         v = np.asarray(v)
-        out = np.zeros(self.dim, dtype=np.result_type(v, float))
-        for ck, rows, vals in zip(c, self.raise_rows, self.raise_values):
-            keep = rows >= 0
-            out[keep] += ck * vals[keep] * v[rows[keep]]
-        return out
+        lowered = np.where(self.raise_rows >= 0, self.raise_values * v[self.raise_rows], 0.0)
+        return self.space.mode_coefficients(q) @ lowered
 
     def commutator_defect(self, q, qp) -> float:
         """max |[a-(q), a+(q')] - <q, q'> I| over the protected rows and columns.
 
         Both products keep the total occupation, so the protected columns map
         into the protected rows; each of the n^2 mode pairs (m, m') adds the
-        entries of a-(e_m) a+(e_m') and a+(e_m') a-(e_m) on those columns.
+        entries of a-(e_m) a+(e_m') and a+(e_m') a-(e_m) on those columns, in
+        the order (m, m', product, column), all m' at once.
         """
         c = self.space.mode_coefficients(q)
         cp = self.space.mode_coefficients(qp)
         prot = self.protected_indices()
+        up = self.raise_rows[:, prot]                     # row m': j raised by m' (always inside)
+        up_values = cp[:, None] * self.raise_values[:, prot]
         rows, cols, vals = [], [], []
         for m in range(self.space.n):
-            for mp in range(self.space.n):
-                # a-(e_m) a+(e_m'): raise j by m' to k (always inside), lower k by m
-                k = self.raise_rows[mp, prot]
-                i = self.lower_rows[m, k]
-                keep = i >= 0
-                rows.append(i[keep])
-                cols.append(prot[keep])
-                vals.append((c[m] * self.raise_values[m, i[keep]])
-                            * (cp[mp] * self.raise_values[mp, prot[keep]]))
-                # a+(e_m') a-(e_m): lower j by m to k, raise k by m' (inside again)
-                k = self.lower_rows[m, prot]
-                keep = k >= 0
-                k = k[keep]
-                rows.append(self.raise_rows[mp, k])
-                cols.append(prot[keep])
-                vals.append(-(cp[mp] * self.raise_values[mp, k]) * (c[m] * self.raise_values[m, k]))
+            # a-(e_m) a+(e_m'): raise j by m' to k, lower k by m
+            i = self.lower_rows[m, up]
+            # a+(e_m') a-(e_m): lower j by m to k, raise k by m' (inside again)
+            k = self.lower_rows[m, prot]
+            keep = np.stack([i >= 0, np.broadcast_to(k >= 0, i.shape)], axis=1)
+            rows.append(np.stack([i, self.raise_rows[:, k]], axis=1)[keep])
+            cols.append(np.broadcast_to(prot, keep.shape)[keep])
+            vals.append(np.stack([
+                (c[m] * self.raise_values[m, i]) * up_values,
+                -(cp[:, None] * self.raise_values[:, k]) * (c[m] * self.raise_values[m, k]),
+            ], axis=1)[keep])
         keys, where = np.unique(np.concatenate(rows) * self.dim + np.concatenate(cols),
                                 return_inverse=True)
         entries = np.bincount(where, weights=np.concatenate(vals))
@@ -332,7 +373,7 @@ class FockTruncation:
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim)
-        v[self.index[(0,) * self.space.n]] = 1.0
+        v[0] = 1.0
         return v
 
     def protected_indices(self) -> np.ndarray:

@@ -183,11 +183,12 @@ def intertwining_residual(factors) -> float:
 def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceReport:
     """Decide whether two states generate equivalent cyclic representations.
 
-    Kernels (vanishing blocks) are compared first, then carrier dimensions,
-    then the rank vectors (the multiplicity of each block).  Equal rank
-    vectors give the same representation matrices, so the identity is the
-    intertwiner; its residual and the transition elements are verified.
-    States within 1e-12 are one state, and I is certified on pi_f alone.
+    States within 1e-12 are one state, and I is certified on pi_f alone,
+    whatever the rank cut made of either.  Other pairs compare kernels
+    (vanishing blocks) first, then carrier dimensions, then the rank vectors
+    (the multiplicity of each block).  Equal rank vectors give the same
+    representation matrices, so the identity is the intertwiner; its residual
+    and the transition elements are verified.
     """
     rep_f = gns_construct(algebra, f)
     rep_g = gns_construct(algebra, g)
@@ -198,15 +199,16 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
         return EquivalenceReport(verdict="inequivalent", kernel_first=kernels[0],
                                  kernel_second=kernels[1], note=note, carrier_dims=dims)
 
-    if rep_f.vanished_blocks != rep_g.vanished_blocks:
-        return inequivalent("representation kernels differ")
-    if rep_f.carrier_dim != rep_g.carrier_dim:
-        return inequivalent("equal kernels but different carrier dimensions "
-                            f"{dims[0]} != {dims[1]} (different multiplicities)")
     equal_states = all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(f.densities, g.densities))
-    if not equal_states and rep_f.ranks != rep_g.ranks:
-        return inequivalent("equal kernels and carrier dimensions but different "
-                            f"multiplicities {list(rep_f.ranks)} != {list(rep_g.ranks)}")
+    if not equal_states:
+        if kernels[0] != kernels[1]:
+            return inequivalent("representation kernels differ")
+        if dims[0] != dims[1]:
+            return inequivalent("equal kernels but different carrier dimensions "
+                                f"{dims[0]} != {dims[1]} (different multiplicities)")
+        if rep_f.ranks != rep_g.ranks:
+            return inequivalent("equal kernels and carrier dimensions but different "
+                                f"multiplicities {list(rep_f.ranks)} != {list(rep_g.ranks)}")
 
     report = EquivalenceReport(
         verdict="equal" if equal_states else "equivalent",

@@ -29,6 +29,16 @@ momentum lattice: one phase per lattice point, as ``opalg.fields`` summed
 before it folded every sum onto the octant p_i >= 0 as cosine products.
 Each returns the value with the sum of the absolute values of its terms, the
 scale its rounding error is bounded by.
+
+``fock_ladders_by_tuples`` enumerates the truncated Fock basis as tuples,
+sorts them and looks every raised tuple up in a dict, one (basis state,
+mode) pair at a time, as ``opalg.ccr.FockTruncation`` did before it ranked
+them with arrays, and ``commutator_defect_by_mode_pairs`` collects the
+commutator entries one mode pair (m, m') at a time, where
+``FockTruncation.commutator_defect`` takes every m' at once.  ``pair_partitions_by_recursion`` is the recursive
+enumeration of pairings, and ``wick_by_partitions`` and
+``moment_oracle_by_levels`` are the per-pairing and per-level loops that ``wick_moment`` and
+``moment_oracle`` replaced with array expressions doing the same arithmetic.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import numpy as np
 import yaml
 
 from opalg.algebra import evaluate_state
+from opalg.ccr import ORACLE_LEVELS, ORACLE_STEP
 from opalg.fields import TWO_PI, MassShellGrid, TestFunction, shell_bilinear_form
 from opalg.linalg import block_diag, fix_phases, gram_quotient
 
@@ -157,11 +168,11 @@ def gram_gns(algebra, f) -> OracleRep:
 
 def equivalence_verdict(algebra, f, g) -> str:
     """equal | equivalent | inequivalent, deciding equivalence by an invertible intertwiner."""
+    if all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(f.densities, g.densities)):
+        return "equal"
     rep_f, rep_g = gram_gns(algebra, f), gram_gns(algebra, g)
     if rep_f.vanished_blocks != rep_g.vanished_blocks or rep_f.carrier_dim != rep_g.carrier_dim:
         return "inequivalent"
-    if all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(f.densities, g.densities)):
-        return "equal"
     space = intertwiner_space(rep_f.generator_matrices, rep_g.generator_matrices)
     gamma, _ = best_invertible(space)
     return "inequivalent" if gamma is None else "equivalent"
@@ -305,3 +316,95 @@ def witness_shell_values_by_grid(mass_first, mass_second, cutoff, points):
         psi = TestFunction.from_profile(grid, profile)
         values.append(float(shell_bilinear_form(grid, psi, psi).real))
     return tuple(values)
+
+
+def fock_ladders_by_tuples(n: int, n_max: int):
+    """(occupations, raise_rows, lower_rows, raise_values) of the n-mode basis of total <= n_max."""
+    states = [()]
+    for _ in range(n):
+        states = [t + (k,) for t in states for k in range(n_max - sum(t) + 1)]
+    states.sort(key=lambda t: (sum(t), t))
+    index = {t: i for i, t in enumerate(states)}
+    raise_rows = np.full((n, len(states)), -1, dtype=np.intp)
+    lower_rows = np.full((n, len(states)), -1, dtype=np.intp)
+    for col, occ in enumerate(states):
+        if sum(occ) < n_max:
+            for mode in range(n):
+                row = index[occ[:mode] + (occ[mode] + 1,) + occ[mode + 1:]]
+                raise_rows[mode, col] = row
+                lower_rows[mode, row] = col
+    return states, raise_rows, lower_rows, np.sqrt(np.array(states, dtype=float).T + 1.0)
+
+
+def commutator_defect_by_mode_pairs(fock, q, qp) -> float:
+    """FockTruncation.commutator_defect with one pass per mode pair (m, m'), in that order."""
+    c = fock.space.mode_coefficients(q)
+    cp = fock.space.mode_coefficients(qp)
+    prot = fock.protected_indices()
+    rows, cols, vals = [], [], []
+    for m in range(fock.space.n):
+        for mp in range(fock.space.n):
+            i = fock.lower_rows[m, fock.raise_rows[mp, prot]]
+            keep = i >= 0
+            rows.append(i[keep])
+            cols.append(prot[keep])
+            vals.append((c[m] * fock.raise_values[m, i[keep]])
+                        * (cp[mp] * fock.raise_values[mp, prot[keep]]))
+            k = fock.lower_rows[m, prot]
+            keep = k >= 0
+            k = k[keep]
+            rows.append(fock.raise_rows[mp, k])
+            cols.append(prot[keep])
+            vals.append(-(cp[mp] * fock.raise_values[mp, k]) * (c[m] * fock.raise_values[m, k]))
+    keys, where = np.unique(np.concatenate(rows) * fock.dim + np.concatenate(cols),
+                            return_inverse=True)
+    entries = np.bincount(where, weights=np.concatenate(vals))
+    entries[keys // fock.dim == keys % fock.dim] -= fock.space.inner(q, qp)
+    return float(np.max(np.abs(entries)))
+
+
+def pair_partitions_by_recursion(remaining):
+    """Pairings of the tuple ``remaining``: its first element with each later one, then the rest."""
+    if not remaining:
+        yield []
+        return
+    for k in range(1, len(remaining)):
+        rest = remaining[1:k] + remaining[k + 1:]
+        for tail in pair_partitions_by_recursion(rest):
+            yield [(remaining[0], remaining[k])] + tail
+
+
+def wick_by_partitions(space, args) -> float:
+    """Sum over the pairings of products of space.pair_value, one pairing at a time."""
+    m = len(args)
+    if m % 2 == 1:
+        return 0.0
+    total = 0.0
+    for partition in pair_partitions_by_recursion(tuple(range(m))):
+        prod = 1.0
+        for i, j in partition:
+            prod *= space.pair_value(args[i], args[j])
+        total += prod
+    return total
+
+
+def moment_oracle_by_levels(space, args) -> float:
+    """The finite-difference moment with one stencil evaluation per level (even m >= 2)."""
+    m = len(args)
+    images = [space.k_inv @ q for q in args]
+    norms = [math.sqrt(float(w @ space.gram @ w)) for w in images]
+    unit = np.stack([w / s for w, s in zip(images, norms)])
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
+    parity = np.prod(signs, axis=1)
+
+    def stencil(h):
+        combos = (signs * h) @ unit
+        exponent = -0.5 * np.einsum("ki,ij,kj->k", combos, space.gram, combos)
+        return math.fsum((parity * np.expm1(exponent)).tolist()) / (2.0 * h) ** m
+
+    values = [stencil(ORACLE_STEP / 2 ** j) for j in range(ORACLE_LEVELS)]
+    for level in range(1, ORACLE_LEVELS):
+        factor = 4.0 ** level
+        values = [(factor * values[i + 1] - values[i]) / (factor - 1.0)
+                  for i in range(len(values) - 1)]
+    return values[0] * (-1.0) ** (m // 2) * float(np.prod(norms))

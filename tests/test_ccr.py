@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from opalg import (
     CcrSpace,
     ConstantEigenvalues,
     FiniteEigenvalues,
     NumericalError,
     PowerTailEigenvalues,
+    Scenario,
+    ShapeMismatchError,
     VacuumShift,
     build_fock_operators,
     gaussian_density,
@@ -19,6 +23,7 @@ from opalg import (
     moment_oracle,
     pair_partitions,
     quasi_invariance_factor,
+    run_scenario,
     shifted_vacuum_means,
     wick_moment,
 )
@@ -48,6 +53,8 @@ def test_pair_partitions_are_ordered_and_cover():
         flat = [i for pair in partition for i in pair]
         assert sorted(flat) == list(range(6))
         assert all(i < j for i, j in partition)
+    for m in range(11):
+        assert list(pair_partitions(m)) == list(oracles.pair_partitions_by_recursion(tuple(range(m))))
 
 
 def test_ccr_space_validation():
@@ -105,6 +112,39 @@ def test_moment_oracle_matches_wick_on_random_instances():
             wick = wick_moment(space, args)
             oracle = moment_oracle(space, args)
             assert abs(wick - oracle) <= 1e-6 * max(abs(wick), 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_wick_moment_and_oracle_equal_their_loops(n, seed):
+    # the array forms do the same arithmetic as the per-pairing and per-level loops
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    for m in range(9):
+        args = [rng.normal(size=n) for _ in range(m)]
+        assert wick_moment(space, args) == oracles.wick_by_partitions(space, args)
+        if m % 2 == 0 and 2 <= m <= 6:
+            assert moment_oracle(space, args) == oracles.moment_oracle_by_levels(space, args)
+
+
+def test_stacked_quasi_invariance_factor_matches_single_calls():
+    rng = np.random.default_rng(69)
+    for n in (1, 3, 5):
+        space = _random_space(rng, n)
+        q, u = rng.normal(size=(2, 4, 3, n))
+        stacked = quasi_invariance_factor(space, q, u)
+        assert stacked.shape == (4, 3)
+        single = np.array([[quasi_invariance_factor(space, a, b) for a, b in zip(*rows)]
+                           for rows in zip(q, u)])
+        assert np.max(np.abs(stacked - single) / np.abs(single)) <= 1e-13
+        # one vector broadcast against a stack
+        spread = quasi_invariance_factor(space, q[0, 0], u)
+        single = np.array([[quasi_invariance_factor(space, q[0, 0], b) for b in rows] for rows in u])
+        assert np.max(np.abs(spread - single) / np.abs(single)) <= 1e-13
+        with pytest.raises(ShapeMismatchError):
+            quasi_invariance_factor(space, np.zeros((4, n + 1)), np.zeros((4, n + 1)))
+        with pytest.raises(ShapeMismatchError):
+            quasi_invariance_factor(space, np.zeros((4, n)), np.zeros((4, n + 1)))
 
 
 def test_quasi_invariance_at_zero():
@@ -247,6 +287,51 @@ def test_fock_basis_size_guard():
         build_fock_operators(unit_space(4), 40)
 
 
+@st.composite
+def _small_fock_shapes(draw):
+    """(n, n_max) with at most 500 basis states: C(n + n_max, n) is symmetric in the
+    two, so draw the shorter side (C(12, 6) > 500 bounds it by 5), the longer, and
+    which of them is n."""
+    short = draw(st.integers(1, 5))
+    longest = max(b for b in range(short, 500) if math.comb(short + b, short) <= 500)
+    side = draw(st.integers(short, longest))
+    return draw(st.sampled_from([(short, side), (side, short)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_small_fock_shapes())
+def test_ranked_ladders_equal_the_tuple_enumeration(shape):
+    n, n_max = shape
+    fock = build_fock_operators(unit_space(n), n_max)
+    states, raise_rows, lower_rows, raise_values = oracles.fock_ladders_by_tuples(n, n_max)
+    assert fock.dim == len(states)
+    assert np.array_equal(fock.occupations, np.array(states))
+    assert np.array_equal(fock.raise_rows, raise_rows)
+    assert np.array_equal(fock.lower_rows, lower_rows)
+    assert np.array_equal(fock.raise_values, raise_values)
+
+
+def test_fock_space_with_more_modes_than_the_recursion_limit():
+    # one recursion level per mode overflowed the stack here
+    n = sys.getrecursionlimit() + 100
+    fock = build_fock_operators(CcrSpace(np.eye(n), np.eye(n)), 1)
+    assert fock.dim == n + 1
+    # e_{n-1}, ..., e_0 follow the vacuum in lexicographic order
+    assert np.array_equal(fock.raise_rows[:, 0], n - np.arange(n))
+
+
+def test_ccr_scenario_with_more_modes_than_the_recursion_limit():
+    # built in code: parsing a document this size is slow; every mode's
+    # annihilator is checked on the vacuum in one array expression
+    n = sys.getrecursionlimit() + 100
+    report = run_scenario(Scenario("ccr", {"space": CcrSpace(np.eye(n), np.eye(n)), "fock": 1}))
+    checks = [line for line in report.lines if line.endswith((" pass", " FAIL"))]
+    assert len(checks) == 3 and all(line.endswith(" pass") for line in checks)
+    assert f"fock_basis_size = {n + 1} [computed]" in report.lines
+    assert ("vacuum_annihilation = +0.000000000000e+00 [tol 0.0e+00 default, computed] pass"
+            in report.lines)
+
+
 def _traced_peak_mb(func):
     tracemalloc.start()
     try:
@@ -294,15 +379,19 @@ def test_index_array_ladders_match_dense_products(n, n_max, seed):
                                 * float(np.sum(np.abs(space.mode_coefficients(qp)))))
     defect = fock.commutator_defect(q, qp)
     assert defect <= 1e-13 * scale
+    assert defect == oracles.commutator_defect_by_mode_pairs(fock, q, qp)
     assert abs(defect - _dense_commutator_defect(fock, q, qp)) <= 1e-13 * scale
     v = rng.normal(size=fock.dim) + 1j * rng.normal(size=fock.dim)
     assert np.max(np.abs(fock.a_minus_action(q, v) - fock.a_minus(q) @ v)) <= 1e-13 * scale
     assert not np.any(fock.a_minus_action(q, fock.vacuum()))
+    both = fock.a_minus_action(np.stack([q, qp]), v)
+    assert np.max(np.abs(both - np.stack([fock.a_minus(q) @ v, fock.a_minus(qp) @ v]))) <= 1e-13 * scale
     # the same kernels on distorted ladder values, where the defect is of order one,
     # still agree with the dense products built from those values
     fock.raise_values = fock.raise_values * rng.uniform(0.5, 1.5, size=fock.raise_values.shape)
     dense = _dense_commutator_defect(fock, q, qp)
     assert abs(fock.commutator_defect(q, qp) - dense) <= 1e-13 * scale
+    assert fock.commutator_defect(q, qp) == oracles.commutator_defect_by_mode_pairs(fock, q, qp)
     assert np.max(np.abs(fock.a_minus_action(q, v) - fock.a_minus(q) @ v)) <= 1e-13 * scale
 
 

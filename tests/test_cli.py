@@ -660,6 +660,26 @@ def test_cli_equal_states_split_at_the_rank_cut(tmp_path, capsys):
             in lines)
 
 
+def test_cli_equal_states_with_different_carrier_dimensions(tmp_path, capsys):
+    # states 8e-13 apart whose rank cut gives carrier dimensions 6 and 4 are one state
+    path = tmp_path / "dims.yaml"
+    path.write_text(
+        "kind: equiv\nalgebra: {blocks: [2, 2]}\nstates:\n"
+        "  - densities:\n"
+        "      - [[[0.5, 0], [0, 0]], [[0, 0], [4.4e-12, 0]]]\n"
+        "      - [[[0.5, 0], [0, 0]], [[0, 0], [0, 0]]]\n"
+        "  - densities:\n"
+        "      - [[[0.5, 0], [0, 0]], [[0, 0], [3.6e-12, 0]]]\n"
+        "      - [[[0.5, 0], [0, 0]], [[0, 0], [0, 0]]]\n")
+    assert main(["run", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "verdict = equal [computed]" in lines
+    assert "carrier_dims = [6, 4] [computed]" in lines
+    assert not any(line.startswith("note = ") for line in lines)
+    assert ("intertwiner_residual = +0.000000000000e+00 [tol 1.0e-08 default, computed] pass"
+            in lines)
+
+
 def test_cli_report_into_a_missing_directory_is_created(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     batch = tmp_path / "batch"

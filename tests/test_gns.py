@@ -229,6 +229,20 @@ def test_equal_states_whose_rank_vectors_split_at_the_cut():
     assert report.transition_residual <= 1e-12
 
 
+def test_equal_states_with_different_carrier_dimensions():
+    # 8e-13 apart, but the rank cut gives carrier dimensions 6 and 4: one
+    # state, so the identity is certified on the first state's representation
+    f = State(M2M2, [np.diag([0.5, 4.4e-12]), np.diag([0.5, 0.0])])
+    g = State(M2M2, [np.diag([0.5, 3.6e-12]), np.diag([0.5, 0.0])])
+    report = equivalence_check(M2M2, f, g)
+    assert report.carrier_dims == (6, 4)
+    assert report.verdict == oracles.equivalence_verdict(M2M2, f, g) == "equal"
+    assert not report.note
+    assert report.intertwiner_residual == 0.0
+    assert np.array_equal(report.intertwiner, np.eye(6))
+    assert report.transition_residual <= 1e-12
+
+
 def test_equivalence_with_matching_multiplicities_on_mixed_blocks():
     # same rank pattern on unequal blocks: representations coincide up to
     # an invertible intertwiner even though the states differ
