@@ -63,6 +63,7 @@ from .gns import (
     EquivalenceReport,
     GnsRep,
     commutant_basis,
+    cyclic_vector_residual,
     equivalence_check,
     gns_construct,
     intertwining_residual,

@@ -20,6 +20,15 @@ with the multiplicity mu(p) = prod_i (1 if p_i = 0 else 2).  A sum then costs
 ((N+1)/2)^d weights times one length-(N+1)/2 cosine vector per axis instead of
 N^d phases; only the rounding differs from the direct sum.  The full-grid
 arrays that test functions live on are derived on first use.
+
+The time dependence of a shell sum, e^{-i omega x0} or sin(omega x0), depends
+on p only through omega, and the octant of an N-point grid holds far fewer
+distinct omega values than points (1007 of 9261 at N = 41).  Each such phase
+is evaluated once per distinct shell (``MassShellGrid.shells``) and gathered
+back onto the octant, which gives the very array a per-point evaluation
+gives.  The weighted phase mu w e^{-i omega x0} is a sheet shared by every
+point of one time slice: the Klein-Gordon stencil builds three (x0, x0 + h,
+x0 - h) for its nine points.
 """
 
 from __future__ import annotations
@@ -87,6 +96,16 @@ class MassShellGrid:
         self.half_axis, self.octant_p_squared, mult = _fold(self.points, self.spacing, 3)
         self.octant_omega = np.sqrt(self.octant_p_squared + self.mass**2)
         self.octant_weights = mult * self.spacing**3 / self.octant_omega
+
+    @cached_property
+    def shells(self):
+        """Distinct values of ``octant_omega`` and the index rebuilding it from them.
+
+        Found on the float values themselves, so values[index] is
+        ``octant_omega`` bit for bit.
+        """
+        values, index = np.unique(self.octant_omega, return_inverse=True)
+        return values, index.reshape(self.octant_omega.shape)
 
     @cached_property
     def momenta(self) -> np.ndarray:
@@ -161,6 +180,18 @@ class TestFunction:
         return TestFunction(self.grid, half, -half)
 
 
+def _minus_sheet(grid: MassShellGrid, x0: float) -> np.ndarray:
+    """mu w e^{-i omega x0} over the octant, one exp per distinct shell."""
+    omega, index = grid.shells
+    return grid.octant_weights * np.exp(-1j * (omega * x0))[index]
+
+
+def _minus_value(grid: MassShellGrid, sheet: np.ndarray, space) -> complex:
+    """D^- at the spatial point ``space`` of the time slice ``sheet`` belongs to."""
+    total = np.einsum("ijk,i,j,k->", sheet, *_cosines(grid.half_axis, space))
+    return complex(0.5j * TWO_PI**-3 * total)
+
+
 def pauli_jordan_minus(grid: MassShellGrid, x) -> complex:
     """Negative-frequency commutator function on the positive mass shell.
 
@@ -168,9 +199,7 @@ def pauli_jordan_minus(grid: MassShellGrid, x) -> complex:
     as the octant sum of mu w e^{-i omega x0} prod_i cos(p_i x_i).
     """
     x = _four_vector(x, "spacetime")
-    sheet = grid.octant_weights * np.exp(-1j * (grid.octant_omega * x[0]))
-    total = np.einsum("ijk,i,j,k->", sheet, *_cosines(grid.half_axis, x[1:]))
-    return complex(0.5j * TWO_PI**-3 * total)
+    return _minus_value(grid, _minus_sheet(grid, x[0]), x[1:])
 
 
 def pauli_jordan(grid: MassShellGrid, x) -> complex:
@@ -181,7 +210,8 @@ def pauli_jordan(grid: MassShellGrid, x) -> complex:
     the factor sin(omega x0), so the equal-time value is an exact zero.
     """
     x = _four_vector(x, "spacetime")
-    sheet = grid.octant_weights * np.sin(grid.octant_omega * x[0])
+    omega, index = grid.shells
+    sheet = grid.octant_weights * np.sin(omega * x[0])[index]
     total = np.einsum("ijk,i,j,k->", sheet, *_cosines(grid.half_axis, x[1:]))
     return complex(TWO_PI**-3 * total)
 
@@ -273,15 +303,26 @@ def commutator_identity_check(grid: MassShellGrid, x, y) -> float:
 
 
 def klein_gordon_residual(grid: MassShellGrid, x, h: float) -> float:
-    """|(box_h + m^2) D^-| with centered second differences of step h."""
-    x = np.asarray(x, dtype=float)
-    center = pauli_jordan_minus(grid, x)
+    """|(box_h + m^2) D^-| with centered second differences of step h.
+
+    The center and its six spatial neighbours share the time slice x0, and
+    with it one sheet; only the two time neighbours need their own.
+    """
+    x = _four_vector(x, "spacetime")
+    sheet = _minus_sheet(grid, x[0])
+    center = _minus_value(grid, sheet, x[1:])
     acc = 0.0 + 0.0j
     for axis in range(4):
         e = np.zeros(4)
         e[axis] = h
+        up, down = x + e, x - e
+        if axis == 0:
+            sheets = _minus_sheet(grid, up[0]), _minus_sheet(grid, down[0])
+        else:
+            sheets = sheet, sheet
         second = (
-            pauli_jordan_minus(grid, x + e) + pauli_jordan_minus(grid, x - e) - 2.0 * center
+            _minus_value(grid, sheets[0], up[1:]) + _minus_value(grid, sheets[1], down[1:])
+            - 2.0 * center
         ) / h**2
         acc += second if axis == 0 else -second
     return abs(acc + grid.mass**2 * center)

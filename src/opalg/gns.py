@@ -20,7 +20,8 @@ Vectors of C^n (x) C^r are stored row-major, so vec(a X) = (a (x) I) vec(X).
 Certificates are recomputed rather than read off the closed form.  Every
 intertwiner certified here (the identity, the implementers of :mod:`opalg.symmetry`)
 is W = sum U_b (x) V_b, and :func:`intertwining_residual` checks W pi(a) W* =
-pi(U a U*) over all matrix units from the factors (U_b, V_b) without forming W;
+pi(U a U*) over all matrix units from the factors (U_b, V_b) without forming W,
+and :func:`cyclic_vector_residual` checks W theta = theta from the same factors;
 every transition is checked by :func:`opalg.algebra.transport_residual`.
 """
 
@@ -177,6 +178,21 @@ def intertwining_residual(factors) -> float:
         if len(v):
             defect = float(np.max(np.abs(v @ v.conj().T - np.eye(len(v)))))
             worst = max(worst, float(np.max(np.abs(u))) ** 2 * defect)
+    return worst
+
+
+def cyclic_vector_residual(factors, thetas) -> float:
+    """max |W theta - theta| for W = sum U_b (x) V_b and theta = sum vec(Theta_b).
+
+    The intertwining identity holds for U_b (x) V' with any unitary V'; this
+    identity pins V_b.  Row-major, (U_b (x) V_b) vec(Theta_b) = vec(U_b Theta_b
+    V_b^T), so the defect is max_b |U_b Theta_b V_b^T - Theta_b|:
+    O(sum n_b^2 r_b + n_b r_b^2).
+    """
+    worst = 0.0
+    for (u, v), t in zip(factors, thetas):
+        if t.size:
+            worst = max(worst, float(np.max(np.abs(u @ t @ v.T - t))))
     return worst
 
 

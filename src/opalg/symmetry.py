@@ -7,7 +7,8 @@ these matrices agree (U is only fixed up to a phase, which the group
 bookkeeping quotients away but records as a multiplier).  On the GNS carrier
 of a stationary state the implementer is closed-form too, the sum of
 U_b (x) V_b with V_b = (Theta_b^+ U_b* Theta_b)^T, and
-:func:`opalg.gns.intertwining_residual` certifies it from the pairs (U_b, V_b).
+:func:`opalg.gns.intertwining_residual` and :func:`opalg.gns.cyclic_vector_residual`
+certify it from the pairs (U_b, V_b).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import List, Optional
 import numpy as np
 
 from .algebra import UNITARY_TOL, AlgebraElement, State, dual_norm_distance
-from .errors import OpalgError, ShapeMismatchError
-from .gns import gns_construct, intertwining_residual
+from .errors import NumericalError, OpalgError, ShapeMismatchError
+from .gns import TRANSITION_TOL, cyclic_vector_residual, gns_construct, intertwining_residual
 from .linalg import block_diag
 
 STATIONARY_TOL = 1e-10    # dual-norm distance of f and its pushforward
@@ -140,7 +141,9 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
     cut, whose entries are at most 1).  Past ``tol`` the state is not stationary
     and no implementer exists; otherwise it is the sum of U_b (x) V_b with
     V_b = (Theta_b^+ U_b* Theta_b)^T, sending vec(x Theta_b) to vec(U_b x U_b* Theta_b).
-    The same pairs (U_b, V_b) build the dense unitary and its certificate.
+    The same pairs (U_b, V_b) build the dense unitary and its certificate;
+    a W that does not fix theta within ``gns.TRANSITION_TOL`` raises
+    :class:`NumericalError`.
     """
     rep = gns_construct(f.algebra, f)
     kept = [t @ t.conj().T for t in rep.factors]
@@ -150,6 +153,9 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
         return ImplementerResult(unitary=None, isometry_defect=defect)
     pairs = [(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)
              for u, t in zip(rho.unitary.mats, rep.factors)]
+    fixed = cyclic_vector_residual(pairs, rep.factors)
+    if fixed > TRANSITION_TOL:
+        raise NumericalError(f"implementer does not fix the cyclic vector ({fixed:.3e})")
     w = block_diag([np.kron(u, v) for u, v in pairs])
     return ImplementerResult(unitary=w, isometry_defect=defect,
                              intertwining_residual=intertwining_residual(pairs))

@@ -28,7 +28,11 @@ The ``*_by_grid`` functions are the direct sums over the full symmetric
 momentum lattice: one phase per lattice point, as ``opalg.fields`` summed
 before it folded every sum onto the octant p_i >= 0 as cosine products.
 Each returns the value with the sum of the absolute values of its terms, the
-scale its rounding error is bounded by.
+scale its rounding error is bounded by.  The ``*_by_octant`` functions are the
+octant sums as ``opalg.fields`` evaluated them before it took one phase per
+distinct shell frequency and shared one sheet per time slice: a phase for
+every octant point, and a fresh sheet for every stencil point.  They do the
+same arithmetic, so the two must agree exactly.
 
 ``fock_ladders_by_tuples`` enumerates the truncated Fock basis as tuples,
 sorts them and looks every raised tuple up in a dict, one (basis state,
@@ -285,6 +289,38 @@ def pauli_jordan_by_grid(grid, x):
     x = np.asarray(x, dtype=float)
     terms = TWO_PI**-3 * grid.weights * np.sin(grid.omega * x[0]) * np.cos(grid.momenta @ x[1:])
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
+
+
+def pauli_jordan_minus_by_octant(grid, x) -> complex:
+    """D^-(x) as the octant sum of mu w e^{-i omega x0} prod_i cos(p_i x_i), one exp per point."""
+    x = np.asarray(x, dtype=float)
+    sheet = grid.octant_weights * np.exp(-1j * (grid.octant_omega * x[0]))
+    cosines = [np.cos(grid.half_axis * xi) for xi in x[1:]]
+    return complex(0.5j * TWO_PI**-3 * np.einsum("ijk,i,j,k->", sheet, *cosines))
+
+
+def pauli_jordan_by_octant(grid, x) -> complex:
+    """D(x) as the octant sum of mu w sin(omega x0) prod_i cos(p_i x_i), one sine per point."""
+    x = np.asarray(x, dtype=float)
+    sheet = grid.octant_weights * np.sin(grid.octant_omega * x[0])
+    cosines = [np.cos(grid.half_axis * xi) for xi in x[1:]]
+    return complex(TWO_PI**-3 * np.einsum("ijk,i,j,k->", sheet, *cosines))
+
+
+def klein_gordon_residual_by_octant(grid, x, h) -> float:
+    """|(box_h + m^2) D^-| with every stencil point evaluated on its own."""
+    x = np.asarray(x, dtype=float)
+    center = pauli_jordan_minus_by_octant(grid, x)
+    acc = 0.0 + 0.0j
+    for axis in range(4):
+        e = np.zeros(4)
+        e[axis] = h
+        second = (
+            pauli_jordan_minus_by_octant(grid, x + e) + pauli_jordan_minus_by_octant(grid, x - e)
+            - 2.0 * center
+        ) / h**2
+        acc += second if axis == 0 else -second
+    return abs(acc + grid.mass**2 * center)
 
 
 def euclidean_propagator_by_grid(lattice, x):

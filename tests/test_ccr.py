@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,23 @@ def test_cocycle_identity_random_triples():
                * quasi_invariance_factor(space, qp, u + space.gram_image(q)))
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     assert worst <= 1e-10
+
+
+def test_cocycle_check_fails_when_the_factors_overflow():
+    # K = 1e5 I: every sample's a(q + q', u) overflows to inf or underflows to
+    # 0, so no sample tests the law; the check must not read as a pass
+    space = CcrSpace(np.eye(2), 1e5 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scenario(Scenario("ccr", {"space": space}))
+    assert ("cocycle_residual_rel = +inf [tol 1.0e-10 default, computed] FAIL"
+            in report.lines)
+
+
+def test_cocycle_check_passes_on_finite_factors():
+    report = run_scenario(Scenario("ccr", {"space": unit_space(3)}))
+    line = next(line for line in report.lines if line.startswith("cocycle_residual_rel"))
+    assert line.endswith(" pass") and "inf" not in line
 
 
 def test_one_dimensional_shift_identity_by_quadrature():

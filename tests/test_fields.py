@@ -362,6 +362,51 @@ def test_folded_witness_shell_values_match_the_full_grid(points, cutoff, first, 
         assert abs(value - reference) <= FOLD_TOL * reference
 
 
+# Each time-dependent phase is evaluated once per distinct shell frequency and
+# gathered onto the octant, and the Klein-Gordon stencil shares one sheet per
+# time slice.  Both do the arithmetic of the per-point oracles in the same
+# order, so the values must be equal, not merely close.
+@st.composite
+def repeating_four_vectors(draw):
+    pool = draw(st.lists(coordinates, min_size=1, max_size=4))
+    return np.array([draw(st.sampled_from(pool)) for _ in range(4)])
+
+
+odd_points = st.integers(1, 20).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=odd_points, mass=st.floats(0.1, 3.0), cutoff=st.floats(0.5, 6.0),
+       x=repeating_four_vectors(), h=st.floats(0.01, 0.5))
+@example(points=41, mass=1.0, cutoff=6.0, x=np.array([0.37, 0.21, -0.45, 0.11]), h=0.08)
+@example(points=3, mass=1.0, cutoff=4.0, x=np.zeros(4), h=0.04)
+@example(points=33, mass=0.8, cutoff=6.0, x=np.array([-1.5, -1.5, -1.5, -1.5]), h=0.5)
+@example(points=29, mass=1.2, cutoff=6.0, x=np.array([-0.0, 0.3, 0.3, -0.0]), h=0.04)
+def test_shell_sums_equal_the_per_point_oracles(points, mass, cutoff, x, h):
+    grid = MassShellGrid(mass, cutoff, points)
+    assert pauli_jordan_minus(grid, x) == oracles.pauli_jordan_minus_by_octant(grid, x)
+    assert pauli_jordan(grid, x) == oracles.pauli_jordan_by_octant(grid, x)
+    assert klein_gordon_residual(grid, x, h) == oracles.klein_gordon_residual_by_octant(grid, x, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=odd_points, mass=st.floats(0.1, 3.0), cutoff=st.floats(0.5, 6.0))
+@example(points=41, mass=1.0, cutoff=6.0)
+def test_shell_index_rebuilds_octant_omega_bitwise(points, mass, cutoff):
+    grid = MassShellGrid(mass, cutoff, points)
+    values, index = grid.shells
+    assert np.all(np.diff(values) > 0.0)
+    assert index.shape == grid.octant_omega.shape
+    assert np.array_equal(values[index].view(np.uint64), grid.octant_omega.view(np.uint64))
+
+
+def test_shells_are_far_fewer_than_octant_points():
+    # omega depends on p only through p^2 = spacing^2 (k1^2 + k2^2 + k3^2)
+    grid = MassShellGrid(1.0, 6.0, 41)
+    assert grid.octant_omega.size == 21**3
+    assert grid.shells[0].size == 1007
+
+
 def test_large_field_scenario_runs_in_bounded_memory():
     # the full N^3 x 3 and N^4 x 4 momentum arrays of these sizes would take
     # several hundred MB; the octant sums stay far below

@@ -4,6 +4,7 @@ import pytest
 from opalg import (
     AutomorphismGroup,
     InnerAutomorphism,
+    NumericalError,
     OpalgError,
     StarAlgebra,
     State,
@@ -16,6 +17,7 @@ from opalg import (
     stationarity_check,
     unitary_implementer,
 )
+from opalg.gns import TRANSITION_TOL, cyclic_vector_residual, intertwining_residual
 from oracles import generator_matrices
 
 M2 = StarAlgebra([2])
@@ -95,6 +97,35 @@ def test_unitary_implementer_absent_when_not_stationary():
     result = unitary_implementer(f, PAULI_GROUP[1])
     assert result.unitary is None
     assert result.isometry_defect > 1e-3
+
+
+def test_cyclic_vector_residual_pins_the_implementer():
+    # on a flat state every unitary U is stationary; the implementer's V_b and
+    # its transpose are both unitary and pass the intertwining certificate,
+    # but only V_b fixes the cyclic vector
+    m3 = StarAlgebra([3])
+    f = State.tracial(m3)
+    rng = np.random.default_rng(81)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    result = unitary_implementer(f, InnerAutomorphism(m3.element([u])))
+    rep = gns_construct(m3, f)
+    (theta,) = rep.factors
+    v = (np.linalg.pinv(theta) @ u.conj().T @ theta).T
+    assert np.max(np.abs(result.unitary - np.kron(u, v))) == 0.0
+    assert cyclic_vector_residual([(u, v)], rep.factors) <= 1e-12
+    assert intertwining_residual([(u, v.T)]) <= 1e-12
+    assert cyclic_vector_residual([(u, v.T)], rep.factors) > 1e-3
+
+
+def test_implementer_that_misses_the_cyclic_vector_raises():
+    # a pure state moved by 2e-5 under Z passes a configured isometry test at
+    # 1e-3; V = <v, Z v> is unitary to 4e-10, but W theta = Z v (1 - 2e-10)
+    # is 2e-5 away from theta = v
+    eps = 1e-5
+    v = np.array([np.cos(eps), np.sin(eps)])
+    f = State(M2, [np.outer(v, v)])
+    with pytest.raises(NumericalError, match="cyclic vector"):
+        unitary_implementer(f, PAULI_GROUP[3], tol=1e-3)
 
 
 def test_implementer_uniqueness_via_independent_solve():
