@@ -63,7 +63,6 @@ from .gns import (
     EquivalenceReport,
     GnsRep,
     commutant_basis,
-    cyclic_vector_residual,
     equivalence_check,
     gns_construct,
     intertwining_residual,

@@ -7,7 +7,7 @@ these matrices agree (U is only fixed up to a phase, which the group
 bookkeeping quotients away but records as a multiplier).  On the GNS carrier
 of a stationary state the implementer is closed-form too, the sum of
 U_b (x) V_b with V_b = (Theta_b^+ U_b* Theta_b)^T, and
-:func:`opalg.gns.intertwining_residual` and :func:`opalg.gns.cyclic_vector_residual`
+:func:`opalg.gns.intertwining_residual` and :func:`cyclic_vector_certificate`
 certify it from the pairs (U_b, V_b).
 """
 
@@ -141,9 +141,8 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
     cut, whose entries are at most 1).  Past ``tol`` the state is not stationary
     and no implementer exists; otherwise it is the sum of U_b (x) V_b with
     V_b = (Theta_b^+ U_b* Theta_b)^T, sending vec(x Theta_b) to vec(U_b x U_b* Theta_b).
-    The same pairs (U_b, V_b) build the dense unitary and its certificate;
-    a W that does not fix theta within ``gns.TRANSITION_TOL`` raises
-    :class:`NumericalError`.
+    The same pairs (U_b, V_b) build the dense unitary and its certificates;
+    :func:`cyclic_vector_certificate` checks W theta = theta.
     """
     rep = gns_construct(f.algebra, f)
     kept = [t @ t.conj().T for t in rep.factors]
@@ -153,12 +152,32 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
         return ImplementerResult(unitary=None, isometry_defect=defect)
     pairs = [(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)
              for u, t in zip(rho.unitary.mats, rep.factors)]
-    fixed = cyclic_vector_residual(pairs, rep.factors)
-    if fixed > TRANSITION_TOL:
-        raise NumericalError(f"implementer does not fix the cyclic vector ({fixed:.3e})")
+    cyclic_vector_certificate(pairs, rep.factors, defect)
     w = block_diag([np.kron(u, v) for u, v in pairs])
     return ImplementerResult(unitary=w, isometry_defect=defect,
                              intertwining_residual=intertwining_residual(pairs))
+
+
+def cyclic_vector_certificate(pairs, thetas, defect: float) -> float:
+    """max |W theta - theta| for W = sum U_b (x) V_b, raising past what ``defect`` allows.
+
+    With V_b^T = Theta_b^+ U_b* Theta_b the residual U_b Theta_b V_b^T -
+    Theta_b is -U_b Q_b U_b* Theta_b, Q_b the projector off the range of
+    Theta_b, and Q_b U_b* Theta_b Theta_b* U_b = Q_b D_b for the isometry
+    defect D_b = U_b* rho~_b U_b - rho~_b.  So the residual is at most
+    |D_b|_op / sigma_min(Theta_b) <= n_b * defect / sigma_min(Theta_b): a
+    near-stationary state that passed the isometry test may leave W theta
+    that far from theta.  A residual past that bound plus
+    ``gns.TRANSITION_TOL`` means W was built wrong and raises
+    :class:`NumericalError`.  The columns of Theta_b are orthogonal, so
+    sigma_min is their smallest norm.
+    """
+    fixed = cyclic_vector_residual(pairs, thetas)
+    allowed = max((len(t) / float(np.min(np.linalg.norm(t, axis=0)))
+                   for t in thetas if t.size), default=0.0) * defect
+    if fixed > TRANSITION_TOL + allowed:
+        raise NumericalError(f"implementer does not fix the cyclic vector ({fixed:.3e})")
+    return fixed
 
 
 @dataclass

@@ -180,6 +180,17 @@ def test_cocycle_check_fails_when_the_factors_overflow():
             in report.lines)
 
 
+def test_cocycle_check_judges_the_samples_left_in_range():
+    # K = 30 I: 54 of the 100 samples leave double range, the other 46
+    # satisfy the law to 1e-12, so the check passes on them
+    space = CcrSpace(np.eye(2), 30.0 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scenario(Scenario("ccr", {"space": space}))
+    line = next(line for line in report.lines if line.startswith("cocycle_residual_rel"))
+    assert line.endswith(" pass") and "inf" not in line
+
+
 def test_cocycle_check_passes_on_finite_factors():
     report = run_scenario(Scenario("ccr", {"space": unit_space(3)}))
     line = next(line for line in report.lines if line.startswith("cocycle_residual_rel"))

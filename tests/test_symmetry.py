@@ -17,7 +17,9 @@ from opalg import (
     stationarity_check,
     unitary_implementer,
 )
-from opalg.gns import TRANSITION_TOL, cyclic_vector_residual, intertwining_residual
+from opalg.gns import cyclic_vector_residual, intertwining_residual
+from opalg.scenarios import Scenario, run_scenario
+from opalg.symmetry import cyclic_vector_certificate
 from oracles import generator_matrices
 
 M2 = StarAlgebra([2])
@@ -117,15 +119,54 @@ def test_cyclic_vector_residual_pins_the_implementer():
     assert cyclic_vector_residual([(u, v.T)], rep.factors) > 1e-3
 
 
-def test_implementer_that_misses_the_cyclic_vector_raises():
-    # a pure state moved by 2e-5 under Z passes a configured isometry test at
-    # 1e-3; V = <v, Z v> is unitary to 4e-10, but W theta = Z v (1 - 2e-10)
-    # is 2e-5 away from theta = v
+def _plane_rotation(eps):
+    u = np.eye(3)
+    u[1:, 1:] = [[np.cos(eps), -np.sin(eps)], [np.sin(eps), np.cos(eps)]]
+    return u
+
+
+def test_near_stationary_implementer_keeps_its_report():
+    # diag(1 - 1e-4, 1e-4, 0) turned by 1e-5 in the (e2, e3) plane has
+    # isometry defect 1e-9, inside the default test; W theta misses theta by
+    # 1e-7, past TRANSITION_TOL but within defect * n / sqrt(1e-4), so the
+    # implementer is present and the scenario reports, as before the certificate
+    m3 = StarAlgebra([3])
+    f = State(m3, [np.diag([1 - 1e-4, 1e-4, 0.0])])
+    rho = InnerAutomorphism(m3.element([_plane_rotation(1e-5)]))
+    result = unitary_implementer(f, rho)
+    assert result.unitary is not None
+    rep = gns_construct(m3, f)
+    assert np.max(np.abs(result.unitary @ rep.cyclic_vector - rep.cyclic_vector)) > 1e-8
+    report = run_scenario(Scenario("symmetry", {"algebra": m3, "state": f,
+                                                "automorphisms": [rho]}))
+    assert "automorphism[0].implementer = present [computed]" in report.lines
+
+
+def test_implementer_within_a_configured_isometry_tolerance_is_present():
+    # a pure state moved by 2e-5 under Z passes an isometry test at 1e-3;
+    # W theta = Z v (1 - 2e-10) is 2e-5 away from theta = v, the distance the
+    # defect allows
     eps = 1e-5
     v = np.array([np.cos(eps), np.sin(eps)])
     f = State(M2, [np.outer(v, v)])
+    result = unitary_implementer(f, PAULI_GROUP[3], tol=1e-3)
+    assert result.unitary is not None
+    assert result.isometry_defect > 1e-5
+
+
+def test_cyclic_vector_certificate_raises_on_a_wrong_implementer():
+    # V_b^T on the flat state of M3 passes the intertwining certificate with
+    # isometry defect ~1e-16, so nothing explains its miss of theta
+    m3 = StarAlgebra([3])
+    f = State.tracial(m3)
+    rng = np.random.default_rng(81)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    defect = unitary_implementer(f, InnerAutomorphism(m3.element([u]))).isometry_defect
+    (theta,) = gns_construct(m3, f).factors
+    v = (np.linalg.pinv(theta) @ u.conj().T @ theta).T
+    assert cyclic_vector_certificate([(u, v)], [theta], defect) <= 1e-12
     with pytest.raises(NumericalError, match="cyclic vector"):
-        unitary_implementer(f, PAULI_GROUP[3], tol=1e-3)
+        cyclic_vector_certificate([(u, v.T)], [theta], defect)
 
 
 def test_implementer_uniqueness_via_independent_solve():
