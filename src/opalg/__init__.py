@@ -90,9 +90,9 @@ from .qubits import (
     PowerTail,
     QubitConfig,
     equivalence_verdict,
-    finite_marginal_state,
     local_transition_element,
     overlap_defect,
+    transition_residual,
 )
 from .scenarios import Scenario, parse_scenario, run_scenario
 from .series import SeriesVerdict

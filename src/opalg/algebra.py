@@ -9,8 +9,6 @@ elsewhere in the package decidable by dense linear algebra.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import InvalidStateError, ShapeMismatchError
@@ -19,6 +17,7 @@ from .linalg import PSD_TOL, hermitize, nuclear_norm
 HERMITIAN_TOL = 1e-10   # is_hermitian: entrywise defect relative to max(1, norm)
 UNITARY_TOL = 1e-12     # is_unitary: entrywise defect of u* u - I relative to max(1, n)
 TRACE_TOL = 1e-8        # a state's densities have total trace 1 within this
+DENSITY_HERMITIAN_TOL = 1e-8   # State: entrywise |d - d*| relative to max(1, total trace)
 
 
 def _freeze(mat: np.ndarray) -> np.ndarray:
@@ -71,11 +70,7 @@ class StarAlgebra:
     def zero(self) -> "AlgebraElement":
         return self.element([np.zeros((n, n), dtype=complex) for n in self.blocks])
 
-    def basis_labels(self):
-        return self._labels
-
-    @cached_property
-    def _labels(self) -> tuple:
+    def basis_labels(self) -> tuple:
         return tuple(f"e{b}[{i},{j}]" for b, i, j in self.basis_triples())
 
     def basis_triples(self):
@@ -213,7 +208,7 @@ class State:
         clean = []
         for d in densities:
             herm_defect = np.max(np.abs(d - d.conj().T)) if d.size else 0.0
-            if herm_defect > 1e-8 * max(scale, 1.0):
+            if herm_defect > DENSITY_HERMITIAN_TOL * max(scale, 1.0):
                 raise InvalidStateError(f"density is not Hermitian (defect {herm_defect:.3e})")
             h = hermitize(d)
             lam, vec = np.linalg.eigh(h)

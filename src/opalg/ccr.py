@@ -25,6 +25,7 @@ from .series import SeriesVerdict, p_series_verdict
 
 COND_LIMIT = 1e12           # CcrSpace rejects K with a larger condition number
 FOCK_BASIS_LIMIT = 5000     # largest truncated Fock basis FockTruncation enumerates
+GRAM_SYMMETRY_TOL = 1e-12   # CcrSpace: entrywise |G - G^T| relative to max(1, max |G|)
 ORACLE_STEP = 0.25          # moment_oracle: coarsest stencil step on unit K^-1-images
 ORACLE_LEVELS = 5           # moment_oracle: stencils, halving the step each time
 
@@ -83,7 +84,7 @@ class CcrSpace:
         n = gram.shape[0]
         if gram.shape != (n, n) or k_op.shape != (n, n):
             raise ShapeMismatchError("gram and K must be square of the same size")
-        if np.max(np.abs(gram - gram.T)) > 1e-12 * max(1.0, float(np.max(np.abs(gram)))):
+        if np.max(np.abs(gram - gram.T)) > GRAM_SYMMETRY_TOL * max(1.0, float(np.max(np.abs(gram)))):
             raise ValueError("gram matrix must be symmetric")
         lam = np.linalg.eigvalsh(gram)
         if lam[0] <= 0.0:

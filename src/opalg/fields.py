@@ -18,8 +18,8 @@ against its mirror image, so
 
 with the multiplicity mu(p) = prod_i (1 if p_i = 0 else 2).  A sum then costs
 ((N+1)/2)^d weights times one length-(N+1)/2 cosine vector per axis instead of
-N^d phases; only the rounding differs from the direct sum.  The full-grid
-arrays that test functions live on are derived on first use.
+N^d phases, contracted one axis at a time; only the rounding differs from the
+direct sum.  Full-grid arrays for test functions are derived on first use.
 
 The time dependence of a shell sum, e^{-i omega x0} or sin(omega x0), depends
 on p only through omega, and the octant of an N-point grid holds far fewer
@@ -61,9 +61,11 @@ def _fold(points: int, spacing: float, dims: int):
     return half, p_squared, math.prod(np.ix_(*[axis_mult] * dims))
 
 
-def _cosines(half_axis: np.ndarray, coords) -> list:
-    """One vector cos(p_i x_i) over the half axis per coordinate x_i."""
-    return [np.cos(half_axis * xi) for xi in coords]
+def _octant_sum(sheet: np.ndarray, half_axis: np.ndarray, coords):
+    """sum over the octant of sheet * prod_i cos(p_i x_i), contracting the last axis first."""
+    for xi in reversed(coords):
+        sheet = sheet @ np.cos(half_axis * xi)
+    return sheet
 
 
 def _four_vector(x, what: str) -> np.ndarray:
@@ -188,8 +190,7 @@ def _minus_sheet(grid: MassShellGrid, x0: float) -> np.ndarray:
 
 def _minus_value(grid: MassShellGrid, sheet: np.ndarray, space) -> complex:
     """D^- at the spatial point ``space`` of the time slice ``sheet`` belongs to."""
-    total = np.einsum("ijk,i,j,k->", sheet, *_cosines(grid.half_axis, space))
-    return complex(0.5j * TWO_PI**-3 * total)
+    return complex(0.5j * TWO_PI**-3 * _octant_sum(sheet, grid.half_axis, space))
 
 
 def pauli_jordan_minus(grid: MassShellGrid, x) -> complex:
@@ -212,8 +213,7 @@ def pauli_jordan(grid: MassShellGrid, x) -> complex:
     x = _four_vector(x, "spacetime")
     omega, index = grid.shells
     sheet = grid.octant_weights * np.sin(omega * x[0])[index]
-    total = np.einsum("ijk,i,j,k->", sheet, *_cosines(grid.half_axis, x[1:]))
-    return complex(TWO_PI**-3 * total)
+    return complex(TWO_PI**-3 * _octant_sum(sheet, grid.half_axis, x[1:]))
 
 
 def shell_bilinear_form(grid: MassShellGrid, psi: TestFunction, phi: TestFunction) -> complex:
@@ -422,8 +422,7 @@ class EuclideanLattice:
     def propagator(self, x) -> float:
         """w(x) = (2 pi)^-4 sum_p dp^4 cos(p.x) / (p^2 + m^2); even in x exactly."""
         x = _four_vector(x, "Euclidean")
-        cosines = _cosines(self.half_axis, x)
-        return float(self.measure * np.einsum("ijkl,i,j,k,l->", self.octant_weights, *cosines))
+        return float(self.measure * _octant_sum(self.octant_weights, self.half_axis, x))
 
     def band_limited_delta(self, x) -> float:
         """Image of the delta under the momentum cutoff (product of Dirichlet sums)."""

@@ -40,6 +40,7 @@ from .linalg import (GRAM_REL_CUT, PSD_TOL, block_diag, fix_global_phase, fix_ph
 
 KERNEL_TOL = 1e-9         # blocks of trace at most this lie in the representation kernel
 TRANSITION_TOL = 1e-8     # transition and pure-unitary certificates raise past this
+EQUAL_STATES_TOL = 1e-12  # equivalence_check: densities this close entrywise are one state
 
 
 @dataclass
@@ -215,7 +216,7 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
         return EquivalenceReport(verdict="inequivalent", kernel_first=kernels[0],
                                  kernel_second=kernels[1], note=note, carrier_dims=dims)
 
-    equal_states = all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(f.densities, g.densities))
+    equal_states = all(np.max(np.abs(a - b)) <= EQUAL_STATES_TOL for a, b in zip(f.densities, g.densities))
     if not equal_states:
         if kernels[0] != kernels[1]:
             return inequivalent("representation kernels differ")

@@ -14,6 +14,7 @@ from .errors import InvalidStateError
 PSD_TOL = 1e-10           # relative allowance for negative eigenvalues of a PSD matrix
 GRAM_REL_CUT = 1e-12      # eigenvalues up to size * GRAM_REL_CUT * top are null directions
 PHASE_PIVOT_TOL = 1e-12   # fix_global_phase skips entries up to this magnitude
+COMPLETION_NORM_TOL = 1e-8   # orthonormal_completion drops candidates with a smaller residual norm
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -102,7 +103,7 @@ def orthonormal_completion(vectors: np.ndarray) -> np.ndarray:
         for c in cols:
             cand = cand - np.vdot(c, cand) * c
         norm = np.linalg.norm(cand)
-        if norm > 1e-8:
+        if norm > COMPLETION_NORM_TOL:
             cols.append(cand / norm)
     return np.stack(cols, axis=1)
 

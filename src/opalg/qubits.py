@@ -5,6 +5,8 @@ two product states are equivalent exactly when the overlap-defect series
 sum_s | |<sigma(s)|sigma'(s)>| - 1 | converges.  Tails are declared, not
 truncated: a power tail places the site vector at angle c * s^-p from the
 first basis vector, and all verdicts are argued against the declared models.
+A finite difference is witnessed by b = tensor u_s, and b is checked on the
+pure marginals from their 2^k-entry product vectors, never as a dense matrix.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .algebra import StarAlgebra, State
-from .errors import ShapeMismatchError
+from .errors import NumericalError, ShapeMismatchError
+from .linalg import two_vector_unitary
 from .series import SeriesVerdict, p_series_verdict
 
 PARTIAL_SUM_WINDOW = 10_000
 UNIT_TOL = 1e-12          # unit norms, and same rays: | |<v, w>| - 1 | at most this
-MARGINAL_SITE_CAP = 8     # finite_marginal_state builds M_{2^k} for k up to this
+TRANSITION_SITE_CAP = 12  # transition_residual compares 4^k entries for k sites up to this
+ROW_BLOCK_ENTRIES = 1 << 16   # entries of w w* - x x* held at once
 
 
 @dataclass(frozen=True)
@@ -70,15 +73,16 @@ class QubitConfig:
             return np.array([np.cos(a), np.sin(a)], dtype=complex)
         return self.default
 
-    def vectors_on(self, sites: np.ndarray) -> np.ndarray:
-        """(len(sites), 2) array of site vectors, overrides applied."""
+    def window_vectors(self, count: int) -> np.ndarray:
+        """(2, count) array whose column s - 1 is the vector at site s, overrides applied."""
         if self.tail is not None:
-            a = self.tail.angles(sites)
-            vecs = np.stack([np.cos(a), np.sin(a)], axis=1).astype(complex)
+            a = self.tail.angles(np.arange(1, count + 1))
+            vecs = np.array([np.cos(a), np.sin(a)], dtype=complex)
         else:
-            vecs = np.tile(self.default, (len(sites), 1))
+            vecs = np.repeat(self.default[:, None], count, axis=1)
         for site, vec in self.overrides.items():
-            vecs[sites == site] = vec
+            if site <= count:
+                vecs[:, site - 1] = vec
         return vecs
 
     def asymptotic(self):
@@ -96,10 +100,9 @@ def overlap_defect(sigma: QubitConfig, sigma2: QubitConfig, site: int) -> float:
 
 
 def _partial_sum(sigma, sigma2) -> float:
-    sites = np.arange(1, PARTIAL_SUM_WINDOW + 1)
-    v = sigma.vectors_on(sites)
-    w = sigma2.vectors_on(sites)
-    overlaps = np.abs(np.sum(np.conj(v) * w, axis=1))
+    v = sigma.window_vectors(PARTIAL_SUM_WINDOW)
+    w = sigma2.window_vectors(PARTIAL_SUM_WINDOW)
+    overlaps = np.abs(np.conj(v[0]) * w[0] + np.conj(v[1]) * w[1])
     return float(np.sum(np.abs(overlaps - 1.0)))
 
 
@@ -166,39 +169,21 @@ def equivalence_verdict(sigma: QubitConfig, sigma2: QubitConfig) -> SeriesVerdic
                             f"defect ~ alpha_s^2/2 with leading angle exponent {lead:g}")
 
 
-def finite_marginal_state(sigma: QubitConfig, sites):
-    """Pure product state on the 2^k-dimensional local algebra over ``sites``."""
-    sites = [int(s) for s in sites]
-    if len(sites) > MARGINAL_SITE_CAP:
-        raise ShapeMismatchError(f"marginal over {len(sites)} sites exceeds cap {MARGINAL_SITE_CAP}")
-    if len(sites) != len(set(sites)):
-        raise ValueError("sites must be distinct")
-    vec = np.array([1.0 + 0.0j])
-    for s in sites:
-        vec = np.kron(vec, sigma.vector_at(s))
-    algebra = StarAlgebra([2 ** len(sites)])
-    return algebra, State.pure(algebra, 0, vec)
-
-
 @dataclass
 class LocalTransition:
-    """Local unitary witness b = tensor of one-site unitaries over the support."""
+    """Local unitary witness b = tensor of the one-site unitaries u_s over the support."""
 
     sites: tuple
-    element: object  # AlgebraElement on the local algebra over `sites`
-    algebra: StarAlgebra
+    unitaries: tuple   # u_s for each site of ``sites``, with u_s sigma(s) = sigma'(s)
 
 
 def local_transition_element(sigma: QubitConfig, sigma2: QubitConfig):
-    """Unitary b on the difference support with f_sigma'(a) = f_sigma(b* a b).
+    """The witness b on the difference support, with f_sigma'(a) = f_sigma(b* a b).
 
     Returns None when the configurations differ on an infinite set (their
     asymptotic models disagree).
     """
-    from .linalg import two_vector_unitary
-
-    a = sigma.asymptotic()
-    b = sigma2.asymptotic()
+    a, b = sigma.asymptotic(), sigma2.asymptotic()
     same_model = (
         a[0] == b[0]
         and ((a[0] == "power" and a[1:] == b[1:]) or (a[0] == "const" and _same_ray(a[1], b[1])))
@@ -209,10 +194,27 @@ def local_transition_element(sigma: QubitConfig, sigma2: QubitConfig):
         s for s in set(sigma.overrides) | set(sigma2.overrides)
         if not _same_ray(sigma.vector_at(s), sigma2.vector_at(s))
     )
-    algebra = StarAlgebra([2 ** len(support)]) if support else StarAlgebra([1])
-    if not support:
-        return LocalTransition((), algebra.identity(), algebra)
-    mat = np.array([[1.0 + 0.0j]])
-    for s in support:
-        mat = np.kron(mat, two_vector_unitary(sigma.vector_at(s), sigma2.vector_at(s)))
-    return LocalTransition(tuple(support), algebra.element([mat]), algebra)
+    unitaries = tuple(two_vector_unitary(sigma.vector_at(s), sigma2.vector_at(s)) for s in support)
+    return LocalTransition(tuple(support), unitaries)
+
+
+def transition_residual(sigma: QubitConfig, sigma2: QubitConfig, transition) -> float:
+    """max |rho' - b rho b*| of the two marginals on the support of ``transition``.
+
+    Both are pure: this is max |w w* - x x*| for the 2^k-vectors w = tensor
+    sigma'(s) and x = tensor u_s sigma(s), in O(4^k) time and O(2^k) memory,
+    a block of rows at a time from the diagonal on (the difference is Hermitian).
+    """
+    k = len(transition.sites)
+    if k > TRANSITION_SITE_CAP:
+        raise NumericalError(f"local transition over {k} sites exceeds cap {TRANSITION_SITE_CAP}")
+    w = x = np.ones(1, dtype=complex)
+    for s, u in zip(transition.sites, transition.unitaries):
+        w = np.outer(w, sigma2.vector_at(s)).ravel()
+        x = np.outer(x, u @ sigma.vector_at(s)).ravel()
+    w_conj, x_conj = w.conj(), x.conj()
+    rows = max(1, ROW_BLOCK_ENTRIES // w.size)
+    return max(
+        float(np.max(np.abs(w[i:i + rows, None] * w_conj[i:] - x[i:i + rows, None] * x_conj[i:])))
+        for i in range(0, w.size, rows)
+    )

@@ -24,7 +24,7 @@ from . import fields as fields_mod
 from . import groups as groups_mod
 from . import qubits as qubits_mod
 from . import symmetry as symmetry_mod
-from .algebra import TRACE_TOL, StarAlgebra, State, dual_norm_distance, transport_residual
+from .algebra import TRACE_TOL, StarAlgebra, State, dual_norm_distance
 from .errors import OpalgError, ValidationError
 from .gns import TRANSITION_TOL, equivalence_check, gns_construct
 
@@ -635,9 +635,7 @@ def _run_qubit(scenario: Scenario, report: Report):
         return
     report.info("local_transition_support", list(transition.sites))
     if transition.sites:
-        _, state_first = qubits_mod.finite_marginal_state(first, transition.sites)
-        _, state_second = qubits_mod.finite_marginal_state(second, transition.sites)
-        worst = transport_residual(state_first, state_second, transition.element)
+        worst = qubits_mod.transition_residual(first, second, transition)
         tol, src = _tol(scenario, "reconstruction")
         report.check("local_transition_residual", worst, tol, src)
 

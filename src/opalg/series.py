@@ -18,10 +18,6 @@ class SeriesVerdict:
     window: int
     justification: str
 
-    @property
-    def decided(self) -> bool:
-        return self.verdict != "undecided"
-
 
 def p_series_verdict(exponent: float, partial_sum: float, window: int, label: str) -> SeriesVerdict:
     """Terms ~ C * s^-exponent: convergent iff exponent > 1."""

@@ -31,8 +31,20 @@ Each returns the value with the sum of the absolute values of its terms, the
 scale its rounding error is bounded by.  The ``*_by_octant`` functions are the
 octant sums as ``opalg.fields`` evaluated them before it took one phase per
 distinct shell frequency and shared one sheet per time slice: a phase for
-every octant point, and a fresh sheet for every stencil point.  They do the
-same arithmetic, so the two must agree exactly.
+every octant point, and a fresh sheet for every stencil point.  Where
+``opalg.fields`` contracts a sheet one axis at a time, ``octant_sum_by_terms``
+forms every term and adds them exactly rounded with ``math.fsum``, so each
+returns its value with the sum of the absolute values of its terms, and the
+Klein-Gordon oracle with the stencil applied to those scales.
+
+``finite_marginal_state`` builds the marginal of a qubit configuration on a
+set of sites as a dense pure ``State`` on M_{2^k}, and
+``local_transition_matrix`` the dense 2^k x 2^k Kronecker product b of a
+transition's one-site unitaries; ``transition_residual_by_marginals`` checks
+the transport identity with them, where ``opalg.qubits.transition_residual``
+compares the two 2^k product vectors.  ``partial_sum_by_masks`` applies each
+override through a full-window site mask and sums each overlap over an axis
+of length 2, as ``opalg.qubits`` did before it indexed the site directly.
 
 ``fock_ladders_by_tuples`` enumerates the truncated Fock basis as tuples,
 sorts them and looks every raised tuple up in a dict, one (basis state,
@@ -55,10 +67,11 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from opalg.algebra import evaluate_state
+from opalg.algebra import StarAlgebra, State, evaluate_state, transport_residual
 from opalg.ccr import ORACLE_LEVELS, ORACLE_STEP
 from opalg.fields import TWO_PI, MassShellGrid, TestFunction, shell_bilinear_form
 from opalg.linalg import block_diag, fix_phases, gram_quotient
+from opalg.qubits import PARTIAL_SUM_WINDOW
 
 GRAM_REL_CUT = 1e-12
 KERNEL_TOL = 1e-9
@@ -192,6 +205,48 @@ def transport_residual_by_units(f, g, b) -> float:
     return worst
 
 
+def finite_marginal_state(sigma, sites):
+    """Pure product state on the 2^k-dimensional local algebra over ``sites``, as a dense State."""
+    vec = np.array([1.0 + 0.0j])
+    for s in sites:
+        vec = np.kron(vec, sigma.vector_at(s))
+    algebra = StarAlgebra([2 ** len(sites)])
+    return algebra, State.pure(algebra, 0, vec)
+
+
+def local_transition_matrix(transition) -> np.ndarray:
+    """The dense 2^k x 2^k Kronecker product b of the one-site unitaries."""
+    mat = np.eye(1, dtype=complex)
+    for u in transition.unitaries:
+        mat = np.kron(mat, u)
+    return mat
+
+
+def transition_residual_by_marginals(sigma, sigma2, transition) -> float:
+    """max |rho' - b rho b*| from the dense marginal States and the dense b."""
+    algebra, f = finite_marginal_state(sigma, transition.sites)
+    _, g = finite_marginal_state(sigma2, transition.sites)
+    return transport_residual(f, g, algebra.element([local_transition_matrix(transition)]))
+
+
+def partial_sum_by_masks(sigma, sigma2) -> float:
+    """The overlap-defect partial sum with one full-window site mask per override."""
+    sites = np.arange(1, PARTIAL_SUM_WINDOW + 1)
+
+    def vectors_on(config):
+        if config.tail is not None:
+            a = config.tail.angles(sites)
+            vecs = np.stack([np.cos(a), np.sin(a)], axis=1).astype(complex)
+        else:
+            vecs = np.tile(config.default, (len(sites), 1))
+        for site, vec in config.overrides.items():
+            vecs[sites == site] = vec
+        return vecs
+
+    overlaps = np.abs(np.sum(np.conj(vectors_on(sigma)) * vectors_on(sigma2), axis=1))
+    return float(np.sum(np.abs(overlaps - 1.0)))
+
+
 def intertwining_residual_by_units(w, rep_src, rep_dst, u=None) -> float:
     """max_k |W pi_src(e_k) W* - pi_dst(u e_k u*)|, two dense D x D matrices per matrix unit."""
     algebra = rep_src.algebra
@@ -291,36 +346,64 @@ def pauli_jordan_by_grid(grid, x):
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
-def pauli_jordan_minus_by_octant(grid, x) -> complex:
+def octant_sum_by_terms(sheet, half_axis, coords):
+    """The octant sum of sheet * prod_i cos(p_i x_i), with the sum of |terms|.
+
+    Forms every term and adds them with ``math.fsum``, so the value is the
+    exactly rounded sum of the terms as computed.
+    """
+    terms = sheet
+    for axis, xi in enumerate(coords):
+        shape = [1] * sheet.ndim
+        shape[axis] = -1
+        terms = terms * np.cos(half_axis * xi).reshape(shape)
+    flat = terms.ravel()
+    total = complex(math.fsum(flat.real.tolist()), math.fsum(flat.imag.tolist()))
+    return total, float(np.sum(np.abs(flat)))
+
+
+def pauli_jordan_minus_by_octant(grid, x):
     """D^-(x) as the octant sum of mu w e^{-i omega x0} prod_i cos(p_i x_i), one exp per point."""
     x = np.asarray(x, dtype=float)
     sheet = grid.octant_weights * np.exp(-1j * (grid.octant_omega * x[0]))
-    cosines = [np.cos(grid.half_axis * xi) for xi in x[1:]]
-    return complex(0.5j * TWO_PI**-3 * np.einsum("ijk,i,j,k->", sheet, *cosines))
+    total, scale = octant_sum_by_terms(sheet, grid.half_axis, x[1:])
+    return 0.5j * TWO_PI**-3 * total, 0.5 * TWO_PI**-3 * scale
 
 
-def pauli_jordan_by_octant(grid, x) -> complex:
+def pauli_jordan_by_octant(grid, x):
     """D(x) as the octant sum of mu w sin(omega x0) prod_i cos(p_i x_i), one sine per point."""
     x = np.asarray(x, dtype=float)
     sheet = grid.octant_weights * np.sin(grid.octant_omega * x[0])
-    cosines = [np.cos(grid.half_axis * xi) for xi in x[1:]]
-    return complex(TWO_PI**-3 * np.einsum("ijk,i,j,k->", sheet, *cosines))
+    total, scale = octant_sum_by_terms(sheet, grid.half_axis, x[1:])
+    return TWO_PI**-3 * total, TWO_PI**-3 * scale
 
 
-def klein_gordon_residual_by_octant(grid, x, h) -> float:
-    """|(box_h + m^2) D^-| with every stencil point evaluated on its own."""
+def klein_gordon_residual_by_octant(grid, x, h):
+    """|(box_h + m^2) D^-| with every stencil point evaluated on its own.
+
+    The scale is the stencil applied to the scales of its D^- values:
+    (up + down + 2 center) / h^2 per axis, plus m^2 center.
+    """
     x = np.asarray(x, dtype=float)
-    center = pauli_jordan_minus_by_octant(grid, x)
+    center, center_scale = pauli_jordan_minus_by_octant(grid, x)
     acc = 0.0 + 0.0j
+    scale = grid.mass**2 * center_scale
     for axis in range(4):
         e = np.zeros(4)
         e[axis] = h
-        second = (
-            pauli_jordan_minus_by_octant(grid, x + e) + pauli_jordan_minus_by_octant(grid, x - e)
-            - 2.0 * center
-        ) / h**2
+        up, up_scale = pauli_jordan_minus_by_octant(grid, x + e)
+        down, down_scale = pauli_jordan_minus_by_octant(grid, x - e)
+        second = (up + down - 2.0 * center) / h**2
         acc += second if axis == 0 else -second
-    return abs(acc + grid.mass**2 * center)
+        scale += (up_scale + down_scale + 2.0 * center_scale) / h**2
+    return abs(acc + grid.mass**2 * center), scale
+
+
+def euclidean_propagator_by_octant(lattice, x):
+    """w(x) as the octant sum of mu / (p^2 + m^2) prod_i cos(p_i x_i), with its scale."""
+    x = np.asarray(x, dtype=float)
+    total, scale = octant_sum_by_terms(lattice.octant_weights, lattice.half_axis, x)
+    return lattice.measure * total.real, lattice.measure * scale
 
 
 def euclidean_propagator_by_grid(lattice, x):

@@ -415,17 +415,50 @@ def test_stabilizer_orbit_uses_one_threshold():
     assert "orbit_law_exact = True [computed]" in lines
 
 
-def test_qubit_transition_on_eight_sites():
-    # M256 has 65536 matrix units; the transport identity checks them all at once
+def _qubit_transition_document(sites):
     vectors = ["[[0.6, 0], [0, 0.8]]", "[[0, 0], [1, 0]]", "[[0.8, 0], [0.6, 0]]"]
-    overrides = "".join(f"      - {{site: {s}, vector: {vectors[s % 3]}}}\n" for s in range(1, 9))
-    text = ("kind: qubit\nconfigs:\n  - default: [[1, 0], [0, 0]]\n"
+    overrides = "".join(f"      - {{site: {s}, vector: {vectors[s % 3]}}}\n"
+                        for s in range(1, sites + 1))
+    return ("kind: qubit\nconfigs:\n  - default: [[1, 0], [0, 0]]\n"
             "  - default: [[1, 0], [0, 0]]\n    overrides:\n" + overrides)
-    lines = run_scenario(parse_scenario(text)).lines
+
+
+def test_qubit_transition_on_eight_sites():
+    # the transport identity compares all 4^8 entries of the two rank-one marginals
+    lines = run_scenario(parse_scenario(_qubit_transition_document(8))).lines
     assert "verdict = convergent [computed]" in lines
     assert "local_transition_support = [1, 2, 3, 4, 5, 6, 7, 8] [computed]" in lines
     residual = [line for line in lines if line.startswith("local_transition_residual")]
     assert len(residual) == 1 and residual[0].endswith("[tol 1.0e-09 default, computed] pass")
+
+
+def test_qubit_transition_on_nine_sites_writes_its_report(tmp_path):
+    # nine sites used to pass the marginal cap of 8: exit 2 and no report
+    path = tmp_path / "nine.yaml"
+    path.write_text(_qubit_transition_document(9))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "nine.report.txt").read_text().splitlines()
+    assert "verdict = convergent [computed]" in lines
+    assert "local_transition_support = [1, 2, 3, 4, 5, 6, 7, 8, 9] [computed]" in lines
+    residual = [line for line in lines if line.startswith("local_transition_residual")]
+    assert len(residual) == 1 and residual[0].endswith("[tol 1.0e-09 default, computed] pass")
+
+
+def test_qubit_transition_over_the_site_cap_is_refused(tmp_path, capsys):
+    # a dense Kronecker b on 14 sites is 2^28 complex entries (4 GiB): the
+    # site cap refuses the transition before anything of that size is built
+    path = tmp_path / "fourteen.yaml"
+    path.write_text(_qubit_transition_document(14))
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"numerical failure: {path}: NumericalError: local transition over 14 sites exceeds cap 12")
+    assert peak < 16 << 20
 
 
 def test_gns_reconstruction_of_a_complex_density():

@@ -26,6 +26,7 @@ from opalg import (
     three_momentum_form,
     wightman_n_point,
 )
+from opalg.fields import _octant_sum
 
 GRID = MassShellGrid(1.0, cutoff=4.0, points=13)   # small grid for unit tests
 
@@ -364,8 +365,12 @@ def test_folded_witness_shell_values_match_the_full_grid(points, cutoff, first, 
 
 # Each time-dependent phase is evaluated once per distinct shell frequency and
 # gathered onto the octant, and the Klein-Gordon stencil shares one sheet per
-# time slice.  Both do the arithmetic of the per-point oracles in the same
-# order, so the values must be equal, not merely close.
+# time slice: the sheets are those of the per-point oracles bit for bit.  The
+# sums contract them one axis at a time, where the oracles form every term and
+# add them exactly rounded, so each D^-, D and w value is bounded by FOLD_TOL
+# times the sum of the absolute values of its terms (plus the underflow
+# allowance, for D at subnormal sin(omega x0)), and the Klein-Gordon residual
+# by the stencil applied to those bounds.
 @st.composite
 def repeating_four_vectors(draw):
     pool = draw(st.lists(coordinates, min_size=1, max_size=4))
@@ -384,9 +389,39 @@ odd_points = st.integers(1, 20).map(lambda k: 2 * k + 1)
 @example(points=29, mass=1.2, cutoff=6.0, x=np.array([-0.0, 0.3, 0.3, -0.0]), h=0.04)
 def test_shell_sums_equal_the_per_point_oracles(points, mass, cutoff, x, h):
     grid = MassShellGrid(mass, cutoff, points)
-    assert pauli_jordan_minus(grid, x) == oracles.pauli_jordan_minus_by_octant(grid, x)
-    assert pauli_jordan(grid, x) == oracles.pauli_jordan_by_octant(grid, x)
-    assert klein_gordon_residual(grid, x, h) == oracles.klein_gordon_residual_by_octant(grid, x, h)
+    underflow = UNDERFLOW_PER_POINT * points**3
+    for got, oracle in ((pauli_jordan_minus, oracles.pauli_jordan_minus_by_octant),
+                        (pauli_jordan, oracles.pauli_jordan_by_octant)):
+        want, scale = oracle(grid, x)
+        assert abs(got(grid, x) - want) <= FOLD_TOL * scale + underflow
+    want, scale = oracles.klein_gordon_residual_by_octant(grid, x, h)
+    assert abs(klein_gordon_residual(grid, x, h) - want) <= FOLD_TOL * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(1, 10).map(lambda k: 2 * k + 1), mass=st.floats(0.1, 3.0),
+       cutoff=st.floats(0.5, 6.0), x=repeating_four_vectors())
+@example(points=21, mass=1.0, cutoff=6.0, x=np.array([0.37, 0.21, -0.45, 0.11]))
+@example(points=3, mass=1.0, cutoff=6.0, x=np.zeros(4))
+def test_euclidean_propagator_matches_the_octant_oracle(points, mass, cutoff, x):
+    lattice = EuclideanLattice(mass, cutoff, points)
+    want, scale = oracles.euclidean_propagator_by_octant(lattice, x)
+    assert abs(lattice.propagator(x) - want) <= FOLD_TOL * scale
+
+
+# Every octant sheet above is symmetric under permutations of its axes (it
+# depends on p only through p^2 and mu), so it cannot tell which cosine
+# vector meets which axis.  The contraction itself is checked on arbitrary
+# sheets: axis i must meet cos(p x_i).
+@settings(max_examples=40, deadline=None)
+@given(dims=st.sampled_from([3, 4]), size=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+       x=four_vectors)
+def test_octant_sum_contracts_axis_i_with_coordinate_i(dims, size, seed, x):
+    rng = np.random.default_rng(seed)
+    sheet = rng.normal(size=(size,) * dims) + 1j * rng.normal(size=(size,) * dims)
+    half_axis = rng.uniform(0.0, 6.0, size)
+    want, scale = oracles.octant_sum_by_terms(sheet, half_axis, x[:dims])
+    assert abs(_octant_sum(sheet, half_axis, x[:dims]) - want) <= FOLD_TOL * scale
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from opalg import (
+    NumericalError,
     PowerTail,
     QubitConfig,
-    ShapeMismatchError,
     equivalence_verdict,
-    finite_marginal_state,
     local_transition_element,
     overlap_defect,
     purity_check,
+    transition_residual,
 )
+from opalg.qubits import PARTIAL_SUM_WINDOW, TRANSITION_SITE_CAP, LocalTransition, _partial_sum
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -131,9 +137,11 @@ def test_verdict_reflexive_and_finite_perturbation_stable():
     assert equivalence_verdict(perturbed, flat).verdict == "divergent"
 
 
+# The dense marginal States and the Kronecker b are the reference path, kept
+# in tests/oracles.py; these first tests check that reference itself.
 def test_finite_marginal_two_sites():
     config = QubitConfig(E1)
-    algebra, state = finite_marginal_state(config, [1, 2])
+    algebra, state = oracles.finite_marginal_state(config, [1, 2])
     assert algebra.blocks == (4,)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
@@ -143,7 +151,7 @@ def test_finite_marginal_two_sites():
 
 def test_finite_marginal_superposition_site():
     plus = QubitConfig((E1 + E2) / np.sqrt(2))
-    _, state = finite_marginal_state(plus, [1])
+    _, state = oracles.finite_marginal_state(plus, [1])
     assert np.max(np.abs(state.densities[0] - 0.5 * np.ones((2, 2)))) <= 1e-12
 
 
@@ -153,23 +161,44 @@ def test_marginal_consistency_partial_trace_oracle():
     v2 = rng.normal(size=2) + 1j * rng.normal(size=2)
     config = QubitConfig(E1, overrides={
         1: v1 / np.linalg.norm(v1), 2: v2 / np.linalg.norm(v2)})
-    _, two = finite_marginal_state(config, [1, 2])
-    _, one = finite_marginal_state(config, [1])
+    _, two = oracles.finite_marginal_state(config, [1, 2])
+    _, one = oracles.finite_marginal_state(config, [1])
     rho = two.densities[0].reshape(2, 2, 2, 2)
     traced = np.einsum("ikjk->ij", rho)   # partial trace over the second site
     assert np.max(np.abs(traced - one.densities[0])) <= 1e-12
 
 
+def _random_unit(rng):
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return v / np.linalg.norm(v)
+
+
 def test_marginal_cap():
-    with pytest.raises(ShapeMismatchError):
-        finite_marginal_state(QubitConfig(E1), list(range(1, 11)))
+    # refused before the 2^k vectors are built: 2^40 entries would be 16 TiB
+    sites = tuple(range(1, 41))
+    transition = LocalTransition(sites, (np.eye(2),) * len(sites))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="40 sites exceeds cap 12"):
+            transition_residual(QubitConfig(E1), QubitConfig(E1), transition)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the cap itself is allowed: 4^12 entries, compared a block of rows at a time
+    rng = np.random.default_rng(44)
+    overrides = {s: _random_unit(rng) for s in range(1, TRANSITION_SITE_CAP + 1)}
+    moved = QubitConfig(E1, overrides=overrides)
+    transition = local_transition_element(QubitConfig(E1), moved)
+    assert len(transition.sites) == TRANSITION_SITE_CAP
+    assert transition_residual(QubitConfig(E1), moved, transition) <= 1e-14
 
 
 def test_local_transition_identity():
     config = QubitConfig(E1)
     result = local_transition_element(config, config)
-    assert result.sites == ()
-    assert np.array_equal(result.element.mats[0], np.eye(1))
+    assert result.sites == () and result.unitaries == ()
+    assert np.array_equal(oracles.local_transition_matrix(result), np.eye(1))
 
 
 def test_local_transition_single_flip():
@@ -177,7 +206,7 @@ def test_local_transition_single_flip():
     flipped = QubitConfig(E1, overrides={4: E2})
     result = local_transition_element(base, flipped)
     assert result.sites == (4,)
-    assert np.max(np.abs(result.element.mats[0] - np.array([[0.0, 1.0], [1.0, 0.0]]))) <= 1e-12
+    assert np.max(np.abs(result.unitaries[0] - np.array([[0.0, 1.0], [1.0, 0.0]]))) <= 1e-12
     _verify_transition(base, flipped, result)
 
 
@@ -195,15 +224,60 @@ def test_local_transition_two_sites():
 def _verify_transition(base, moved, result):
     from opalg import evaluate_state
 
-    algebra = result.algebra
-    _, f = finite_marginal_state(base, result.sites)
-    _, g = finite_marginal_state(moved, result.sites)
-    b = result.element
+    algebra, f = oracles.finite_marginal_state(base, result.sites)
+    _, g = oracles.finite_marginal_state(moved, result.sites)
+    b = algebra.element([oracles.local_transition_matrix(result)])
     for k in range(algebra.dim):
         e = algebra.basis_element(k)
         assert abs(evaluate_state(g, e) - evaluate_state(f, b.star * e * b)) <= 1e-9
+    assert transition_residual(base, moved, result) <= 1e-9
 
 
 def test_local_transition_absent_for_infinite_support():
     tail = QubitConfig(tail=PowerTail(1.0, 1.0))
     assert local_transition_element(tail, QubitConfig(E1)) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), tail=st.booleans(),
+       replaced=st.one_of(st.none(), st.integers(0, 5)))
+def test_transition_residual_agrees_with_dense_oracle(k, seed, tail, replaced):
+    rng = np.random.default_rng(seed)
+    model = PowerTail(float(rng.uniform(0.1, 2.0)), 1.0) if tail else None
+    default = E1 if tail else _random_unit(rng)
+    sites = sorted(rng.choice(np.arange(1, 30), size=k, replace=False).tolist())
+    first = QubitConfig(default, {s: _random_unit(rng) for s in sites}, model)
+    second = QubitConfig(default, {s: _random_unit(rng) for s in sites}, model)
+    transition = local_transition_element(first, second)
+    assert transition.sites == tuple(sites)
+    if replaced is not None:
+        # a wrong u_s: the identity no longer holds and the residual is O(1)
+        unitaries = list(transition.unitaries)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        unitaries[replaced % k] = q
+        transition = LocalTransition(transition.sites, tuple(unitaries))
+    got = transition_residual(first, second, transition)
+    want = oracles.transition_residual_by_marginals(first, second, transition)
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+    if replaced is None:
+        assert got <= 1e-14
+
+
+def _random_config(rng, kind):
+    default = E1 if kind == "e1" else _random_unit(rng)
+    tail = PowerTail(float(rng.uniform(-2.0, 2.0)), float(rng.uniform(0.2, 3.0))) \
+        if kind == "tail" else None
+    # overrides on both sides of the window's last site
+    count = int(rng.integers(0, 8))
+    sites = rng.choice([1, 2, 3, 17, 500, PARTIAL_SUM_WINDOW - 1, PARTIAL_SUM_WINDOW,
+                        PARTIAL_SUM_WINDOW + 1, 10**6], size=count, replace=False)
+    return QubitConfig(default, {int(s): _random_unit(rng) for s in sites}, tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       kinds=st.tuples(*[st.sampled_from(["e1", "const", "tail"])] * 2))
+def test_partial_sum_equals_the_mask_form(seed, kinds):
+    rng = np.random.default_rng(seed)
+    first, second = (_random_config(rng, kind) for kind in kinds)
+    assert _partial_sum(first, second) == oracles.partial_sum_by_masks(first, second)
