@@ -30,6 +30,7 @@ from .ccr import (
     gaussian_equivalence_verdict,
     moment_oracle,
     pair_partitions,
+    quasi_invariance_exponent,
     quasi_invariance_factor,
     shifted_vacuum_means,
     wick_moment,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -131,72 +130,118 @@ class CcrSpace:
         return q
 
 
-def wick_moment(space: CcrSpace, args: Sequence) -> float:
+def _moment_images(space: CcrSpace, args: Sequence, index):
+    """K^-1 images of ``args``, one per vector, and the (c, m) multi-index array over them.
+
+    Without ``index`` the table is the one moment of ``args`` in order.
+    """
+    images = [space.k_inv @ space._check_vector(q) for q in args]
+    if index is None:
+        return images, np.arange(len(images))[None]
+    index = np.asarray(index)
+    if index.ndim != 2 or (index.size and index.dtype.kind not in "iu"):
+        raise ShapeMismatchError(f"multi-indices must be a (count, order) integer array, "
+                                 f"not of shape {index.shape}")
+    if index.size and not 0 <= index.min() <= index.max() < len(images):
+        raise ValueError(f"multi-index entries must lie in [0, {len(images)})")
+    return images, index.astype(np.intp)
+
+
+def _moment_result(values: np.ndarray, index):
+    return float(values[0]) if index is None else values
+
+
+def wick_moment(space: CcrSpace, args: Sequence, index=None):
     """Gaussian moment <phi(q_1) ... phi(q_m)> by pair-partition enumeration.
 
     Odd m vanishes; even m sums the product of two-point values over all
-    (m-1)!! pairings.  Each two-point value is ``space.pair_value`` from the
-    images K^-1 q_i and (K^-1 q_i) G, computed once per argument.
+    (m-1)!! pairings, left to right from 0.0.  Each two-point value is
+    ``space.pair_value``, taken from the images K^-1 q and (K^-1 q) G of each
+    vector, computed once.
+
+    With a (c, m) integer array ``index`` the call returns the c moments
+    <phi(args[index[r, 0]]) ... phi(args[index[r, m-1]])>, with the same
+    arithmetic as c separate calls; without it, the float for ``args``.
     """
-    vecs = [space._check_vector(q) for q in args]
-    m = len(vecs)
+    images, table_index = _moment_images(space, args, index)
+    count, m = table_index.shape
     if m % 2 == 1:
-        return 0.0
+        return _moment_result(np.zeros(count), index)
     if m == 0:
-        return 1.0
-    images = [space.k_inv @ q for q in vecs]
-    rows = [w @ space.gram for w in images]
-    pair = np.zeros((m, m))
-    for i, j in itertools.combinations(range(m), 2):
-        pair[i, j] = rows[i] @ images[j]
+        return _moment_result(np.ones(count), index)
+    pair = np.zeros((len(images), len(images)))
+    for a, row in enumerate(w @ space.gram for w in images):
+        for b, w in enumerate(images):
+            pair[a, b] = row @ w
     parts = _pairings(m)
-    prods = np.prod(pair[parts[..., 0], parts[..., 1]], axis=1)
-    # summed left to right from 0.0, pairing by pairing
-    return functools.reduce(operator.add, prods.tolist(), 0.0)
+    prods = np.prod(pair[table_index[:, parts[..., 0]], table_index[:, parts[..., 1]]], axis=-1)
+    total = np.zeros(count)
+    for column in prods.T:
+        total = total + column
+    return _moment_result(total, index)
 
 
-def moment_oracle(space: CcrSpace, args: Sequence) -> float:
+def moment_oracle(space: CcrSpace, args: Sequence, index=None):
     """Moments from mixed central differences of the generating function.
 
     Independent of :func:`wick_moment`: evaluates
     i^-m d^m/dalpha_1..dalpha_m  Z(sum alpha_i q_i) at alpha = 0 on a
     2^m stencil with ``ORACLE_LEVELS`` Richardson eliminations.  Arguments are
     normalized to unit K^-1-image (moments are multilinear) so the step is
-    scale-free.  Limited to m <= 6; beyond that step noise dominates.
+    scale-free; a moment with an argument of zero image is 0.0.  Limited to
+    m <= 6; beyond that step noise dominates.
 
     Every step h = ORACLE_STEP / 2^j is a power of two, so scaling the stencil
     points by h is exact and the exponent -<x|x>/2 at step h is h^2 times the
     one at step 1, bit for bit (barring underflow): the quadratic form is
     evaluated once and every level takes its exponentials from it.
+
+    ``index`` selects a table of moments as in :func:`wick_moment`; each
+    vector is normalized once and each row of the table is evaluated with the
+    arithmetic of a separate call.
     """
-    vecs = [space._check_vector(q) for q in args]
-    m = len(vecs)
+    images, table_index = _moment_images(space, args, index)
+    count, m = table_index.shape
     if m > 6:
         raise NumericalError("moment_oracle supports at most 6 arguments")
     if m == 0:
-        return 1.0
-    if m % 2 == 1:
-        return 0.0  # the symmetric stencil cancels identically on even Z
-    images = [space.k_inv @ q for q in vecs]
-    norms = [math.sqrt(float(w @ space.gram @ w)) for w in images]
-    if any(s == 0.0 for s in norms):
-        return 0.0
-    unit = np.stack([w / s for w, s in zip(images, norms)])
+        return _moment_result(np.ones(count), index)
+    if m % 2 == 1:   # the symmetric stencil cancels identically on even Z
+        return _moment_result(np.zeros(count), index)
+    norms = np.array([math.sqrt(float(w @ space.gram @ w)) for w in images])
+    zero = norms == 0.0
+    unit = np.reshape(images, (len(images), space.n)) / np.where(zero, 1.0, norms)[:, None]
     signs, parity = _stencil_signs(m)
     # evaluate Z on the summed vectors directly; no pair-value sharing with
     # the partition enumerator
-    combos = signs @ unit
-    exponent = -0.5 * np.einsum("ki,ij,kj->k", combos, space.gram, combos)
+    combos = signs @ unit[table_index]
+    exponent = -0.5 * np.einsum("cki,ij,ckj->ck", combos, space.gram, combos)
     steps = (ORACLE_STEP / 2.0 ** np.arange(ORACLE_LEVELS)).tolist()
-    terms = parity * np.expm1(np.square(steps)[:, None] * exponent)
-    values = [math.fsum(row) / (2.0 * h) ** m for row, h in zip(terms.tolist(), steps)]
+    terms = parity * np.expm1(np.square(steps)[:, None, None] * exponent)
+    values = [np.array([math.fsum(row) for row in level.tolist()]) / (2.0 * h) ** m
+              for level, h in zip(terms, steps)]
     for level in range(1, ORACLE_LEVELS):
         factor = 4.0 ** level
         values = [
             (factor * values[i + 1] - values[i]) / (factor - 1.0)
             for i in range(len(values) - 1)
         ]
-    return values[0] * (-1.0) ** (m // 2) * float(np.prod(norms))
+    moments = values[0] * (-1.0) ** (m // 2) * np.prod(norms[table_index], axis=1)
+    moments[np.any(zero[table_index], axis=1)] = 0.0
+    return _moment_result(moments, index)
+
+
+def quasi_invariance_exponent(space: CcrSpace, q, u):
+    """log a_K(q, u) = -M_K(Sq)/4 - <Sq, u>/2, finite where the factor leaves double range.
+
+    q and u may be stacks of vectors as in :func:`quasi_invariance_factor`.
+    """
+    q = space._check_vector(q, stack=True)
+    u = space._check_vector(u, stack=True)
+    sq = q @ space.s_op.T
+    w = sq @ space.k_inv.T
+    value = -0.25 * np.sum((w @ space.gram) * w, axis=-1) - 0.5 * np.sum(sq * u, axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 def quasi_invariance_factor(space: CcrSpace, q, u):
@@ -207,11 +252,7 @@ def quasi_invariance_factor(space: CcrSpace, q, u):
     q and u may be stacks of vectors along leading axes (last axis n); the
     factors come back in their broadcast shape, a float for two vectors.
     """
-    q = space._check_vector(q, stack=True)
-    u = space._check_vector(u, stack=True)
-    sq = q @ space.s_op.T
-    w = sq @ space.k_inv.T
-    value = np.exp(-0.25 * np.sum((w @ space.gram) * w, axis=-1) - 0.5 * np.sum(sq * u, axis=-1))
+    value = np.exp(quasi_invariance_exponent(space, q, u))
     return float(value) if value.ndim == 0 else value
 
 

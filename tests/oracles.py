@@ -508,10 +508,15 @@ def wick_by_partitions(space, args) -> float:
 
 
 def moment_oracle_by_levels(space, args) -> float:
-    """The finite-difference moment with one stencil evaluation per level (even m >= 2)."""
+    """The finite-difference moment with one stencil evaluation per level (even m >= 2).
+
+    An argument with zero K^-1 image makes the moment 0.0.
+    """
     m = len(args)
     images = [space.k_inv @ q for q in args]
     norms = [math.sqrt(float(w @ space.gram @ w)) for w in images]
+    if 0.0 in norms:
+        return 0.0
     unit = np.stack([w / s for w, s in zip(images, norms)])
     signs = np.array(list(itertools.product((-1.0, 1.0), repeat=m)))
     parity = np.prod(signs, axis=1)

@@ -23,6 +23,7 @@ from opalg import (
     gaussian_equivalence_verdict,
     moment_oracle,
     pair_partitions,
+    quasi_invariance_exponent,
     quasi_invariance_factor,
     run_scenario,
     shifted_vacuum_means,
@@ -128,6 +129,45 @@ def test_wick_moment_and_oracle_equal_their_loops(n, seed):
             assert moment_oracle(space, args) == oracles.moment_oracle_by_levels(space, args)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-4, 1e-2, 1.0, 1e2, 1e4]))
+def test_moment_tables_equal_the_loops_row_by_row(n, count, seed, scale):
+    # the table of one call is the per-pairing and per-level loops of each row;
+    # rows repeat vectors, and a zero vector (zero K^-1 image) gives 0.0 rows
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    space = CcrSpace(a @ a.T + n * np.eye(n), scale * (np.eye(n) + 0.4 * rng.normal(size=(n, n))))
+    vectors = [rng.normal(size=n) for _ in range(count)] + [np.zeros(n)]
+    for m in (2, 4, 6):
+        index = rng.integers(0, count + 1, size=(6, m))
+        index[0] = 0                                    # one vector m times
+        index[1] = 0
+        index[1, 1] = count                             # the zero vector next to it
+        wick = wick_moment(space, vectors, index)
+        oracle = moment_oracle(space, vectors, index)
+        assert wick.shape == oracle.shape == (6,)
+        for row, wv, ov in zip(index, wick.tolist(), oracle.tolist()):
+            args = [vectors[i] for i in row]
+            assert wv == oracles.wick_by_partitions(space, args)
+            assert ov == oracles.moment_oracle_by_levels(space, args)
+            if count in row:
+                assert wv == ov == 0.0 and math.copysign(1.0, ov) == 1.0
+
+
+def test_moment_tables_check_their_multi_indices():
+    space = unit_space(2)
+    vectors = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
+    assert wick_moment(space, vectors, np.zeros((0, 2), dtype=int)).shape == (0,)
+    assert moment_oracle(space, vectors, np.zeros((3, 0), dtype=int)).tolist() == [1.0] * 3
+    for index in ([0, 1], [[0.0, 1.0]]):
+        with pytest.raises(ShapeMismatchError):
+            wick_moment(space, vectors, index)
+    for index in ([[0, 2]], [[-1, 0]]):
+        with pytest.raises(ValueError):
+            moment_oracle(space, vectors, index)
+
+
 def test_stacked_quasi_invariance_factor_matches_single_calls():
     rng = np.random.default_rng(69)
     for n in (1, 3, 5):
@@ -171,18 +211,34 @@ def test_cocycle_identity_random_triples():
 
 def test_cocycle_check_fails_when_the_factors_overflow():
     # K = 1e5 I: every sample's a(q + q', u) overflows to inf or underflows to
-    # 0, so no sample tests the law; the check must not read as a pass
+    # 0, but their exponents stay finite, so all 100 samples are judged and
+    # the rounding of exponents near 1e10 fails the law
     space = CcrSpace(np.eye(2), 1e5 * np.eye(2))
+    q, qp, u = np.random.default_rng(2024).normal(size=(100, 3, 2)).transpose(1, 0, 2)
+    gap = (quasi_invariance_exponent(space, q, u)
+           + quasi_invariance_exponent(space, qp, u + space.gram_image(q))
+           - quasi_invariance_exponent(space, q + qp, u))
+    assert gap.shape == (100,) and np.all(np.isfinite(gap))
+    with np.errstate(over="ignore", under="ignore"):
+        factor = quasi_invariance_factor(space, q + qp, u)
+    assert np.all((factor == 0.0) | np.isinf(factor))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_scenario(Scenario("ccr", {"space": space}))
-    assert ("cocycle_residual_rel = +inf [tol 1.0e-10 default, computed] FAIL"
+    worst = float(np.max(np.abs(np.expm1(gap))))
+    assert 0.0 < worst < math.inf
+    assert (f"cocycle_residual_rel = {worst:+.12e} [tol 1.0e-10 default, computed] FAIL"
             in report.lines)
+    # K = 1e10 I: the gaps pass log(max double), so the residual reads inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scenario(Scenario("ccr", {"space": CcrSpace(np.eye(2), 1e10 * np.eye(2))}))
+    assert "cocycle_residual_rel = +inf [tol 1.0e-10 default, computed] FAIL" in report.lines
 
 
 def test_cocycle_check_judges_the_samples_left_in_range():
-    # K = 30 I: 54 of the 100 samples leave double range, the other 46
-    # satisfy the law to 1e-12, so the check passes on them
+    # K = 30 I: 54 of the 100 samples' factors leave double range; their
+    # exponents do not, and all 100 satisfy the law to 1e-12
     space = CcrSpace(np.eye(2), 30.0 * np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

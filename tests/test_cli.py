@@ -642,6 +642,30 @@ def test_group_name_that_is_no_ascii_number_is_a_schema_error(tmp_path, capsys, 
         assert err.endswith(f"is larger than the order limit {groups.ORDER_LIMIT}\n")
 
 
+def test_nested_aliases_end_in_the_schema_error_with_bounded_memory():
+    # six levels of ten aliases each: a mark for every path through them would
+    # be a million marks and hundreds of MB; the marks stop at a budget set by
+    # the document's length, and the error is found as before
+    lines = ["kind: gns", "x0: &a0 [" + ", ".join(["0"] * 10) + "]"]
+    lines += [f"x{d}: &a{d} [" + ", ".join([f"*a{d - 1}"] * 10) + "]" for d in range(1, 6)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            parse_scenario("\n".join(lines) + "\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (str(err.value), err.value.line) == ("x0 (line 2): unknown field 'x0'", 2)
+    assert peak < 2**20
+
+
+def test_self_referencing_anchor_is_a_schema_error_on_its_value():
+    # its marks stop at the budget, where the mark walk used to recurse to the limit
+    with pytest.raises(ValidationError) as err:
+        parse_scenario("kind: gns\nalgebra: &a [*a]\n")
+    assert (str(err.value), err.value.line) == ("algebra (line 2): expected a mapping, got list", 2)
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("body", [
     "[" * 1200 + "]" * 1200,                          # libyaml, then _collect_marks overflows
