@@ -93,10 +93,12 @@ class CcrSpace:
         self.n = n
         self.gram = gram
         self.k_op = k_op
-        self.k_inv = np.linalg.inv(k_op)
-        gram_inv = np.linalg.inv(gram)
-        self.s_op = k_op @ gram_inv @ k_op.T @ gram
-        self.covariance = self.k_inv.T @ gram @ self.k_inv
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.k_inv = np.linalg.inv(k_op)
+            self.s_op = k_op @ np.linalg.inv(gram) @ k_op.T @ gram
+            self.covariance = self.k_inv.T @ gram @ self.k_inv
+        if not all(np.isfinite(a).all() for a in (self.s_op, self.k_inv, self.covariance)):
+            raise ValueError("S = K K*, K^-1 or the covariance leaves double range")
         self._chol = np.linalg.cholesky(gram)
 
     def inner(self, q, r) -> float:

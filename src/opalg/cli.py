@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 1 schema violation, 2 numerical failure.  Reports are
 byte-deterministic across repeated runs and across worker counts; batches are
-directories of scenario files, each file one analysis.
+directories of scenario files, each file one analysis.  ``run``, ``validate``
+and ``demo`` try every file of a batch: each success is written (a report, or
+a ``valid scenario`` line), each failure gets one stderr line naming its file,
+in file order, and the exit code is the highest of the batch.
 """
 
 from __future__ import annotations
@@ -14,80 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import OpalgError, ValidationError
-from .scenarios import DEFAULT_TOLERANCES, parse_scenario, run_scenario
-
-DEMO_SCENARIOS = {
-    "gns": """\
-kind: gns
-algebra: {blocks: [2]}
-state:
-  densities:
-    - [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
-""",
-    "equiv": """\
-kind: equiv
-algebra: {blocks: [2, 2]}
-states:
-  - densities:
-      - [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
-      - [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-  - densities:
-      - [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-      - [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
-""",
-    "qubit": """\
-kind: qubit
-configs:
-  - tail: {c: 1.0, p: 1.0}
-  - default: [[1, 0], [0, 0]]
-    overrides:
-      - {site: 3, vector: [[0, 0], [1, 0]]}
-""",
-    "group": """\
-kind: group
-group: {name: z3}
-functions:
-  - [[1, 0], [1, 0], [1, 0]]
-  - [[1, 0], [-0.5, 0.8660254037844386], [-0.5, -0.8660254037844386]]
-""",
-    "ccr": """\
-kind: ccr
-space:
-  gram: [[1, 0], [0, 1]]
-  k: [[1.4142135623730951, 0], [0, 1.4142135623730951]]
-moments:
-  max_order: 4
-  vectors:
-    - [1, 0]
-    - [0.5, -0.25]
-fock: {max_occupation: 4}
-eigenvalue_model: {kind: power, amplitude: 1.0, exponent: 2.0}
-""",
-    "field": """\
-kind: field
-field:
-  mass: 1.0
-  second_mass: 2.0
-  cutoff: 6.0
-  points: 17
-  sample_points:
-    - [0.3, 0.1, -0.2, 0.4]
-    - [-0.1, 0.5, 0.2, -0.3]
-  euclidean: {cutoff: 6.0, points: 17}
-""",
-    "symmetry": """\
-kind: symmetry
-algebra: {blocks: [2]}
-state:
-  densities:
-    - [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
-unitaries:
-  - [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
-  - [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]
-  - [[[[0, 0], [0, -1]], [[0, 1], [0, 0]]]]
-  - [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]]
-""",
-}
+from .scenarios import DEFAULT_TOLERANCES, KINDS, parse_scenario, run_scenario
 
 
 def _gather_files(path: Path):
@@ -125,19 +55,50 @@ def _check_directory(target, where) -> None:
         raise ValidationError(f"{existing} exists and is not a directory", path=where)
 
 
+def _fail(exc: OpalgError, source: str = "") -> int:
+    """Write the stderr line for ``exc`` from ``source`` and return its exit code."""
+    where = f"{source}: " if source else ""
+    if isinstance(exc, ValidationError):
+        sys.stderr.write(f"schema error: {where}{exc}\n")
+        return 1
+    sys.stderr.write(f"numerical failure: {where}{type(exc).__name__}: {exc}\n")
+    return 2
+
+
+def _each(jobs, work, workers: int):
+    """Apply ``work(source, text)`` to every (source, text) job.
+
+    Every job is tried, serially or on ``workers`` threads.  Each failure
+    gets its stderr line, in job order (pool.map keeps it), which is source
+    order.  Returns the successful results and the highest exit code.
+    """
+    def attempt(job):
+        try:
+            return work(*job), None
+        except OpalgError as exc:
+            return None, exc
+
+    if workers <= 1 or len(jobs) <= 1:
+        outcomes = [attempt(job) for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(attempt, jobs))
+    code = 0
+    for (source, _), (_, exc) in zip(jobs, outcomes):
+        if exc is not None:
+            code = max(code, _fail(exc, source))
+    return [result for result, exc in outcomes if exc is None], code
+
+
 def _execute(source: str, text: str, args):
     """Run one scenario; ``source`` (a file path or demo name) also names its report."""
-    try:
-        scenario = _apply_global_tol(parse_scenario(text), args.tol)
-        if scenario.report_path:
-            report = Path(scenario.report_path)
-            if report.is_dir():
-                raise ValidationError(f"{report} is a directory", path="report")
-            _check_directory(report.parent, "report")
-        return Path(source).stem, scenario, run_scenario(scenario)
-    except OpalgError as exc:
-        exc.source = source
-        raise
+    scenario = _apply_global_tol(parse_scenario(text), args.tol)
+    if scenario.report_path:
+        report = Path(scenario.report_path)
+        if report.is_dir():
+            raise ValidationError(f"{report} is a directory", path="report")
+        _check_directory(report.parent, "report")
+    return Path(source).stem, scenario, run_scenario(scenario)
 
 
 def _emit(results, args) -> None:
@@ -166,15 +127,9 @@ def _run_many(jobs, args) -> int:
     for flag, target in (("--out", args.out), ("--csv", args.csv)):
         if target:
             _check_directory(target, flag)
-    worker_count = max(1, args.jobs)
-    if worker_count == 1 or len(jobs) == 1:
-        results = [_execute(source, text, args) for source, text in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            results = list(pool.map(lambda item: _execute(item[0], item[1], args), jobs))
-    results.sort(key=lambda item: item[0])
-    _emit(results, args)
-    return 0
+    results, code = _each(jobs, lambda source, text: _execute(source, text, args), args.jobs)
+    _emit(sorted(results, key=lambda item: item[0]), args)
+    return code
 
 
 def cmd_run(args) -> int:
@@ -184,27 +139,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    files = _gather_files(Path(args.path))
-    for p in files:
-        try:
-            scenario = parse_scenario(p.read_text())
-        except OpalgError as exc:
-            exc.source = str(p)
-            raise
-        sys.stdout.write(f"{p}: valid scenario of kind {scenario.kind}\n")
-    return 0
+    jobs = [(str(p), p.read_text()) for p in _gather_files(Path(args.path))]
+    results, code = _each(jobs, lambda source, text: (source, parse_scenario(text)), args.jobs)
+    for source, scenario in results:
+        sys.stdout.write(f"{source}: valid scenario of kind {scenario.kind}\n")
+    return code
 
 
 def cmd_demo(args) -> int:
-    if args.kind == "all":
-        jobs = [(f"demo_{kind}", DEMO_SCENARIOS[kind]) for kind in sorted(DEMO_SCENARIOS)]
-    elif args.kind in DEMO_SCENARIOS:
-        jobs = [(f"demo_{args.kind}", DEMO_SCENARIOS[args.kind])]
-    else:
+    if args.kind != "all" and args.kind not in KINDS:
         raise ValidationError(
-            f"unknown demo kind {args.kind!r}; expected one of "
-            f"{', '.join(sorted(DEMO_SCENARIOS))} or all")
-    return _run_many(jobs, args)
+            f"unknown demo kind {args.kind!r}; expected one of {', '.join(sorted(KINDS))} or all")
+    kinds = sorted(KINDS) if args.kind == "all" else [args.kind]
+    return _run_many([(f"demo_{kind}", KINDS[kind].demo) for kind in kinds], args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,12 +189,7 @@ def main(argv=None) -> int:
                                   path="--tol")
         return args.handler(args)
     except OpalgError as exc:
-        where = f"{exc.source}: " if exc.source else ""
-        if isinstance(exc, ValidationError):
-            sys.stderr.write(f"schema error: {where}{exc}\n")
-            return 1
-        sys.stderr.write(f"numerical failure: {where}{type(exc).__name__}: {exc}\n")
-        return 2
+        return _fail(exc)
 
 
 if __name__ == "__main__":

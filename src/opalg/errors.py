@@ -4,8 +4,6 @@
 class OpalgError(Exception):
     """Base class for all package errors."""
 
-    source = ""     # the scenario file (or demo_<kind>) it came from, set by the CLI
-
 
 class ShapeMismatchError(OpalgError):
     """Operands live on different algebras, grids or groups."""

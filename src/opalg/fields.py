@@ -45,6 +45,8 @@ from .errors import NumericalError, ShapeMismatchError
 
 TWO_PI = 2.0 * np.pi
 REALITY_TOL = 1e-12     # TestFunction: |neg(p) - conj(pos(-p))| relative to the sheet scale
+# largest octant _fold builds: 128^3 (field N = 255) and 38^4 (Euclidean N = 75) fit
+OCTANT_POINT_LIMIT = 1 << 21
 
 
 def _fold(points: int, spacing: float, dims: int):
@@ -53,7 +55,13 @@ def _fold(points: int, spacing: float, dims: int):
     Returns the half axis k * spacing (k = 0 .. points // 2), p^2 on the
     ``dims``-dimensional octant and the multiplicity mu(p) of each octant
     point: the number of lattice points (+-p_1, ..., +-p_dims) it stands for.
+    Every lattice sizes its arrays here, so an octant past
+    ``OCTANT_POINT_LIMIT`` is refused before any of them exists.
     """
+    octant = (points // 2 + 1) ** dims
+    if octant > OCTANT_POINT_LIMIT:
+        raise NumericalError(f"{points} points per axis give a {dims}-d octant of {octant} "
+                             f"points, over the limit {OCTANT_POINT_LIMIT}")
     half = np.arange(points // 2 + 1) * spacing
     axis_mult = np.full(half.size, 2.0)
     axis_mult[0] = 1.0

@@ -1,11 +1,11 @@
 """Scenario documents: schema validation, dispatch, and deterministic reports.
 
 One YAML document describes one analysis (kind: gns | equiv | qubit | group |
-ccr | field | symmetry).  Complex numbers are [re, im] pairs, matrices are
-row-major lists of rows.  Reports are rendered with fixed formatting so that
-identical input bytes produce identical output bytes; every numeric line
-names the tolerance it was judged against and whether that tolerance was a
-default or configured.
+ccr | field | symmetry); ``KINDS`` holds one ``Kind`` record for each.
+Complex numbers are [re, im] pairs, matrices are row-major lists of rows.
+Reports are rendered with fixed formatting so that identical input bytes
+produce identical output bytes; every numeric line names the tolerance it was
+judged against and whether that tolerance was a default or configured.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import io
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 import yaml
@@ -27,8 +27,6 @@ from . import symmetry as symmetry_mod
 from .algebra import TRACE_TOL, StarAlgebra, State, dual_norm_distance
 from .errors import OpalgError, ValidationError
 from .gns import TRANSITION_TOL, equivalence_check, gns_construct
-
-KINDS = ("gns", "equiv", "qubit", "group", "ccr", "field", "symmetry")
 
 DEFAULT_TOLERANCES = {
     "reconstruction": 1e-9,
@@ -206,29 +204,27 @@ class _Walker:
             self.fail(path, "complex numbers are [re, im] pairs")
         return complex(self.number(pair[0], path + (0,)), self.number(pair[1], path + (1,)))
 
-    def complex_vector(self, obj, path):
+    def vector(self, obj, path, entry):
+        """A non-empty list, each entry read by ``entry`` (``number`` or ``complex_scalar``)."""
         seq = self.sequence(obj, path, min_len=1)
-        return np.array([self.complex_scalar(v, path + (k,)) for k, v in enumerate(seq)])
+        return np.array([entry(v, path + (k,)) for k, v in enumerate(seq)])
 
-    def complex_matrix(self, obj, path):
+    def matrix(self, obj, path, entry):
         rows = self.sequence(obj, path, min_len=1)
-        data = [self.complex_vector(r, path + (k,)) for k, r in enumerate(rows)]
-        width = {len(r) for r in data}
-        if len(width) != 1:
+        data = [self.vector(r, path + (k,), entry) for k, r in enumerate(rows)]
+        if len({len(r) for r in data}) != 1:
             self.fail(path, "rows have inconsistent lengths")
         return np.stack(data)
 
-    def real_vector(self, obj, path):
-        seq = self.sequence(obj, path, min_len=1)
-        return np.array([self.number(v, path + (k,)) for k, v in enumerate(seq)])
 
-    def real_matrix(self, obj, path):
-        rows = self.sequence(obj, path, min_len=1)
-        data = [self.real_vector(r, path + (k,)) for k, r in enumerate(rows)]
-        width = {len(r) for r in data}
-        if len(width) != 1:
-            self.fail(path, "rows have inconsistent lengths")
-        return np.stack(data)
+@dataclass(frozen=True)
+class Kind:
+    """One scenario kind: its top-level fields, parser, runner and demo document."""
+
+    keys: tuple
+    parse: Callable     # (walker, top-level mapping) -> params
+    run: Callable       # (scenario, report) -> None, adds the report lines
+    demo: str
 
 
 @dataclass
@@ -246,7 +242,7 @@ def parse_scenario(text: str) -> Scenario:
     top = w.mapping(data, (), required=("kind",),
                     optional=("tolerances", "report", *_ALL_PARAM_KEYS))
     kind = top["kind"]
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         w.fail(("kind",), f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
     tolerances = {}
     if "tolerances" in top:
@@ -256,9 +252,9 @@ def parse_scenario(text: str) -> Scenario:
             if tolerances[key] <= 0:
                 w.fail(("tolerances", key), f"tolerances must be positive, got {tolerances[key]}")
     for key in top:
-        if key in _ALL_PARAM_KEYS and key not in _KIND_PARAM_KEYS[kind]:
+        if key in _ALL_PARAM_KEYS and key not in KINDS[kind].keys:
             w.fail((key,), f"field {key!r} does not belong to kind {kind!r}")
-    params = _PARSERS[kind](w, top)
+    params = KINDS[kind].parse(w, top)
     report_path = top.get("report")
     if report_path is not None and not isinstance(report_path, str):
         w.fail(("report",), "report target must be a path string")
@@ -278,7 +274,7 @@ def _parse_state(w, obj, path, algebra):
     if len(rows) != len(algebra.blocks):
         w.fail(path + ("densities",),
                f"expected {len(algebra.blocks)} density blocks, got {len(rows)}")
-    dens = [w.complex_matrix(r, path + ("densities", k)) for k, r in enumerate(rows)]
+    dens = [w.matrix(r, path + ("densities", k), w.complex_scalar) for k, r in enumerate(rows)]
     total = sum(float(np.trace(d).real) for d in dens)
     if abs(total - 1.0) > TRACE_TOL:
         w.fail(path + ("densities",),
@@ -312,14 +308,14 @@ def _parse_qubit_config(w, obj, path):
     spec = w.mapping(obj, path, optional=("default", "overrides", "tail"))
     default = np.array([1.0, 0.0], dtype=complex)
     if "default" in spec:
-        default = w.complex_vector(spec["default"], path + ("default",))
+        default = w.vector(spec["default"], path + ("default",), w.complex_scalar)
         if default.shape != (2,):
             w.fail(path + ("default",), "qubit vectors live in C^2")
     overrides = {}
     for k, entry in enumerate(w.sequence(spec.get("overrides", []), path + ("overrides",))):
         e = w.mapping(entry, path + ("overrides", k), required=("site", "vector"))
         site = w.integer(e["site"], path + ("overrides", k, "site"), minimum=1)
-        vec = w.complex_vector(e["vector"], path + ("overrides", k, "vector"))
+        vec = w.vector(e["vector"], path + ("overrides", k, "vector"), w.complex_scalar)
         overrides[site] = vec
     tail = None
     if spec.get("tail") is not None:
@@ -365,14 +361,14 @@ def _parse_group(w, top):
         else:
             w.fail(("group", "name"), f"unknown built-in group {name!r} (zN for N >= 1, s3)")
     else:
-        table = w.real_matrix(spec["table"], ("group", "table")).astype(int)
+        table = w.matrix(spec["table"], ("group", "table"), w.number).astype(int)
         try:
             group = groups_mod.FiniteGroup(table)
         except ValueError as exc:
             w.fail(("group", "table"), str(exc))
     functions = []
     for k, fn in enumerate(w.sequence(top.get("functions"), ("functions",), min_len=1)):
-        vals = w.complex_vector(fn, ("functions", k))
+        vals = w.vector(fn, ("functions", k), w.complex_scalar)
         if vals.shape != (group.order,):
             w.fail(("functions", k),
                    f"expected {group.order} values (one per group element), got {vals.shape[0]}")
@@ -382,8 +378,8 @@ def _parse_group(w, top):
 
 def _parse_ccr(w, top):
     spec = w.mapping(top.get("space"), ("space",), required=("gram", "k"))
-    gram = w.real_matrix(spec["gram"], ("space", "gram"))
-    k_op = w.real_matrix(spec["k"], ("space", "k"))
+    gram = w.matrix(spec["gram"], ("space", "gram"), w.number)
+    k_op = w.matrix(spec["k"], ("space", "k"), w.number)
     try:
         space = ccr_mod.CcrSpace(gram, k_op)
     except (ValueError, OpalgError) as exc:
@@ -392,7 +388,7 @@ def _parse_ccr(w, top):
     if "moments" in top:
         m = w.mapping(top["moments"], ("moments",), required=("vectors",), optional=("max_order",))
         vectors = [
-            w.real_vector(v, ("moments", "vectors", k))
+            w.vector(v, ("moments", "vectors", k), w.number)
             for k, v in enumerate(w.sequence(m["vectors"], ("moments", "vectors"), min_len=1))
         ]
         for k, v in enumerate(vectors):
@@ -418,8 +414,8 @@ def _parse_ccr(w, top):
                 w.number(espec.get("amplitude", 1.0), ("eigenvalue_model", "amplitude")),
                 w.number(espec.get("exponent", 2.0), ("eigenvalue_model", "exponent")))
         elif ekind == "finite":
-            model = ccr_mod.FiniteEigenvalues(tuple(
-                w.real_vector(espec.get("values", [2.0]), ("eigenvalue_model", "values")).tolist()))
+            values = w.vector(espec.get("values", [2.0]), ("eigenvalue_model", "values"), w.number)
+            model = ccr_mod.FiniteEigenvalues(tuple(values.tolist()))
         else:
             w.fail(("eigenvalue_model", "kind"), f"unknown eigenvalue model {ekind!r}")
         params["eigenvalue_model"] = model
@@ -439,7 +435,7 @@ def _parse_field(w, top):
         w.fail(("field", "points"), "points must be odd (grid symmetric about 0)")
     samples = []
     for k, pt in enumerate(w.sequence(spec.get("sample_points", []), ("field", "sample_points"))):
-        vec = w.real_vector(pt, ("field", "sample_points", k))
+        vec = w.vector(pt, ("field", "sample_points", k), w.number)
         if vec.shape != (4,):
             w.fail(("field", "sample_points", k), "spacetime points are 4-vectors")
         samples.append(vec)
@@ -472,7 +468,7 @@ def _parse_element(w, obj, path, algebra):
     rows = w.sequence(obj, path, min_len=1)
     if len(rows) != len(algebra.blocks):
         w.fail(path, f"expected {len(algebra.blocks)} blocks, got {len(rows)}")
-    mats = [w.complex_matrix(r, path + (k,)) for k, r in enumerate(rows)]
+    mats = [w.matrix(r, path + (k,), w.complex_scalar) for k, r in enumerate(rows)]
     try:
         return algebra.element(mats)
     except OpalgError as exc:
@@ -498,29 +494,6 @@ def _parse_symmetry(w, top):
         "automorphisms": unitaries,
         "report_multipliers": multipliers,
     }
-
-
-_PARSERS = {
-    "gns": _parse_gns,
-    "equiv": _parse_equiv,
-    "qubit": _parse_qubit,
-    "group": _parse_group,
-    "ccr": _parse_ccr,
-    "field": _parse_field,
-    "symmetry": _parse_symmetry,
-}
-
-_KIND_PARAM_KEYS = {
-    "gns": ("algebra", "state"),
-    "equiv": ("algebra", "states"),
-    "qubit": ("configs",),
-    "group": ("group", "functions"),
-    "ccr": ("space", "moments", "fock", "eigenvalue_model"),
-    "field": ("field",),
-    "symmetry": ("algebra", "state", "unitaries", "report_multipliers"),
-}
-
-_ALL_PARAM_KEYS = tuple(sorted({k for keys in _KIND_PARAM_KEYS.values() for k in keys}))
 
 
 # ---------------------------------------------------------------------------
@@ -822,19 +795,89 @@ def _run_symmetry(scenario: Scenario, report: Report):
         report.matrix("multiplier_table", group.multiplier_table())
 
 
-_RUNNERS = {
-    "gns": _run_gns,
-    "equiv": _run_equiv,
-    "qubit": _run_qubit,
-    "group": _run_group,
-    "ccr": _run_ccr,
-    "field": _run_field,
-    "symmetry": _run_symmetry,
+# ---------------------------------------------------------------------------
+# kinds, in the order the schema lists them
+
+
+KINDS: Dict[str, Kind] = {
+    "gns": Kind(("algebra", "state"), _parse_gns, _run_gns, """\
+kind: gns
+algebra: {blocks: [2]}
+state:
+  densities:
+    - [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+"""),
+    "equiv": Kind(("algebra", "states"), _parse_equiv, _run_equiv, """\
+kind: equiv
+algebra: {blocks: [2, 2]}
+states:
+  - densities:
+      - [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+      - [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+  - densities:
+      - [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+      - [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+"""),
+    "qubit": Kind(("configs",), _parse_qubit, _run_qubit, """\
+kind: qubit
+configs:
+  - tail: {c: 1.0, p: 1.0}
+  - default: [[1, 0], [0, 0]]
+    overrides:
+      - {site: 3, vector: [[0, 0], [1, 0]]}
+"""),
+    "group": Kind(("group", "functions"), _parse_group, _run_group, """\
+kind: group
+group: {name: z3}
+functions:
+  - [[1, 0], [1, 0], [1, 0]]
+  - [[1, 0], [-0.5, 0.8660254037844386], [-0.5, -0.8660254037844386]]
+"""),
+    "ccr": Kind(("space", "moments", "fock", "eigenvalue_model"), _parse_ccr, _run_ccr, """\
+kind: ccr
+space:
+  gram: [[1, 0], [0, 1]]
+  k: [[1.4142135623730951, 0], [0, 1.4142135623730951]]
+moments:
+  max_order: 4
+  vectors:
+    - [1, 0]
+    - [0.5, -0.25]
+fock: {max_occupation: 4}
+eigenvalue_model: {kind: power, amplitude: 1.0, exponent: 2.0}
+"""),
+    "field": Kind(("field",), _parse_field, _run_field, """\
+kind: field
+field:
+  mass: 1.0
+  second_mass: 2.0
+  cutoff: 6.0
+  points: 17
+  sample_points:
+    - [0.3, 0.1, -0.2, 0.4]
+    - [-0.1, 0.5, 0.2, -0.3]
+  euclidean: {cutoff: 6.0, points: 17}
+"""),
+    "symmetry": Kind(("algebra", "state", "unitaries", "report_multipliers"),
+                     _parse_symmetry, _run_symmetry, """\
+kind: symmetry
+algebra: {blocks: [2]}
+state:
+  densities:
+    - [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]
+unitaries:
+  - [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+  - [[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]
+  - [[[[0, 0], [0, -1]], [[0, 1], [0, 0]]]]
+  - [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]]
+"""),
 }
+
+_ALL_PARAM_KEYS = tuple(sorted({key for kind in KINDS.values() for key in kind.keys}))
 
 
 def run_scenario(scenario: Scenario) -> Report:
     """Dispatch a validated scenario; identical inputs give identical bytes."""
     report = Report(scenario.kind)
-    _RUNNERS[scenario.kind](scenario, report)
+    KINDS[scenario.kind].run(scenario, report)
     return report

@@ -18,11 +18,13 @@ from opalg import (
     Scenario,
     ShapeMismatchError,
     VacuumShift,
+    ValidationError,
     build_fock_operators,
     gaussian_density,
     gaussian_equivalence_verdict,
     moment_oracle,
     pair_partitions,
+    parse_scenario,
     quasi_invariance_exponent,
     quasi_invariance_factor,
     run_scenario,
@@ -66,6 +68,20 @@ def test_ccr_space_validation():
         CcrSpace(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         CcrSpace(np.array([[1.0, 0.5], [0.0, 1.0]]), np.eye(2))
+
+
+@pytest.mark.parametrize("scale", ["1e155", "1e-155"])
+def test_ccr_space_out_of_double_range_is_a_schema_error(scale):
+    # K = 1e155 I overflows S = K K*; K = 1e-155 I has condition number 1, but
+    # its covariance K^-T G K^-1 overflows.  Either used to reach a report
+    # (cocycle residual nan, or a vacuous pass) with numpy warnings on the way
+    text = f"kind: ccr\nspace:\n  gram: [[1, 0], [0, 1]]\n  k: [[{scale}, 0], [0, {scale}]]\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+    assert (err.value.path, err.value.line) == ("space", 3)
+    assert str(err.value).endswith("S = K K*, K^-1 or the covariance leaves double range")
 
 
 def test_wick_moment_examples():

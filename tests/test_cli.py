@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import oracles
 from opalg import ValidationError, groups, parse_scenario, run_scenario, scenarios
-from opalg.cli import DEMO_SCENARIOS, main
-from opalg.scenarios import DEFAULT_TOLERANCES
+from opalg.cli import main
+from opalg.scenarios import DEFAULT_TOLERANCES, KINDS
+
+DEMO = {name: kind.demo for name, kind in KINDS.items()}
 
 MINIMAL_GNS = """\
 kind: gns
@@ -216,14 +218,14 @@ def test_scenario_documents_are_parsed_by_libyaml(monkeypatch):
         raise AssertionError("a well-formed scenario went to the pure-Python parser")
 
     monkeypatch.setattr(scenarios, "_PyLoader", no_python_parser)
-    for text in DEMO_SCENARIOS.values():
+    for text in DEMO.values():
         parse_scenario(text)
 
 
 def test_run_scenario_deterministic_bytes():
-    scenario = parse_scenario(DEMO_SCENARIOS["ccr"])
+    scenario = parse_scenario(DEMO["ccr"])
     first = run_scenario(scenario).render()
-    second = run_scenario(parse_scenario(DEMO_SCENARIOS["ccr"])).render()
+    second = run_scenario(parse_scenario(DEMO["ccr"])).render()
     assert first == second
 
 
@@ -236,7 +238,7 @@ def test_cli_run_file_and_directory(tmp_path, capsys):
     batch = tmp_path / "batch"
     batch.mkdir()
     (batch / "a.yaml").write_text(MINIMAL_GNS)
-    (batch / "b.yaml").write_text(DEMO_SCENARIOS["equiv"])
+    (batch / "b.yaml").write_text(DEMO["equiv"])
     out_dir = tmp_path / "reports"
     assert main(["run", str(batch), "--out", str(out_dir)]) == 0
     assert sorted(p.name for p in out_dir.iterdir()) == ["a.report.txt", "b.report.txt"]
@@ -273,7 +275,7 @@ def test_cli_empty_batch_is_empty_report(tmp_path, capsys):
 
 
 def test_symmetry_multiplier_table_on_request():
-    text = DEMO_SCENARIOS["symmetry"] + "report_multipliers: true\n"
+    text = DEMO["symmetry"] + "report_multipliers: true\n"
     report = run_scenario(parse_scenario(text))
     assert any(line.startswith("multiplier_table") for line in report.lines)
 
@@ -361,7 +363,7 @@ def test_parse_rejects_non_positive_tolerance(value):
 
 
 # every Pauli moves this state by 4e-7 in the dual norm, except the identity and Z
-NEAR_STATIONARY_SYMMETRY = DEMO_SCENARIOS["symmetry"].replace(
+NEAR_STATIONARY_SYMMETRY = DEMO["symmetry"].replace(
     "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
     "[[[0.5000001, 0], [0, 0]], [[0, 0], [0.4999999, 0]]]")
 
@@ -385,7 +387,7 @@ def test_cli_batch_rejects_colliding_report_names(tmp_path, capsys):
     batch = tmp_path / "batch"
     batch.mkdir()
     (batch / "a.yaml").write_text(MINIMAL_GNS)
-    (batch / "a.yml").write_text(DEMO_SCENARIOS["equiv"])
+    (batch / "a.yml").write_text(DEMO["equiv"])
     out_dir = tmp_path / "reports"
     assert main(["run", str(batch), "--out", str(out_dir)]) == 1
     err = capsys.readouterr().err
@@ -406,7 +408,7 @@ def test_stabilizer_orbit_uses_one_threshold():
     # X and iY move this state by 4e-9, past the stabilizer threshold 1e-10; a
     # looser distinctness threshold would merge their orbit points and break
     # the orbit law
-    text = DEMO_SCENARIOS["symmetry"].replace(
+    text = DEMO["symmetry"].replace(
         "[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
         "[[[0.500000001, 0], [0, 0]], [[0, 0], [0.499999999, 0]]]")
     lines = run_scenario(parse_scenario(text)).lines
@@ -498,7 +500,7 @@ def test_cli_demo_reports_identical_across_worker_counts(tmp_path):
         out = tmp_path / f"jobs{jobs}"
         assert main(["demo", "all", "--jobs", jobs, "--out", str(out)]) == 0
         reports.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    assert len(reports[0]) == len(DEMO_SCENARIOS)
+    assert len(reports[0]) == len(DEMO)
     assert reports[0] == reports[1]
 
 
@@ -578,14 +580,14 @@ field:
 TOLERANCE_LINES = {
     "reconstruction": [(MINIMAL_GNS, ["reconstruction_residual_max"]),
                        (LOCAL_QUBIT_PAIR, ["local_transition_residual"]),
-                       (DEMO_SCENARIOS["group"], ["function[k].reconstruction_residual"])],
+                       (DEMO["group"], ["function[k].reconstruction_residual"])],
     "intertwiner": [(EQUIVALENT_PAIR, ["intertwiner_residual"]),
-                    (DEMO_SCENARIOS["symmetry"], ["automorphism[k].intertwining_residual"])],
+                    (DEMO["symmetry"], ["automorphism[k].intertwining_residual"])],
     "transition": [(EQUIVALENT_PAIR, ["transition_identity_residual"])],
-    "commutation": [(DEMO_SCENARIOS["group"], ["function[k].unitarity_defect"]),
-                    (DEMO_SCENARIOS["ccr"], ["fock_commutator_defect_protected"])],
-    "cocycle": [(DEMO_SCENARIOS["ccr"], ["cocycle_residual_rel"])],
-    "moment_relative": [(DEMO_SCENARIOS["ccr"], ["moment_cross_validation_worst_rel"])],
+    "commutation": [(DEMO["group"], ["function[k].unitarity_defect"]),
+                    (DEMO["ccr"], ["fock_commutator_defect_protected"])],
+    "cocycle": [(DEMO["ccr"], ["cocycle_residual_rel"])],
+    "moment_relative": [(DEMO["ccr"], ["moment_cross_validation_worst_rel"])],
     "commutator_identity": [(SAMPLED_FIELD, ["commutator_identity_residual"])],
 }
 
@@ -743,7 +745,7 @@ def test_cli_report_into_a_missing_directory_is_created(tmp_path, monkeypatch):
     batch.mkdir()
     (batch / "a.yaml").write_text(MINIMAL_GNS)
     (batch / "b.yaml").write_text(MINIMAL_GNS + "report: nodir/x.txt\n")
-    (batch / "c.yaml").write_text(DEMO_SCENARIOS["equiv"])
+    (batch / "c.yaml").write_text(DEMO["equiv"])
     assert main(["run", str(batch), "--out", "reports"]) == 0
     assert "carrier_dim = 2" in (tmp_path / "nodir" / "x.txt").read_text()
     assert sorted(p.name for p in (tmp_path / "reports").iterdir()) == ["a.report.txt",
@@ -779,3 +781,74 @@ def test_cli_unreadable_character_is_a_schema_error_naming_the_file(tmp_path, ca
     assert main(["run", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(
         f"schema error: {bad}: <document>: not well-formed YAML: unacceptable character #x0007")
+
+
+def _mixed_batch(tmp_path):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(MINIMAL_GNS)
+    (batch / "b.yaml").write_text("kind: gns\n")
+    (batch / "c.yaml").write_text(
+        "kind: field\nfield: {mass: 1.0, second_mass: 1.0000001, cutoff: 6.0, points: 9}\n")
+    (batch / "d.yaml").write_text(DEMO["equiv"])
+    return batch
+
+
+def test_cli_batch_writes_every_success_and_names_every_failure(tmp_path, capsys):
+    batch = _mixed_batch(tmp_path)
+    seen = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", str(batch), "--out", str(out), "--jobs", jobs]) == 2
+        to_files = capsys.readouterr()
+        assert to_files.out == ""
+        reports = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(reports) == ["a.report.txt", "d.report.txt"]
+        assert main(["run", str(batch), "--jobs", jobs]) == 2
+        printed = capsys.readouterr()
+        assert printed.err == to_files.err
+        lines = printed.err.splitlines(keepends=True)
+        assert len(lines) == 2
+        assert lines[0] == (f"schema error: {batch / 'b.yaml'}: algebra: "
+                            "expected a mapping, got NoneType\n")
+        assert lines[1].startswith(f"numerical failure: {batch / 'c.yaml'}: OpalgError: "
+                                   "mass_witness: ")
+        assert printed.out == "".join(f"== {name.split('.')[0]}\n{text.decode()}"
+                                      for name, text in reports.items())
+        seen.append((reports, printed.out, printed.err))
+    assert seen[0] == seen[1]
+
+
+def test_cli_validate_reports_every_file_of_a_batch(tmp_path, capsys):
+    batch = _mixed_batch(tmp_path)
+    for jobs in ("1", "2"):
+        assert main(["validate", str(batch), "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "".join(f"{batch / name}.yaml: valid scenario of kind {kind}\n"
+                                       for name, kind in (("a", "gns"), ("c", "field"),
+                                                          ("d", "equiv")))
+        assert captured.err == (f"schema error: {batch / 'b.yaml'}: algebra: "
+                                "expected a mapping, got NoneType\n")
+
+
+@pytest.mark.parametrize("field, octant", [
+    ("{mass: 1.0, points: 257}", "257 points per axis give a 3-d octant of 2146689"),
+    ("{mass: 1.0, points: 9, euclidean: {points: 77}}",
+     "77 points per axis give a 4-d octant of 2313441"),
+    ("{mass: 1.0, points: 100001}", "100001 points per axis give a 3-d octant of 125007500150001"),
+])
+def test_field_grid_past_the_octant_limit_is_refused_before_allocation(field, octant, tmp_path,
+                                                                        capsys):
+    # points: 801 used to end in a numpy _ArrayMemoryError traceback (492 MiB), exit 1
+    path = tmp_path / "grid.yaml"
+    path.write_text(f"kind: field\nfield: {field}\n")
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (f"numerical failure: {path}: NumericalError: {octant} "
+                                       f"points, over the limit {1 << 21}\n")
+    assert peak < 4 << 20

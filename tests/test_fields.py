@@ -26,7 +26,7 @@ from opalg import (
     three_momentum_form,
     wightman_n_point,
 )
-from opalg.fields import _octant_sum
+from opalg.fields import OCTANT_POINT_LIMIT, _fold, _octant_sum
 
 GRID = MassShellGrid(1.0, cutoff=4.0, points=13)   # small grid for unit tests
 
@@ -457,3 +457,11 @@ def test_large_field_scenario_runs_in_bounded_memory():
         tracemalloc.stop()
     assert "FAIL" not in report.render()
     assert peak < 40 << 20
+
+
+def test_octant_limit_admits_the_largest_grids():
+    # field N = 255 (128^3) and Euclidean N = 75 (38^4) are the largest accepted
+    for points, dims in ((255, 3), (75, 4)):
+        assert _fold(points, 0.1, dims)[1].size <= OCTANT_POINT_LIMIT
+        with pytest.raises(NumericalError, match=f"over the limit {OCTANT_POINT_LIMIT}"):
+            _fold(points + 2, 0.1, dims)
