@@ -5,7 +5,9 @@ byte-deterministic across repeated runs and across worker counts; batches are
 directories of scenario files, each file one analysis.  ``run``, ``validate``
 and ``demo`` try every file of a batch: each success is written (a report, or
 a ``valid scenario`` line), each failure gets one stderr line naming its file,
-in file order, and the exit code is the highest of the batch.
+in file order, and the exit code is the highest of the batch.  A file that is
+not UTF-8 text fails alone, and so does a file whose report the file before
+it in the batch already writes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .errors import OpalgError, ValidationError
 from .scenarios import DEFAULT_TOLERANCES, KINDS, parse_scenario, run_scenario
 
 
-def _gather_files(path: Path):
+def _file_jobs(path: Path):
+    """(source, path) jobs for a scenario file or the scenario files of a directory."""
     if path.is_dir():
         # an empty batch is a valid no-op: empty report, exit 0
         files = sorted(p for p in path.iterdir() if p.suffix in (".yaml", ".yml"))
@@ -31,10 +34,20 @@ def _gather_files(path: Path):
                     f"scenario files {by_stem[p.stem]} and {p} would both write the "
                     f"report {p.stem}.report.txt; rename one of them")
             by_stem[p.stem] = p
-        return files
+        return [(str(p), p) for p in files]
     if not path.exists():
         raise ValidationError(f"no such scenario file: {path}")
-    return [path]
+    return [(str(path), path)]
+
+
+def _text(document) -> str:
+    """A demo's text as it is, or the text of a scenario file, which must be UTF-8."""
+    if isinstance(document, str):
+        return document
+    try:
+        return document.read_text(encoding="utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise ValidationError(f"cannot read the file: {exc}") from None
 
 
 def _apply_global_tol(scenario, tol):
@@ -65,16 +78,19 @@ def _fail(exc: OpalgError, source: str = "") -> int:
     return 2
 
 
-def _each(jobs, work, workers: int):
-    """Apply ``work(source, text)`` to every (source, text) job.
+def _each(jobs, work, workers: int, target=lambda result: None):
+    """Apply ``work(source, text)`` to every (source, document) job, reading each file here.
 
-    Every job is tried, serially or on ``workers`` threads.  Each failure
-    gets its stderr line, in job order (pool.map keeps it), which is source
-    order.  Returns the successful results and the highest exit code.
+    Every job is tried, serially or on ``workers`` threads.  A success whose
+    ``target(result)`` (the file it writes, or None) an earlier job already
+    claimed fails instead.  Each failure gets its stderr line, in job order
+    (pool.map keeps it), which is source order.  Returns the successful
+    results and the highest exit code.
     """
     def attempt(job):
+        source, document = job
         try:
-            return work(*job), None
+            return work(source, _text(document)), None
         except OpalgError as exc:
             return None, exc
 
@@ -83,39 +99,50 @@ def _each(jobs, work, workers: int):
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(attempt, jobs))
-    code = 0
-    for (source, _), (_, exc) in zip(jobs, outcomes):
-        if exc is not None:
+    results, claimed, code = [], {}, 0
+    for (source, _), (result, exc) in zip(jobs, outcomes):
+        written = None if exc else target(result)
+        if written in claimed:
+            exc = ValidationError(f"{claimed[written]} already writes {written}", path="report")
+        if exc:
             code = max(code, _fail(exc, source))
-    return [result for result, exc in outcomes if exc is None], code
+        else:
+            results.append(result)
+            if written is not None:
+                claimed[written] = source
+    return results, code
 
 
-def _execute(source: str, text: str, args):
-    """Run one scenario; ``source`` (a file path or demo name) also names its report."""
+def _execute(source: str, text: str, args, out_dir):
+    """Run one scenario; ``source`` (a file path or demo name) also names its report.
+
+    Returns the name, the report and the resolved file the report is written
+    to: its ``report:`` path, else one in ``out_dir`` (already resolved), else
+    None for stdout.
+    """
     scenario = _apply_global_tol(parse_scenario(text), args.tol)
+    name = Path(source).stem
+    target = out_dir / f"{name}.report.txt" if out_dir else None
     if scenario.report_path:
-        report = Path(scenario.report_path)
-        if report.is_dir():
-            raise ValidationError(f"{report} is a directory", path="report")
-        _check_directory(report.parent, "report")
-    return Path(source).stem, scenario, run_scenario(scenario)
+        target = Path(scenario.report_path)
+        if target.is_dir():
+            raise ValidationError(f"{target} is a directory", path="report")
+        _check_directory(target.parent, "report")
+        target = target.resolve()
+    return name, run_scenario(scenario), target
 
 
 def _emit(results, args) -> None:
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     csv_dir = Path(args.csv) if args.csv else None
     if csv_dir:
         csv_dir.mkdir(parents=True, exist_ok=True)
-    for name, scenario, report in results:
+    for name, report, target in results:
         text = report.render()
-        if scenario.report_path:
-            report_path = Path(scenario.report_path)
-            report_path.parent.mkdir(parents=True, exist_ok=True)
-            report_path.write_text(text)
-        elif out_dir:
-            (out_dir / f"{name}.report.txt").write_text(text)
+        if target:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text)
         else:
             sys.stdout.write(f"== {name}\n{text}")
         if csv_dir:
@@ -127,19 +154,19 @@ def _run_many(jobs, args) -> int:
     for flag, target in (("--out", args.out), ("--csv", args.csv)):
         if target:
             _check_directory(target, flag)
-    results, code = _each(jobs, lambda source, text: _execute(source, text, args), args.jobs)
+    out_dir = Path(args.out).resolve() if args.out else None
+    results, code = _each(jobs, lambda source, text: _execute(source, text, args, out_dir),
+                          args.jobs, lambda result: result[2])
     _emit(sorted(results, key=lambda item: item[0]), args)
     return code
 
 
 def cmd_run(args) -> int:
-    files = _gather_files(Path(args.path))
-    jobs = [(str(p), p.read_text()) for p in files]
-    return _run_many(jobs, args)
+    return _run_many(_file_jobs(Path(args.path)), args)
 
 
 def cmd_validate(args) -> int:
-    jobs = [(str(p), p.read_text()) for p in _gather_files(Path(args.path))]
+    jobs = _file_jobs(Path(args.path))
     results, code = _each(jobs, lambda source, text: (source, parse_scenario(text)), args.jobs)
     for source, scenario in results:
         sys.stdout.write(f"{source}: valid scenario of kind {scenario.kind}\n")

@@ -152,7 +152,6 @@ class EquivalenceReport:
     verdict: str                                   # equal | equivalent | inequivalent | undecided
     kernel_first: tuple
     kernel_second: tuple
-    intertwiner: Optional[np.ndarray] = None
     intertwiner_residual: Optional[float] = None
     transition: Optional[tuple] = None             # (b, b') with f'(a)=f(b*ab), f(a)=f'(b'*ab')
     transition_residual: Optional[float] = None    # max_k |f'(e_k) - f(b*e_k b)|, and back
@@ -163,6 +162,11 @@ class EquivalenceReport:
     @property
     def equivalent(self) -> bool:
         return self.verdict in ("equal", "equivalent")
+
+    @property
+    def intertwiner(self) -> Optional[np.ndarray]:
+        """The identity on pi_f, built on each request (equal rank vectors make it one)."""
+        return np.eye(self.carrier_dims[0], dtype=complex) if self.equivalent else None
 
 
 def intertwining_residual(factors) -> float:
@@ -200,12 +204,13 @@ def cyclic_vector_residual(factors, thetas) -> float:
 def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceReport:
     """Decide whether two states generate equivalent cyclic representations.
 
-    States within 1e-12 are one state, and I is certified on pi_f alone,
-    whatever the rank cut made of either.  Other pairs compare kernels
-    (vanishing blocks) first, then carrier dimensions, then the rank vectors
-    (the multiplicity of each block).  Equal rank vectors give the same
-    representation matrices, so the identity is the intertwiner; its residual
-    and the transition elements are verified.
+    States within ``EQUAL_STATES_TOL`` entrywise are one state, and I is
+    certified on pi_f alone, whatever the rank cut made of either.  Other
+    pairs compare kernels (vanishing blocks) first, then carrier dimensions,
+    then the rank vectors (the multiplicity of each block).  Equal rank
+    vectors give the same representation matrices, so the identity is the
+    intertwiner (``EquivalenceReport.intertwiner`` builds it on request);
+    its residual and the transition elements are verified.
     """
     rep_f = gns_construct(algebra, f)
     rep_g = gns_construct(algebra, g)
@@ -231,7 +236,6 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
         verdict="equal" if equal_states else "equivalent",
         kernel_first=kernels[0],
         kernel_second=kernels[1],
-        intertwiner=np.eye(rep_f.carrier_dim, dtype=complex),
         intertwiner_residual=intertwining_residual(
             [(np.eye(n), np.eye(r)) for n, r in zip(algebra.blocks, rep_f.ranks)]),
         carrier_dims=dims,

@@ -25,7 +25,7 @@ from . import groups as groups_mod
 from . import qubits as qubits_mod
 from . import symmetry as symmetry_mod
 from .algebra import TRACE_TOL, StarAlgebra, State, dual_norm_distance
-from .errors import OpalgError, ValidationError
+from .errors import NumericalError, OpalgError, ValidationError
 from .gns import TRANSITION_TOL, equivalence_check, gns_construct
 
 DEFAULT_TOLERANCES = {
@@ -594,7 +594,7 @@ def _run_equiv(scenario: Scenario, report: Report):
     if result.intertwiner_residual is not None:
         tol, src = _tol(scenario, "intertwiner")
         report.check("intertwiner_residual", result.intertwiner_residual, tol, src)
-    if result.intertwiner is not None and result.intertwiner.shape[0] <= 8:
+    if result.equivalent and result.carrier_dims[0] <= 8:
         report.matrix("intertwiner", result.intertwiner)
     if result.transition_residual is not None:
         tol, src = _tol(scenario, "transition")
@@ -783,6 +783,8 @@ def _run_symmetry(scenario: Scenario, report: Report):
                          result.intertwining_residual, itol, isrc)
     try:
         group = symmetry_mod.AutomorphismGroup(autos)
+    except NumericalError:
+        raise    # past CLOSURE_ENTRY_LIMIT: the file fails, the list is not judged
     except (ValueError, OpalgError) as exc:
         report.info("group", f"not a group: {exc}")
         return

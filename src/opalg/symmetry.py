@@ -14,7 +14,6 @@ certify it from the pairs (U_b, V_b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -27,6 +26,8 @@ from .linalg import block_diag
 STATIONARY_TOL = 1e-10    # dual-norm distance of f and its pushforward
 ACTION_TOL = 1e-9         # entrywise distance of two action matrices
 ISOMETRY_TOL = 1e-9       # entrywise defect of U_b* rho~_b U_b - rho~_b
+CLOSURE_ENTRY_LIMIT = 2 ** 26   # n^3 sum n_b^4: action entries the closure of n elements compares
+_NOT_UNITARY = f"defining element is not unitary within {UNITARY_TOL:.0e}"
 
 
 class InnerAutomorphism:
@@ -34,7 +35,7 @@ class InnerAutomorphism:
 
     def __init__(self, unitary: AlgebraElement):
         if not unitary.is_unitary():
-            raise OpalgError(f"defining element is not unitary within {UNITARY_TOL:.0e}")
+            raise OpalgError(_NOT_UNITARY)
         self.unitary = unitary
         self.algebra = unitary.algebra
 
@@ -43,19 +44,14 @@ class InnerAutomorphism:
             raise ShapeMismatchError("element lives on a different algebra")
         return self.unitary * a * self.unitary.star
 
-    @cached_property
-    def action_matrix(self) -> np.ndarray:
-        """a -> U a U* on canonical (row-major) coordinates: the sum of U_b (x) conj(U_b)."""
-        return block_diag([np.kron(u, u.conj()) for u in self.unitary.mats])
-
-    def same_action(self, other: "InnerAutomorphism") -> bool:
-        return bool(np.max(np.abs(self.action_matrix - other.action_matrix)) <= ACTION_TOL)
-
     def compose(self, other: "InnerAutomorphism") -> "InnerAutomorphism":
         return InnerAutomorphism(self.unitary * other.unitary)
 
-    def inverse(self) -> "InnerAutomorphism":
-        return InnerAutomorphism(self.unitary.star)
+
+def _action_rows(stacks) -> np.ndarray:
+    """Row k: the entries of U_b (x) conj(U_b) of the k-th unitaries, block after block."""
+    return np.concatenate([(s[:, :, None, :, None] * s.conj()[:, None, :, None, :]).reshape(len(s), -1)
+                           for s in stacks], axis=1)
 
 
 class AutomorphismGroup:
@@ -71,43 +67,46 @@ class AutomorphismGroup:
         algebra = elements[0].algebra
         if any(e.algebra != algebra for e in elements):
             raise ShapeMismatchError("all automorphisms must act on one algebra")
+        n = len(elements)
+        if n ** 3 * sum(m ** 4 for m in algebra.blocks) > CLOSURE_ENTRY_LIMIT:
+            raise NumericalError(f"closure of {n} automorphisms of blocks {list(algebra.blocks)} "
+                                 f"compares more than {CLOSURE_ENTRY_LIMIT} action entries")
         self.algebra = algebra
         self.elements = list(elements)
-        n = len(elements)
-        self.table = np.full((n, n), -1, dtype=int)
-        for i, gi in enumerate(elements):
-            for j, gj in enumerate(elements):
-                prod = gi.compose(gj)
-                for k, gk in enumerate(elements):
-                    if prod.same_action(gk):
-                        self.table[i, j] = k
-                        break
-                else:
-                    raise ValueError(f"closure fails: product of elements {i} and {j} not in list")
-        unit = InnerAutomorphism(algebra.identity())
-        identity = next((k for k, g in enumerate(elements) if g.same_action(unit)), None)
-        if identity is None:
+        self._stacks = [np.stack(mats) for mats in zip(*(e.unitary.mats for e in elements))]
+        actions = _action_rows(self._stacks)
+
+        def matches(stacks):    # [j, k]: the j-th unitaries act as listed element k
+            return np.all(np.abs(_action_rows(stacks)[:, None] - actions) <= ACTION_TOL, axis=2)
+        self.table = np.empty((n, n), dtype=int)
+        for i in range(n):    # a row of products against all n actions; each takes its first match
+            prods = [s[i] @ s for s in self._stacks]
+            unitary = np.all([np.max(np.abs(np.swapaxes(p.conj(), 1, 2) @ p - np.eye(m)), axis=(1, 2))
+                              <= UNITARY_TOL * max(1.0, m) for p, m in zip(prods, algebra.blocks)], 0)
+            same = matches(prods)
+            failed = ~unitary | ~np.any(same, axis=1)
+            if np.any(failed):
+                j = int(np.argmax(failed))    # the first failing pair in row-major order
+                if not unitary[j]:
+                    raise OpalgError(_NOT_UNITARY)
+                raise ValueError(f"closure fails: product of elements {i} and {j} not in list")
+            self.table[i] = np.argmax(same, axis=1)
+        unit = matches([np.eye(m, dtype=complex)[None] for m in algebra.blocks])[0]
+        if not np.any(unit):
             raise ValueError("group contains no identity automorphism")
-        self.identity = identity
-        for i in range(n):
-            if not np.any(self.table[i] == identity):
-                raise ValueError(f"element {i} has no inverse in the list")
+        self.identity = int(np.argmax(unit))
+        orphans = ~np.any(self.table == self.identity, axis=1)
+        if np.any(orphans):
+            raise ValueError(f"element {int(np.argmax(orphans))} has no inverse in the list")
 
     def __len__(self):
         return len(self.elements)
 
     def multiplier_table(self) -> np.ndarray:
         """Scalars k(g, g') with U_g U_g' = k(g, g') U_{gg'} for the chosen unitaries."""
-        n = len(self.elements)
-        out = np.zeros((n, n), dtype=complex)
-        dims = sum(self.algebra.blocks)
-        for i in range(n):
-            for j in range(n):
-                prod = self.elements[i].unitary * self.elements[j].unitary
-                ref = self.elements[self.table[i, j]].unitary
-                num = sum(np.trace(r.conj().T @ p) for r, p in zip(ref.mats, prod.mats))
-                out[i, j] = num / dims
-        return out
+        num = sum(np.trace(np.swapaxes(s[self.table].conj(), 2, 3) @ (s[:, None] @ s[None, :]),
+                           axis1=2, axis2=3) for s in self._stacks)
+        return num / sum(self.algebra.blocks)
 
 
 def pushforward_state(f: State, rho: InnerAutomorphism) -> State:

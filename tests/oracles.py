@@ -20,9 +20,13 @@ as (max |U_b|)^2 max |V_b V_b* - I| per block.  ``generator_matrices`` and
 
 ``associativity_failure_by_loop`` walks the triples of a multiplication
 table one at a time, as ``opalg.groups.FiniteGroup`` compares them in one
-array expression.  ``load_with_marks_by_python`` reads a scenario document
-with PyYAML's pure-Python parser alone, the reference for the libyaml path
-of ``opalg.scenarios``.
+array expression, and ``automorphism_closure_by_loop`` builds the closure
+table of a list of unitary elements pair by pair, with one action matrix
+(the sum of U_b (x) conj(U_b)) per product and a linear search of the list,
+as ``opalg.symmetry.AutomorphismGroup`` did before it compared each row of
+products with the whole list at once.  ``load_with_marks_by_python`` reads
+a scenario document with PyYAML's pure-Python parser alone, the reference
+for the libyaml path of ``opalg.scenarios``.
 
 The ``*_by_grid`` functions are the direct sums over the full symmetric
 momentum lattice: one phase per lattice point, as ``opalg.fields`` summed
@@ -67,8 +71,9 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from opalg.algebra import StarAlgebra, State, evaluate_state, transport_residual
+from opalg.algebra import UNITARY_TOL, StarAlgebra, State, evaluate_state, transport_residual
 from opalg.ccr import ORACLE_LEVELS, ORACLE_STEP
+from opalg.errors import OpalgError
 from opalg.fields import TWO_PI, MassShellGrid, TestFunction, shell_bilinear_form
 from opalg.linalg import block_diag, fix_phases, gram_quotient
 from opalg.qubits import PARTIAL_SUM_WINDOW
@@ -286,6 +291,50 @@ def associativity_failure_by_loop(table):
         if table[table[a, b], c] != table[a, table[b, c]]:
             return f"associativity fails on ({a}, {b}, {c})"
     return None
+
+
+def automorphism_closure_by_loop(unitaries, action_tol):
+    """(table, identity, multiplier table) of a list of unitary elements, one pair at a time.
+
+    Two elements act alike when their action matrices agree entrywise within
+    ``action_tol``; each product takes the first listed element that acts
+    like it.  The first failing pair in row-major order raises: a product
+    that is not unitary as ``OpalgError``, one that acts like no element as
+    ``ValueError``; then a missing identity, then a missing inverse.
+    """
+    def action(u):
+        return block_diag([np.kron(m, m.conj()) for m in u.mats])
+
+    actions = [action(u) for u in unitaries]
+    n = len(unitaries)
+    table = np.full((n, n), -1, dtype=int)
+    for i, ui in enumerate(unitaries):
+        for j, uj in enumerate(unitaries):
+            prod = ui * uj
+            if not prod.is_unitary():
+                raise OpalgError(f"defining element is not unitary within {UNITARY_TOL:.0e}")
+            prod_action = action(prod)
+            for k, act in enumerate(actions):
+                if np.max(np.abs(prod_action - act)) <= action_tol:
+                    table[i, j] = k
+                    break
+            else:
+                raise ValueError(f"closure fails: product of elements {i} and {j} not in list")
+    unit = action(unitaries[0].algebra.identity())
+    identity = next((k for k, act in enumerate(actions)
+                     if np.max(np.abs(act - unit)) <= action_tol), None)
+    if identity is None:
+        raise ValueError("group contains no identity automorphism")
+    for i in range(n):
+        if not np.any(table[i] == identity):
+            raise ValueError(f"element {i} has no inverse in the list")
+    multipliers = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            prod = unitaries[i] * unitaries[j]
+            num = sum(np.trace(r.conj().T @ p) for r, p in zip(unitaries[table[i, j]].mats, prod.mats))
+            multipliers[i, j] = num / sum(unitaries[0].algebra.blocks)
+    return table, identity, multipliers
 
 
 class PythonYaml12Loader(yaml.SafeLoader):

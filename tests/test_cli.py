@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -396,6 +397,51 @@ def test_cli_batch_rejects_colliding_report_names(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_batch_names_a_file_that_is_not_utf8(jobs, tmp_path, capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(MINIMAL_GNS)
+    (batch / "b.yaml").write_bytes(b"# \xff\n" + MINIMAL_GNS.encode())
+    (batch / "c.yaml").write_text(DEMO["equiv"])
+    out_dir = tmp_path / "reports"
+    assert main(["run", str(batch), "--jobs", jobs, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"schema error: {batch / 'b.yaml'}: <document>: cannot read the file: "
+                            "'utf-8' codec can't decode byte 0xff in position 2: invalid start byte\n")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.report.txt", "c.report.txt"]
+    assert main(["validate", str(batch), "--jobs", jobs]) == 1
+    validated = capsys.readouterr()
+    assert validated.err == captured.err
+    assert validated.out == (f"{batch / 'a.yaml'}: valid scenario of kind gns\n"
+                             f"{batch / 'c.yaml'}: valid scenario of kind equiv\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_batch_refuses_a_second_file_writing_the_same_report(jobs, tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    mixed = MINIMAL_GNS.replace("[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
+                                "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]")
+    (batch / "a.yaml").write_text(MINIMAL_GNS + "report: same.txt\n")
+    (batch / "b.yaml").write_text(mixed + "report: same.txt\n")
+    (batch / "c.yaml").write_text("kind: gns\n")
+    (batch / "d.yaml").write_text(mixed + "report: out/e.report.txt\n")
+    (batch / "e.yaml").write_text(MINIMAL_GNS)
+    assert main(["run", "batch", "--jobs", jobs, "--out", "out"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert err[0] == ("schema error: batch/b.yaml: report: batch/a.yaml already writes "
+                      f"{tmp_path / 'same.txt'}")
+    assert err[1].startswith("schema error: batch/c.yaml: ")
+    assert err[2] == ("schema error: batch/e.yaml: report: batch/d.yaml already writes "
+                      f"{tmp_path / 'out' / 'e.report.txt'}")
+    assert "purity = pure [computed]" in (tmp_path / "same.txt").read_text().splitlines()
+    assert "purity = mixed [computed]" in (tmp_path / "out" / "e.report.txt").read_text().splitlines()
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan"])
 def test_cli_rejects_non_positive_global_tolerance(value, capsys):
     assert main(["demo", "gns", "--tol", value]) == 1
@@ -461,6 +507,33 @@ def test_qubit_transition_over_the_site_cap_is_refused(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"numerical failure: {path}: NumericalError: local transition over 14 sites exceeds cap 12")
     assert peak < 16 << 20
+
+
+def test_symmetry_report_names_the_first_pair_outside_the_list():
+    # without sigma_z, sigma_x sigma_y = i sigma_z acts as no listed element
+    text = DEMO["symmetry"].replace("  - [[[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]]\n", "")
+    lines = run_scenario(parse_scenario(text)).lines
+    assert lines[-1] == ("group = not a group: closure fails: product of elements 1 and 2 "
+                         "not in list [computed]")
+    assert not any(line.startswith(("group_order", "orbit_size")) for line in lines)
+
+
+def _phase_symmetry_document(order):
+    units = "".join(f"  - [[[[1, 0], [0, 0]], [[0, 0], [{math.cos(2 * math.pi * k / order)!r}, "
+                    f"{math.sin(2 * math.pi * k / order)!r}]]]]\n" for k in range(order))
+    return ("kind: symmetry\nalgebra: {blocks: [2]}\nstate:\n  densities:\n"
+            "    - [[[0.5, 0], [0.5, 0]], [[0.5, 0], [0.5, 0]]]\nunitaries:\n" + units)
+
+
+def test_symmetry_closure_past_the_limit_is_a_numerical_failure(tmp_path, capsys):
+    # 162^3 * 2^4 action entries pass symmetry.CLOSURE_ENTRY_LIMIT = 2^26
+    path = tmp_path / "z162.yaml"
+    path.write_text(_phase_symmetry_document(162))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: {path}: NumericalError: closure of 162 automorphisms of blocks [2] "
+        "compares more than 67108864 action entries\n")
+    assert not (tmp_path / "out" / "z162.report.txt").exists()
 
 
 def test_gns_reconstruction_of_a_complex_density():

@@ -189,8 +189,7 @@ def test_oracle_commutant_of_faithful_m4_stays_small():
 
 
 def test_equivalence_check_memory_stays_quadratic_in_carrier_dim():
-    # a faithful M12 pair has D = 144: the identity intertwiner (330 kB) is
-    # its only carrier-sized matrix
+    # a faithful M12 pair has D = 144; no carrier-sized matrix is built
     alg = StarAlgebra([12])
     rng = np.random.default_rng(12)
     f, g = _state(alg, rng, [12]), _state(alg, rng, [12])
@@ -202,6 +201,27 @@ def test_equivalence_check_memory_stays_quadratic_in_carrier_dim():
         tracemalloc.stop()
     assert report.intertwiner_residual == 0.0
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def test_equivalence_check_builds_the_identity_intertwiner_only_on_request():
+    # a faithful M64 pair has D = 4096: a dense identity on it takes 256 MiB
+    alg = StarAlgebra([64])
+    rng = np.random.default_rng(64)
+    f, g = _state(alg, rng, [64]), _state(alg, rng, [64])
+    tracemalloc.start()
+    try:
+        report = equivalence_check(alg, f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "equivalent" and report.carrier_dims == (4096, 4096)
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    m2 = StarAlgebra([2])
+    small = equivalence_check(m2, State.tracial(m2), State.tracial(m2))
+    assert np.array_equal(small.intertwiner, np.eye(4)) and small.intertwiner.dtype == complex
+    m2m2 = StarAlgebra([2, 2])
+    apart = equivalence_check(m2m2, State.pure(m2m2, 0, [1.0, 0.0]), State.pure(m2m2, 1, [1.0, 0.0]))
+    assert apart.verdict == "inequivalent" and apart.intertwiner is None
 
 
 def test_oracles_import_nothing_from_the_modules_they_check():

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from opalg import (
     AutomorphismGroup,
@@ -19,8 +23,8 @@ from opalg import (
 )
 from opalg.gns import cyclic_vector_residual, intertwining_residual
 from opalg.scenarios import Scenario, run_scenario
-from opalg.symmetry import cyclic_vector_certificate
-from oracles import generator_matrices
+from opalg.symmetry import ACTION_TOL, CLOSURE_ENTRY_LIMIT, cyclic_vector_certificate
+from oracles import automorphism_closure_by_loop, generator_matrices
 
 M2 = StarAlgebra([2])
 
@@ -214,6 +218,125 @@ def test_automorphism_group_rejects_non_closed():
                    dtype=complex)
     with pytest.raises(ValueError):
         AutomorphismGroup([_auto(np.eye(2)), _auto(rot)])
+
+
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _cyclic_unitaries(rng, blocks, order):
+    """V^j for j < order, V = W diag(omega^e) W* per block, so the actions form Z_order."""
+    omega = np.exp(2j * np.pi / order)
+    bases = [_random_unitary(rng, n) for n in blocks]
+    exps = [rng.integers(0, order, size=n) for n in blocks]
+    return [[(w * (omega ** (j * e))[None, :]) @ w.conj().T for w, e in zip(bases, exps)]
+            for j in range(order)]
+
+
+def _pauli_unitaries(rng, blocks):
+    """W (P + I) W* per block for P in I, X, Y, Z, a random phase on 1x1 blocks: Klein's group."""
+    bases = [_random_unitary(rng, n) for n in blocks]
+
+    def embedded(pauli, w, n):
+        if n == 1:
+            return np.exp(1j * rng.uniform(0, 2 * np.pi)) * np.eye(1)
+        m = np.eye(n, dtype=complex)
+        m[:2, :2] = pauli
+        return w @ m @ w.conj().T
+
+    return [[embedded(pauli, w, n) for w, n in zip(bases, blocks)]
+            for pauli in (np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z)]
+
+
+def _closure_outcome(build):
+    try:
+        table, identity, multipliers = build()
+    except (ValueError, OpalgError) as exc:
+        return type(exc), str(exc)
+    return table.tolist(), table.dtype, identity, multipliers.tobytes()
+
+
+def _stacked(elements):
+    group = AutomorphismGroup([InnerAutomorphism(e) for e in elements])
+    return group.table, group.identity, group.multiplier_table()
+
+
+def _listed_elements(seed, blocks, kind, order, phases, change):
+    """A shuffled list of unitary elements: a group, or one with ``change`` made to it."""
+    rng = np.random.default_rng(seed)
+    if kind == "chain":
+        # near-identity phases a multiple of ACTION_TOL / 2 apart: tolerance
+        # ties decide the table, and some lists close without inverses
+        blocks = [2]
+        steps = rng.integers(-4, 5, size=order)
+        mats = [[np.diag([np.exp(0.5j * ACTION_TOL * k), 1.0])] for k in steps]
+    elif kind == "cyclic":
+        mats = _cyclic_unitaries(rng, blocks, order)
+    else:
+        mats = _pauli_unitaries(rng, blocks)
+    if phases != "none":
+        turns = (rng.integers(0, 8, size=len(mats)) / 8 if phases == "eighths"
+                 else rng.uniform(0, 1, size=len(mats)))
+        mats = [[np.exp(2j * np.pi * t) * m for m in ms] for t, ms in zip(turns, mats)]
+    if change == "tie":
+        mats.append([np.exp(0.3j) * m for m in mats[rng.integers(len(mats))]])
+    elif change == "no_identity" and len(mats) > 1:
+        mats.pop(0)
+    elif change == "no_inverse" and len(mats) > 2:
+        mats.pop(int(rng.integers(1, len(mats))))
+    elif change == "not_closed":
+        mats.append([_random_unitary(rng, n) for n in blocks])
+    elif change == "non_unitary_product":
+        # |u* u - I| = 0.7 of the unitarity bound passes, its square's 1.4 does not
+        k = int(rng.integers(len(mats)))
+        mats[k] = [(1 + 0.35e-12 * max(1, blocks[0])) * mats[k][0]] + mats[k][1:]
+    alg = StarAlgebra(blocks)
+    return [alg.element(mats[k]) for k in rng.permutation(len(mats))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       blocks=st.sampled_from([[1], [2], [3], [1, 2], [2, 2], [2, 3], [1, 2, 3]]),
+       kind=st.sampled_from(["cyclic", "pauli", "chain"]), order=st.integers(1, 6),
+       phases=st.sampled_from(["none", "eighths", "random"]),
+       change=st.sampled_from(["none", "tie", "no_identity", "no_inverse", "not_closed",
+                               "non_unitary_product"]))
+# phase steps -1, -2 in this order: element 0 is the identity, but every
+# product of element 1 first matches element 1
+@example(seed=24, blocks=[2], kind="chain", order=2, phases="none", change="none")
+# one element about ACTION_TOL from the identity: rounding puts its square
+# within the tolerance of it, and the identity just past it
+@example(seed=38, blocks=[2], kind="chain", order=1, phases="eighths", change="none")
+def test_stacked_closure_equals_the_loop_oracle(seed, blocks, kind, order, phases, change):
+    elements = _listed_elements(seed, blocks, kind, order, phases, change)
+    stacked = _closure_outcome(lambda: _stacked(elements))
+    assert stacked == _closure_outcome(lambda: automorphism_closure_by_loop(elements, ACTION_TOL))
+
+
+def test_closure_limit_refuses_162_automorphisms_before_any_product():
+    # 162^3 * 2^4 action entries exceed the limit, 160^3 * 2^4 do not
+    elements = [InnerAutomorphism(M2.element([np.diag([1.0, np.exp(2j * np.pi * k / 162)])]))
+                for k in range(162)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="closure of 162 automorphisms of blocks"):
+            AutomorphismGroup(elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 162**3 * 16 > CLOSURE_ENTRY_LIMIT
+    assert peak < 64 << 10
+
+
+def test_closure_limit_admits_160_automorphisms():
+    assert 160**3 * 16 <= CLOSURE_ENTRY_LIMIT
+    elements = [InnerAutomorphism(M2.element([np.diag([1.0, np.exp(2j * np.pi * k / 160)])]))
+                for k in range(160)]
+    group = AutomorphismGroup(elements)
+    k = np.arange(160)
+    assert np.array_equal(group.table, (k[:, None] + k[None, :]) % 160)
+    assert group.identity == 0
 
 
 def test_stabilizer_orbit_examples():
