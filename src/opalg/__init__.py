@@ -11,11 +11,9 @@ from .algebra import (
     AlgebraElement,
     StarAlgebra,
     State,
-    compose_algebras,
     dual_norm_distance,
     evaluate_state,
     operator_norm,
-    tensor_elements,
     transport_residual,
 )
 from .ccr import (
@@ -24,15 +22,12 @@ from .ccr import (
     FiniteEigenvalues,
     FockTruncation,
     PowerTailEigenvalues,
-    VacuumShift,
     build_fock_operators,
-    gaussian_density,
     gaussian_equivalence_verdict,
     moment_oracle,
     pair_partitions,
     quasi_invariance_exponent,
     quasi_invariance_factor,
-    shifted_vacuum_means,
     wick_moment,
 )
 from .errors import (
@@ -45,20 +40,11 @@ from .errors import (
 from .fields import (
     EuclideanLattice,
     MassShellGrid,
-    TestFunction,
-    WightmanEvaluator,
-    chronological_reorder,
     commutator_identity_check,
-    euclidean_propagator,
     klein_gordon_residual,
-    l_form,
     mass_kernel_witness,
     pauli_jordan,
     pauli_jordan_minus,
-    shell_bilinear_form,
-    tau_decompose,
-    three_momentum_form,
-    wightman_n_point,
 )
 from .gns import (
     EquivalenceReport,
@@ -70,7 +56,6 @@ from .gns import (
     pure_unitary_intertwiner,
     purity_check,
     superselection_operator,
-    transition_elements,
 )
 from .groups import (
     FiniteGroup,
@@ -79,8 +64,6 @@ from .groups import (
     cyclic_group,
     delta,
     gns_from_group_function,
-    group_algebra_action,
-    involution,
     irreducible_characters,
     is_positive_definite,
     left_regular_representation,
@@ -92,7 +75,6 @@ from .qubits import (
     QubitConfig,
     equivalence_verdict,
     local_transition_element,
-    overlap_defect,
     transition_residual,
 )
 from .scenarios import Scenario, parse_scenario, run_scenario

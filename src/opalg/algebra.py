@@ -277,22 +277,3 @@ def dual_norm_distance(f: State, g: State) -> float:
     if f.algebra != g.algebra:
         raise ShapeMismatchError("states live on different algebras")
     return float(sum(nuclear_norm(a - b) for a, b in zip(f.densities, g.densities)))
-
-
-def compose_algebras(lhs: StarAlgebra, rhs: StarAlgebra, mode: str = "direct_sum") -> StarAlgebra:
-    """Combine algebras; ``direct_sum`` concatenates blocks, ``tensor`` needs single blocks."""
-    if mode == "direct_sum":
-        return StarAlgebra(lhs.blocks + rhs.blocks)
-    if mode == "tensor":
-        if len(lhs.blocks) != 1 or len(rhs.blocks) != 1:
-            raise ShapeMismatchError(
-                "tensor composition supports single-block factors only; "
-                "decompose multi-block factors first"
-            )
-        return StarAlgebra((lhs.blocks[0] * rhs.blocks[0],))
-    raise ValueError(f"unknown composition mode {mode!r}")
-
-
-def tensor_elements(target: StarAlgebra, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Kron of two single-block elements into their tensor algebra."""
-    return target.element([np.kron(a.mats[0], b.mats[0])])

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class CcrSpace:
     def pair_value(self, q, r) -> float:
         """Two-point value <K^-1 q | K^-1 r>."""
         return float((self.k_inv @ q) @ self.gram @ (self.k_inv @ r))
-
-    def covariance_form(self, q) -> float:
-        """M_K(q) = <K^-1 q | K^-1 q>."""
-        return self.pair_value(q, q)
 
     def gram_image(self, q) -> np.ndarray:
         """Dual coordinates of u_q, defined by <r, u_q> = <r | q>; q may be a stack."""
@@ -256,21 +252,6 @@ def quasi_invariance_factor(space: CcrSpace, q, u):
     """
     value = np.exp(quasi_invariance_exponent(space, q, u))
     return float(value) if value.ndim == 0 else value
-
-
-def gaussian_density(space: CcrSpace, w) -> float:
-    """Density of the Gaussian measure with Fourier transform exp(-M_K/2).
-
-    Normalized against the Lebesgue measure on the dual coordinates, so it
-    integrates to one.
-    """
-    w = space._check_vector(w)
-    sigma = space.covariance
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0.0:
-        raise NumericalError("covariance matrix is not positive definite")
-    quad = float(w @ np.linalg.solve(sigma, w))
-    return float(np.exp(-0.5 * (space.n * np.log(2.0 * np.pi) + logdet + quad)))
 
 
 class FockTruncation:
@@ -428,50 +409,6 @@ class FockTruncation:
 def build_fock_operators(space: CcrSpace, n_max: int = 8) -> FockTruncation:
     """Truncated Fock realization of the ladder operators over ``space``."""
     return FockTruncation(space, n_max)
-
-
-class VacuumShift:
-    """Shift of the vacuum: a concrete vector in Q or a declared mode-family tail.
-
-    A power tail sigma_k = c * k^-p models shifts by vectors outside the
-    canonical image of Q; the shifted representation stays equivalent to the
-    Fock one exactly when the shift is square-summable (p > 1/2).
-    """
-
-    def __init__(self, vector=None, tail_c: Optional[float] = None, tail_p: Optional[float] = None):
-        if (vector is None) == (tail_c is None):
-            raise ValueError("provide exactly one of a concrete vector or a tail model")
-        self.vector = None if vector is None else np.asarray(vector, dtype=float)
-        self.tail_c = tail_c
-        self.tail_p = tail_p
-        if tail_c is not None and not (tail_p is not None and tail_p > 0.0):
-            raise ValueError("tail model requires an exponent p > 0")
-
-    def pairing(self, space: CcrSpace, q) -> float:
-        """<q, sigma>: Gram pairing for concrete shifts, mode pairing for tails."""
-        q = space._check_vector(q)
-        if self.vector is not None:
-            if self.vector.shape != (space.n,):
-                raise ShapeMismatchError("shift vector dimension mismatch")
-            return float(q @ space.gram @ self.vector)
-        coeffs = space.mode_coefficients(q)
-        k = np.arange(1, space.n + 1, dtype=float)
-        return float(np.sum(coeffs * self.tail_c * k ** (-self.tail_p)))
-
-    def square_summable(self) -> bool:
-        if self.vector is not None:
-            return True
-        return bool(2.0 * self.tail_p > 1.0)
-
-
-def shifted_vacuum_means(space: CcrSpace, shift: VacuumShift, q) -> tuple:
-    """Vacuum means (<a+(q)>, <a-(q)>) of the shifted ladder operators.
-
-    Both equal the real pairing <q, sigma>; the zero shift reproduces the
-    Fock means (0, 0).
-    """
-    value = shift.pairing(space, q)
-    return (complex(value), complex(value))
 
 
 @dataclass(frozen=True)

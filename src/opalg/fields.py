@@ -1,11 +1,10 @@
 """Discretized free scalar field of mass m on a symmetric momentum lattice.
 
 All mass-shell integrals become finite sums over a cubic 3-momentum grid with
-the weight dp^3 / omega, omega = sqrt(p^2 + m^2).  Test functions carry their
-Fourier data on the two shell sheets p_0 = +-omega; the algebraic identities
-(commutator relation, Wick expansion, tau-splitting isometries) then hold
-exactly on the grid, while the differential ones (Klein-Gordon, the Euclidean
-Green identity) hold to the order of the finite-difference stencil.
+the weight dp^3 / omega, omega = sqrt(p^2 + m^2).  The commutator relation
+then holds exactly on the grid, while the differential identities
+(Klein-Gordon, the Euclidean Green identity) hold to the order of the
+finite-difference stencil.
 
 The lattice sums are folded onto the octant p_i >= 0.  Each axis holds the
 integer multiples k * spacing, k = -(N-1)/2 .. (N-1)/2, so it is exactly
@@ -19,7 +18,7 @@ against its mirror image, so
 with the multiplicity mu(p) = prod_i (1 if p_i = 0 else 2).  A sum then costs
 ((N+1)/2)^d weights times one length-(N+1)/2 cosine vector per axis instead of
 N^d phases, contracted one axis at a time; only the rounding differs from the
-direct sum.  Full-grid arrays for test functions are derived on first use.
+direct sum.  The full-grid arrays are derived on first use.
 
 The time dependence of a shell sum, e^{-i omega x0} or sin(omega x0), depends
 on p only through omega, and the octant of an N-point grid holds far fewer
@@ -36,15 +35,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .ccr import pair_partitions
 from .errors import NumericalError, ShapeMismatchError
 
 TWO_PI = 2.0 * np.pi
-REALITY_TOL = 1e-12     # TestFunction: |neg(p) - conj(pos(-p))| relative to the sheet scale
 # largest octant _fold builds: 128^3 (field N = 255) and 38^4 (Euclidean N = 75) fit
 OCTANT_POINT_LIMIT = 1 << 21
 
@@ -151,45 +148,6 @@ class MassShellGrid:
         return f"MassShellGrid(m={self.mass}, cutoff={self.cutoff}, points={self.points})"
 
 
-class TestFunction:
-    """Fourier data on the two shell sheets, subject to the reality constraint.
-
-    ``pos`` holds psi^F(omega, p), ``neg`` holds psi^F(-omega, p); reality of
-    the position-space function requires neg(p) = conj(pos(-p)).
-    """
-
-    __test__ = False  # keep pytest collection away from the Test* name
-
-    def __init__(self, grid: MassShellGrid, pos, neg):
-        self.grid = grid
-        pos = np.asarray(pos, dtype=complex)
-        neg = np.asarray(neg, dtype=complex)
-        if pos.shape != (grid.size,) or neg.shape != (grid.size,):
-            raise ShapeMismatchError("sheet data must have one value per grid point")
-        scale = max(float(np.max(np.abs(pos))), float(np.max(np.abs(neg))), 1.0)
-        defect = float(np.max(np.abs(neg - np.conj(pos[grid.flip]))))
-        if defect > REALITY_TOL * scale:
-            raise ValueError(f"reality constraint violated (defect {defect:.3e})")
-        self.pos = pos
-        self.neg = neg
-
-    @classmethod
-    def from_profile(cls, grid: MassShellGrid, profile: Callable) -> "TestFunction":
-        """Restrict a momentum-space profile psi^F(p0, p) to the two sheets."""
-        p = grid.momenta
-        pos = np.asarray(profile(grid.omega, p), dtype=complex)
-        neg = np.asarray(profile(-grid.omega, p), dtype=complex)
-        return cls(grid, pos, neg)
-
-    def even_part(self) -> "TestFunction":
-        half = 0.5 * (self.pos + self.neg)
-        return TestFunction(self.grid, half, half)
-
-    def odd_part(self) -> "TestFunction":
-        half = 0.5 * (self.pos - self.neg)
-        return TestFunction(self.grid, half, -half)
-
-
 def _minus_sheet(grid: MassShellGrid, x0: float) -> np.ndarray:
     """mu w e^{-i omega x0} over the octant, one exp per distinct shell."""
     omega, index = grid.shells
@@ -224,90 +182,17 @@ def pauli_jordan(grid: MassShellGrid, x) -> complex:
     return complex(TWO_PI**-3 * _octant_sum(sheet, grid.half_axis, x[1:]))
 
 
-def shell_bilinear_form(grid: MassShellGrid, psi: TestFunction, phi: TestFunction) -> complex:
-    """(psi | phi)_m = sum_p w(p) psi^F(-omega, -p) phi^F(omega, p).
-
-    Positive on real test functions; the measure normalization (2 pi)^-3 is
-    absorbed so a unit single-point excitation returns exactly its weight.
-    """
-    if psi.grid != grid or phi.grid != grid:
-        raise ShapeMismatchError("test functions live on a different grid")
-    return complex(np.sum(grid.weights * psi.neg[grid.flip] * phi.pos))
-
-
-def l_form(grid: MassShellGrid, psi: TestFunction, phi: TestFunction) -> complex:
-    """Real bilinear form on the quotient: the symmetrized shell pairing."""
-    if psi.grid != grid or phi.grid != grid:
-        raise ShapeMismatchError("test functions live on a different grid")
-    first = np.sum(grid.weights * psi.neg[grid.flip] * phi.pos)
-    second = np.sum(grid.weights * psi.pos[grid.flip] * phi.neg)
-    return complex(0.5 * (first + second))
-
-
-def three_momentum_form(grid: MassShellGrid, q1: np.ndarray, q2: np.ndarray) -> complex:
-    """<q | q'> = sum_p dp^3 q(-p) q'(p) on 3-momentum functions."""
-    return complex(grid.spacing**3 * np.sum(q1[grid.flip] * q2))
-
-
-def tau_decompose(grid: MassShellGrid, psi: TestFunction):
-    """Split a test function into instantaneous field and momentum data.
-
-    tau+ = omega^-1/2 (psi^F(omega) + psi^F(-omega)) / 2 and
-    tau- = omega^-1/2 (psi^F(omega) - psi^F(-omega)) / (2i); both are
-    isometries of the even/odd summands onto 3-momentum space, mutually
-    orthogonal under the real shell form.
-    """
-    scale = grid.omega**-0.5
-    tau_plus = scale * 0.5 * (psi.pos + psi.neg)
-    tau_minus = scale * (psi.pos - psi.neg) / 2j
-    return tau_plus, tau_minus
-
-
-class WightmanEvaluator:
-    """n-point functions of the free state, with a cached two-point table.
-
-    ``pair_scale`` multiplies every two-point factor; the default 1 is the
-    Fock case and constant non-Fock covariances enter as c^2.
-    """
-
-    def __init__(self, grid: MassShellGrid, pair_scale: float = 1.0):
-        self.grid = grid
-        self.pair_scale = float(pair_scale)
-        self._cache = {}
-
-    def two_point(self, x, y) -> complex:
-        diff = tuple(np.round(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), 14))
-        if diff not in self._cache:
-            self._cache[diff] = self.pair_scale * pauli_jordan_minus(self.grid, diff) / 1j
-        return self._cache[diff]
-
-    def __call__(self, points: Sequence) -> complex:
-        n = len(points)
-        if n == 0:
-            return complex(1.0)
-        if n % 2 == 1:
-            return complex(0.0)
-        if n == 2:
-            return self.two_point(points[0], points[1])
-        total = 0.0 + 0.0j
-        for partition in pair_partitions(n):
-            prod = 1.0 + 0.0j
-            for i, j in partition:
-                prod *= self.two_point(points[i], points[j])
-            total += prod
-        return complex(total)
-
-
-def wightman_n_point(grid: MassShellGrid, points: Sequence, pair_scale: float = 1.0) -> complex:
-    """Wick n-point value: odd orders vanish, even orders sum pair products."""
-    return WightmanEvaluator(grid, pair_scale)(points)
-
-
 def commutator_identity_check(grid: MassShellGrid, x, y) -> float:
-    """Residual of W2(x,y) - W2(y,x) + i D_m(x-y); an exact grid identity."""
-    ev = WightmanEvaluator(grid)
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return abs(ev.two_point(x, y) - ev.two_point(y, x) + 1j * pauli_jordan(grid, d))
+    """Residual of W2(x,y) - W2(y,x) + i D_m(x-y); an exact grid identity.
+
+    The two-point function is W2(x,y) = D^-(x - y) / i, taken at x - y
+    rounded to 14 decimals.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    w_xy = pauli_jordan_minus(grid, np.round(x - y, 14)) / 1j
+    w_yx = pauli_jordan_minus(grid, np.round(y - x, 14)) / 1j
+    return abs(w_xy - w_yx + 1j * pauli_jordan(grid, x - y))
 
 
 def klein_gordon_residual(grid: MassShellGrid, x, h: float) -> float:
@@ -458,36 +343,3 @@ class EuclideanLattice:
         lhs = -lap + self.mass**2 * w0
         ref = self.band_limited_delta(origin)
         return abs(lhs - ref) / ref
-
-
-def euclidean_propagator(mass: float, x, cutoff: float = 6.0, points: int = 17) -> float:
-    """Convenience wrapper building the lattice for a single evaluation."""
-    return EuclideanLattice(mass, cutoff, points).propagator(x)
-
-
-def chronological_reorder(points: Sequence, evaluator: Callable) -> complex:
-    """Sum over permutations with Heaviside time-ordering factors.
-
-    theta(0) = 1/2 breaks ties at coincident times; the result is symmetric
-    under argument exchange by construction.  Limited to k <= 6 points.
-    """
-    import itertools as _it
-
-    pts = [np.asarray(p, dtype=float) for p in points]
-    k = len(pts)
-    if k > 6:
-        raise NumericalError("chronological_reorder supports at most 6 points")
-    if k == 0:
-        return complex(evaluator([]))
-    total = 0.0 + 0.0j
-    for perm in _it.permutations(range(k)):
-        weight = 1.0
-        for a, b in zip(perm, perm[1:]):
-            dt = pts[a][0] - pts[b][0]
-            weight *= 0.5 if dt == 0.0 else (1.0 if dt > 0.0 else 0.0)
-            if weight == 0.0:
-                break
-        if weight == 0.0:
-            continue
-        total += weight * evaluator([pts[i] for i in perm])
-    return complex(total)

@@ -257,12 +257,6 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     return report
 
 
-def transition_elements(algebra: StarAlgebra, f: State, g: State):
-    """Elements (b, b') with f'(a) = f(b*ab) and f(a) = f'(b'*ab'), or None."""
-    report = equivalence_check(algebra, f, g)
-    return report.transition if report.equivalent else None
-
-
 def pure_unitary_intertwiner(algebra: StarAlgebra, f: State, g: State):
     """Unitary U in A with g(a) = f(U* a U) for equivalent pure states.
 

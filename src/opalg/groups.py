@@ -1,8 +1,8 @@
 """Group algebras of finite groups and GNS representations from positive-definite functions.
 
-Counting measure plays the Haar role, the modular function is identically
-one, and the group-algebra involution is f*(g) = conj(f(g^-1)).  Functions on
-a group of order n are plain complex arrays of length n in element order.
+Counting measure plays the Haar role and the modular function is identically
+one.  Functions on a group of order n are plain complex arrays of length n in
+element order.
 """
 
 from __future__ import annotations
@@ -114,12 +114,6 @@ def convolve(group: FiniteGroup, f1, f2) -> np.ndarray:
     return out
 
 
-def involution(group: FiniteGroup, f) -> np.ndarray:
-    """f*(g) = conj(f(g^-1)); the modular function is 1 on a finite group."""
-    f = _as_function(group, f)
-    return np.conj(f[group.inverse])
-
-
 def pd_kernel(group: FiniteGroup, psi) -> np.ndarray:
     """Matrix K[i, j] = psi(g_j^-1 g_i) whose positivity defines positive-definiteness."""
     psi = _as_function(group, psi)
@@ -188,15 +182,6 @@ def left_regular_representation(group: FiniteGroup) -> GroupRep:
         mats.append(m)
     theta = delta(group, group.identity)
     return GroupRep(group=group, matrices=tuple(mats), cyclic_vector=theta, gram_rank=n)
-
-
-def group_algebra_action(rep: GroupRep, f) -> np.ndarray:
-    """pi^L(f) = sum_g f(g) pi(g); convolution becomes the matrix product."""
-    f = _as_function(rep.group, f)
-    out = np.zeros((rep.carrier_dim, rep.carrier_dim), dtype=complex)
-    for coeff, m in zip(f, rep.matrices):
-        out += coeff * m
-    return out
 
 
 @dataclass(frozen=True)

@@ -92,13 +92,6 @@ class QubitConfig:
         return ("const", self.default)
 
 
-def overlap_defect(sigma: QubitConfig, sigma2: QubitConfig, site: int) -> float:
-    """| |<sigma(s)|sigma'(s)>| - 1 |, in [0, 1]."""
-    v = sigma.vector_at(site)
-    w = sigma2.vector_at(site)
-    return abs(abs(np.vdot(v, w)) - 1.0)
-
-
 def _partial_sum(sigma, sigma2) -> float:
     v = sigma.window_vectors(PARTIAL_SUM_WINDOW)
     w = sigma2.window_vectors(PARTIAL_SUM_WINDOW)

@@ -775,7 +775,7 @@ def _run_symmetry(scenario: Scenario, report: Report):
         report.info(f"automorphism[{k}].stationary", stationary)
         result = symmetry_mod.unitary_implementer(state, rho, **configured)
         report.info(f"automorphism[{k}].implementer",
-                    "present" if result.unitary is not None else "absent")
+                    "present" if result.pairs is not None else "absent")
         report.info(f"automorphism[{k}].isometry_defect", result.isometry_defect)
         if result.intertwining_residual is not None:
             itol, isrc = _tol(scenario, "intertwiner")

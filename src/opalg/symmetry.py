@@ -126,9 +126,14 @@ def stationarity_check(f: State, rho: InnerAutomorphism, tol: float = STATIONARY
 
 @dataclass
 class ImplementerResult:
-    unitary: Optional[np.ndarray]    # None when the defining map is not isometric
+    pairs: Optional[list]    # (U_b, V_b) of each block; None when the defining map is not isometric
     isometry_defect: float
     intertwining_residual: Optional[float] = None
+
+    @property
+    def unitary(self) -> Optional[np.ndarray]:
+        """The dense W = sum U_b (x) V_b, built on each request."""
+        return None if self.pairs is None else block_diag([np.kron(u, v) for u, v in self.pairs])
 
 
 def unitary_implementer(f: State, rho: InnerAutomorphism,
@@ -140,7 +145,8 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
     cut, whose entries are at most 1).  Past ``tol`` the state is not stationary
     and no implementer exists; otherwise it is the sum of U_b (x) V_b with
     V_b = (Theta_b^+ U_b* Theta_b)^T, sending vec(x Theta_b) to vec(U_b x U_b* Theta_b).
-    The same pairs (U_b, V_b) build the dense unitary and its certificates;
+    The result keeps the pairs (U_b, V_b); they give the certificates, and the
+    dense unitary only when ``ImplementerResult.unitary`` is read.
     :func:`cyclic_vector_certificate` checks W theta = theta.
     """
     rep = gns_construct(f.algebra, f)
@@ -148,12 +154,11 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
     defect = max(float(np.max(np.abs(u.conj().T @ d @ u - d)))
                  for u, d in zip(rho.unitary.mats, kept))
     if defect > tol:
-        return ImplementerResult(unitary=None, isometry_defect=defect)
+        return ImplementerResult(pairs=None, isometry_defect=defect)
     pairs = [(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)
              for u, t in zip(rho.unitary.mats, rep.factors)]
     cyclic_vector_certificate(pairs, rep.factors, defect)
-    w = block_diag([np.kron(u, v) for u, v in pairs])
-    return ImplementerResult(unitary=w, isometry_defect=defect,
+    return ImplementerResult(pairs=pairs, isometry_defect=defect,
                              intertwining_residual=intertwining_residual(pairs))
 
 
@@ -197,17 +202,26 @@ def stabilizer_orbit(f: State, group: AutomorphismGroup,
 
     g fixes f when the dual-norm distance of f and its pushforward is at most
     ``tol``, and orbit states within ``tol`` of each other count as one: a
-    single threshold keeps the two counts consistent with the orbit law.
+    single threshold keeps the two counts consistent with the orbit law.  The
+    orbit densities are kept as one stack per block, so a pushforward meets
+    all orbit states found so far in one stacked SVD per block; the distances
+    are :func:`dual_norm_distance` bit for bit.
     """
     if f.algebra != group.algebra:
         raise ShapeMismatchError("state and group live on different algebras")
     stabilizer = 0
     orbit: list = []
+    stacks = [np.empty((len(group),) + d.shape, dtype=complex) for d in f.densities]
     for g in group.elements:
         moved = pushforward_state(f, g)
         if dual_norm_distance(f, moved) <= tol:
             stabilizer += 1
-        if all(dual_norm_distance(moved, seen) > tol for seen in orbit):
+        k = len(orbit)
+        distances = sum(np.sum(np.linalg.svd(d - s[:k], compute_uv=False), axis=1)
+                        for d, s in zip(moved.densities, stacks))
+        if np.all(distances > tol):
+            for d, s in zip(moved.densities, stacks):
+                s[k] = d
             orbit.append(moved)
     report = OrbitReport(
         stabilizer_size=stabilizer,

@@ -24,9 +24,12 @@ array expression, and ``automorphism_closure_by_loop`` builds the closure
 table of a list of unitary elements pair by pair, with one action matrix
 (the sum of U_b (x) conj(U_b)) per product and a linear search of the list,
 as ``opalg.symmetry.AutomorphismGroup`` did before it compared each row of
-products with the whole list at once.  ``load_with_marks_by_python`` reads
-a scenario document with PyYAML's pure-Python parser alone, the reference
-for the libyaml path of ``opalg.scenarios``.
+products with the whole list at once; ``stabilizer_orbit_by_pairs`` compares
+each pushforward with the orbit states one pair at a time, as
+``opalg.symmetry.stabilizer_orbit`` did before it stacked them per block.
+``load_with_marks_by_python`` reads a scenario document with PyYAML's
+pure-Python parser alone, the reference for the libyaml path of
+``opalg.scenarios``.
 
 The ``*_by_grid`` functions are the direct sums over the full symmetric
 momentum lattice: one phase per lattice point, as ``opalg.fields`` summed
@@ -59,6 +62,8 @@ commutator entries one mode pair (m, m') at a time, where
 enumeration of pairings, and ``wick_by_partitions`` and
 ``moment_oracle_by_levels`` are the per-pairing and per-level loops that ``wick_moment`` and
 ``moment_oracle`` replaced with array expressions doing the same arithmetic.
+``gaussian_density`` is the normalized density of the Gaussian measure, the
+reference the quasi-invariance cocycle is integrated against.
 """
 
 from __future__ import annotations
@@ -71,10 +76,11 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from opalg.algebra import UNITARY_TOL, StarAlgebra, State, evaluate_state, transport_residual
+from opalg.algebra import (UNITARY_TOL, StarAlgebra, State, dual_norm_distance, evaluate_state,
+                           transport_residual)
 from opalg.ccr import ORACLE_LEVELS, ORACLE_STEP
-from opalg.errors import OpalgError
-from opalg.fields import TWO_PI, MassShellGrid, TestFunction, shell_bilinear_form
+from opalg.errors import NumericalError, OpalgError
+from opalg.fields import TWO_PI, MassShellGrid
 from opalg.linalg import block_diag, fix_phases, gram_quotient
 from opalg.qubits import PARTIAL_SUM_WINDOW
 
@@ -337,6 +343,24 @@ def automorphism_closure_by_loop(unitaries, action_tol):
     return table, identity, multipliers
 
 
+def stabilizer_orbit_by_pairs(f, elements, tol):
+    """(stabilizer size, orbit states) with one ``dual_norm_distance`` per pair of states.
+
+    The pushforward of f by Ad(U) has the densities U_b* rho_b U_b; it joins
+    the orbit when it is farther than ``tol`` from every orbit state found so
+    far, checked one state at a time.
+    """
+    stabilizer = 0
+    orbit = []
+    for g in elements:
+        moved = State(f.algebra, [u.conj().T @ d @ u for d, u in zip(f.densities, g.unitary.mats)])
+        if dual_norm_distance(f, moved) <= tol:
+            stabilizer += 1
+        if all(dual_norm_distance(moved, seen) > tol for seen in orbit):
+            orbit.append(moved)
+    return stabilizer, orbit
+
+
 class PythonYaml12Loader(yaml.SafeLoader):
     """PyYAML's pure-Python safe loader plus the YAML 1.2 exponent floats."""
 
@@ -465,8 +489,8 @@ def euclidean_propagator_by_grid(lattice, x):
 def witness_shell_values_by_grid(mass_first, mass_second, cutoff, points):
     """The two shell forms (psi | psi)_m of the mass witness's profile.
 
-    Restricts the profile to both sheets of the full grid of each mass with
-    ``TestFunction.from_profile`` and pairs it with ``shell_bilinear_form``.
+    Restricts the profile to both sheets p0 = +-omega of the full grid of
+    each mass and pairs them as sum_p w(p) psi(-omega, -p) psi(omega, p).
     Every term is positive, so each value is also its own scale.
     """
     gap = mass_first**2 - mass_second**2
@@ -481,8 +505,9 @@ def witness_shell_values_by_grid(mass_first, mass_second, cutoff, points):
     values = []
     for mass in (mass_first, mass_second):
         grid = MassShellGrid(mass, cutoff, points)
-        psi = TestFunction.from_profile(grid, profile)
-        values.append(float(shell_bilinear_form(grid, psi, psi).real))
+        pos = profile(grid.omega, grid.momenta)
+        neg = profile(-grid.omega, grid.momenta)
+        values.append(float(np.sum(grid.weights * neg[grid.flip] * pos)))
     return tuple(values)
 
 
@@ -581,3 +606,18 @@ def moment_oracle_by_levels(space, args) -> float:
         values = [(factor * values[i + 1] - values[i]) / (factor - 1.0)
                   for i in range(len(values) - 1)]
     return values[0] * (-1.0) ** (m // 2) * float(np.prod(norms))
+
+
+def gaussian_density(space, w) -> float:
+    """Density of the Gaussian measure with Fourier transform exp(-M_K/2).
+
+    Normalized against the Lebesgue measure on the dual coordinates, so it
+    integrates to one.
+    """
+    w = space._check_vector(w)
+    sigma = space.covariance
+    sign, logdet = np.linalg.slogdet(sigma)
+    if sign <= 0.0:
+        raise NumericalError("covariance matrix is not positive definite")
+    quad = float(w @ np.linalg.solve(sigma, w))
+    return float(np.exp(-0.5 * (space.n * np.log(2.0 * np.pi) + logdet + quad)))

@@ -9,7 +9,6 @@ from opalg import (
     ShapeMismatchError,
     StarAlgebra,
     State,
-    compose_algebras,
     dual_norm_distance,
     evaluate_state,
     operator_norm,
@@ -161,21 +160,6 @@ def test_block_projection_never_increases_norm():
         for b, n in enumerate(alg.blocks):
             single = StarAlgebra([n]).element([a.mats[b]])
             assert operator_norm(single) <= full + 1e-12
-
-
-def test_compose_direct_sum_and_tensor():
-    assert compose_algebras(M2, StarAlgebra([1]), "direct_sum").blocks == (2, 1)
-    assert compose_algebras(M2, M2, "tensor").blocks == (4,)
-    with pytest.raises(ShapeMismatchError):
-        compose_algebras(M2M2, M2, "tensor")
-
-
-def test_tensor_identity_maps_to_identity():
-    from opalg import tensor_elements
-
-    target = compose_algebras(M2, M2, "tensor")
-    one = tensor_elements(target, M2.identity(), M2.identity())
-    assert np.array_equal(one.mats[0], np.eye(4))
 
 
 def test_state_validation_rejects_bad_densities():

@@ -17,10 +17,8 @@ from opalg import (
     PowerTailEigenvalues,
     Scenario,
     ShapeMismatchError,
-    VacuumShift,
     ValidationError,
     build_fock_operators,
-    gaussian_density,
     gaussian_equivalence_verdict,
     moment_oracle,
     pair_partitions,
@@ -28,7 +26,6 @@ from opalg import (
     quasi_invariance_exponent,
     quasi_invariance_factor,
     run_scenario,
-    shifted_vacuum_means,
     wick_moment,
 )
 
@@ -274,28 +271,28 @@ def test_one_dimensional_shift_identity_by_quadrature():
     space = CcrSpace(np.eye(1), np.sqrt(2.0) * np.eye(1))
     sigma = math.sqrt(space.covariance[0, 0])
     grid = np.linspace(-8 * sigma, 8 * sigma, 4001)
-    dens = np.array([gaussian_density(space, np.array([w])) for w in grid])
+    dens = np.array([oracles.gaussian_density(space, np.array([w])) for w in grid])
     mass = np.trapezoid(dens, grid)
     assert abs(mass - 1.0) <= 1e-6
     for q in (0.3, -1.2):
         shift = space.gram_image(np.array([q]))[0]
         worst = 0.0
         for w in grid[::40]:
-            lhs = gaussian_density(space, np.array([w + shift]))
+            lhs = oracles.gaussian_density(space, np.array([w + shift]))
             rhs = quasi_invariance_factor(space, np.array([q]), np.array([w])) ** 2 \
-                * gaussian_density(space, np.array([w]))
+                * oracles.gaussian_density(space, np.array([w]))
             worst = max(worst, abs(lhs - rhs))
         assert worst <= 1e-8
 
 
 def test_gaussian_density_examples():
     space = unit_space(1)
-    assert gaussian_density(space, np.array([0.0])) == pytest.approx(
+    assert oracles.gaussian_density(space, np.array([0.0])) == pytest.approx(
         (2 * np.pi) ** -0.5, abs=1e-12)
     rng = np.random.default_rng(64)
     space3 = _random_space(rng, 3)
     w = rng.normal(size=3)
-    assert gaussian_density(space3, w) == gaussian_density(space3, -w)
+    assert oracles.gaussian_density(space3, w) == oracles.gaussian_density(space3, -w)
 
 
 def test_gaussian_density_mass_in_two_dimensions():
@@ -312,7 +309,7 @@ def test_gaussian_density_mass_in_two_dimensions():
     dens = (norm * np.exp(-0.5 * quad)).reshape(nx, nx)
     # vectorized evaluation must match the scalar entry point
     probe = pts[nx * nx // 3]
-    assert gaussian_density(space, probe) == pytest.approx(
+    assert oracles.gaussian_density(space, probe) == pytest.approx(
         float(norm * np.exp(-0.5 * probe @ sigma_inv @ probe)), rel=1e-10)
     mass = np.trapezoid(np.trapezoid(dens, ys, axis=1), xs)
     assert abs(mass - 1.0) <= 1e-6
@@ -494,30 +491,6 @@ def test_index_array_ladders_match_dense_products(n, n_max, seed):
     assert abs(fock.commutator_defect(q, qp) - dense) <= 1e-13 * scale
     assert fock.commutator_defect(q, qp) == oracles.commutator_defect_by_mode_pairs(fock, q, qp)
     assert np.max(np.abs(fock.a_minus_action(q, v) - fock.a_minus(q) @ v)) <= 1e-13 * scale
-
-
-def test_shifted_vacuum_means():
-    space = unit_space(2)
-    zero = VacuumShift(vector=np.zeros(2))
-    assert shifted_vacuum_means(space, zero, np.array([1.0, 1.0])) == (0.0, 0.0)
-    shift = VacuumShift(vector=np.array([1.0, 0.0]))
-    assert shifted_vacuum_means(space, shift, np.array([0.0, 1.0])) == (0.0, 0.0)
-    plus, minus = shifted_vacuum_means(space, shift, np.array([2.0, 0.0]))
-    assert plus == minus == pytest.approx(2.0, abs=1e-14)
-
-
-def test_vacuum_shift_tail_model():
-    space = unit_space(3)
-    tail = VacuumShift(tail_c=1.0, tail_p=1.0)
-    q = np.array([1.0, 1.0, 1.0])
-    plus, _ = shifted_vacuum_means(space, tail, q)
-    assert plus == pytest.approx(1.0 + 0.5 + 1.0 / 3.0, abs=1e-12)
-    assert tail.square_summable()
-    assert not VacuumShift(tail_c=1.0, tail_p=0.4).square_summable()
-    with pytest.raises(ValueError):
-        VacuumShift(tail_c=1.0, tail_p=0.0)
-    with pytest.raises(ValueError):
-        VacuumShift(vector=np.zeros(2), tail_c=1.0, tail_p=1.0)
 
 
 def test_gaussian_equivalence_verdicts():

@@ -10,31 +10,17 @@ from opalg import (
     EuclideanLattice,
     MassShellGrid,
     NumericalError,
-    TestFunction,
-    WightmanEvaluator,
-    chronological_reorder,
     commutator_identity_check,
     klein_gordon_residual,
-    l_form,
     mass_kernel_witness,
     parse_scenario,
     pauli_jordan,
     pauli_jordan_minus,
     run_scenario,
-    shell_bilinear_form,
-    tau_decompose,
-    three_momentum_form,
-    wightman_n_point,
 )
 from opalg.fields import OCTANT_POINT_LIMIT, _fold, _octant_sum
 
 GRID = MassShellGrid(1.0, cutoff=4.0, points=13)   # small grid for unit tests
-
-
-def _random_real_test_function(grid, rng):
-    pos = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
-    neg = np.conj(pos[grid.flip])
-    return TestFunction(grid, pos, neg)
 
 
 def test_grid_is_symmetric_with_positive_weights():
@@ -57,11 +43,12 @@ def test_equal_time_pauli_jordan_vanishes_exactly():
 
 
 def test_pauli_jordan_minus_translation_invariance_of_two_point():
-    ev = WightmanEvaluator(GRID)
     x = np.array([0.3, 0.1, -0.2, 0.5])
     y = np.array([-0.2, 0.4, 0.3, 0.0])
     shift = np.array([0.7, -0.3, 0.2, 0.1])
-    assert abs(ev.two_point(x, y) - ev.two_point(x + shift, y + shift)) <= 1e-12
+    # x - y and (x + shift) - (y + shift) differ in the last bits
+    assert abs(pauli_jordan_minus(GRID, x - y)
+               - pauli_jordan_minus(GRID, (x + shift) - (y + shift))) <= 1e-12
 
 
 def test_klein_gordon_residual_refines_quadratically():
@@ -72,144 +59,12 @@ def test_klein_gordon_residual_refines_quadratically():
     assert 3.2 <= coarse / fine <= 4.8
 
 
-def test_shell_form_zero_and_single_point():
-    zero = TestFunction(GRID, np.zeros(GRID.size), np.zeros(GRID.size))
-    psi = _random_real_test_function(GRID, np.random.default_rng(71))
-    assert shell_bilinear_form(GRID, psi, zero) == 0.0
-    # unit excitation at p = 0: the form returns exactly the weight dp^3/omega
-    origin = int(np.argmin(GRID.omega))
-    pos = np.zeros(GRID.size, dtype=complex)
-    pos[origin] = 1.0
-    bump = TestFunction(GRID, pos, pos.copy())
-    value = shell_bilinear_form(GRID, bump, bump)
-    assert value.real == pytest.approx(GRID.spacing**3 / GRID.mass, abs=1e-15)
-    assert value.imag == 0.0
-
-
-def test_shell_form_positivity_on_real_test_functions():
-    rng = np.random.default_rng(72)
-    for _ in range(100):
-        psi = _random_real_test_function(GRID, rng)
-        val = shell_bilinear_form(GRID, psi, psi)
-        scale = float(np.max(np.abs(psi.pos))) ** 2
-        assert val.real >= -1e-12 * scale
-        assert abs(val.imag) <= 1e-12 * scale
-
-
-def test_shell_form_degeneracy_witness():
-    # a profile vanishing on the shell restricts to zero sheet data: the form
-    # cannot see it although the profile is nonzero off shell
-    def off_shell(p0, p):
-        return p0 * p0 - np.sum(p * p, axis=1) - GRID.mass**2
-
-    psi = TestFunction.from_profile(GRID, off_shell)
-    assert np.max(np.abs(psi.pos)) <= 1e-12
-    assert abs(shell_bilinear_form(GRID, psi, psi)) <= 1e-20
-    assert abs(off_shell(np.array([0.0]), np.zeros((1, 3)))[0]) == GRID.mass**2
-
-
-def test_grid_mismatch_rejected():
-    from opalg import ShapeMismatchError
-
-    other = MassShellGrid(1.0, cutoff=4.0, points=9)
-    psi = _random_real_test_function(GRID, np.random.default_rng(79))
-    phi = _random_real_test_function(other, np.random.default_rng(80))
-    with pytest.raises(ShapeMismatchError):
-        shell_bilinear_form(GRID, psi, phi)
-
-
-def test_reality_constraint_enforced():
-    pos = np.zeros(GRID.size, dtype=complex)
-    pos[0] = 1.0
-    neg = np.zeros(GRID.size, dtype=complex)   # misses the mirrored entry
-    with pytest.raises(ValueError):
-        TestFunction(GRID, pos, neg)
-
-
-def test_tau_decompose_even_and_odd_data():
-    rng = np.random.default_rng(73)
-    psi = _random_real_test_function(GRID, rng)
-    even = psi.even_part()
-    odd = psi.odd_part()
-    tau_plus_even, tau_minus_even = tau_decompose(GRID, even)
-    assert np.max(np.abs(tau_minus_even)) == 0.0
-    tau_plus_odd, tau_minus_odd = tau_decompose(GRID, odd)
-    assert np.max(np.abs(tau_plus_odd)) == 0.0
-    assert np.max(np.abs(tau_minus_odd)) > 0.0
-
-
-def test_tau_components_orthogonal_under_l_form():
-    rng = np.random.default_rng(74)
-    for _ in range(10):
-        psi = _random_real_test_function(GRID, rng)
-        phi = _random_real_test_function(GRID, rng)
-        cross = l_form(GRID, psi.even_part(), phi.odd_part())
-        scale = max(float(np.max(np.abs(psi.pos))), float(np.max(np.abs(phi.pos)))) ** 2
-        assert abs(cross) <= 1e-10 * scale
-
-
-def test_tau_plus_isometry():
-    rng = np.random.default_rng(75)
-    for _ in range(10):
-        psi = _random_real_test_function(GRID, rng)
-        even = psi.even_part()
-        tau_plus, _ = tau_decompose(GRID, psi)
-        lhs = three_momentum_form(GRID, tau_plus, tau_plus)
-        rhs = l_form(GRID, even, even)
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
-
-
-def test_tau_minus_isometry():
-    rng = np.random.default_rng(76)
-    for _ in range(10):
-        psi = _random_real_test_function(GRID, rng)
-        odd = psi.odd_part()
-        _, tau_minus = tau_decompose(GRID, psi)
-        lhs = three_momentum_form(GRID, tau_minus, tau_minus)
-        rhs = l_form(GRID, odd, odd)
-        assert abs(lhs - rhs) <= 1e-10 * max(abs(rhs), 1.0)
-
-
-def test_wightman_odd_orders_vanish():
-    x = np.array([0.1, 0.2, 0.3, 0.4])
-    assert wightman_n_point(GRID, [x]) == 0.0
-    assert wightman_n_point(GRID, [x, x, x]) == 0.0
-
-
 def test_wightman_two_point_at_coincident_arguments():
     x = np.array([0.1, -0.2, 0.3, 0.0])
-    got = wightman_n_point(GRID, [x, x])
+    got = pauli_jordan_minus(GRID, x - x) / 1j    # W2(x, x) = D^-(0) / i
     # direct grid sum oracle at separation zero
     expected = 0.5 * (2 * np.pi) ** -3 * np.sum(GRID.weights)
     assert got == pytest.approx(expected + 0.0j, abs=1e-12)
-
-
-def test_wightman_four_point_is_three_pairings():
-    ev = WightmanEvaluator(GRID)
-    pts = [np.array([0.1 * k, 0.2, -0.1 * k, 0.3]) for k in range(4)]
-    got = ev(pts)
-    expected = (
-        ev.two_point(pts[0], pts[1]) * ev.two_point(pts[2], pts[3])
-        + ev.two_point(pts[0], pts[2]) * ev.two_point(pts[1], pts[3])
-        + ev.two_point(pts[0], pts[3]) * ev.two_point(pts[1], pts[2])
-    )
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_four_point_two_point_consistency():
-    ev = WightmanEvaluator(GRID)
-    x = np.array([0.2, 0.1, 0.0, -0.3])
-    y = np.array([-0.1, 0.4, 0.2, 0.1])
-    lhs = ev([x, x, y, y])
-    rhs = 2.0 * ev.two_point(x, y) ** 2 + ev.two_point(x, x) * ev.two_point(y, y)
-    assert abs(lhs - rhs) <= 1e-10
-
-
-def test_pair_scale_threads_non_fock_covariance():
-    ev1 = WightmanEvaluator(GRID, pair_scale=1.0)
-    ev2 = WightmanEvaluator(GRID, pair_scale=2.25)
-    pts = [np.array([0.1 * k, 0.0, 0.2, -0.1]) for k in range(4)]
-    assert ev2(pts) == pytest.approx(2.25**2 * ev1(pts), rel=1e-12)
 
 
 def test_commutator_identity():
@@ -263,42 +118,6 @@ def test_euclidean_green_identity_residual_refines():
     mid = EuclideanLattice(1.0, cutoff=6.0, points=17).green_identity_residual()
     assert mid <= 0.05
     assert mid < coarse
-
-
-def test_chronological_reorder_small_orders():
-    ev = WightmanEvaluator(GRID)
-    x = np.array([0.4, 0.1, 0.0, 0.2])
-    y = np.array([-0.3, 0.2, 0.1, 0.0])
-    assert chronological_reorder([x], ev) == ev([x])
-    # later-first ordering survives as the single theta term
-    assert chronological_reorder([x, y], ev) == pytest.approx(ev([x, y]), rel=1e-12)
-    swapped = chronological_reorder([y, x], ev)
-    assert swapped == pytest.approx(chronological_reorder([x, y], ev), rel=1e-12)
-
-
-def test_chronological_reorder_coincident_times():
-    ev = WightmanEvaluator(GRID)
-    x = np.array([0.2, 0.5, 0.0, 0.0])
-    y = np.array([0.2, -0.1, 0.3, 0.0])
-    got = chronological_reorder([x, y], ev)
-    expected = 0.5 * (ev([x, y]) + ev([y, x]))
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_chronological_reorder_symmetric_in_arguments():
-    ev = WightmanEvaluator(GRID)
-    pts = [np.array([0.3, 0.1, 0.0, 0.0]),
-           np.array([-0.2, 0.0, 0.4, 0.1]),
-           np.array([0.1, 0.2, -0.1, 0.3])]
-    base = chronological_reorder(pts, ev)
-    swapped = chronological_reorder([pts[1], pts[0], pts[2]], ev)
-    assert abs(base - swapped) <= 1e-12 * max(abs(base), 1.0)
-
-
-def test_chronological_reorder_rejects_large_orders():
-    ev = WightmanEvaluator(GRID)
-    with pytest.raises(NumericalError):
-        chronological_reorder([np.zeros(4)] * 7, ev)
 
 
 # The folded sums and the full-grid oracles add the same terms in another

@@ -15,7 +15,6 @@ from opalg import (
     purity_check,
     run_scenario,
     superselection_operator,
-    transition_elements,
 )
 import oracles
 
@@ -264,7 +263,7 @@ def test_equivalence_with_matching_multiplicities_on_mixed_blocks():
 def test_transition_elements_verify_both_identities():
     f = State.pure(M2, 0, [1.0, 0.0])
     g = State.pure(M2, 0, [0.0, 1.0])
-    pair = transition_elements(M2, f, g)
+    pair = equivalence_check(M2, f, g).transition
     assert pair is not None
     b, b_back = pair
     for k in range(M2.dim):
@@ -286,7 +285,7 @@ def test_flip_matrix_is_a_valid_transition_element():
 def test_transition_absent_across_blocks():
     f = State.pure(M2M2, 0, [1.0, 0.0])
     g = State.pure(M2M2, 1, [1.0, 0.0])
-    assert transition_elements(M2M2, f, g) is None
+    assert equivalence_check(M2M2, f, g).transition is None
 
 
 def test_transition_for_random_mixed_equivalent_states():
@@ -294,7 +293,7 @@ def test_transition_for_random_mixed_equivalent_states():
     f = _random_state(StarAlgebra([2]), rng)
     g = _random_state(StarAlgebra([2]), rng)
     alg = StarAlgebra([2])
-    pair = transition_elements(alg, f, g)
+    pair = equivalence_check(alg, f, g).transition
     assert pair is not None
     b, b_back = pair
     for k in range(alg.dim):

@@ -10,8 +10,6 @@ from opalg import (
     cyclic_group,
     delta,
     gns_from_group_function,
-    group_algebra_action,
-    involution,
     irreducible_characters,
     is_positive_definite,
     left_regular_representation,
@@ -103,13 +101,6 @@ def test_convolution_associative_random():
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-def test_involution_is_isometric_antilinear():
-    rng = np.random.default_rng(53)
-    f = rng.normal(size=3) + 1j * rng.normal(size=3)
-    g = involution(Z3, involution(Z3, f))
-    assert np.max(np.abs(f - g)) == 0.0
-
-
 def test_positive_definite_examples():
     assert is_positive_definite(Z3, np.ones(3))
     assert is_positive_definite(Z3, delta(Z3, 0))
@@ -167,25 +158,6 @@ def test_pd_bound_by_identity_value():
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi = np.array([np.vdot(v, m @ v) for m in reg.matrices])
         assert np.all(np.abs(psi) <= psi[S3.identity].real + 1e-12)
-
-
-def test_group_algebra_action_examples():
-    reg = left_regular_representation(Z2)
-    assert np.array_equal(group_algebra_action(reg, delta(Z2, 0)), np.eye(2))
-    sign = gns_from_group_function(Z2, np.array([1.0, -1.0]))
-    uniform = np.ones(2)
-    assert np.max(np.abs(group_algebra_action(sign, uniform))) <= 1e-14
-
-
-def test_group_algebra_action_is_convolution_homomorphism():
-    rng = np.random.default_rng(56)
-    rep = left_regular_representation(Z3)
-    for _ in range(10):
-        f1 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        f2 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        lhs = group_algebra_action(rep, convolve(Z3, f1, f2))
-        rhs = group_algebra_action(rep, f1) @ group_algebra_action(rep, f2)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_orthogonality_examples():

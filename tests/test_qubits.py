@@ -12,7 +12,6 @@ from opalg import (
     QubitConfig,
     equivalence_verdict,
     local_transition_element,
-    overlap_defect,
     purity_check,
     transition_residual,
 )
@@ -20,31 +19,6 @@ from opalg.qubits import PARTIAL_SUM_WINDOW, TRANSITION_SITE_CAP, LocalTransitio
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
-
-
-def test_overlap_defect_examples():
-    same = QubitConfig(E1)
-    assert overlap_defect(same, same, 5) == 0.0
-    assert overlap_defect(QubitConfig(E1), QubitConfig(E2), 1) == 1.0
-    # oracle: real vectors at angle 0.1 overlap at cos(0.1)
-    tilted = QubitConfig([np.cos(0.1), np.sin(0.1)])
-    assert overlap_defect(QubitConfig(E1), tilted, 3) == pytest.approx(
-        1.0 - np.cos(0.1), abs=1e-14)
-
-
-def test_overlap_defect_symmetry_and_phase_invariance():
-    rng = np.random.default_rng(41)
-    for _ in range(25):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        w = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v = v / np.linalg.norm(v)
-        w = w / np.linalg.norm(w)
-        phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        a, b = QubitConfig(v), QubitConfig(w)
-        c = QubitConfig(phase * v)
-        s = int(rng.integers(1, 50))
-        assert overlap_defect(a, b, s) == pytest.approx(overlap_defect(b, a, s), abs=1e-14)
-        assert overlap_defect(a, b, s) == pytest.approx(overlap_defect(c, b, s), abs=1e-12)
 
 
 def test_unit_norm_enforced():

@@ -22,9 +22,10 @@ from opalg import (
     unitary_implementer,
 )
 from opalg.gns import cyclic_vector_residual, intertwining_residual
+from opalg.linalg import block_diag
 from opalg.scenarios import Scenario, run_scenario
-from opalg.symmetry import ACTION_TOL, CLOSURE_ENTRY_LIMIT, cyclic_vector_certificate
-from oracles import automorphism_closure_by_loop, generator_matrices
+from opalg.symmetry import ACTION_TOL, CLOSURE_ENTRY_LIMIT, STATIONARY_TOL, cyclic_vector_certificate
+from oracles import automorphism_closure_by_loop, generator_matrices, stabilizer_orbit_by_pairs
 
 M2 = StarAlgebra([2])
 
@@ -121,6 +122,26 @@ def test_cyclic_vector_residual_pins_the_implementer():
     assert cyclic_vector_residual([(u, v)], rep.factors) <= 1e-12
     assert intertwining_residual([(u, v.T)]) <= 1e-12
     assert cyclic_vector_residual([(u, v.T)], rep.factors) > 1e-3
+
+
+def test_implementer_builds_its_dense_unitary_only_on_request():
+    # a faithful M30 state: the dense W has 900^2 entries (12.4 MiB), the pairs
+    # (U, V) 2 * 30^2 (28 KiB), so a peak under 1 MiB builds no carrier matrix
+    m30 = StarAlgebra([30])
+    f = State(m30, [np.diag(np.arange(1, 31) / 465.0)])
+    u = np.diag(np.exp(0.1j * np.arange(30)))
+    rho = InnerAutomorphism(m30.element([u]))
+    tracemalloc.start()
+    try:
+        result = unitary_implementer(f, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    (theta,) = gns_construct(m30, f).factors
+    dense = block_diag([np.kron(u, (np.linalg.pinv(theta) @ u.conj().T @ theta).T)])
+    assert np.array_equal(result.unitary, dense)
+    assert result.unitary is not result.unitary
 
 
 def _plane_rotation(eps):
@@ -358,6 +379,72 @@ def test_orbit_law_on_diagonal_phase_group():
     report = stabilizer_orbit(f, group)
     assert report.orbit_size * report.stabilizer_size == len(group)
     assert report.orbit_size == 4
+
+
+def _twirled_state(rng, group, generator, ranks):
+    """A random state of the given block ranks, averaged over the cyclic subgroup of ``generator``."""
+    power = [group.identity]
+    while group.table[power[-1], generator] != group.identity:
+        power.append(int(group.table[power[-1], generator]))
+    factors = [rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+               for n, r in zip(group.algebra.blocks, ranks)]
+    total = sum(np.sum(np.abs(m) ** 2) for m in factors)
+    f = State(group.algebra, [m @ m.conj().T / total for m in factors])
+    moved = [pushforward_state(f, group.elements[h]).densities for h in power]
+    return State(group.algebra, [sum(block) / len(moved) for block in zip(*moved)])
+
+
+def _orbit_outcome(run):
+    try:
+        stabilizer, orbit = run()
+    except OpalgError as exc:
+        return str(exc)
+    return stabilizer, len(orbit), [[d.tobytes() for d in state.densities] for state in orbit]
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       # Klein's group embedded in a block of 3 or more does not close
+       kind_blocks=st.one_of(
+           st.tuples(st.just("cyclic"), st.sampled_from([[1], [2], [3], [1, 2], [2, 3], [1, 2, 3],
+                                                         [3, 2, 3], [9], [2, 10], [3, 9, 4]])),
+           st.tuples(st.just("pauli"), st.sampled_from([[2], [1, 2], [2, 2], [1, 2, 2]]))),
+       order=st.integers(1, 6), generator=st.integers(0, 5), tie=st.booleans())
+@example(seed=3, kind_blocks=("pauli", [1, 2, 2]), order=1, generator=1, tie=True)
+@example(seed=5, kind_blocks=("cyclic", [9]), order=6, generator=2, tie=False)
+@example(seed=7, kind_blocks=("cyclic", [2, 10]), order=4, generator=2, tie=True)
+# summing the three blocks' trace norms in reverse order moves a tied distance
+@example(seed=0, kind_blocks=("cyclic", [3, 9, 4]), order=6, generator=0, tie=True)
+@example(seed=0, kind_blocks=("cyclic", [1, 2, 3]), order=4, generator=0, tie=True)
+def test_stacked_orbit_equals_the_pair_oracle(seed, kind_blocks, order, generator, tie):
+    # the state is fixed by the subgroup one element spans, so stabilizers and
+    # orbits of every size occur; with ``tie`` the threshold is one of the
+    # distances the orbit compares, so a bit of difference would change a count
+    kind, blocks = kind_blocks
+    elements = _listed_elements(seed, blocks, kind, order, "random", "none")
+    group = AutomorphismGroup([InnerAutomorphism(e) for e in elements])
+    rng = np.random.default_rng(seed)
+    ranks = [int(rng.integers(0, n + 1)) for n in blocks]
+    k = int(rng.integers(len(ranks)))
+    ranks[k] = max(ranks[k], 1)
+    f = _twirled_state(rng, group, generator % len(group), ranks)
+    tol = STATIONARY_TOL
+    if tie and len(group) > 1:    # element 0 always starts the orbit, and b meets it
+        b = int(rng.integers(1, len(group)))
+        tol = dual_norm_distance(pushforward_state(f, group.elements[b]),
+                                 pushforward_state(f, group.elements[0]))
+
+    def stacked():
+        report = stabilizer_orbit(f, group, tol)
+        return report.stabilizer_size, report.orbit_states
+
+    def by_pairs():
+        stabilizer, orbit = stabilizer_orbit_by_pairs(f, group.elements, tol)
+        if len(orbit) * stabilizer != len(group):
+            raise OpalgError(f"orbit law violated: {len(orbit)} * {stabilizer} != {len(group)}")
+        return stabilizer, orbit
+
+    assert _orbit_outcome(stacked) == _orbit_outcome(by_pairs)
 
 
 def test_one_parameter_flow_examples():
