@@ -67,26 +67,10 @@ class StarAlgebra:
     def identity(self) -> "AlgebraElement":
         return self.element([np.eye(n, dtype=complex) for n in self.blocks])
 
-    def zero(self) -> "AlgebraElement":
-        return self.element([np.zeros((n, n), dtype=complex) for n in self.blocks])
-
-    def basis_labels(self) -> tuple:
-        return tuple(f"e{b}[{i},{j}]" for b, i, j in self.basis_triples())
-
-    def basis_triples(self):
-        """Canonical matrix-unit order: blocks, then row-major within a block."""
-        for b, n in enumerate(self.blocks):
-            for i in range(n):
-                for j in range(n):
-                    yield b, i, j
-
     def basis_element(self, index: int) -> "AlgebraElement":
         c = np.zeros(self._dim, dtype=complex)
         c[index] = 1.0
         return self.from_coords(c)
-
-    def coords(self, a: "AlgebraElement") -> np.ndarray:
-        return np.concatenate([m.reshape(-1) for m in a.mats])
 
     def from_coords(self, c) -> "AlgebraElement":
         c = np.asarray(c, dtype=complex)
@@ -94,14 +78,6 @@ class StarAlgebra:
         for n, off in zip(self.blocks, self._offsets):
             mats.append(c[off:off + n * n].reshape(n, n))
         return self.element(mats)
-
-    def left_mult_matrix(self, a: "AlgebraElement") -> np.ndarray:
-        """Matrix of x -> a x on canonical coordinates (block-diagonal kron)."""
-        out = np.zeros((self._dim, self._dim), dtype=complex)
-        for m, n, off in zip(a.mats, self.blocks, self._offsets):
-            # row-major vec(AX) = (A kron I) vec(X)
-            out[off:off + n * n, off:off + n * n] = np.kron(m, np.eye(n))
-        return out
 
     def random_element(self, rng, scale: float = 1.0) -> "AlgebraElement":
         mats = [
@@ -151,9 +127,6 @@ class AlgebraElement:
     @property
     def star(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, [a.conj().T for a in self.mats])
-
-    def block(self, b: int) -> np.ndarray:
-        return self.mats[b]
 
     def norm(self) -> float:
         return operator_norm(self)

@@ -104,17 +104,9 @@ class CcrSpace:
     def inner(self, q, r) -> float:
         return float(np.asarray(q) @ self.gram @ np.asarray(r))
 
-    def pair_value(self, q, r) -> float:
-        """Two-point value <K^-1 q | K^-1 r>."""
-        return float((self.k_inv @ q) @ self.gram @ (self.k_inv @ r))
-
     def gram_image(self, q) -> np.ndarray:
         """Dual coordinates of u_q, defined by <r, u_q> = <r | q>; q may be a stack."""
         return np.asarray(q, dtype=float) @ self.gram.T
-
-    def orthonormal_modes(self) -> np.ndarray:
-        """Columns form a Gram-orthonormal basis (inverse Cholesky transpose)."""
-        return np.linalg.inv(self._chol).T
 
     def mode_coefficients(self, q) -> np.ndarray:
         """Expansion of q (or of each vector of a stack) in the Gram-orthonormal mode basis."""
@@ -153,8 +145,8 @@ def wick_moment(space: CcrSpace, args: Sequence, index=None):
     """Gaussian moment <phi(q_1) ... phi(q_m)> by pair-partition enumeration.
 
     Odd m vanishes; even m sums the product of two-point values over all
-    (m-1)!! pairings, left to right from 0.0.  Each two-point value is
-    ``space.pair_value``, taken from the images K^-1 q and (K^-1 q) G of each
+    (m-1)!! pairings, left to right from 0.0.  Each two-point value
+    <K^-1 q | K^-1 r> is taken from the images K^-1 q and (K^-1 q) G of each
     vector, computed once.
 
     With a (c, m) integer array ``index`` the call returns the c moments
@@ -268,8 +260,7 @@ class FockTruncation:
     the raised tuple leaves the truncation), and a-(e_m) is its transpose, so
     ``lower_rows`` inverts ``raise_rows``.  These (n, dim) arrays take O(n dim)
     memory; :meth:`commutator_defect` and :meth:`a_minus_action` work on them
-    in O(n^2 dim).  :meth:`a_plus`, :meth:`a_minus`, :meth:`field`,
-    :meth:`momentum` and :meth:`number_operator` build dense dim x dim
+    in O(n^2 dim).  :meth:`a_plus` and :meth:`a_minus` build dense dim x dim
     matrices from them on request.  The basis size C(n + n_max, n) is checked
     against ``FOCK_BASIS_LIMIT`` before any tuple is enumerated.
 
@@ -289,7 +280,6 @@ class FockTruncation:
             raise NumericalError(f"truncated basis of size {size} exceeds limit {FOCK_BASIS_LIMIT}")
         self.space = space
         self.n_max = top = int(n_max)
-        self.modes = space.orthonormal_modes()
         self.dim = size
         # count[b, r] = C(b + r, r): the r-mode tuples of total <= b
         count = np.array([[math.comb(b + r, r) for r in range(n + 1)] for b in range(top + 1)])
@@ -339,21 +329,6 @@ class FockTruncation:
 
     def a_minus(self, q) -> np.ndarray:
         return self._ladder(q, transpose=True)
-
-    def field(self, q) -> np.ndarray:
-        """phi(q) = (a+(q) + a-(q)) / sqrt(2)."""
-        return (self.a_plus(q) + self.a_minus(q)) / math.sqrt(2.0)
-
-    def momentum(self, q) -> np.ndarray:
-        """pi(q) = i (a+(q) - a-(q)) / sqrt(2)."""
-        return 1j * (self.a_plus(q) - self.a_minus(q)) / math.sqrt(2.0)
-
-    def number_operator(self) -> np.ndarray:
-        diag = np.zeros(self.dim)
-        for rows, vals in zip(self.raise_rows, self.raise_values):
-            keep = rows >= 0
-            diag[rows[keep]] += vals[keep] ** 2
-        return np.diag(diag)
 
     def a_minus_action(self, q, v) -> np.ndarray:
         """a-(q) v, read off the ladder arrays: (a-(e_m) v)_j = sqrt(occ_j[m] + 1) v[raise_m(j)].

@@ -18,7 +18,7 @@ against its mirror image, so
 with the multiplicity mu(p) = prod_i (1 if p_i = 0 else 2).  A sum then costs
 ((N+1)/2)^d weights times one length-(N+1)/2 cosine vector per axis instead of
 N^d phases, contracted one axis at a time; only the rounding differs from the
-direct sum.  The full-grid arrays are derived on first use.
+direct sum.
 
 The time dependence of a shell sum, e^{-i omega x0} or sin(omega x0), depends
 on p only through omega, and the octant of an N-point grid holds far fewer
@@ -85,8 +85,7 @@ class MassShellGrid:
 
     Holds the octant arrays the sums run over: ``octant_omega``,
     ``octant_p_squared`` and the folded weights ``octant_weights`` = mu dp^3 /
-    omega.  The full-grid ``momenta``, ``omega``, ``weights`` and ``flip``
-    (the index permutation p -> -p) are built on first use.
+    omega.
     """
 
     def __init__(self, mass: float, cutoff: Optional[float] = None, points: int = 33):
@@ -99,7 +98,6 @@ class MassShellGrid:
         self.points = int(points)
         # integer multiples of the spacing: the grid is exactly p -> -p symmetric
         self.spacing = 2.0 * self.cutoff / (self.points - 1)
-        self.size = self.points**3
         self.half_axis, self.octant_p_squared, mult = _fold(self.points, self.spacing, 3)
         self.octant_omega = np.sqrt(self.octant_p_squared + self.mass**2)
         self.octant_weights = mult * self.spacing**3 / self.octant_omega
@@ -113,36 +111,6 @@ class MassShellGrid:
         """
         values, index = np.unique(self.octant_omega, return_inverse=True)
         return values, index.reshape(self.octant_omega.shape)
-
-    @cached_property
-    def momenta(self) -> np.ndarray:
-        axis = (np.arange(self.points) - self.points // 2) * self.spacing
-        mesh = np.meshgrid(axis, axis, axis, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-    @cached_property
-    def omega(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.momenta**2, axis=1) + self.mass**2)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return self.spacing**3 / self.omega
-
-    @cached_property
-    def flip(self) -> np.ndarray:
-        # reversing all three axes of the cube reverses the flat index
-        return np.arange(self.size - 1, -1, -1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MassShellGrid)
-            and other.mass == self.mass
-            and other.cutoff == self.cutoff
-            and other.points == self.points
-        )
-
-    def __hash__(self):
-        return hash((self.mass, self.cutoff, self.points))
 
     def __repr__(self):
         return f"MassShellGrid(m={self.mass}, cutoff={self.cutoff}, points={self.points})"
@@ -283,8 +251,7 @@ class EuclideanLattice:
     """Band-limited Euclidean propagator of a massive scalar field.
 
     The momentum sum uses the continuum weight 1/(p^2 + m^2), held folded on
-    the octant as ``octant_weights`` = mu / (p^2 + m^2); the full-grid
-    ``momenta`` and ``p_squared`` are built on first use.  The companion
+    the octant as ``octant_weights`` = mu / (p^2 + m^2).  The companion
     lattice solve (weight 1/(phat^2 + m^2)) provides the exact Green-identity
     oracle the propagator is compared against.
     """
@@ -302,15 +269,6 @@ class EuclideanLattice:
         self.half_axis, p_squared, mult = _fold(self.points, self.spacing, 4)
         self.octant_weights = mult / (p_squared + self.mass**2)
         self.measure = TWO_PI**-4 * self.spacing**4
-
-    @cached_property
-    def momenta(self) -> np.ndarray:
-        mesh = np.meshgrid(self.axis, self.axis, self.axis, self.axis, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-    @cached_property
-    def p_squared(self) -> np.ndarray:
-        return np.sum(self.momenta**2, axis=1)
 
     def propagator(self, x) -> float:
         """w(x) = (2 pi)^-4 sum_p dp^4 cos(p.x) / (p^2 + m^2); even in x exactly."""

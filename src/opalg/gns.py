@@ -57,13 +57,6 @@ class GnsRep:
         return tuple(t.shape[1] for t in self.factors)
 
     @property
-    def kernel_labels(self) -> tuple:
-        """Labels of the matrix units with pi(e) = 0: those of the blocks with r_b = 0."""
-        ranks = self.ranks
-        labels = zip(self.algebra.basis_labels(), self.algebra.basis_triples())
-        return tuple(label for label, (b, _, _) in labels if ranks[b] == 0)
-
-    @property
     def commutant_dim(self) -> int:
         """Dimension sum r_b^2 of the commutant, without building :func:`commutant_basis`."""
         return sum(r * r for r in self.ranks)
@@ -89,10 +82,6 @@ class GnsRep:
     def vector_state_values(self) -> np.ndarray:
         """<theta, pi(E_ij) theta> = (conj(Theta_b) Theta_b^T)_ij over the canonical basis."""
         return np.concatenate([(t.conj() @ t.T).reshape(-1) for t in self.factors])
-
-    def reconstructed_state(self) -> State:
-        """Rebuild the state from (pi, theta): its densities are Theta_b Theta_b*."""
-        return State(self.algebra, [t @ t.conj().T for t in self.factors])
 
 
 def gns_construct(algebra: StarAlgebra, f: State) -> GnsRep:

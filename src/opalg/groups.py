@@ -12,12 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, ShapeMismatchError
+from .errors import InvalidStateError, NumericalError, ShapeMismatchError
 from .linalg import PSD_TOL, gram_quotient
 
-# largest built-in cyclic group a scenario may name: one function on z1024
-# takes about 5 s and 150 MB to analyse, and the time grows as the cube
+# largest built-in cyclic group a scenario may name: the positive-definiteness
+# test and the Gram quotient of one function on z1024 take about 2.5 s and
+# 50 MiB, and their time grows as the cube of the order
 ORDER_LIMIT = 1024
+# largest order * rank^2 matrix entries a GroupRep may hold, checked before
+# any translation is built: a full-rank function on z256 sits at the limit
+# (256 MiB of matrices), a character on z1024 holds 1024 entries
+REP_ENTRY_LIMIT = 1 << 24
 
 
 class FiniteGroup:
@@ -27,14 +32,13 @@ class FiniteGroup:
     random triples above that; the first failing triple is reported.
     """
 
-    def __init__(self, table, names=None):
+    def __init__(self, table):
         table = np.asarray(table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n) or np.any(table < 0) or np.any(table >= n):
             raise ValueError("multiplication table must be n x n with entries in [0, n)")
         self.table = table
         self.order = n
-        self.names = tuple(names) if names is not None else tuple(str(k) for k in range(n))
         identity = None
         for e in range(n):
             if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n)):
@@ -59,12 +63,6 @@ class FiniteGroup:
             k = fails[0]
             raise ValueError(f"associativity fails on ({a[k]}, {b[k]}, {c[k]})")
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def __len__(self):
         return self.order
 
@@ -75,7 +73,7 @@ class FiniteGroup:
 def cyclic_group(n: int) -> FiniteGroup:
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, names=[str(k) for k in range(n)])
+    return FiniteGroup(table)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -88,7 +86,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         for j, q in enumerate(perms):
             composed = tuple(p[q[k]] for k in range(n))
             table[i, j] = index[composed]
-    return FiniteGroup(table, names=[repr(p) for p in perms])
+    return FiniteGroup(table)
 
 
 def _as_function(group: FiniteGroup, values) -> np.ndarray:
@@ -147,12 +145,21 @@ class GroupRep:
         return np.array([np.vdot(th, m @ th) for m in self.matrices])
 
 
+def _check_rep_size(group: FiniteGroup, rank: int) -> None:
+    entries = group.order * rank * rank
+    if entries > REP_ENTRY_LIMIT:
+        raise NumericalError(f"representation of order {group.order} and rank {rank} holds "
+                             f"{entries} matrix entries, over the limit {REP_ENTRY_LIMIT}")
+
+
 def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
     """GNS representation of the group defined by a positive-definite function.
 
     The carrier is the quotient of the group-indexed space by the null space
     of the kernel psi(g_j^-1 g_i); left translation pushed to the quotient is
-    unitary and reproduces psi as the vector form at the cyclic vector.
+    unitary and reproduces psi as the vector form at the cyclic vector.  A
+    quotient of order * rank^2 entries past ``REP_ENTRY_LIMIT`` raises
+    :class:`NumericalError` before any translation is built.
     """
     psi = _as_function(group, psi)
     if not is_positive_definite(group, psi):
@@ -161,27 +168,20 @@ def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
     # slot on rows this is the transpose of the positive-definiteness kernel
     gram = pd_kernel(group, psi).T
     t, t_pinv, rank = gram_quotient(gram)
-    mats = []
-    n = group.order
-    for g in range(n):
-        perm = np.zeros((n, n), dtype=complex)
-        perm[group.table[g, np.arange(n)], np.arange(n)] = 1.0
-        mats.append(np.ascontiguousarray(t @ perm @ t_pinv))
-    theta = t @ delta(group, group.identity)
-    return GroupRep(group=group, matrices=tuple(mats), cyclic_vector=theta, gram_rank=rank)
+    _check_rep_size(group, rank)
+    # pi(g) = T P_g T+, and P_g only permutes columns: T P_g is T[:, table[g]]
+    mats = tuple(t[:, row] @ t_pinv for row in group.table)
+    return GroupRep(group=group, matrices=mats, cyclic_vector=t[:, group.identity],
+                    gram_rank=rank)
 
 
 def left_regular_representation(group: FiniteGroup) -> GroupRep:
-    """Left-regular representation built directly from (Pi(g) f)(q) = f(g^-1 q)."""
+    """Left-regular representation (Pi(g) f)(q) = f(g^-1 q): the permutations P_g themselves."""
     n = group.order
-    mats = []
-    for g in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        for q in range(n):
-            m[q, group.table[group.inverse[g], q]] = 1.0
-        mats.append(m)
-    theta = delta(group, group.identity)
-    return GroupRep(group=group, matrices=tuple(mats), cyclic_vector=theta, gram_rank=n)
+    _check_rep_size(group, n)
+    eye = np.eye(n, dtype=complex)
+    return GroupRep(group=group, matrices=tuple(eye[:, row] for row in group.table),
+                    cyclic_vector=delta(group, group.identity), gram_rank=n)
 
 
 @dataclass(frozen=True)

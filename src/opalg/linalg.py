@@ -49,14 +49,14 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def gram_quotient(gram: np.ndarray, rel_cut: float = GRAM_REL_CUT):
+def gram_quotient(gram: np.ndarray):
     """Orthonormal coordinates for the quotient by the null space of a PSD Gram.
 
     Returns ``(T, T_pinv, rank)`` where ``T`` maps raw coordinates to an
     orthonormal basis of the quotient ( ``y^H (T b)^H (T a) y`` reproduces the
     Gram pairing ) and ``T_pinv`` is its Moore-Penrose inverse.  Eigenvalues
     below ``-size * PSD_TOL * max(top, 1)`` raise :class:`InvalidStateError`,
-    and those at most ``size * rel_cut * top`` count as null directions.
+    and those at most ``size * GRAM_REL_CUT * top`` count as null directions.
     """
     gram = hermitize(np.asarray(gram, dtype=complex))
     n = gram.shape[0]
@@ -66,7 +66,7 @@ def gram_quotient(gram: np.ndarray, rel_cut: float = GRAM_REL_CUT):
         raise InvalidStateError(
             f"Gram matrix has negative eigenvalue {lam[0]:.3e} beyond tolerance"
         )
-    cut = n * rel_cut * max(top, 0.0)
+    cut = n * GRAM_REL_CUT * max(top, 0.0)
     keep = lam > cut
     lam_k = lam[keep][::-1]
     vec_k = fix_phases(vec[:, keep][:, ::-1])

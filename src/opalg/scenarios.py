@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
@@ -38,6 +39,10 @@ DEFAULT_TOLERANCES = {
     "commutator_identity": 1e-10,
     "stationarity": symmetry_mod.STATIONARY_TOL,
 }
+# largest ccr moment table: sum over even m <= max_order of C(v + m - 1, m)
+# multi-indices of v vectors.  Nine vectors to order 6 give 3543 rows (about
+# 1.4 s and 20 MiB); sixteen give 58276 (21 s and 330 MiB)
+MOMENT_ROW_LIMIT = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +83,22 @@ class _PyLoader(yaml.SafeLoader):
     """The pure-Python parser with the same resolver; its errors quote the source."""
 
 
+def _construct_int(loader, node):
+    """An integer, or a schema error on its line past the digits int() reads (4300)."""
+    try:
+        return loader.construct_yaml_int(node)
+    except ValueError:
+        raise ValidationError("integer literal has too many digits to read",
+                              line=node.start_mark.line + 1) from None
+
+
 for _cls in (_Loader, _PyLoader):
     _cls.add_implicit_resolver(
         "tag:yaml.org,2002:float",
         re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
         list("-+0123456789."),
     )
+    _cls.add_constructor("tag:yaml.org,2002:int", _construct_int)
 
 # Text on which libyaml and the pure-Python parser may disagree is read by the
 # pure-Python parser alone.  libyaml accepts tabs as separators, '?' and '!'
@@ -186,7 +201,10 @@ class _Walker:
     def number(self, obj, path):
         if isinstance(obj, bool) or not isinstance(obj, (int, float)):
             self.fail(path, f"expected a number, got {type(obj).__name__}")
-        value = float(obj)
+        try:
+            value = float(obj)
+        except OverflowError:    # an integer literal past double range
+            value = float("inf")
         if not np.isfinite(value):
             self.fail(path, "numeric literals must be finite")
         return value
@@ -361,7 +379,14 @@ def _parse_group(w, top):
         else:
             w.fail(("group", "name"), f"unknown built-in group {name!r} (zN for N >= 1, s3)")
     else:
-        table = w.matrix(spec["table"], ("group", "table"), w.number).astype(int)
+        rows = w.sequence(spec["table"], ("group", "table"), min_len=1)
+
+        def element(obj, path):
+            index = w.integer(obj, path, minimum=0)
+            if index >= len(rows):
+                w.fail(path, f"expected an element index below {len(rows)}, got {index}")
+            return index
+        table = w.matrix(rows, ("group", "table"), element)
         try:
             group = groups_mod.FiniteGroup(table)
         except ValueError as exc:
@@ -397,6 +422,10 @@ def _parse_ccr(w, top):
         order = w.integer(m.get("max_order", 4), ("moments", "max_order"), minimum=2)
         if order > 6:
             w.fail(("moments", "max_order"), "moment cross-validation is limited to order 6")
+        rows = sum(math.comb(len(vectors) + k - 1, k) for k in range(2, order + 1, 2))
+        if rows > MOMENT_ROW_LIMIT:
+            w.fail(("moments", "vectors"), f"{len(vectors)} vectors give a moment table of "
+                   f"{rows} rows up to order {order}, over the limit {MOMENT_ROW_LIMIT}")
         params["moments"] = {"vectors": vectors, "max_order": order}
     if "fock" in top:
         fspec = w.mapping(top["fock"], ("fock",), optional=("max_occupation",))
@@ -784,7 +813,7 @@ def _run_symmetry(scenario: Scenario, report: Report):
     try:
         group = symmetry_mod.AutomorphismGroup(autos)
     except NumericalError:
-        raise    # past CLOSURE_ENTRY_LIMIT: the file fails, the list is not judged
+        raise    # past a closure limit: the file fails, the list is not judged
     except (ValueError, OpalgError) as exc:
         report.info("group", f"not a group: {exc}")
         return

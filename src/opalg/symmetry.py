@@ -27,6 +27,7 @@ STATIONARY_TOL = 1e-10    # dual-norm distance of f and its pushforward
 ACTION_TOL = 1e-9         # entrywise distance of two action matrices
 ISOMETRY_TOL = 1e-9       # entrywise defect of U_b* rho~_b U_b - rho~_b
 CLOSURE_ENTRY_LIMIT = 2 ** 26   # n^3 sum n_b^4: action entries the closure of n elements compares
+CLOSURE_ROW_LIMIT = 2 ** 20     # n^2 sum n_b^4: action entries one closure row holds (48 MiB peak)
 _NOT_UNITARY = f"defining element is not unitary within {UNITARY_TOL:.0e}"
 
 
@@ -38,14 +39,6 @@ class InnerAutomorphism:
             raise OpalgError(_NOT_UNITARY)
         self.unitary = unitary
         self.algebra = unitary.algebra
-
-    def apply(self, a: AlgebraElement) -> AlgebraElement:
-        if a.algebra != self.algebra:
-            raise ShapeMismatchError("element lives on a different algebra")
-        return self.unitary * a * self.unitary.star
-
-    def compose(self, other: "InnerAutomorphism") -> "InnerAutomorphism":
-        return InnerAutomorphism(self.unitary * other.unitary)
 
 
 def _action_rows(stacks) -> np.ndarray:
@@ -68,9 +61,14 @@ class AutomorphismGroup:
         if any(e.algebra != algebra for e in elements):
             raise ShapeMismatchError("all automorphisms must act on one algebra")
         n = len(elements)
-        if n ** 3 * sum(m ** 4 for m in algebra.blocks) > CLOSURE_ENTRY_LIMIT:
+        row = n ** 2 * sum(m ** 4 for m in algebra.blocks)
+        if n * row > CLOSURE_ENTRY_LIMIT:
             raise NumericalError(f"closure of {n} automorphisms of blocks {list(algebra.blocks)} "
                                  f"compares more than {CLOSURE_ENTRY_LIMIT} action entries")
+        if row > CLOSURE_ROW_LIMIT:
+            raise NumericalError(f"closure of {n} automorphisms of blocks {list(algebra.blocks)} "
+                                 f"holds {row} action entries per row, more than "
+                                 f"{CLOSURE_ROW_LIMIT}")
         self.algebra = algebra
         self.elements = list(elements)
         self._stacks = [np.stack(mats) for mats in zip(*(e.unitary.mats for e in elements))]
@@ -190,10 +188,6 @@ class OrbitReport:
     orbit_size: int
     group_order: int
     orbit_states: list
-
-    @property
-    def coset_count(self) -> int:
-        return self.group_order // self.stabilizer_size
 
 
 def stabilizer_orbit(f: State, group: AutomorphismGroup,

@@ -7,7 +7,10 @@ representation.  Commutants and intertwiners come from Kronecker null-space
 solves.  None of this uses the density eigendecompositions that
 ``opalg.gns`` is built on, so agreement between the two is evidence for both.
 The null-space solves cost O(D^6) in the carrier dimension D: use them on
-small algebras only.
+small algebras only.  ``basis_triples``, ``basis_labels``, ``coords`` and
+``left_mult_matrix`` give the canonical matrix-unit coordinates the quotient
+is taken in, and ``kernel_labels`` reads the units with pi(e) = 0 off a
+``GnsRep``'s ranks, for comparison with the quotient's.
 
 ``transport_residual_by_units`` evaluates both states on every transported
 matrix unit; ``opalg.algebra.transport_residual`` gets the same number from
@@ -20,8 +23,12 @@ as (max |U_b|)^2 max |V_b V_b* - I| per block.  ``generator_matrices`` and
 
 ``associativity_failure_by_loop`` walks the triples of a multiplication
 table one at a time, as ``opalg.groups.FiniteGroup`` compares them in one
-array expression, and ``automorphism_closure_by_loop`` builds the closure
-table of a list of unitary elements pair by pair, with one action matrix
+array expression.  ``gns_from_group_function_by_permutations`` builds each
+translation as the dense product T P_g T+ with the permutation matrix P_g,
+where ``opalg.groups`` gathers the columns of T, and
+``left_regular_representation_by_loop`` sets the entries of each P_g one at
+a time.  ``automorphism_closure_by_loop`` builds the closure table of a
+list of unitary elements pair by pair, with one action matrix
 (the sum of U_b (x) conj(U_b)) per product and a linear search of the list,
 as ``opalg.symmetry.AutomorphismGroup`` did before it compared each row of
 products with the whole list at once; ``stabilizer_orbit_by_pairs`` compares
@@ -34,6 +41,8 @@ pure-Python parser alone, the reference for the libyaml path of
 The ``*_by_grid`` functions are the direct sums over the full symmetric
 momentum lattice: one phase per lattice point, as ``opalg.fields`` summed
 before it folded every sum onto the octant p_i >= 0 as cosine products.
+``grid_momenta``, ``grid_omega``, ``grid_weights``, ``grid_flip`` and
+``lattice_p_squared`` build that lattice's arrays.
 Each returns the value with the sum of the absolute values of its terms, the
 scale its rounding error is bounded by.  The ``*_by_octant`` functions are the
 octant sums as ``opalg.fields`` evaluated them before it took one phase per
@@ -61,7 +70,8 @@ commutator entries one mode pair (m, m') at a time, where
 ``FockTruncation.commutator_defect`` takes every m' at once.  ``pair_partitions_by_recursion`` is the recursive
 enumeration of pairings, and ``wick_by_partitions`` and
 ``moment_oracle_by_levels`` are the per-pairing and per-level loops that ``wick_moment`` and
-``moment_oracle`` replaced with array expressions doing the same arithmetic.
+``moment_oracle`` replaced with array expressions doing the same arithmetic,
+with ``pair_value`` the two-point value of one pair.
 ``gaussian_density`` is the normalized density of the Gaussian measure, the
 reference the quasi-invariance cocycle is integrated against.
 """
@@ -81,10 +91,10 @@ from opalg.algebra import (UNITARY_TOL, StarAlgebra, State, dual_norm_distance, 
 from opalg.ccr import ORACLE_LEVELS, ORACLE_STEP
 from opalg.errors import NumericalError, OpalgError
 from opalg.fields import TWO_PI, MassShellGrid
+from opalg.groups import GroupRep, delta, pd_kernel
 from opalg.linalg import block_diag, fix_phases, gram_quotient
 from opalg.qubits import PARTIAL_SUM_WINDOW
 
-GRAM_REL_CUT = 1e-12
 KERNEL_TOL = 1e-9
 
 
@@ -170,7 +180,7 @@ class OracleRep:
 
 def gram_gns(algebra, f) -> OracleRep:
     """GNS by the quotient of the algebra by the null space of its Gram matrix."""
-    triples = list(algebra.basis_triples())
+    triples = basis_triples(algebra)
     dim = len(triples)
     # Gram[b_idx, a_idx] = f(e_b^* e_a); for matrix units f(e_ji e_kl) = delta_ik rho[l, j]
     gram = np.zeros((dim, dim), dtype=complex)
@@ -178,20 +188,44 @@ def gram_gns(algebra, f) -> OracleRep:
         for col, (b2, i2, j2) in enumerate(triples):
             if b1 == b2 and i1 == i2:
                 gram[row, col] = f.densities[b1][j2, j1]
-    t, t_pinv, rank = gram_quotient(gram, GRAM_REL_CUT)
-    gens = tuple(
-        t @ algebra.left_mult_matrix(algebra.basis_element(k)) @ t_pinv for k in range(dim)
-    )
+    t, t_pinv, rank = gram_quotient(gram)
+    gens = tuple(t @ left_mult_matrix(algebra.basis_element(k)) @ t_pinv for k in range(dim))
     scale = max(float(np.max(np.abs(m))) for m in gens)
     kernel = tuple(
-        label for label, m in zip(algebra.basis_labels(), gens)
+        label for label, m in zip(basis_labels(algebra), gens)
         if np.max(np.abs(m)) <= KERNEL_TOL * max(scale, 1.0)
     )
     vanished = tuple(
         b for b in range(len(algebra.blocks))
         if float(np.trace(f.densities[b]).real) <= KERNEL_TOL
     )
-    return OracleRep(gens, t @ algebra.coords(algebra.identity()), rank, kernel, vanished)
+    return OracleRep(gens, t @ coords(algebra.identity()), rank, kernel, vanished)
+
+
+def basis_triples(algebra) -> list:
+    """Canonical matrix-unit order (block, row, column): blocks, then row-major within a block."""
+    return [(b, i, j) for b, n in enumerate(algebra.blocks) for i in range(n) for j in range(n)]
+
+
+def basis_labels(algebra) -> tuple:
+    return tuple(f"e{b}[{i},{j}]" for b, i, j in basis_triples(algebra))
+
+
+def coords(a) -> np.ndarray:
+    """Canonical coordinates of an element: its blocks row-major, one after another."""
+    return np.concatenate([m.reshape(-1) for m in a.mats])
+
+
+def left_mult_matrix(a) -> np.ndarray:
+    """Matrix of x -> a x on canonical coordinates: row-major vec(AX) = (A kron I) vec(X)."""
+    return block_diag([np.kron(m, np.eye(len(m))) for m in a.mats])
+
+
+def kernel_labels(rep) -> tuple:
+    """Labels of the matrix units with pi(e) = 0: those of the blocks of a GnsRep with r_b = 0."""
+    triples = basis_triples(rep.algebra)
+    return tuple(label for label, (b, _, _) in zip(basis_labels(rep.algebra), triples)
+                 if rep.ranks[b] == 0)
 
 
 def equivalence_verdict(algebra, f, g) -> str:
@@ -297,6 +331,37 @@ def associativity_failure_by_loop(table):
         if table[table[a, b], c] != table[a, table[b, c]]:
             return f"associativity fails on ({a}, {b}, {c})"
     return None
+
+
+def gns_from_group_function_by_permutations(group, psi):
+    """The GroupRep of a positive-definite psi with one dense product T P_g T+ per element.
+
+    P_g is the n x n permutation matrix of left translation by g and theta =
+    T delta_e, where ``opalg.groups.gns_from_group_function`` gathers the
+    columns T[:, table[g]] instead.
+    """
+    t, t_pinv, rank = gram_quotient(pd_kernel(group, psi).T)
+    n = group.order
+    mats = []
+    for g in range(n):
+        perm = np.zeros((n, n), dtype=complex)
+        perm[group.table[g, np.arange(n)], np.arange(n)] = 1.0
+        mats.append(np.ascontiguousarray(t @ perm @ t_pinv))
+    theta = t @ delta(group, group.identity)
+    return GroupRep(group=group, matrices=tuple(mats), cyclic_vector=theta, gram_rank=rank)
+
+
+def left_regular_representation_by_loop(group):
+    """The left-regular GroupRep from (Pi(g) f)(q) = f(g^-1 q), one entry at a time."""
+    n = group.order
+    mats = []
+    for g in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        for q in range(n):
+            m[q, group.table[group.inverse[g], q]] = 1.0
+        mats.append(m)
+    return GroupRep(group=group, matrices=tuple(mats),
+                    cyclic_vector=delta(group, group.identity), gram_rank=n)
 
 
 def automorphism_closure_by_loop(unitaries, action_tol):
@@ -405,17 +470,50 @@ def load_with_marks_by_python(text):
     return "ok", data, marks
 
 
+def grid_momenta(lattice, dims: int) -> np.ndarray:
+    """Every point of a symmetric lattice in ``dims`` dimensions, one row each, in C order.
+
+    ``lattice`` is a ``MassShellGrid`` (dims 3) or an ``EuclideanLattice``
+    (dims 4); each axis holds the multiples k * spacing, |k| <= points // 2.
+    """
+    axis = (np.arange(lattice.points) - lattice.points // 2) * lattice.spacing
+    mesh = np.meshgrid(*[axis] * dims, indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh], axis=1)
+
+
+def grid_omega(grid) -> np.ndarray:
+    """omega = sqrt(p^2 + m^2) at every point of a ``MassShellGrid``."""
+    return np.sqrt(np.sum(grid_momenta(grid, 3)**2, axis=1) + grid.mass**2)
+
+
+def grid_weights(grid) -> np.ndarray:
+    """The mass-shell weight dp^3 / omega at every point of a ``MassShellGrid``."""
+    return grid.spacing**3 / grid_omega(grid)
+
+
+def grid_flip(grid) -> np.ndarray:
+    """The index permutation p -> -p: reversing all three axes reverses the flat index."""
+    return np.arange(grid.points**3 - 1, -1, -1)
+
+
+def lattice_p_squared(lattice) -> np.ndarray:
+    """p^2 at every point of an ``EuclideanLattice``."""
+    return np.sum(grid_momenta(lattice, 4)**2, axis=1)
+
+
 def pauli_jordan_minus_by_grid(grid, x):
     """D^-(x) = i/2 (2 pi)^-3 sum_p w(p) exp(-i(omega x0 - p.x)) over every lattice point."""
     x = np.asarray(x, dtype=float)
-    terms = 0.5j * TWO_PI**-3 * grid.weights * np.exp(-1j * (grid.omega * x[0] - grid.momenta @ x[1:]))
+    phase = grid_omega(grid) * x[0] - grid_momenta(grid, 3) @ x[1:]
+    terms = 0.5j * TWO_PI**-3 * grid_weights(grid) * np.exp(-1j * phase)
     return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
 def pauli_jordan_by_grid(grid, x):
     """D(x) = (2 pi)^-3 sum_p w(p) sin(omega x0) cos(p.x) over every lattice point."""
     x = np.asarray(x, dtype=float)
-    terms = TWO_PI**-3 * grid.weights * np.sin(grid.omega * x[0]) * np.cos(grid.momenta @ x[1:])
+    terms = (TWO_PI**-3 * grid_weights(grid) * np.sin(grid_omega(grid) * x[0])
+             * np.cos(grid_momenta(grid, 3) @ x[1:]))
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
@@ -482,7 +580,8 @@ def euclidean_propagator_by_octant(lattice, x):
 def euclidean_propagator_by_grid(lattice, x):
     """w(x) = (2 pi)^-4 dp^4 sum_p cos(p.x) / (p^2 + m^2) over every lattice point."""
     x = np.asarray(x, dtype=float)
-    terms = lattice.measure * np.cos(lattice.momenta @ x) / (lattice.p_squared + lattice.mass**2)
+    terms = (lattice.measure * np.cos(grid_momenta(lattice, 4) @ x)
+             / (lattice_p_squared(lattice) + lattice.mass**2))
     return float(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
@@ -505,9 +604,10 @@ def witness_shell_values_by_grid(mass_first, mass_second, cutoff, points):
     values = []
     for mass in (mass_first, mass_second):
         grid = MassShellGrid(mass, cutoff, points)
-        pos = profile(grid.omega, grid.momenta)
-        neg = profile(-grid.omega, grid.momenta)
-        values.append(float(np.sum(grid.weights * neg[grid.flip] * pos)))
+        omega, momenta = grid_omega(grid), grid_momenta(grid, 3)
+        pos = profile(omega, momenta)
+        neg = profile(-omega, momenta)
+        values.append(float(np.sum(grid_weights(grid) * neg[grid_flip(grid)] * pos)))
     return tuple(values)
 
 
@@ -567,8 +667,13 @@ def pair_partitions_by_recursion(remaining):
             yield [(remaining[0], remaining[k])] + tail
 
 
+def pair_value(space, q, r) -> float:
+    """Two-point value <K^-1 q | K^-1 r>."""
+    return float((space.k_inv @ q) @ space.gram @ (space.k_inv @ r))
+
+
 def wick_by_partitions(space, args) -> float:
-    """Sum over the pairings of products of space.pair_value, one pairing at a time."""
+    """Sum over the pairings of products of ``pair_value``, one pairing at a time."""
     m = len(args)
     if m % 2 == 1:
         return 0.0
@@ -576,7 +681,7 @@ def wick_by_partitions(space, args) -> float:
     for partition in pair_partitions_by_recursion(tuple(range(m))):
         prod = 1.0
         for i, j in partition:
-            prod *= space.pair_value(args[i], args[j])
+            prod *= pair_value(space, args[i], args[j])
         total += prod
     return total
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -925,3 +926,121 @@ def test_field_grid_past_the_octant_limit_is_refused_before_allocation(field, oc
     assert capsys.readouterr().err == (f"numerical failure: {path}: NumericalError: {octant} "
                                        f"points, over the limit {1 << 21}\n")
     assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_batch_names_an_integer_literal_past_double_range(jobs, tmp_path, capsys):
+    # float() of a 401-digit integer raises OverflowError, which used to end
+    # the batch with a traceback and lose the valid file's report
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(MINIMAL_GNS)
+    (batch / "b.yaml").write_text("kind: field\nfield:\n  mass: " + "9" * 401 + "\n")
+    # past 4300 digits the YAML constructor's int() itself refuses the literal
+    (batch / "c.yaml").write_text("kind: field\nfield:\n  mass: " + "9" * 5000 + "\n")
+    out_dir = tmp_path / "reports"
+    assert main(["run", str(batch), "--jobs", jobs, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"schema error: {batch / 'b.yaml'}: field.mass (line 3): "
+        "numeric literals must be finite\n"
+        f"schema error: {batch / 'c.yaml'}: <document> (line 3): "
+        "integer literal has too many digits to read\n")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.report.txt"]
+
+
+def _group_table_document(table):
+    return f"kind: group\ngroup:\n  table: {table}\nfunctions:\n  - [[1, 0], [1, 0]]\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_batch_reads_group_table_entries_as_element_indices(jobs, tmp_path, capsys):
+    # entries used to be read as floats and truncated: [[0, 1.5], [1.9, 0]]
+    # ran as Z2, and 1e300 printed a numpy RuntimeWarning
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(_group_table_document("[[0, 1], [1, 0]]"))
+    (batch / "b.yaml").write_text(_group_table_document("[[0, 1.5], [1.9, 0]]"))
+    (batch / "c.yaml").write_text(_group_table_document("[[0, 1], [1e300, 0]]"))
+    (batch / "d.yaml").write_text(_group_table_document("[[0, 1], [2, 0]]"))
+    out_dir = tmp_path / "reports"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(batch), "--jobs", jobs, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"schema error: {batch / 'b.yaml'}: group.table[0][1] (line 3): "
+        "expected an integer, got float\n"
+        f"schema error: {batch / 'c.yaml'}: group.table[1][0] (line 3): "
+        "expected an integer, got float\n"
+        f"schema error: {batch / 'd.yaml'}: group.table[1][0] (line 3): "
+        "expected an element index below 2, got 2\n")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.report.txt"]
+    assert "group_order = 2 [configured]" in (out_dir / "a.report.txt").read_text()
+
+
+def _moments_document(count):
+    vectors = "".join(f"    - [{1 + k % 3}, {k / 4}]\n" for k in range(count))
+    return ("kind: ccr\nspace:\n  gram: [[1, 0], [0, 1]]\n  k: [[2, 0], [0, 1]]\n"
+            "moments:\n  max_order: 6\n  vectors:\n" + vectors)
+
+
+def test_ccr_moment_table_past_the_row_limit_is_refused_before_any_moment(tmp_path, capsys,
+                                                                         monkeypatch):
+    # 16 vectors to order 6 give 58276 multi-indices (21 s and 330 MiB to run)
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a moment was computed")
+
+    monkeypatch.setattr("opalg.ccr.wick_moment", must_not_run)
+    monkeypatch.setattr("opalg.ccr.moment_oracle", must_not_run)
+    path = tmp_path / "v16.yaml"
+    path.write_text(_moments_document(16))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"schema error: {path}: moments.vectors (line 8): 16 vectors give a moment table of "
+        f"58276 rows up to order 6, over the limit {scenarios.MOMENT_ROW_LIMIT}\n")
+
+
+def test_ccr_largest_moment_table_under_the_row_limit_still_runs():
+    # nine vectors: C(10, 2) + C(12, 4) + C(14, 6) = 3543 rows; ten give 5775
+    assert math.comb(10, 2) + math.comb(12, 4) + math.comb(14, 6) <= scenarios.MOMENT_ROW_LIMIT
+    assert math.comb(11, 2) + math.comb(13, 4) + math.comb(15, 6) > scenarios.MOMENT_ROW_LIMIT
+    report = run_scenario(parse_scenario(_moments_document(9)))
+    assert len(report.tables["moments"][1]) == 3543
+    (line,) = [line for line in report.lines if line.startswith("moment_cross_validation")]
+    assert line.endswith(" pass")
+
+
+def _dense(mat):
+    return "[" + ", ".join("[" + ", ".join(f"[{v.real:.17e}, {v.imag:.17e}]" for v in row) + "]"
+                           for row in np.asarray(mat, dtype=complex)) + "]"
+
+
+def test_symmetry_closure_row_past_the_limit_is_a_numerical_failure(tmp_path, capsys):
+    # one automorphism of a faithful M90 state: 90^4 entries in one closure row
+    rho = np.diag(np.arange(1, 91) / 4095.0)
+    u = np.diag(np.exp(0.1j * np.arange(90)))
+    path = tmp_path / "m90.yaml"
+    path.write_text(f"kind: symmetry\nalgebra: {{blocks: [90]}}\nstate:\n  densities:\n"
+                    f"    - {_dense(rho)}\nunitaries:\n  - [{_dense(u)}]\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: {path}: NumericalError: closure of 1 automorphisms of blocks [90] "
+        "holds 65610000 action entries per row, more than 1048576\n")
+    assert not (tmp_path / "out" / "m90.report.txt").exists()
+
+
+def test_group_representation_past_the_entry_limit_is_a_numerical_failure(tmp_path, capsys):
+    # delta_e on z512 has full rank: 512^3 = 2^27 matrix entries (2 GiB)
+    path = tmp_path / "z512.yaml"
+    path.write_text("kind: group\ngroup: {name: z512}\nfunctions:\n  - [[1, 0]"
+                    + ", [0, 0]" * 511 + "]\n")
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure: {path}: NumericalError: representation of order 512 and rank 512 "
+        f"holds 134217728 matrix entries, over the limit {groups.REP_ENTRY_LIMIT}\n")
+    assert peak < 32 << 20

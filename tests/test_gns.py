@@ -125,7 +125,8 @@ def test_vector_form_consistency():
     rng = np.random.default_rng(23)
     alg = StarAlgebra([2, 3])
     f = _random_state(alg, rng)
-    rebuilt = gns_construct(alg, f).reconstructed_state()
+    # (pi, theta) gives back the densities Theta_b Theta_b*
+    rebuilt = State(alg, [t @ t.conj().T for t in gns_construct(alg, f).factors])
     assert dual_norm_distance(f, rebuilt) <= 1e-9
 
 

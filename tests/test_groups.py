@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opalg import (
     FiniteGroup,
     InvalidStateError,
+    NumericalError,
     convolve,
     cyclic_group,
     delta,
@@ -16,7 +19,10 @@ from opalg import (
     orthogonality_check,
     symmetric_group,
 )
-from oracles import associativity_failure_by_loop, best_invertible, intertwiner_space
+from opalg.groups import REP_ENTRY_LIMIT
+from oracles import (associativity_failure_by_loop, best_invertible,
+                     gns_from_group_function_by_permutations, intertwiner_space,
+                     left_regular_representation_by_loop)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -27,8 +33,8 @@ def test_group_laws():
     for group in (Z2, Z3, S3, cyclic_group(12)):
         e = group.identity
         for g in range(group.order):
-            assert group.mul(e, g) == g == group.mul(g, e)
-            assert group.mul(g, group.inv(g)) == e
+            assert group.table[e, g] == g == group.table[g, e]
+            assert group.table[g, group.inverse[g]] == e
 
 
 def test_bad_table_rejected():
@@ -74,7 +80,7 @@ def test_dirac_convolution_composes_group_law():
     for a in range(S3.order):
         for b in range(S3.order):
             conv = convolve(S3, delta(S3, a), delta(S3, b))
-            assert np.max(np.abs(conv - delta(S3, S3.mul(a, b)))) == 0.0
+            assert np.max(np.abs(conv - delta(S3, S3.table[a, b]))) == 0.0
 
 
 def test_convolution_on_z2_example():
@@ -147,7 +153,7 @@ def test_gns_representation_is_unitary_homomorphism():
         assert np.max(np.abs(rep.matrices[g] @ rep.matrices[g].conj().T - np.eye(d))) <= 1e-12
         for h in range(S3.order):
             prod = rep.matrices[g] @ rep.matrices[h]
-            assert np.max(np.abs(prod - rep.matrices[S3.mul(g, h)])) <= 1e-12
+            assert np.max(np.abs(prod - rep.matrices[S3.table[g, h]])) <= 1e-12
     assert np.max(np.abs(rep.reconstruction() - psi)) <= 1e-9
 
 
@@ -205,3 +211,78 @@ def test_delta_gns_equivalent_to_left_regular():
             for p, q in zip(from_delta.matrices, direct.matrices)
         )
         assert worst <= 1e-8
+
+
+def _positive_definite(group, kind, seed):
+    """delta_e (full rank), one character (rank one), or a sum of vector forms of the
+    left-regular representation; on Z_n the vectors leave out a random set of
+    Fourier modes, so the rank is the number of modes kept."""
+    rng = np.random.default_rng(seed)
+    n = group.order
+    if kind == "delta":
+        return delta(group, group.identity)
+    if kind == "character":
+        chars = irreducible_characters(group)
+        return chars[rng.integers(len(chars))]
+    regular = left_regular_representation_by_loop(group).matrices
+    psi = np.zeros(n, dtype=complex)
+    for _ in range(rng.integers(1, 4)):
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if np.array_equal(group.table, cyclic_group(n).table):
+            modes = np.fft.fft(v) * (rng.random(n) < 0.5)
+            v = np.fft.ifft(modes)
+        psi += np.array([np.vdot(v, m @ v) for m in regular])
+    return psi
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.one_of(st.integers(2, 64), st.just("s3")),
+       kind=st.sampled_from(["delta", "character", "vectors"]), seed=st.integers(0, 2**32 - 1))
+@example(order=64, kind="delta", seed=0)        # full rank 64
+@example(order=64, kind="vectors", seed=3)      # rank deficient
+@example(order="s3", kind="character", seed=2)  # the standard character, rank 4
+def test_gathered_translations_equal_the_permutation_products(order, kind, seed):
+    group = S3 if order == "s3" else cyclic_group(order)
+    psi = _positive_definite(group, kind, seed)
+    assert is_positive_definite(group, psi)
+    rep = gns_from_group_function(group, psi)
+    ref = gns_from_group_function_by_permutations(group, psi)
+    assert rep.gram_rank == ref.gram_rank
+    assert len(rep.matrices) == len(ref.matrices) == group.order
+    assert all(np.array_equal(a, b) for a, b in zip(rep.matrices, ref.matrices))
+    assert np.array_equal(rep.cyclic_vector, ref.cyclic_vector)
+    assert np.array_equal(rep.reconstruction(), ref.reconstruction())
+
+
+@pytest.mark.parametrize("group", [cyclic_group(n) for n in (2, 5, 12, 64)] + [S3])
+def test_left_regular_matrices_equal_the_entry_loop(group):
+    rep = left_regular_representation(group)
+    ref = left_regular_representation_by_loop(group)
+    assert all(np.array_equal(a, b) for a, b in zip(rep.matrices, ref.matrices))
+    assert np.array_equal(rep.cyclic_vector, ref.cyclic_vector)
+    assert rep.gram_rank == ref.gram_rank == group.order
+
+
+def test_group_representation_past_the_entry_limit_is_refused_before_any_translation():
+    # delta_e on z512 has rank 512: 512^3 = 2^27 entries (2 GiB) against 2^24;
+    # the positive-definiteness test and the Gram quotient stay under 32 MiB
+    z512 = cyclic_group(512)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="order 512 and rank 512 holds 134217728"):
+            gns_from_group_function(z512, delta(z512, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+    assert 256**3 == REP_ENTRY_LIMIT < 257**3
+    with pytest.raises(NumericalError, match="order 257 and rank 257"):
+        left_regular_representation(cyclic_group(257))
+
+
+def test_characters_on_the_largest_built_in_group_still_run():
+    z1024 = cyclic_group(1024)
+    psi = np.exp(2j * np.pi * 5 * np.arange(1024) / 1024)
+    rep = gns_from_group_function(z1024, psi)
+    assert rep.carrier_dim == 1
+    assert np.max(np.abs(rep.reconstruction() - psi)) <= 1e-9

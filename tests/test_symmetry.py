@@ -24,7 +24,8 @@ from opalg import (
 from opalg.gns import cyclic_vector_residual, intertwining_residual
 from opalg.linalg import block_diag
 from opalg.scenarios import Scenario, run_scenario
-from opalg.symmetry import ACTION_TOL, CLOSURE_ENTRY_LIMIT, STATIONARY_TOL, cyclic_vector_certificate
+from opalg.symmetry import (ACTION_TOL, CLOSURE_ENTRY_LIMIT, CLOSURE_ROW_LIMIT, STATIONARY_TOL,
+                            cyclic_vector_certificate)
 from oracles import automorphism_closure_by_loop, generator_matrices, stabilizer_orbit_by_pairs
 
 M2 = StarAlgebra([2])
@@ -62,7 +63,7 @@ def test_pushforward_composition_law():
         f = State(M2, [dens / np.trace(dens).real])
         rho, tau = PAULI_GROUP[1], PAULI_GROUP[2]
         once = pushforward_state(pushforward_state(f, rho), tau)
-        composed = pushforward_state(f, rho.compose(tau))
+        composed = pushforward_state(f, InnerAutomorphism(rho.unitary * tau.unitary))
         # f_(rho.tau)(a) = f(rho(tau(a))): pushing by tau then rho
         other = pushforward_state(pushforward_state(f, tau), rho)
         assert dual_norm_distance(composed, other) <= 1e-12 or \
@@ -202,7 +203,7 @@ def test_implementer_uniqueness_via_independent_solve():
     # oracle: cyclicity pins W through W pi(a) theta = pi(rho(a)) theta
     columns = np.stack([m @ rep.cyclic_vector for m in generator_matrices(rep)], axis=1)
     images = np.stack(
-        [rep.represent(rho.apply(M2.basis_element(k))) @ rep.cyclic_vector
+        [rep.represent(rho.unitary * M2.basis_element(k) * rho.unitary.star) @ rep.cyclic_vector
          for k in range(M2.dim)], axis=1)
     w_oracle = images @ np.linalg.pinv(columns)
     assert np.max(np.abs(w_oracle - result.unitary)) <= 1e-8
@@ -360,6 +361,23 @@ def test_closure_limit_admits_160_automorphisms():
     assert group.identity == 0
 
 
+def test_closure_row_limit_refuses_one_faithful_m90_automorphism():
+    # one automorphism of M90 compares 90^4 action entries, inside the work
+    # limit, but its one row would hold them all (about 3 GB); a row of 160 x M2
+    # holds 160^2 * 2^4 = 409600
+    assert 90**4 <= CLOSURE_ENTRY_LIMIT and 160**2 * 16 <= CLOSURE_ROW_LIMIT < 90**4
+    m90 = StarAlgebra([90])
+    elements = [InnerAutomorphism(m90.element([np.diag(np.exp(0.1j * np.arange(90)))]))]
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="blocks \\[90\\] holds 65610000 action entries"):
+            AutomorphismGroup(elements)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_stabilizer_orbit_examples():
     group = AutomorphismGroup(PAULI_GROUP)
     tracial_orbit = stabilizer_orbit(State.tracial(M2), group)
@@ -369,7 +387,6 @@ def test_stabilizer_orbit_examples():
     assert excited_orbit.stabilizer_size == 2     # identity and Ad(sigma_z)
     assert excited_orbit.orbit_size == 2
     assert excited_orbit.orbit_size * excited_orbit.stabilizer_size == 4
-    assert excited_orbit.coset_count == 2
 
 
 def test_orbit_law_on_diagonal_phase_group():
