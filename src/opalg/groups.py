@@ -164,6 +164,11 @@ def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
     psi = _as_function(group, psi)
     if not is_positive_definite(group, psi):
         raise InvalidStateError("function is not positive-definite within tolerance")
+    return _gns_from_positive_definite(group, psi)
+
+
+def _gns_from_positive_definite(group: FiniteGroup, psi: np.ndarray) -> GroupRep:
+    """:func:`gns_from_group_function` for a function already found positive-definite."""
     # pairing <delta_a | delta_b> = psi(b^-1 a); as a Gram with the starred
     # slot on rows this is the transpose of the positive-definiteness kernel
     gram = pd_kernel(group, psi).T
@@ -197,6 +202,11 @@ def orthogonality_check(group: FiniteGroup, psi, psi2) -> OrthogonalityReport:
     for fn in (psi, psi2):
         if not is_positive_definite(group, fn):
             raise InvalidStateError("orthogonality_check requires positive-definite inputs")
+    return _orthogonality(group, psi, psi2)
+
+
+def _orthogonality(group: FiniteGroup, psi: np.ndarray, psi2: np.ndarray) -> OrthogonalityReport:
+    """:func:`orthogonality_check` for two functions already found positive-definite."""
     inner = complex(np.sum(psi2 * np.conj(psi)))
     conv = convolve(group, psi, psi2)
     return OrthogonalityReport(inner_sum=inner, convolution_max=float(np.max(np.abs(conv))))

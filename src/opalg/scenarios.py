@@ -49,26 +49,6 @@ MOMENT_ROW_LIMIT = 4096
 # parsing
 
 
-# Without aliases a document has about one node per character at most, but an
-# alias repeats every path below its anchor, so nested aliases multiply the
-# paths (six levels of ten aliases each give a million).  Marks are recorded,
-# depth first, for at most MARKS_PER_CHAR paths per character; an error on a
-# path past that budget carries no line.
-MARKS_PER_CHAR = 4
-
-
-def _collect_marks(node, path, marks, budget):
-    marks[path] = node.start_mark.line + 1
-    if len(marks) >= budget:
-        return
-    if isinstance(node, yaml.MappingNode):
-        for key_node, value_node in node.value:
-            _collect_marks(value_node, path + (str(key_node.value),), marks, budget)
-    elif isinstance(node, yaml.SequenceNode):
-        for idx, child in enumerate(node.value):
-            _collect_marks(child, path + (idx,), marks, budget)
-
-
 class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """Safe loader that also reads YAML 1.2 floats such as ``1e-05`` as numbers.
 
@@ -113,21 +93,106 @@ _EMPTY_FLOW_VALUE = re.compile(r":[ ]*(?:#[^\n]*)?\n(?:[ ]*(?:#[^\n]*)?\n)*[ ]*[
 # documents are refused from the parse events first, which need no recursion.
 MAX_NESTING = 10_000
 
+_FLOAT, _INT, _STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{name}"
+                                  for name in ("float", "int", "str", "seq", "map"))
+_CORE_SCALARS = frozenset(f"tag:yaml.org,2002:{name}"
+                          for name in ("null", "bool", "int", "float", "str"))
+
+
+def _descend(node):
+    """Recurse once per nesting level, so a tree too deep for the limit raises RecursionError."""
+    if isinstance(node, yaml.MappingNode):
+        for _, value_node in node.value:
+            _descend(value_node)
+    elif isinstance(node, yaml.SequenceNode):
+        for child in node.value:
+            _descend(child)
+
+
+def _build(node, loader, built, foreign):
+    """The data of a node of the core schema; ``built`` holds each collection
+    built so far, and ``foreign`` gathers the nodes outside the core schema."""
+    cls, tag = type(node), node.tag
+    if cls is yaml.ScalarNode:
+        value = node.value
+        if tag == _FLOAT:
+            try:    # every resolved float text float() reads gives construct_yaml_float's value
+                return float(value)
+            except ValueError:
+                pass
+        elif tag == _STR:
+            return value
+        elif tag == _INT and value.isdigit() and (value[0] != "0" or value == "0"):
+            try:    # decimal without sign or octal prefix, within int()'s digits
+                return int(value)
+            except ValueError:
+                pass
+        if tag in _CORE_SCALARS:
+            try:
+                return loader.yaml_constructors[tag](loader, node)
+            except ValidationError:
+                pass
+        foreign.append(node)
+        return None
+    if node in built:
+        return built[node]
+    if cls is yaml.SequenceNode and tag == _SEQ:
+        data = built[node] = []    # before the items, so a node inside itself is itself
+        for item in node.value:
+            data.append(_build(item, loader, built, foreign))
+    elif cls is yaml.MappingNode and tag == _MAP:
+        data = built[node] = {}
+        for key_node, value_node in node.value:
+            if type(key_node) is yaml.ScalarNode:
+                key = _build(key_node, loader, built, foreign)
+            else:
+                foreign.append(key_node)
+                key = None
+            # a repeated key keeps its last value
+            data[key] = _build(value_node, loader, built, foreign)
+    else:
+        foreign.append(node)
+        data = None
+    return data
+
 
 def _compose(loader_cls, text: str):
+    """The data of ``text`` and its root node; (None, None) for an empty document.
+
+    The core schema is built by ``_build`` from the node tree in one walk, one
+    Python frame per nesting level.  Each collection is built once, however
+    many aliases lead to it.  A document with anything else (a tag written
+    out, a timestamp, a merge or value key, a key that is no scalar, an
+    integer past int()'s digits) goes whole to PyYAML's ``construct_document``,
+    so its data and first error are PyYAML's.  PyYAML builds nested sequences
+    and mappings without recursion, so when the walk overflows (a scalar read
+    through a constructor takes a few frames below its level) PyYAML builds
+    the data, its error winning, and ``_descend`` refuses what is too deep to
+    read.
+    """
     loader = loader_cls(text)
-    marks: Dict[tuple, int] = {}
     try:
         node = loader.get_single_node()
-        data = loader.construct_document(node) if node is not None else None
-        if node is not None:
-            _collect_marks(node, (), marks, MARKS_PER_CHAR * (len(text) + 1))
+        if node is None:
+            return None, None
+        if "!" in text:    # a tag can only be written out with a '!'
+            return loader.construct_document(node), node
+        foreign = []
+        try:
+            data = _build(node, loader, {}, foreign)
+        except RecursionError:
+            data = loader.construct_document(node)
+            _descend(node)
+            return data, node
+        if foreign:
+            data = loader.construct_document(node)
+        return data, node
     except RecursionError:
-        # the pure-Python composer, the constructor and _collect_marks all recurse per level
+        # the pure-Python composer, _descend, and PyYAML's constructor through
+        # merge keys all recurse per level
         raise ValidationError("document nested too deeply to read") from None
     finally:
         loader.dispose()
-    return data, marks
 
 
 def _check_nesting(text: str):
@@ -144,7 +209,8 @@ def _check_nesting(text: str):
         pass  # malformed within the limit: the loaders below report it
 
 
-def _load_with_marks(text: str):
+def _load(text: str):
+    """(data, root node) of a scenario document; malformed text is a ValidationError."""
     if len(text) > MAX_NESTING:   # every level takes at least one character
         _check_nesting(text)
     if not (_PY_ONLY_CHAR.search(text) or _EMPTY_FLOW_VALUE.search(text)):
@@ -160,6 +226,36 @@ def _load_with_marks(text: str):
         raise ValidationError(f"not well-formed YAML: {exc}", line=line) from exc
 
 
+def _line(node, path, failed=None):
+    """The 1-based line of the node at ``path`` below ``node``, or None.
+
+    Mapping steps match keys by ``str(key.value)`` and sequence steps are
+    indices.  Of several keys that match, the last one that holds the rest
+    of the path wins: the line a walk over every path in document order
+    would leave last.  ``failed`` holds the (node, steps left) pairs found
+    to hold no rest of the path, so each node is searched at most once per
+    depth however many aliases and repeated keys lead to it.
+    """
+    if not path:
+        return node.start_mark.line + 1
+    failed = set() if failed is None else failed
+    if (node, len(path)) in failed:
+        return None
+    step, rest = path[0], path[1:]
+    if isinstance(node, yaml.MappingNode):
+        children = [value for key, value in node.value if str(key.value) == step]
+    elif isinstance(node, yaml.SequenceNode) and isinstance(step, int) and 0 <= step < len(node.value):
+        children = [node.value[step]]
+    else:
+        children = []
+    for child in reversed(children):
+        line = _line(child, rest, failed)
+        if line is not None:
+            return line
+    failed.add((node, len(path)))
+    return None
+
+
 def _path_str(path) -> str:
     out = []
     for part in path:
@@ -171,13 +267,14 @@ def _path_str(path) -> str:
 
 
 class _Walker:
-    """Schema helpers carrying the YAML source marks for diagnostics."""
+    """Schema helpers; the source line of a path is looked up when a check fails."""
 
-    def __init__(self, marks):
-        self.marks = marks
+    def __init__(self, root):
+        self.root = root
 
     def fail(self, path, message):
-        raise ValidationError(message, path=_path_str(path), line=self.marks.get(path))
+        line = None if self.root is None else _line(self.root, path)
+        raise ValidationError(message, path=_path_str(path), line=line)
 
     def mapping(self, obj, path, required=(), optional=()):
         if not isinstance(obj, dict):
@@ -205,7 +302,7 @@ class _Walker:
             value = float(obj)
         except OverflowError:    # an integer literal past double range
             value = float("inf")
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             self.fail(path, "numeric literals must be finite")
         return value
 
@@ -222,12 +319,45 @@ class _Walker:
             self.fail(path, "complex numbers are [re, im] pairs")
         return complex(self.number(pair[0], path + (0,)), self.number(pair[1], path + (1,)))
 
+    def _floats(self, obj, ndim, entry):
+        """``obj`` as an array in one step, or None to read it entry by entry.
+
+        Only ``number`` and ``complex_scalar`` entries qualify, and only when
+        ``obj`` nests lists ``ndim`` deep (then [re, im] pairs), each level of
+        one length, down to finite floats; the entries then read as this array.
+        """
+        pairs = entry == self.complex_scalar
+        if not (pairs or entry == self.number):
+            return None
+        level = [obj]
+        for _ in range(ndim + pairs):
+            if set(map(type, level)) != {list}:
+                return None
+            level = list(itertools.chain.from_iterable(level))
+        # a finite sum has finite terms; a sum that overflows only sends finite
+        # entries to the entry-by-entry read
+        if set(map(type, level)) != {float} or not math.isfinite(sum(level)):
+            return None
+        try:
+            values = np.array(obj, dtype=float)
+        except ValueError:    # ragged
+            return None
+        if not pairs:
+            return values
+        return values.view(complex)[..., 0] if values.shape[-1] == 2 else None
+
     def vector(self, obj, path, entry):
         """A non-empty list, each entry read by ``entry`` (``number`` or ``complex_scalar``)."""
+        values = self._floats(obj, 1, entry)
+        if values is not None:
+            return values
         seq = self.sequence(obj, path, min_len=1)
         return np.array([entry(v, path + (k,)) for k, v in enumerate(seq)])
 
     def matrix(self, obj, path, entry):
+        values = self._floats(obj, 2, entry)
+        if values is not None:
+            return values
         rows = self.sequence(obj, path, min_len=1)
         data = [self.vector(r, path + (k,), entry) for k, r in enumerate(rows)]
         if len({len(r) for r in data}) != 1:
@@ -255,8 +385,8 @@ class Scenario:
 
 def parse_scenario(text: str) -> Scenario:
     """Validate a scenario document; raises ValidationError with field/line info."""
-    data, marks = _load_with_marks(text)
-    w = _Walker(marks)
+    data, root = _load(text)
+    w = _Walker(root)
     top = w.mapping(data, (), required=("kind",),
                     optional=("tolerances", "report", *_ALL_PARAM_KEYS))
     kind = top["kind"]
@@ -663,7 +793,7 @@ def _run_group(scenario: Scenario, report: Report):
         if not pd:
             reps.append(None)
             continue
-        rep = groups_mod.gns_from_group_function(group, psi)
+        rep = groups_mod._gns_from_positive_definite(group, psi)
         reps.append(rep)
         report.info(f"function[{k}].carrier_dim", rep.carrier_dim)
         worst = float(np.max(np.abs(rep.reconstruction() - psi)))
@@ -676,7 +806,7 @@ def _run_group(scenario: Scenario, report: Report):
         tol, src = _tol(scenario, "commutation")
         report.check(f"function[{k}].unitarity_defect", unit, tol, src)
     if len(functions) >= 2 and reps[0] is not None and reps[1] is not None:
-        orth = groups_mod.orthogonality_check(group, functions[0], functions[1])
+        orth = groups_mod._orthogonality(group, functions[0], functions[1])
         report.info("orthogonality_inner_sum", orth.inner_sum)
         report.info("orthogonality_convolution_max", orth.convolution_max)
 
@@ -799,10 +929,14 @@ def _run_symmetry(scenario: Scenario, report: Report):
     # the stabilizer orbit always judges at the stationarity tolerance; the
     # implementer's isometry test (ISOMETRY_TOL on another norm) only when configured
     configured = {"tol": tol} if src == "configured" else {}
+    rep = gns_construct(algebra, state)
+    # each pushforward and its distance to the state serve the stationarity line and the orbit
+    moved, distances = [], []
     for k, rho in enumerate(autos):
-        stationary = symmetry_mod.stationarity_check(state, rho, tol)
-        report.info(f"automorphism[{k}].stationary", stationary)
-        result = symmetry_mod.unitary_implementer(state, rho, **configured)
+        moved.append(symmetry_mod.pushforward_state(state, rho))
+        distances.append(dual_norm_distance(state, moved[k]))
+        report.info(f"automorphism[{k}].stationary", distances[k] <= tol)
+        result = symmetry_mod._implementer(rep, rho, **configured)
         report.info(f"automorphism[{k}].implementer",
                     "present" if result.pairs is not None else "absent")
         report.info(f"automorphism[{k}].isometry_defect", result.isometry_defect)
@@ -817,7 +951,7 @@ def _run_symmetry(scenario: Scenario, report: Report):
     except (ValueError, OpalgError) as exc:
         report.info("group", f"not a group: {exc}")
         return
-    orbit = symmetry_mod.stabilizer_orbit(state, group, tol)
+    orbit = symmetry_mod._orbit(moved, distances, tol)
     report.info("group_order", orbit.group_order)
     report.info("stabilizer_size", orbit.stabilizer_size)
     report.info("orbit_size", orbit.orbit_size)

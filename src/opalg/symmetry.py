@@ -147,7 +147,11 @@ def unitary_implementer(f: State, rho: InnerAutomorphism,
     dense unitary only when ``ImplementerResult.unitary`` is read.
     :func:`cyclic_vector_certificate` checks W theta = theta.
     """
-    rep = gns_construct(f.algebra, f)
+    return _implementer(gns_construct(f.algebra, f), rho, tol)
+
+
+def _implementer(rep, rho: InnerAutomorphism, tol: float = ISOMETRY_TOL) -> ImplementerResult:
+    """:func:`unitary_implementer` from the GNS data ``rep`` of the state."""
     kept = [t @ t.conj().T for t in rep.factors]
     defect = max(float(np.max(np.abs(u.conj().T @ d @ u - d)))
                  for u, d in zip(rho.unitary.mats, kept))
@@ -203,24 +207,27 @@ def stabilizer_orbit(f: State, group: AutomorphismGroup,
     """
     if f.algebra != group.algebra:
         raise ShapeMismatchError("state and group live on different algebras")
-    stabilizer = 0
+    moved = [pushforward_state(f, g) for g in group.elements]
+    return _orbit(moved, [dual_norm_distance(f, m) for m in moved], tol)
+
+
+def _orbit(moved: list, distances: list, tol: float) -> OrbitReport:
+    """:func:`stabilizer_orbit` from the pushforwards of f by the group's elements,
+    in the group's order, and their dual-norm distances to f."""
     orbit: list = []
-    stacks = [np.empty((len(group),) + d.shape, dtype=complex) for d in f.densities]
-    for g in group.elements:
-        moved = pushforward_state(f, g)
-        if dual_norm_distance(f, moved) <= tol:
-            stabilizer += 1
+    stacks = [np.empty((len(moved),) + d.shape, dtype=complex) for d in moved[0].densities]
+    for state in moved:
         k = len(orbit)
-        distances = sum(np.sum(np.linalg.svd(d - s[:k], compute_uv=False), axis=1)
-                        for d, s in zip(moved.densities, stacks))
-        if np.all(distances > tol):
-            for d, s in zip(moved.densities, stacks):
+        apart = sum(np.sum(np.linalg.svd(d - s[:k], compute_uv=False), axis=1)
+                    for d, s in zip(state.densities, stacks))
+        if np.all(apart > tol):
+            for d, s in zip(state.densities, stacks):
                 s[k] = d
-            orbit.append(moved)
+            orbit.append(state)
     report = OrbitReport(
-        stabilizer_size=stabilizer,
+        stabilizer_size=sum(distance <= tol for distance in distances),
         orbit_size=len(orbit),
-        group_order=len(group),
+        group_order=len(moved),
         orbit_states=orbit,
     )
     if report.orbit_size * report.stabilizer_size != report.group_order:

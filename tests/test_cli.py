@@ -1,20 +1,23 @@
+import gc
+import importlib.util
 import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from opalg import ValidationError, groups, parse_scenario, run_scenario, scenarios
+from opalg import ValidationError, gns, groups, parse_scenario, run_scenario, scenarios, symmetry
 from opalg.cli import main
 from opalg.scenarios import DEFAULT_TOLERANCES, KINDS
 
@@ -136,21 +139,26 @@ YAML_CORPUS = {
 }
 
 
-def _python_outcome(text):
+def _assert_reads_like_the_python_parser(load, text):
+    """``load(text)`` gives the pure-Python parser's data, or its error and line, and
+    the line of every path the parser's nodes hold is found on demand."""
     status, first, second = oracles.load_with_marks_by_python(text)
-    if status == "ok":
-        return first, second
-    return str(ValidationError(f"not well-formed YAML: {first}", line=second)), second
+    try:
+        data, root = load(text)
+    except ValidationError as exc:
+        assert status == "error"
+        assert (str(exc), exc.line) == (
+            str(ValidationError(f"not well-formed YAML: {first}", line=second)), second)
+        return
+    assert status == "ok"
+    assert data == first
+    for path, line in second.items():
+        assert scenarios._line(root, path) == line, path
 
 
 @pytest.mark.parametrize("name", sorted(YAML_CORPUS))
 def test_yaml_outcome_matches_the_python_parser(name):
-    text = YAML_CORPUS[name]
-    try:
-        got = scenarios._load_with_marks(text)
-    except ValidationError as exc:
-        got = str(exc), exc.line
-    assert got == _python_outcome(text)
+    _assert_reads_like_the_python_parser(scenarios._load, YAML_CORPUS[name])
 
 
 def _exponent(mantissa, sign, exponent):
@@ -208,8 +216,261 @@ def scenario_documents(draw):
 @settings(max_examples=150, deadline=None)
 @given(scenario_documents())
 def test_libyaml_loader_reads_documents_like_the_python_parser(text):
-    assert scenarios._compose(scenarios._Loader, text) == _python_outcome(text)
-    assert scenarios._load_with_marks(text) == _python_outcome(text)
+    _assert_reads_like_the_python_parser(lambda t: scenarios._compose(scenarios._Loader, t), text)
+    _assert_reads_like_the_python_parser(scenarios._load, text)
+
+
+# scalars of every core-schema tag, and keys that repeat or collide as text
+WALK_LEAVES = ["1.5", "-0.0", "0.0", "1e999", "-1e999", "1e-05", "6E0", "1.5e+3", ".inf", "-.inf",
+               ".nan", "1_0.5", "1._5", "190:20:30.15", "0", "7", "-7", "+7", "012", "0x1F", "0o17",
+               "1_000", "1:30", "~", "null", "true", "False", "yes", "off", "abc", "'1.5'", '"x y"',
+               "''"]
+WALK_KEYS = ["a", "b", "a", "1", "'1'", "true", "~"]
+# what only PyYAML's constructor reads: tags written out, timestamps, integers
+# past int()'s 4300 digits, merge ('<<') and value ('=') keys, a key that is no scalar
+FOREIGN_LEAVES = ["2001-12-14", "2001-12-14 21:59:43.10 -5", "!!str 12", "!!float 3",
+                  "!!float '1_0'", "!!binary aGVsbG8=", "!!set {a, b}", "9" * 4301, "8" * 4301]
+FOREIGN_KEYS = ["<<", "=", "2001-12-14", "[k]"]
+
+
+@st.composite
+def core_schema_documents(draw):
+    """Block mappings of flow values with anchors, aliases (fans of fans, and a
+    collection inside itself) and the scalars and keys above, one in ten foreign."""
+    anchors = []
+
+    def pick(core, foreign):
+        return draw(st.sampled_from(foreign if draw(st.integers(0, 9)) == 0 else core))
+
+    def node(depth):
+        if anchors and draw(st.integers(0, 3)) == 0:
+            return "*" + draw(st.sampled_from(anchors))
+        anchor = ""
+        if draw(st.integers(0, 3)) == 0:    # defined before its content, which may alias it
+            anchors.append(f"a{len(anchors)}")
+            anchor = f"&{anchors[-1]} "
+        shape = draw(st.integers(0, 4 if depth < 3 else 1))
+        if shape <= 1:
+            return anchor + pick(WALK_LEAVES, FOREIGN_LEAVES)
+        count = draw(st.integers(0, 3))
+        if shape <= 3:
+            return anchor + "[" + ", ".join(node(depth + 1) for _ in range(count)) + "]"
+        return anchor + "{" + ", ".join(f"{pick(WALK_KEYS, FOREIGN_KEYS)}: {node(depth + 1)}"
+                                        for _ in range(count)) + "}"
+
+    keys = draw(st.lists(st.sampled_from(["k0", "k1", "k2", "'k1'"]), min_size=1, max_size=5))
+    return "".join(f"{key}: {node(0)}\n" for key in keys)
+
+
+def _canonical(obj, seen):
+    """Containers by content, one seen before by its first-seen index (aliases and
+    cycles), leaves by type and repr."""
+    if isinstance(obj, (list, dict, set)):
+        if id(obj) in seen:
+            return ("seen", seen[id(obj)])
+        seen[id(obj)] = len(seen)
+        if isinstance(obj, list):
+            return ("list", tuple(_canonical(item, seen) for item in obj))
+        if isinstance(obj, set):
+            return ("set", tuple(sorted(map(repr, obj))))
+        return ("dict", tuple((_canonical(key, seen), _canonical(value, seen))
+                              for key, value in obj.items()))
+    return (type(obj).__name__, repr(obj))
+
+
+def _construction(build, text):
+    try:
+        return "ok", _canonical(build(text), {})
+    except RecursionError:    # what _compose reports for it
+        exc = ValidationError("document nested too deeply to read")
+    except (yaml.YAMLError, ValidationError) as caught:
+        exc = caught
+    return "error", type(exc).__name__, str(exc)
+
+
+def _pyyaml_data(loader_cls, text):
+    loader = loader_cls(text)
+    try:
+        node = loader.get_single_node()
+        return None if node is None else loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
+@settings(max_examples=300, deadline=None)
+@given(core_schema_documents())
+# PyYAML builds nested collections after the scalars beside them, so of two
+# integers past 4300 digits the one on line 2 fails first
+@example("k0: [" + "9" * 4301 + "]\nk1: " + "8" * 4301 + "\n")
+@example("k0: &a0 [*a0, {a: *a0}]\nk1: &a1 {b: *a1, c: &a2 [*a2]}\n")
+@example("k0: &a0 {a: 1}\nk1: {<<: *a0, b: 2, =: 3}\n")
+@example("k0: [012, 0o17, 0x1F, 1_000, -7, 1:30, 1_0.5, .inf, -0.0]\n")
+def test_construction_walk_builds_what_pyyaml_builds(text):
+    for loader_cls in (scenarios._Loader, scenarios._PyLoader):
+        assert (_construction(lambda t: scenarios._compose(loader_cls, t)[0], text)
+                == _construction(lambda t: _pyyaml_data(loader_cls, t), text))
+
+
+class _EntryWalker(scenarios._Walker):
+    """The schema walker with every number read entry by entry."""
+
+    def _floats(self, obj, ndim, entry):
+        return None
+
+
+# leaves the bulk read must leave to the entry walk, and finite floats whose sum
+# overflows (1e308)
+BULK_ENTRIES = st.one_of(
+    st.sampled_from([float("inf"), -float("inf"), float("nan"), 1e308, -0.0, True, False, None,
+                     "x", "1.5", 0, 7, 10 ** 400]),
+    st.floats(), st.integers(-10 ** 400, 10 ** 400))
+
+
+def _yaml_scalar(value):
+    if isinstance(value, float):
+        return {"inf": ".inf", "-inf": "-.inf", "nan": ".nan"}.get(repr(value), repr(value))
+    if isinstance(value, bool) or value is None:
+        return {True: "true", False: "false", None: "null"}[value]
+    return str(value) if isinstance(value, int) else f"'{value}'"
+
+
+def _yaml_flow(value):
+    if isinstance(value, list):
+        return "[" + ", ".join(_yaml_flow(item) for item in value) + "]"
+    return _yaml_scalar(value)
+
+
+@st.composite
+def numeric_nests(draw):
+    """(reader, entry, nest): a regular vector or matrix of floats or [re, im]
+    pairs of floats, with up to three defects: another leaf (inf, nan, an int,
+    a bool, None, a string), a cell that is no pair, a row one entry short or long."""
+    reader, pairs = draw(st.sampled_from(["vector", "matrix"])), draw(st.booleans())
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    cell = st.lists(floats, min_size=2, max_size=2) if pairs else floats
+    width = draw(st.integers(1, 4))
+    row = st.lists(cell, min_size=width, max_size=width)
+    nest = draw(row if reader == "vector" else st.lists(row, min_size=1, max_size=4))
+    rows = [nest] if reader == "vector" else nest
+    for _ in range(draw(st.integers(0, 3))):
+        target = rows[draw(st.integers(0, len(rows) - 1))]
+        defect = draw(st.sampled_from(["leaf", "leaf", "cell", "short", "long"]))
+        if defect == "short" or not target:
+            target[:] = target[:-1]
+        elif defect == "long":
+            target.append(draw(cell))
+        else:
+            k = draw(st.integers(0, len(target) - 1))
+            if defect == "cell":
+                target[k] = draw(st.one_of(BULK_ENTRIES, st.lists(BULK_ENTRIES, max_size=3)))
+            elif isinstance(target[k], list) and target[k]:
+                target[k][draw(st.integers(0, len(target[k]) - 1))] = draw(BULK_ENTRIES)
+            else:
+                target[k] = draw(BULK_ENTRIES)
+    return reader, "complex_scalar" if pairs else "number", nest
+
+
+@settings(max_examples=300, deadline=None)
+@given(numeric_nests())
+@example(("vector", "number", [1.0, float("inf")]))
+@example(("matrix", "complex_scalar", [[[1.0, 0.0]], [[float("nan"), 0.0]]]))
+@example(("matrix", "number", [[1e308, 1e308]]))    # finite entries whose sum overflows
+@example(("vector", "complex_scalar", [[1.0, 0.0], [True, 0.0]]))
+def test_bulk_numeric_read_matches_the_entry_walk(case):
+    reader, entry, nest = case
+    if reader == "matrix" and nest:    # one row per line, so each error has its own line
+        text = "m:\n" + "".join(f"  - {_yaml_flow(row)}\n" for row in nest)
+    else:
+        text = f"m: {_yaml_flow(nest)}\n"
+    data, root = scenarios._load(text)
+    outcomes = []
+    for walker in (scenarios._Walker(root), _EntryWalker(root)):
+        try:
+            values = getattr(walker, reader)(data["m"], ("m",), getattr(walker, entry))
+            outcomes.append((values.dtype.str, values.shape, values.tobytes()))
+        except ValidationError as exc:
+            outcomes.append((str(exc), exc.line))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("text", [
+    "kind: gns\nalgebra: {blocks: [1, 1]}\nstate: {densities: [[[[0.5, 0.0]]], [[[0.5, 0.0]]]]}\n",
+    "kind: gns\nalgebra: {blocks: [1]}\nother: {<<: {a: 1}}\n",    # read by PyYAML's constructor
+    "kind: gns\nalgebra: " + "[" * 1200 + "-1" + "]" * 1200 + "\n",    # the walk overflows
+], ids=["core", "merge-key", "too-deep"])
+def test_reading_a_document_leaves_no_reference_cycle(text):
+    # the walk's record of built collections grows with the document; held in a
+    # cycle it would outlive the read until the cycle collector runs.  (The node
+    # tree of a document with an anchor is itself a cycle, built by the parser.)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            scenarios._load(text)
+        except ValidationError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_nesting_of_400_levels_reaches_the_schema_walker():
+    with pytest.raises(ValidationError) as err:
+        parse_scenario("kind: gns\nalgebra: " + "[" * 400 + "]" * 400 + "\n")
+    assert (str(err.value), err.value.line) == ("algebra (line 2): expected a mapping, got list", 2)
+
+
+def _deepest_list_read(leaf):
+    """The deepest list around ``leaf`` that parse_scenario reads to the schema walker."""
+    def read(depth):
+        try:
+            parse_scenario("kind: gns\nalgebra: " + "[" * depth + leaf + "]" * depth + "\n")
+        except ValidationError as exc:
+            return "nested too deeply" not in str(exc)
+    lo, hi = 100, sys.getrecursionlimit() + 100
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if read(mid) else (lo, mid)
+    return lo
+
+
+def test_nesting_boundary_does_not_depend_on_the_scalar_inside():
+    # a scalar read through one of the loader's constructors runs a few frames
+    # below its level; a document is still refused only as deep as a walk of
+    # one frame per level overflows, as for a float
+    depth = _deepest_list_read("1.5")
+    assert depth < sys.getrecursionlimit()
+    for leaf in ["a", "1", "-1", "012", "0x1F", "1_000", "true", "~", ".inf", "2001-12-14"]:
+        assert _deepest_list_read(leaf) == depth, leaf
+
+
+def test_line_lookup_through_an_alias_fan_out_searches_each_node_once(monkeypatch):
+    # n 'field' keys lead to one mapping with n 'euclidean' keys, which all lead
+    # to one mapping whose integer key 1 no path step (a string) names: without
+    # a record of the searches that failed the lookup would try all n * n ways
+    n = 200
+    text = ("kind: field\nfield: &F {mass: 1.0, euclidean: &E {1: 0, points: 9}"
+            + ", euclidean: *E" * (n - 1) + "}\n" + "field: *F\n" * (n - 1))
+    calls = []
+    line = scenarios._line
+    monkeypatch.setattr(scenarios, "_line", lambda *args: calls.append(1) or line(*args))
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert (str(err.value), err.value.line) == ("field.euclidean[1]: unknown field 1", None)
+    assert len(calls) == 1 + n + n    # the root, then each way into F and into E once
+
+
+def test_error_past_an_alias_fan_out_names_its_line():
+    # 1935 paths run through the aliases before the last function, past the
+    # 1604 lines a walk recording every path up front kept; the line is found
+    # on demand now
+    text = ("kind: group\ngroup: {name: z64}\nfunctions:\n"
+            "  - &f [&p [1.0, 0.0]" + ", *p" * 63 + "]\n" + "  - *f\n" * 9
+            + "  - [[1.0, 0.0], x]\n")
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert (str(err.value), err.value.line) == (
+        "functions[10][1] (line 14): expected a list, got str", 14)
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
@@ -383,6 +644,73 @@ def test_configured_stationarity_reaches_implementer_and_orbit():
     assert "stabilizer_size = 4 [computed]" in configured
     assert "orbit_size = 1 [computed]" in configured
     assert "orbit_law_exact = True [computed]" in configured
+
+
+def _workloads():
+    """The benchmark's scenario generator, loaded from its file."""
+    if "perfbench_workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)   # its dataclasses look it up
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["perfbench_workloads"]
+
+
+def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
+    workloads = _workloads()
+    case = workloads.symmetry_case(np.random.default_rng(7), "z160", [2], [2], 160, False)
+    scenario = parse_scenario(case.text)
+    state, autos = scenario.params["state"], scenario.params["automorphisms"]
+    counts = dict.fromkeys(["gns_construct", "pushforward_state", "dual_norm_distance"], 0)
+
+    def counted(name, fn, counts_call=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[name] += counts_call(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+    for module in (scenarios, symmetry):
+        monkeypatch.setattr(module, "gns_construct", counted("gns_construct", gns.gns_construct))
+        monkeypatch.setattr(module, "dual_norm_distance",
+                            counted("dual_norm_distance", scenarios.dual_norm_distance,
+                                    lambda f, g: f is state))
+    monkeypatch.setattr(symmetry, "pushforward_state",
+                        counted("pushforward_state", symmetry.pushforward_state))
+    text = run_scenario(scenario).render()
+    # one per automorphism in the runner's loop, where the stationarity check and
+    # the orbit used to compute each pushforward and distance again (320 each)
+    assert counts == {"gns_construct": 1, "pushforward_state": 160, "dual_norm_distance": 160}
+    monkeypatch.undo()
+    assert workloads.check_report(case, text) == ""
+    lines = text.splitlines()
+    tol = symmetry.STATIONARY_TOL
+    for k, rho in enumerate(autos):    # the public functions give the same lines
+        assert (f"automorphism[{k}].stationary = {symmetry.stationarity_check(state, rho, tol)} "
+                "[computed]") in lines
+        defect = symmetry.unitary_implementer(state, rho).isometry_defect
+        assert f"automorphism[{k}].isometry_defect = {scenarios._fmt(defect)} [computed]" in lines
+    orbit = symmetry.stabilizer_orbit(state, symmetry.AutomorphismGroup(autos), tol)
+    assert f"stabilizer_size = {orbit.stabilizer_size} [computed]" in lines
+    assert f"orbit_size = {orbit.orbit_size} [computed]" in lines
+
+
+@pytest.mark.parametrize("name", ["z8", "z64", "z512", "s3"])
+def test_group_runner_checks_positive_definiteness_once_per_function(monkeypatch, name):
+    case = _workloads().group_case(np.random.default_rng(11), name, name, 3)
+    scenario = parse_scenario(case.text)
+    calls = []
+    real = groups.is_positive_definite
+    monkeypatch.setattr(groups, "is_positive_definite",
+                        lambda group, psi: calls.append(name) or real(group, psi))
+    text = run_scenario(scenario).render()
+    assert len(calls) == 3
+    # the public functions check again inside: the two positive-definite
+    # functions once in the GNS build and once in the orthogonality check
+    monkeypatch.setattr(scenarios, "groups_mod", types.SimpleNamespace(
+        is_positive_definite=groups.is_positive_definite,
+        _gns_from_positive_definite=groups.gns_from_group_function,
+        _orthogonality=groups.orthogonality_check))
+    assert run_scenario(scenario).render() == text
+    assert len(calls) == 3 + 7
 
 
 def test_cli_batch_rejects_colliding_report_names(tmp_path, capsys):
@@ -719,9 +1047,9 @@ def test_group_name_that_is_no_ascii_number_is_a_schema_error(tmp_path, capsys, 
 
 
 def test_nested_aliases_end_in_the_schema_error_with_bounded_memory():
-    # six levels of ten aliases each: a mark for every path through them would
-    # be a million marks and hundreds of MB; the marks stop at a budget set by
-    # the document's length, and the error is found as before
+    # six levels of ten aliases each: a record of every path through them would
+    # be a million entries and hundreds of MB; each aliased node is built once
+    # and the line of the failing path is looked up alone
     lines = ["kind: gns", "x0: &a0 [" + ", ".join(["0"] * 10) + "]"]
     lines += [f"x{d}: &a{d} [" + ", ".join([f"*a{d - 1}"] * 10) + "]" for d in range(1, 6)]
     tracemalloc.start()
@@ -736,7 +1064,7 @@ def test_nested_aliases_end_in_the_schema_error_with_bounded_memory():
 
 
 def test_self_referencing_anchor_is_a_schema_error_on_its_value():
-    # its marks stop at the budget, where the mark walk used to recurse to the limit
+    # the list holds itself; the walk builds it once and the line lookup follows one path
     with pytest.raises(ValidationError) as err:
         parse_scenario("kind: gns\nalgebra: &a [*a]\n")
     assert (str(err.value), err.value.line) == ("algebra (line 2): expected a mapping, got list", 2)
@@ -744,10 +1072,10 @@ def test_self_referencing_anchor_is_a_schema_error_on_its_value():
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("body", [
-    "[" * 1200 + "]" * 1200,                          # libyaml, then _collect_marks overflows
+    "[" * 1200 + "]" * 1200,                          # libyaml, then the construction walk and _descend overflow
     "{<<: " * 1200 + "{a: 1}" + "}" * 1200,           # libyaml, then the constructor overflows
     "[" * 1200 + "]" * 1200 + "  # \u00e9",          # the pure-Python composer overflows
-], ids=["collect-marks", "constructor", "python-composer"])
+], ids=["construction-walk", "constructor", "python-composer"])
 def test_deeply_nested_document_is_a_schema_error(tmp_path, capsys, command, body):
     path = tmp_path / "deep.yaml"
     path.write_text(f"kind: gns\nalgebra: {body}\nstate: {{densities: []}}\n")
