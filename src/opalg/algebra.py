@@ -158,10 +158,10 @@ class State:
 
     Eigenvalues in ``[-PSD_TOL * trace_scale, 0)`` are treated as numerical
     zeros of the state cone; anything more negative raises
-    :class:`InvalidStateError` unless ``validate=False``.
+    :class:`InvalidStateError`.
     """
 
-    def __init__(self, algebra: StarAlgebra, densities, validate: bool = True):
+    def __init__(self, algebra: StarAlgebra, densities):
         self.algebra = algebra
         densities = tuple(np.asarray(d, dtype=complex) for d in densities)
         if len(densities) != len(algebra.blocks):
@@ -169,9 +169,7 @@ class State:
         for d, n in zip(densities, algebra.blocks):
             if d.shape != (n, n):
                 raise ShapeMismatchError(f"density of shape {d.shape} does not match M{n}")
-        if validate:
-            densities = self._validated(densities)
-        self.densities = tuple(_freeze(d) for d in densities)
+        self.densities = tuple(_freeze(d) for d in self._validated(densities))
 
     @staticmethod
     def _validated(densities):

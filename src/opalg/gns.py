@@ -34,9 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraElement, StarAlgebra, State, transport_residual
-from .errors import InvalidStateError, NumericalError, OpalgError, ShapeMismatchError
-from .linalg import (GRAM_REL_CUT, PSD_TOL, block_diag, fix_global_phase, fix_phases, hermitize,
-                     two_vector_unitary)
+from .errors import NumericalError, OpalgError, ShapeMismatchError
+from .linalg import block_diag, fix_global_phase, psd_factors, two_vector_unitary
 
 KERNEL_TOL = 1e-9         # blocks of trace at most this lie in the representation kernel
 TRANSITION_TOL = 1e-8     # transition and pure-unitary certificates raise past this
@@ -88,22 +87,12 @@ def gns_construct(algebra: StarAlgebra, f: State) -> GnsRep:
     """Run the GNS construction for a state on a finite-dimensional *-algebra.
 
     The Gram matrix f(e_j* e_i) restricted to block b is I (x) rho_b^T, so its
-    spectrum is that of the densities: eigenvalues below
-    ``-dim * PSD_TOL * max(top, 1)`` raise :class:`InvalidStateError`, and those
-    at most ``dim * GRAM_REL_CUT * top`` count as null directions.
+    spectrum is that of the densities, read and cut jointly by
+    :func:`opalg.linalg.psd_factors` with ``size`` the dimension of the algebra.
     """
     if f.algebra != algebra:
         raise ShapeMismatchError("state does not live on the given algebra")
-    spectra = [np.linalg.eigh(hermitize(d)) for d in f.densities]
-    top = max(float(lam[-1]) for lam, _ in spectra)
-    low = min(float(lam[0]) for lam, _ in spectra)
-    if low < -algebra.dim * PSD_TOL * max(top, 1.0):
-        raise InvalidStateError(f"Gram matrix has negative eigenvalue {low:.3e} beyond tolerance")
-    cut = algebra.dim * GRAM_REL_CUT * max(top, 0.0)
-    factors = []
-    for lam, vec in spectra:
-        keep = lam > cut
-        factors.append(fix_phases(vec[:, keep][:, ::-1]) * np.sqrt(lam[keep][::-1])[None, :])
+    factors = [vec * root[None, :] for vec, root in psd_factors(f.densities, algebra.dim)]
     if not any(t.shape[1] for t in factors):
         raise NumericalError("state Gram has rank zero")
     vanished = tuple(

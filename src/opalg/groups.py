@@ -131,6 +131,7 @@ class GroupRep:
     """Unitary representation with cyclic vector from the GNS quotient."""
 
     group: FiniteGroup
+    function: np.ndarray     # the positive-definite function it reproduces
     matrices: tuple          # pi(g) per element
     cyclic_vector: np.ndarray
     gram_rank: int
@@ -164,11 +165,6 @@ def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
     psi = _as_function(group, psi)
     if not is_positive_definite(group, psi):
         raise InvalidStateError("function is not positive-definite within tolerance")
-    return _gns_from_positive_definite(group, psi)
-
-
-def _gns_from_positive_definite(group: FiniteGroup, psi: np.ndarray) -> GroupRep:
-    """:func:`gns_from_group_function` for a function already found positive-definite."""
     # pairing <delta_a | delta_b> = psi(b^-1 a); as a Gram with the starred
     # slot on rows this is the transpose of the positive-definiteness kernel
     gram = pd_kernel(group, psi).T
@@ -176,8 +172,8 @@ def _gns_from_positive_definite(group: FiniteGroup, psi: np.ndarray) -> GroupRep
     _check_rep_size(group, rank)
     # pi(g) = T P_g T+, and P_g only permutes columns: T P_g is T[:, table[g]]
     mats = tuple(t[:, row] @ t_pinv for row in group.table)
-    return GroupRep(group=group, matrices=mats, cyclic_vector=t[:, group.identity],
-                    gram_rank=rank)
+    return GroupRep(group=group, function=psi, matrices=mats,
+                    cyclic_vector=t[:, group.identity], gram_rank=rank)
 
 
 def left_regular_representation(group: FiniteGroup) -> GroupRep:
@@ -185,7 +181,8 @@ def left_regular_representation(group: FiniteGroup) -> GroupRep:
     n = group.order
     _check_rep_size(group, n)
     eye = np.eye(n, dtype=complex)
-    return GroupRep(group=group, matrices=tuple(eye[:, row] for row in group.table),
+    return GroupRep(group=group, function=delta(group, group.identity),
+                    matrices=tuple(eye[:, row] for row in group.table),
                     cyclic_vector=delta(group, group.identity), gram_rank=n)
 
 
@@ -195,20 +192,18 @@ class OrthogonalityReport:
     convolution_max: float   # max_g |(psi * psi')(g)|
 
 
-def orthogonality_check(group: FiniteGroup, psi, psi2) -> OrthogonalityReport:
-    """Both quantities vanish for inequivalent irreducible characters."""
-    psi = _as_function(group, psi)
-    psi2 = _as_function(group, psi2)
-    for fn in (psi, psi2):
-        if not is_positive_definite(group, fn):
-            raise InvalidStateError("orthogonality_check requires positive-definite inputs")
-    return _orthogonality(group, psi, psi2)
+def orthogonality_check(rep: GroupRep, rep2: GroupRep) -> OrthogonalityReport:
+    """Both quantities vanish for inequivalent irreducible characters.
 
-
-def _orthogonality(group: FiniteGroup, psi: np.ndarray, psi2: np.ndarray) -> OrthogonalityReport:
-    """:func:`orthogonality_check` for two functions already found positive-definite."""
+    They are read from the functions ``psi`` and ``psi'`` the two
+    representations reproduce, which a :class:`GroupRep` only holds when they
+    are positive-definite.
+    """
+    if not np.array_equal(rep.group.table, rep2.group.table):
+        raise ShapeMismatchError("representations of different groups")
+    psi, psi2 = rep.function, rep2.function
     inner = complex(np.sum(psi2 * np.conj(psi)))
-    conv = convolve(group, psi, psi2)
+    conv = convolve(rep.group, psi, psi2)
     return OrthogonalityReport(inner_sum=inner, convolution_max=float(np.max(np.abs(conv))))
 
 

@@ -49,31 +49,40 @@ def fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def psd_factors(mats, size: int) -> list:
+    """The pair (V, sqrt(lam)) of each PSD matrix: its eigenpairs above one joint rank cut.
+
+    ``V`` holds the kept eigenvectors, largest eigenvalue first, each pinned
+    by :func:`fix_phases`, so V diag(lam) V* is the matrix above the cut.
+    With ``top`` the largest eigenvalue of all the matrices, eigenvalues below
+    ``-size * PSD_TOL * max(top, 1)`` raise :class:`InvalidStateError`, and
+    those at most ``size * GRAM_REL_CUT * top`` count as null directions.
+    """
+    spectra = [np.linalg.eigh(hermitize(np.asarray(m, dtype=complex))) for m in mats]
+    top = max(float(lam[-1]) for lam, _ in spectra)
+    low = min(float(lam[0]) for lam, _ in spectra)
+    if low < -size * PSD_TOL * max(top, 1.0):
+        raise InvalidStateError(f"Gram matrix has negative eigenvalue {low:.3e} beyond tolerance")
+    cut = size * GRAM_REL_CUT * max(top, 0.0)
+    out = []
+    for lam, vec in spectra:
+        keep = lam > cut
+        out.append((fix_phases(vec[:, keep][:, ::-1]), np.sqrt(lam[keep][::-1])))
+    return out
+
+
 def gram_quotient(gram: np.ndarray):
     """Orthonormal coordinates for the quotient by the null space of a PSD Gram.
 
     Returns ``(T, T_pinv, rank)`` where ``T`` maps raw coordinates to an
     orthonormal basis of the quotient ( ``y^H (T b)^H (T a) y`` reproduces the
-    Gram pairing ) and ``T_pinv`` is its Moore-Penrose inverse.  Eigenvalues
-    below ``-size * PSD_TOL * max(top, 1)`` raise :class:`InvalidStateError`,
-    and those at most ``size * GRAM_REL_CUT * top`` count as null directions.
+    Gram pairing ) and ``T_pinv`` is its Moore-Penrose inverse; the spectrum
+    is read and cut by :func:`psd_factors` with ``size`` the order of the Gram.
     """
-    gram = hermitize(np.asarray(gram, dtype=complex))
-    n = gram.shape[0]
-    lam, vec = np.linalg.eigh(gram)
-    top = float(lam[-1]) if n else 0.0
-    if n and lam[0] < -n * PSD_TOL * max(top, 1.0):
-        raise InvalidStateError(
-            f"Gram matrix has negative eigenvalue {lam[0]:.3e} beyond tolerance"
-        )
-    cut = n * GRAM_REL_CUT * max(top, 0.0)
-    keep = lam > cut
-    lam_k = lam[keep][::-1]
-    vec_k = fix_phases(vec[:, keep][:, ::-1])
-    scale = np.sqrt(lam_k)
-    t = scale[:, None] * vec_k.conj().T
-    t_pinv = vec_k * (1.0 / scale)[None, :]
-    return t, t_pinv, int(lam_k.size)
+    [(vec, scale)] = psd_factors([gram], len(gram))
+    t = scale[:, None] * vec.conj().T
+    t_pinv = vec * (1.0 / scale)[None, :]
+    return t, t_pinv, int(scale.size)
 
 
 def fix_global_phase(m: np.ndarray) -> np.ndarray:

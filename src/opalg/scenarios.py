@@ -26,7 +26,7 @@ from . import groups as groups_mod
 from . import qubits as qubits_mod
 from . import symmetry as symmetry_mod
 from .algebra import TRACE_TOL, StarAlgebra, State, dual_norm_distance
-from .errors import NumericalError, OpalgError, ValidationError
+from .errors import InvalidStateError, NumericalError, OpalgError, ValidationError
 from .gns import TRANSITION_TOL, equivalence_check, gns_construct
 
 DEFAULT_TOLERANCES = {
@@ -281,6 +281,8 @@ class _Walker:
             self.fail(path, f"expected a mapping, got {type(obj).__name__}")
         allowed = set(required) | set(optional)
         for key in obj:
+            if not isinstance(key, str):    # null, bool, integer or float keys
+                self.fail(path, f"field name {key!r} is not a string")
             if key not in allowed:
                 self.fail(path + (key,), f"unknown field {key!r}")
         for key in required:
@@ -468,10 +470,12 @@ def _parse_qubit_config(w, obj, path):
     tail = None
     if spec.get("tail") is not None:
         t = w.mapping(spec["tail"], path + ("tail",), required=("c", "p"))
-        tail = qubits_mod.PowerTail(
-            w.number(t["c"], path + ("tail", "c")),
-            w.number(t["p"], path + ("tail", "p")),
-        )
+        c = w.number(t["c"], path + ("tail", "c"))
+        p = w.number(t["p"], path + ("tail", "p"))
+        try:
+            tail = qubits_mod.PowerTail(c, p)
+        except ValueError as exc:
+            w.fail(path + ("tail", "p"), str(exc))
     try:
         return qubits_mod.QubitConfig(default, overrides, tail)
     except (ValueError, OpalgError) as exc:
@@ -788,13 +792,14 @@ def _run_group(scenario: Scenario, report: Report):
     report.info("group_order", group.order, "configured")
     reps = []
     for k, psi in enumerate(functions):
-        pd = groups_mod.is_positive_definite(group, psi)
-        report.info(f"function[{k}].positive_definite", pd)
-        if not pd:
-            reps.append(None)
-            continue
-        rep = groups_mod._gns_from_positive_definite(group, psi)
+        try:
+            rep = groups_mod.gns_from_group_function(group, psi)
+        except InvalidStateError:    # not positive-definite
+            rep = None
         reps.append(rep)
+        report.info(f"function[{k}].positive_definite", rep is not None)
+        if rep is None:
+            continue
         report.info(f"function[{k}].carrier_dim", rep.carrier_dim)
         worst = float(np.max(np.abs(rep.reconstruction() - psi)))
         tol, src = _tol(scenario, "reconstruction")
@@ -806,7 +811,7 @@ def _run_group(scenario: Scenario, report: Report):
         tol, src = _tol(scenario, "commutation")
         report.check(f"function[{k}].unitarity_defect", unit, tol, src)
     if len(functions) >= 2 and reps[0] is not None and reps[1] is not None:
-        orth = groups_mod._orthogonality(group, functions[0], functions[1])
+        orth = groups_mod.orthogonality_check(reps[0], reps[1])
         report.info("orthogonality_inner_sum", orth.inner_sum)
         report.info("orthogonality_convolution_max", orth.convolution_max)
 
@@ -936,7 +941,7 @@ def _run_symmetry(scenario: Scenario, report: Report):
         moved.append(symmetry_mod.pushforward_state(state, rho))
         distances.append(dual_norm_distance(state, moved[k]))
         report.info(f"automorphism[{k}].stationary", distances[k] <= tol)
-        result = symmetry_mod._implementer(rep, rho, **configured)
+        result = symmetry_mod.unitary_implementer(rep, rho, **configured)
         report.info(f"automorphism[{k}].implementer",
                     "present" if result.pairs is not None else "absent")
         report.info(f"automorphism[{k}].isometry_defect", result.isometry_defect)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import UNITARY_TOL, AlgebraElement, State, dual_norm_distance
 from .errors import NumericalError, OpalgError, ShapeMismatchError
-from .gns import TRANSITION_TOL, cyclic_vector_residual, gns_construct, intertwining_residual
+from .gns import TRANSITION_TOL, GnsRep, cyclic_vector_residual, intertwining_residual
 from .linalg import block_diag
 
 STATIONARY_TOL = 1e-10    # dual-norm distance of f and its pushforward
@@ -134,24 +134,23 @@ class ImplementerResult:
         return None if self.pairs is None else block_diag([np.kron(u, v) for u, v in self.pairs])
 
 
-def unitary_implementer(f: State, rho: InnerAutomorphism,
+def unitary_implementer(rep: GnsRep, rho: InnerAutomorphism,
                         tol: float = ISOMETRY_TOL) -> ImplementerResult:
-    """Unitary on the GNS carrier with U pi(a) U^-1 = pi(rho(a)) and U theta = theta.
+    """Unitary on the carrier of ``rep`` with U pi(a) U^-1 = pi(rho(a)) and U theta = theta.
 
-    pi(a) theta -> pi(rho(a)) theta preserves the Gram form iff U_b* rho~_b U_b =
-    rho~_b in every block (rho~_b = Theta_b Theta_b*, the density above the rank
-    cut, whose entries are at most 1).  Past ``tol`` the state is not stationary
-    and no implementer exists; otherwise it is the sum of U_b (x) V_b with
-    V_b = (Theta_b^+ U_b* Theta_b)^T, sending vec(x Theta_b) to vec(U_b x U_b* Theta_b).
+    ``rep`` is the :func:`opalg.gns.gns_construct` data of the state, and
+    ``rho`` must act on the same algebra.  pi(a) theta -> pi(rho(a)) theta
+    preserves the Gram form iff U_b* rho~_b U_b = rho~_b in every block (rho~_b
+    = Theta_b Theta_b*, the density above the rank cut, whose entries are at
+    most 1).  Past ``tol`` the state is not stationary and no implementer
+    exists; otherwise it is the sum of U_b (x) V_b with V_b = (Theta_b^+ U_b*
+    Theta_b)^T, sending vec(x Theta_b) to vec(U_b x U_b* Theta_b).
     The result keeps the pairs (U_b, V_b); they give the certificates, and the
     dense unitary only when ``ImplementerResult.unitary`` is read.
     :func:`cyclic_vector_certificate` checks W theta = theta.
     """
-    return _implementer(gns_construct(f.algebra, f), rho, tol)
-
-
-def _implementer(rep, rho: InnerAutomorphism, tol: float = ISOMETRY_TOL) -> ImplementerResult:
-    """:func:`unitary_implementer` from the GNS data ``rep`` of the state."""
+    if rep.algebra != rho.algebra:
+        raise ShapeMismatchError("state and automorphism live on different algebras")
     kept = [t @ t.conj().T for t in rep.factors]
     defect = max(float(np.max(np.abs(u.conj().T @ d @ u - d)))
                  for u, d in zip(rho.unitary.mats, kept))

@@ -348,7 +348,8 @@ def gns_from_group_function_by_permutations(group, psi):
         perm[group.table[g, np.arange(n)], np.arange(n)] = 1.0
         mats.append(np.ascontiguousarray(t @ perm @ t_pinv))
     theta = t @ delta(group, group.identity)
-    return GroupRep(group=group, matrices=tuple(mats), cyclic_vector=theta, gram_rank=rank)
+    return GroupRep(group=group, function=psi, matrices=tuple(mats), cyclic_vector=theta,
+                    gram_rank=rank)
 
 
 def left_regular_representation_by_loop(group):
@@ -360,7 +361,7 @@ def left_regular_representation_by_loop(group):
         for q in range(n):
             m[q, group.table[group.inverse[g], q]] = 1.0
         mats.append(m)
-    return GroupRep(group=group, matrices=tuple(mats),
+    return GroupRep(group=group, function=delta(group, group.identity), matrices=tuple(mats),
                     cyclic_vector=delta(group, group.identity), gram_rank=n)
 
 

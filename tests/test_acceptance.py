@@ -205,7 +205,8 @@ def test_group_gns():
             worst_recon = max(worst_recon, float(np.max(np.abs(rep.reconstruction() - psi))))
         for i in range(len(chars)):
             for j in range(i + 1, len(chars)):
-                report = orthogonality_check(group, chars[i], chars[j])
+                report = orthogonality_check(gns_from_group_function(group, chars[i]),
+                                             gns_from_group_function(group, chars[j]))
                 worst_orth = max(worst_orth, abs(report.inner_sum), report.convolution_max)
         regular = left_regular_representation(group)
         from_delta = gns_from_group_function(group, delta(group, group.identity))
@@ -370,7 +371,7 @@ def test_symmetry():
     for f in states:
         for rho in group.elements:
             stationary = stationarity_check(f, rho)
-            result = unitary_implementer(f, rho)
+            result = unitary_implementer(gns_construct(f.algebra, f), rho)
             iff_ok = iff_ok and stationary == (result.unitary is not None)
         report = stabilizer_orbit(f, group)
         law_ok = law_ok and report.orbit_size * report.stabilizer_size == len(group)

@@ -1,22 +1,33 @@
-"""The names the benchmark harness under ``perfbench/`` calls or traces exist.
+"""The names the benchmark harness under ``perfbench/`` calls or traces exist, and
+its per-layer spans are reached.
 
 The harness's own smoke tests are not collected with ``tests/``, so a name
 deleted from the library would otherwise break only a benchmark run, or, for
-a per-layer span, leave its metric reading 0 without any error.
+a per-layer span, leave its metric reading 0 without any error.  A span is
+reached when ``opalg demo all`` records it, run in process under the
+harness's tracer.
 """
 
 import ast
 import importlib
 import importlib.util
-import inspect
 from pathlib import Path
 
 import pytest
 
+from opalg.cli import main
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# per-layer spans whose code has left src/: their metrics read 0
-KNOWN_DEAD = {"linalg.nullspace", "qubits.finite_marginal_state"}
+# per-layer spans that `opalg demo all` does not record, each with its reason
+UNREACHED = {
+    "linalg.nullspace": "the function has left src/",
+    "qubits.finite_marginal_state": "the function has moved to tests/oracles.py",
+    "gns.commutant_basis": "only the harness's size sweep calls it",
+    "algebra.evaluate_state": "no scenario kind calls it",
+    "symmetry.stabilizer_orbit": "the runner calls symmetry._orbit; the span moves with "
+                                 "the benchmark change of ROADMAP item 3",
+}
 
 
 def _tracer():
@@ -39,29 +50,17 @@ def _per_layer_spans():
     raise AssertionError("perfbench/run.py defines no PER_LAYER")
 
 
-def _traced_functions(tracer, short):
-    """The functions ``Tracer.install`` wraps in ``opalg.<short>``."""
-    module = importlib.import_module(f"opalg.{short}")
-    return {attr for attr, obj in vars(module).items()
-            if not attr.startswith("_") and inspect.isfunction(obj)
-            and obj.__module__ == module.__name__ and not inspect.isgeneratorfunction(obj)}
-
-
-def _recorded(span, tracer) -> bool:
-    """Whether a traced run can record ``span``: through a listed method, the cli
-    rule, or a module function named by ``RENAME`` or by the span itself."""
-    for (short, cls, method), name in tracer.METHODS.items():
-        owner = getattr(importlib.import_module(f"opalg.{short}"), cls, None)
-        if name == span and owner is not None and callable(owner.__dict__.get(method)):
-            return True
-    if span == "cli.main":
-        return bool(_traced_functions(tracer, "cli"))
-    for name in [key for key, value in tracer.RENAME.items() if value == span] + [span]:
-        short, _, func = name.partition(".")
-        if (short in tracer.MODULES and tracer._span_name(short, func) == span
-                and func in _traced_functions(tracer, short)):
-            return True
-    return False
+@pytest.fixture(scope="module")
+def demo_spans(tmp_path_factory):
+    """The span names ``opalg demo all`` records under the harness's tracer."""
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        assert main(["demo", "all", "--out", str(tmp_path_factory.mktemp("demo"))]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.tree_problems() == []
+    return set(tracer.names)
 
 
 @pytest.mark.parametrize("module, name", [
@@ -83,6 +82,6 @@ def test_benchmark_traces_an_existing_method(module, cls, method):
 
 
 @pytest.mark.parametrize("span", _per_layer_spans())
-def test_per_layer_span_is_recorded_by_live_code(span):
-    # a known-dead span that comes back to life must leave the list
-    assert _recorded(span, TRACER) == (span not in KNOWN_DEAD)
+def test_per_layer_span_is_recorded_by_live_code(span, demo_spans):
+    # a listed span that `demo all` comes to record must leave the list
+    assert (span in demo_spans) == (span not in UNREACHED), UNREACHED.get(span, span)

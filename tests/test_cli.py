@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import types
 import warnings
 from pathlib import Path
 
@@ -81,6 +80,18 @@ configs:
     scenario = parse_scenario(text)
     report = run_scenario(scenario)
     assert any("convergent" in line for line in report.lines)
+
+
+@pytest.mark.parametrize("p", ["-1.0", "-0.0", "0"])
+def test_qubit_tail_without_a_positive_power_is_a_schema_error(p, tmp_path, capsys):
+    text = f"kind: qubit\nconfigs:\n  - tail: {{c: 1.0, p: {p}}}\n  - {{}}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert str(err.value) == "configs[0].tail.p (line 3): power tail requires p > 0"
+    path = tmp_path / "tail.yaml"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"schema error: {path}: {err.value}\n"
 
 
 def test_yaml_syntax_error_reports_line():
@@ -446,8 +457,9 @@ def test_nesting_boundary_does_not_depend_on_the_scalar_inside():
 
 def test_line_lookup_through_an_alias_fan_out_searches_each_node_once(monkeypatch):
     # n 'field' keys lead to one mapping with n 'euclidean' keys, which all lead
-    # to one mapping whose integer key 1 no path step (a string) names: without
-    # a record of the searches that failed the lookup would try all n * n ways
+    # to one mapping with the integer key 1; the error names that mapping, which
+    # the last key of each fan-out holds, so the lookup descends once and does
+    # not try the n * n ways
     n = 200
     text = ("kind: field\nfield: &F {mass: 1.0, euclidean: &E {1: 0, points: 9}"
             + ", euclidean: *E" * (n - 1) + "}\n" + "field: *F\n" * (n - 1))
@@ -456,8 +468,9 @@ def test_line_lookup_through_an_alias_fan_out_searches_each_node_once(monkeypatc
     monkeypatch.setattr(scenarios, "_line", lambda *args: calls.append(1) or line(*args))
     with pytest.raises(ValidationError) as err:
         parse_scenario(text)
-    assert (str(err.value), err.value.line) == ("field.euclidean[1]: unknown field 1", None)
-    assert len(calls) == 1 + n + n    # the root, then each way into F and into E once
+    assert (str(err.value), err.value.line) == (
+        "field.euclidean (line 2): field name 1 is not a string", 2)
+    assert len(calls) == 3    # the root, F and E
 
 
 def test_error_past_an_alias_fan_out_names_its_line():
@@ -668,8 +681,8 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
             counts[name] += counts_call(*args)
             return fn(*args, **kwargs)
         return wrapper
+    monkeypatch.setattr(scenarios, "gns_construct", counted("gns_construct", gns.gns_construct))
     for module in (scenarios, symmetry):
-        monkeypatch.setattr(module, "gns_construct", counted("gns_construct", gns.gns_construct))
         monkeypatch.setattr(module, "dual_norm_distance",
                             counted("dual_norm_distance", scenarios.dual_norm_distance,
                                     lambda f, g: f is state))
@@ -686,7 +699,8 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
     for k, rho in enumerate(autos):    # the public functions give the same lines
         assert (f"automorphism[{k}].stationary = {symmetry.stationarity_check(state, rho, tol)} "
                 "[computed]") in lines
-        defect = symmetry.unitary_implementer(state, rho).isometry_defect
+        defect = symmetry.unitary_implementer(gns.gns_construct(state.algebra, state),
+                                              rho).isometry_defect
         assert f"automorphism[{k}].isometry_defect = {scenarios._fmt(defect)} [computed]" in lines
     orbit = symmetry.stabilizer_orbit(state, symmetry.AutomorphismGroup(autos), tol)
     assert f"stabilizer_size = {orbit.stabilizer_size} [computed]" in lines
@@ -703,14 +717,7 @@ def test_group_runner_checks_positive_definiteness_once_per_function(monkeypatch
                         lambda group, psi: calls.append(name) or real(group, psi))
     text = run_scenario(scenario).render()
     assert len(calls) == 3
-    # the public functions check again inside: the two positive-definite
-    # functions once in the GNS build and once in the orthogonality check
-    monkeypatch.setattr(scenarios, "groups_mod", types.SimpleNamespace(
-        is_positive_definite=groups.is_positive_definite,
-        _gns_from_positive_definite=groups.gns_from_group_function,
-        _orthogonality=groups.orthogonality_check))
-    assert run_scenario(scenario).render() == text
-    assert len(calls) == 3 + 7
+    assert _workloads().check_report(case, text) == ""
 
 
 def test_cli_batch_rejects_colliding_report_names(tmp_path, capsys):
@@ -744,6 +751,27 @@ def test_cli_batch_names_a_file_that_is_not_utf8(jobs, tmp_path, capsys):
     assert validated.err == captured.err
     assert validated.out == (f"{batch / 'a.yaml'}: valid scenario of kind gns\n"
                              f"{batch / 'c.yaml'}: valid scenario of kind equiv\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("key", ["~", "1.5", "1", "true"])
+def test_cli_batch_names_a_file_with_a_field_name_that_is_not_a_string(key, jobs, tmp_path,
+                                                                        capsys):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(MINIMAL_GNS)
+    (batch / "b.yaml").write_text(f"kind: gns\n{key}: 1\n")
+    (name,) = yaml.safe_load(f"{key}: 1")    # None, 1.5, 1 or True
+    expected = (f"schema error: {batch / 'b.yaml'}: <root> (line 1): "
+                f"field name {name!r} is not a string\n")
+    out_dir = tmp_path / "reports"
+    assert main(["run", str(batch), "--jobs", jobs, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == expected
+    assert [p.name for p in out_dir.iterdir()] == ["a.report.txt"]
+    assert main(["validate", str(batch), "--jobs", jobs]) == 1
+    validated = capsys.readouterr()
+    assert validated.err == expected
+    assert validated.out == f"{batch / 'a.yaml'}: valid scenario of kind gns\n"
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -71,11 +71,15 @@ def test_gns_pure_state_gives_defining_representation():
 
 
 def test_gns_rejects_non_psd_gram():
+    # a State refuses such a density, so the shared factorization is tried directly
     from opalg import InvalidStateError
+    from opalg.linalg import gram_quotient, psd_factors
 
-    bad = State(M2, [np.diag([1.5, -0.5])], validate=False)
+    bad = np.diag([1.5, -0.5])
     with pytest.raises(InvalidStateError):
-        gns_construct(M2, bad)
+        psd_factors([bad], M2.dim)
+    with pytest.raises(InvalidStateError):
+        gram_quotient(bad)
 
 
 def test_gns_tracial_state_has_four_dimensional_carrier():

@@ -162,7 +162,7 @@ def test_implementer_certificate_matches_its_dense_unitary(shape, seed, flat):
     rng = np.random.default_rng(seed)
     alg = StarAlgebra(blocks)
     u, f = _stationary(alg, rng, ranks, flat)
-    result = unitary_implementer(f, InnerAutomorphism(u))
+    result = unitary_implementer(gns_construct(f.algebra, f), InnerAutomorphism(u))
     w = result.unitary
     assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[0]))) <= 1e-12
     rep = gns_construct(alg, f)

@@ -9,6 +9,7 @@ from opalg import (
     FiniteGroup,
     InvalidStateError,
     NumericalError,
+    ShapeMismatchError,
     convolve,
     cyclic_group,
     delta,
@@ -167,14 +168,22 @@ def test_pd_bound_by_identity_value():
 
 
 def test_orthogonality_examples():
-    report = orthogonality_check(Z2, np.ones(2), np.array([1.0, -1.0]))
+    trivial = gns_from_group_function(Z2, np.ones(2))
+    report = orthogonality_check(trivial, gns_from_group_function(Z2, np.array([1.0, -1.0])))
     assert abs(report.inner_sum) == 0.0
     assert report.convolution_max == 0.0
-    same = orthogonality_check(Z2, np.ones(2), np.ones(2))
+    same = orthogonality_check(trivial, trivial)
     assert same.inner_sum == pytest.approx(2.0, abs=1e-14)
     omega = np.exp(2j * np.pi * np.arange(3) / 3)
-    cross = orthogonality_check(Z3, np.ones(3), omega)
+    cross = orthogonality_check(gns_from_group_function(Z3, np.ones(3)),
+                                gns_from_group_function(Z3, omega))
     assert abs(cross.inner_sum) <= 1e-12
+
+
+def test_orthogonality_check_refuses_representations_of_different_groups():
+    with pytest.raises(ShapeMismatchError):
+        orthogonality_check(gns_from_group_function(Z2, np.ones(2)),
+                            gns_from_group_function(Z3, np.ones(3)))
 
 
 def test_character_tables():
@@ -185,7 +194,8 @@ def test_character_tables():
             assert is_positive_definite(group, psi)
         for i in range(count):
             for j in range(i + 1, count):
-                report = orthogonality_check(group, chars[i], chars[j])
+                report = orthogonality_check(gns_from_group_function(group, chars[i]),
+                                             gns_from_group_function(group, chars[j]))
                 assert abs(report.inner_sum) <= 1e-12
                 assert report.convolution_max <= 1e-12
 

@@ -10,6 +10,7 @@ from opalg import (
     InnerAutomorphism,
     NumericalError,
     OpalgError,
+    ShapeMismatchError,
     StarAlgebra,
     State,
     dual_norm_distance,
@@ -82,14 +83,14 @@ def test_stationarity_examples():
 
 def test_unitary_implementer_identity():
     f = State(M2, [np.diag([1.0, 0.0])])
-    result = unitary_implementer(f, PAULI_GROUP[0])
+    result = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[0])
     assert result.unitary is not None
     assert np.max(np.abs(result.unitary - np.eye(result.unitary.shape[0]))) <= 1e-10
 
 
 def test_unitary_implementer_tracial_flip():
     f = State.tracial(M2)
-    result = unitary_implementer(f, PAULI_GROUP[1])
+    result = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[1])
     assert result.unitary is not None
     w = result.unitary
     assert w.shape == (4, 4)
@@ -102,9 +103,17 @@ def test_unitary_implementer_tracial_flip():
 
 def test_unitary_implementer_absent_when_not_stationary():
     f = State(M2, [np.diag([1.0, 0.0])])
-    result = unitary_implementer(f, PAULI_GROUP[1])
+    result = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[1])
     assert result.unitary is None
     assert result.isometry_defect > 1e-3
+
+
+def test_unitary_implementer_refuses_an_automorphism_of_another_algebra():
+    # block by block, the M2 block alone would pass: X fixes the tracial state
+    m2_m1 = StarAlgebra([2, 1])
+    rho = InnerAutomorphism(m2_m1.element([SIGMA_X, np.eye(1)]))
+    with pytest.raises(ShapeMismatchError):
+        unitary_implementer(gns_construct(M2, State.tracial(M2)), rho)
 
 
 def test_cyclic_vector_residual_pins_the_implementer():
@@ -115,8 +124,8 @@ def test_cyclic_vector_residual_pins_the_implementer():
     f = State.tracial(m3)
     rng = np.random.default_rng(81)
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    result = unitary_implementer(f, InnerAutomorphism(m3.element([u])))
     rep = gns_construct(m3, f)
+    result = unitary_implementer(rep, InnerAutomorphism(m3.element([u])))
     (theta,) = rep.factors
     v = (np.linalg.pinv(theta) @ u.conj().T @ theta).T
     assert np.max(np.abs(result.unitary - np.kron(u, v))) == 0.0
@@ -134,7 +143,7 @@ def test_implementer_builds_its_dense_unitary_only_on_request():
     rho = InnerAutomorphism(m30.element([u]))
     tracemalloc.start()
     try:
-        result = unitary_implementer(f, rho)
+        result = unitary_implementer(gns_construct(f.algebra, f), rho)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,7 +168,7 @@ def test_near_stationary_implementer_keeps_its_report():
     m3 = StarAlgebra([3])
     f = State(m3, [np.diag([1 - 1e-4, 1e-4, 0.0])])
     rho = InnerAutomorphism(m3.element([_plane_rotation(1e-5)]))
-    result = unitary_implementer(f, rho)
+    result = unitary_implementer(gns_construct(f.algebra, f), rho)
     assert result.unitary is not None
     rep = gns_construct(m3, f)
     assert np.max(np.abs(result.unitary @ rep.cyclic_vector - rep.cyclic_vector)) > 1e-8
@@ -175,7 +184,7 @@ def test_implementer_within_a_configured_isometry_tolerance_is_present():
     eps = 1e-5
     v = np.array([np.cos(eps), np.sin(eps)])
     f = State(M2, [np.outer(v, v)])
-    result = unitary_implementer(f, PAULI_GROUP[3], tol=1e-3)
+    result = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[3], tol=1e-3)
     assert result.unitary is not None
     assert result.isometry_defect > 1e-5
 
@@ -187,7 +196,8 @@ def test_cyclic_vector_certificate_raises_on_a_wrong_implementer():
     f = State.tracial(m3)
     rng = np.random.default_rng(81)
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    defect = unitary_implementer(f, InnerAutomorphism(m3.element([u]))).isometry_defect
+    defect = unitary_implementer(gns_construct(m3, f),
+                                 InnerAutomorphism(m3.element([u]))).isometry_defect
     (theta,) = gns_construct(m3, f).factors
     v = (np.linalg.pinv(theta) @ u.conj().T @ theta).T
     assert cyclic_vector_certificate([(u, v)], [theta], defect) <= 1e-12
@@ -198,7 +208,7 @@ def test_cyclic_vector_certificate_raises_on_a_wrong_implementer():
 def test_implementer_uniqueness_via_independent_solve():
     f = State.tracial(M2)
     rho = PAULI_GROUP[1]
-    result = unitary_implementer(f, rho)
+    result = unitary_implementer(gns_construct(f.algebra, f), rho)
     rep = gns_construct(M2, f)
     # oracle: cyclicity pins W through W pi(a) theta = pi(rho(a)) theta
     columns = np.stack([m @ rep.cyclic_vector for m in generator_matrices(rep)], axis=1)
@@ -220,7 +230,7 @@ def test_stationarity_iff_implementer_on_pauli_suite():
     for f in states:
         for rho in PAULI_GROUP:
             stationary = stationarity_check(f, rho)
-            result = unitary_implementer(f, rho)
+            result = unitary_implementer(gns_construct(f.algebra, f), rho)
             assert stationary == (result.unitary is not None)
 
 
