@@ -41,7 +41,7 @@ from .fields import (
     EuclideanLattice,
     MassShellGrid,
     commutator_identity_check,
-    klein_gordon_residual,
+    klein_gordon_residuals,
     mass_kernel_witness,
     pauli_jordan,
     pauli_jordan_minus,

@@ -88,9 +88,11 @@ class CcrSpace:
         lam = np.linalg.eigvalsh(gram)
         if lam[0] <= 0.0:
             raise ValueError(f"gram matrix must be positive definite (min eigenvalue {lam[0]:.3e})")
-        if np.linalg.cond(k_op) > COND_LIMIT:
+        cond = float(np.linalg.cond(k_op))
+        if cond > COND_LIMIT:
             raise ValueError("operator K is numerically singular")
         self.n = n
+        self.k_condition_number = cond
         self.gram = gram
         self.k_op = k_op
         with np.errstate(over="ignore", invalid="ignore"):
@@ -259,8 +261,10 @@ class FockTruncation:
     in row ``raise_rows[m, j]`` (``raise_values[m, j]``; the row is -1 where
     the raised tuple leaves the truncation), and a-(e_m) is its transpose, so
     ``lower_rows`` inverts ``raise_rows``.  These (n, dim) arrays take O(n dim)
-    memory; :meth:`commutator_defect` and :meth:`a_minus_action` work on them
-    in O(n^2 dim).  :meth:`a_plus` and :meth:`a_minus` build dense dim x dim
+    memory; :meth:`commutator_defect` reads each of its O(n^2 dim) entries
+    off them, one mode at a time and without sorting or merging, and
+    :meth:`a_minus_action` is one matrix product over them.  :meth:`a_plus`
+    and :meth:`a_minus` build dense dim x dim
     matrices from them on request.  The basis size C(n + n_max, n) is checked
     against ``FOCK_BASIS_LIMIT`` before any tuple is enumerated.
 
@@ -343,33 +347,37 @@ class FockTruncation:
         """max |[a-(q), a+(q')] - <q, q'> I| over the protected rows and columns.
 
         Both products keep the total occupation, so the protected columns map
-        into the protected rows; each of the n^2 mode pairs (m, m') adds the
-        entries of a-(e_m) a+(e_m') and a+(e_m') a-(e_m) on those columns, in
-        the order (m, m', product, column), all m' at once.
+        into the protected rows.  Mode pair (m, m') sends column j to row
+        j - e_m + e_m' through a-(e_m) a+(e_m') and through a+(e_m') a-(e_m),
+        both present exactly where occ_j[m] >= 1 (the first product always is
+        for m = m').  For m != m' no other pair or column reaches that row, so
+        no entries need merging: an off-diagonal entry is the sum of its two
+        products, and the diagonal entry of j adds the m = m' products to 0,
+        m ascending and the first product ahead of the second.  Each entry is
+        the sum a merge of all products in (m, m', product) order gives, bit
+        for bit.
         """
         c = self.space.mode_coefficients(q)
         cp = self.space.mode_coefficients(qp)
         prot = self.protected_indices()
         up = self.raise_rows[:, prot]                     # row m': j raised by m' (always inside)
         up_values = cp[:, None] * self.raise_values[:, prot]
-        rows, cols, vals = [], [], []
-        for m in range(self.space.n):
+        modes = np.arange(self.space.n)
+        diagonal = np.zeros(len(prot))
+        entries = [diagonal]
+        for m in modes:
             # a-(e_m) a+(e_m'): raise j by m' to k, lower k by m
-            i = self.lower_rows[m, up]
+            first = (c[m] * self.raise_values[m, self.lower_rows[m, up]]) * up_values
             # a+(e_m') a-(e_m): lower j by m to k, raise k by m' (inside again)
             k = self.lower_rows[m, prot]
-            keep = np.stack([i >= 0, np.broadcast_to(k >= 0, i.shape)], axis=1)
-            rows.append(np.stack([i, self.raise_rows[:, k]], axis=1)[keep])
-            cols.append(np.broadcast_to(prot, keep.shape)[keep])
-            vals.append(np.stack([
-                (c[m] * self.raise_values[m, i]) * up_values,
-                -(cp[:, None] * self.raise_values[:, k]) * (c[m] * self.raise_values[m, k]),
-            ], axis=1)[keep])
-        keys, where = np.unique(np.concatenate(rows) * self.dim + np.concatenate(cols),
-                                return_inverse=True)
-        entries = np.bincount(where, weights=np.concatenate(vals))
-        entries[keys // self.dim == keys % self.dim] -= self.space.inner(q, qp)
-        return float(np.max(np.abs(entries)))
+            second = -(cp[:, None] * self.raise_values[:, k]) * (c[m] * self.raise_values[m, k])
+            present = k >= 0
+            diagonal += first[m]
+            np.add(diagonal, second[m], out=diagonal, where=present)
+            off = (modes != m)[:, None] & present
+            entries.append(first[off] + second[off])
+        diagonal -= self.space.inner(q, qp)
+        return float(np.max(np.abs(np.concatenate(entries))))
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim)

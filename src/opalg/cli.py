@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .errors import OpalgError, ValidationError
@@ -97,6 +96,8 @@ def _each(jobs, work, workers: int, target=lambda result: None):
     if workers <= 1 or len(jobs) <= 1:
         outcomes = [attempt(job) for job in jobs]
     else:
+        # imported here: it costs every start a few ms, and only --jobs > 1 needs it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(attempt, jobs))
     results, claimed, code = [], {}, 0

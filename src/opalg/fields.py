@@ -26,8 +26,12 @@ distinct omega values than points (1007 of 9261 at N = 41).  Each such phase
 is evaluated once per distinct shell (``MassShellGrid.shells``) and gathered
 back onto the octant, which gives the very array a per-point evaluation
 gives.  The weighted phase mu w e^{-i omega x0} is a sheet shared by every
-point of one time slice: the Klein-Gordon stencil builds three (x0, x0 + h,
-x0 - h) for its nine points.
+point of one time slice: the Klein-Gordon stencils at h and h/2 build five
+(x0, x0 +- h, x0 +- h/2) for their seventeen points.  The sheet at -x0 is
+the complex conjugate of the one at x0, bit for bit wherever omega x0 is not
+zero: the exponent is i(-omega x0) either way, and the cosine is even and the
+sine odd in it.  The commutator check takes W2(y, x) from the conjugate of the
+sheet W2(x, y) is built from.
 """
 
 from __future__ import annotations
@@ -154,39 +158,48 @@ def commutator_identity_check(grid: MassShellGrid, x, y) -> float:
     """Residual of W2(x,y) - W2(y,x) + i D_m(x-y); an exact grid identity.
 
     The two-point function is W2(x,y) = D^-(x - y) / i, taken at x - y
-    rounded to 14 decimals.
+    rounded to 14 decimals.  y - x rounds to its negative, so W2(y,x) sums
+    the conjugate of the sheet of W2(x,y).  Where x0 = y0 both differences
+    read +0 and the conjugate differs from that sheet only in the sign of
+    zero imaginary parts, which the modulus does not see.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w_xy = pauli_jordan_minus(grid, np.round(x - y, 14)) / 1j
-    w_yx = pauli_jordan_minus(grid, np.round(y - x, 14)) / 1j
+    d = _four_vector(np.round(x - y, 14), "spacetime")
+    sheet = _minus_sheet(grid, d[0])
+    w_xy = _minus_value(grid, sheet, d[1:]) / 1j
+    w_yx = _minus_value(grid, sheet.conj(), np.round(y - x, 14)[1:]) / 1j
     return abs(w_xy - w_yx + 1j * pauli_jordan(grid, x - y))
 
 
-def klein_gordon_residual(grid: MassShellGrid, x, h: float) -> float:
-    """|(box_h + m^2) D^-| with centered second differences of step h.
+def klein_gordon_residuals(grid: MassShellGrid, x, steps) -> tuple:
+    """|(box_h + m^2) D^-| with centered second differences, one per step h of ``steps``.
 
-    The center and its six spatial neighbours share the time slice x0, and
-    with it one sheet; only the two time neighbours need their own.
+    The center and its six spatial neighbours at every step share the time
+    slice x0, and with it one sheet and the center value; only the two time
+    neighbours of each step need their own.
     """
     x = _four_vector(x, "spacetime")
     sheet = _minus_sheet(grid, x[0])
     center = _minus_value(grid, sheet, x[1:])
-    acc = 0.0 + 0.0j
-    for axis in range(4):
-        e = np.zeros(4)
-        e[axis] = h
-        up, down = x + e, x - e
-        if axis == 0:
-            sheets = _minus_sheet(grid, up[0]), _minus_sheet(grid, down[0])
-        else:
-            sheets = sheet, sheet
-        second = (
-            _minus_value(grid, sheets[0], up[1:]) + _minus_value(grid, sheets[1], down[1:])
-            - 2.0 * center
-        ) / h**2
-        acc += second if axis == 0 else -second
-    return abs(acc + grid.mass**2 * center)
+    residuals = []
+    for h in steps:
+        acc = 0.0 + 0.0j
+        for axis in range(4):
+            e = np.zeros(4)
+            e[axis] = h
+            up, down = x + e, x - e
+            if axis == 0:
+                sheets = _minus_sheet(grid, up[0]), _minus_sheet(grid, down[0])
+            else:
+                sheets = sheet, sheet
+            second = (
+                _minus_value(grid, sheets[0], up[1:]) + _minus_value(grid, sheets[1], down[1:])
+                - 2.0 * center
+            ) / h**2
+            acc += second if axis == 0 else -second
+        residuals.append(abs(acc + grid.mass**2 * center))
+    return tuple(residuals)
 
 
 @dataclass
@@ -200,15 +213,16 @@ class MassWitnessReport:
     hint: str = ""
 
 
-def mass_kernel_witness(mass_first: float, mass_second: float,
-                        cutoff: float = 6.0, points: int = 33) -> MassWitnessReport:
-    """Test function separating the shell forms of two masses.
+def mass_kernel_witness(grid: MassShellGrid, mass_second: float) -> MassWitnessReport:
+    """Test function separating the shell forms of ``grid``'s mass m and m' = ``mass_second``.
 
     The momentum profile exp(-beta (p0^2 - p^2 - m'^2)^2) is constant on each
     shell: exactly 1 on the m'-shell and exp(-beta (m^2 - m'^2)^2) on the
     m-shell, so beta chosen from the squared-mass gap makes the two quadratic
-    forms differ by many orders of magnitude.
+    forms differ by many orders of magnitude.  The m'-shell is summed on the
+    lattice of ``grid``.
     """
+    mass_first, cutoff = grid.mass, grid.cutoff
     if mass_first == mass_second:
         return MassWitnessReport(
             mass_first, mass_second, float("nan"), float("nan"), 1.0,
@@ -216,9 +230,8 @@ def mass_kernel_witness(mass_first: float, mass_second: float,
         )
     if max(mass_first, mass_second) >= cutoff:
         raise ValueError("both mass shells must lie inside the momentum cutoff")
-    grid_a = MassShellGrid(mass_first, cutoff, points)
-    grid_b = MassShellGrid(mass_second, cutoff, points)
-    if abs(mass_first - mass_second) < grid_a.spacing / 10.0:
+    grid_b = MassShellGrid(mass_second, cutoff, grid.points)
+    if abs(mass_first - mass_second) < grid.spacing / 10.0:
         return MassWitnessReport(
             mass_first, mass_second, float("nan"), float("nan"), float("nan"),
             "undecided",
@@ -238,7 +251,7 @@ def mass_kernel_witness(mass_first: float, mass_second: float,
         sheet = np.exp(-beta * offshell**2) * bump
         return float(np.sum(grid.octant_weights * sheet * sheet))
 
-    value_a = shell_value(grid_a)
+    value_a = shell_value(grid)
     value_b = shell_value(grid_b)
     ratio = value_b / value_a if value_a > 0.0 else float("inf")
     return MassWitnessReport(
@@ -283,16 +296,16 @@ class EuclideanLattice:
             val *= float(np.sum(np.cos(self.axis * xi)))
         return val
 
-    def green_identity_residual(self) -> float:
+    def green_identity_residual(self, w0: float) -> float:
         """Relative defect of (-lap_h + m^2) w against the band-limited delta at 0.
 
+        ``w0`` is w(0) from :meth:`propagator`, which the caller already has.
         The reference value is exact for the lattice Green function (weights
         1/(phat^2 + m^2)), so this measures the continuum-vs-lattice symbol
         mismatch: O(h^2) with the step h = 8 / (cutoff * (points - 1)).
         """
         h = 8.0 / (self.cutoff * (self.points - 1))
         origin = np.zeros(4)
-        w0 = self.propagator(origin)
         lap = 0.0
         for axis in range(4):
             e = np.zeros(4)

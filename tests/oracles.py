@@ -66,8 +66,11 @@ of length 2, as ``opalg.qubits`` did before it indexed the site directly.
 sorts them and looks every raised tuple up in a dict, one (basis state,
 mode) pair at a time, as ``opalg.ccr.FockTruncation`` did before it ranked
 them with arrays, and ``commutator_defect_by_mode_pairs`` collects the
-commutator entries one mode pair (m, m') at a time, where
-``FockTruncation.commutator_defect`` takes every m' at once.  ``pair_partitions_by_recursion`` is the recursive
+commutator entries one mode pair (m, m') at a time and merges the entries
+that share a (row, column) key with ``np.unique`` and ``np.bincount``, where
+``FockTruncation.commutator_defect`` takes every m' at once and merges
+nothing: it adds the two products of each off-diagonal entry and
+accumulates the diagonal in bincount's order.  ``pair_partitions_by_recursion`` is the recursive
 enumeration of pairings, and ``wick_by_partitions`` and
 ``moment_oracle_by_levels`` are the per-pairing and per-level loops that ``wick_moment`` and
 ``moment_oracle`` replaced with array expressions doing the same arithmetic,

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from opalg import ValidationError, gns, groups, parse_scenario, run_scenario, scenarios, symmetry
+from opalg import (ValidationError, fields, gns, groups, parse_scenario, run_scenario, scenarios,
+                   symmetry)
 from opalg.cli import main
 from opalg.scenarios import DEFAULT_TOLERANCES, KINDS
 
@@ -707,6 +708,30 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
     assert f"orbit_size = {orbit.orbit_size} [computed]" in lines
 
 
+def test_field_runner_builds_each_sheet_grid_and_value_once(monkeypatch):
+    case = _workloads().field_case(np.random.default_rng(7), "p33", 33, 17, 3)
+    scenario = parse_scenario(case.text)
+    counts = dict.fromkeys(["_minus_sheet", "_octant_sum", "MassShellGrid"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name in ("_minus_sheet", "_octant_sum"):
+        monkeypatch.setattr(fields, name, counted(name, getattr(fields, name)))
+    monkeypatch.setattr(fields.MassShellGrid, "__init__",
+                        counted("MassShellGrid", fields.MassShellGrid.__init__))
+    text = run_scenario(scenario).render()
+    # sheets: 3 samples, 1 per consecutive pair (the pair's reverse takes the
+    # conjugate), 5 for the Klein-Gordon stencils at h and h/2 (they were 13);
+    # octant sums: the Euclidean w(0) once and the Klein-Gordon center once
+    # (39); grids: the runner's and the second mass's (3)
+    assert counts == {"_minus_sheet": 10, "_octant_sum": 37, "MassShellGrid": 2}
+    monkeypatch.undo()
+    assert _workloads().check_report(case, text) == ""
+
+
 @pytest.mark.parametrize("name", ["z8", "z64", "z512", "s3"])
 def test_group_runner_checks_positive_definiteness_once_per_function(monkeypatch, name):
     case = _workloads().group_case(np.random.default_rng(11), name, name, 3)
@@ -1302,6 +1327,73 @@ def test_cli_batch_names_an_integer_literal_past_double_range(jobs, tmp_path, ca
         f"schema error: {batch / 'c.yaml'}: <document> (line 3): "
         "integer literal has too many digits to read\n")
     assert sorted(p.name for p in out_dir.iterdir()) == ["a.report.txt"]
+
+
+FIELD_OUT_OF_BOUNDS = {
+    # the second shell outside the cutoff: a ValueError from the witness at run
+    # time, while validate called the file valid
+    "second-mass": ("field: {mass: 1.0, second_mass: 2.0, cutoff: 1.5, points: 17}\n",
+                    "field.second_mass (line 2): both mass shells of the witness must lie "
+                    "inside the cutoff 1.5"),
+    "euclidean-cutoff-zero": ("field:\n  mass: 1.0\n  euclidean: {cutoff: 0}\n",
+                              "field.euclidean.cutoff (line 4): cutoff must be positive"),
+    "negative-cutoff": ("field:\n  mass: 1.0\n  cutoff: -6.0\n",
+                        "field.cutoff (line 4): cutoff must be positive"),
+    "huge-cutoff": ("field:\n  mass: 1.0\n  cutoff: 1e300\n",
+                    "field.cutoff (line 4): cutoff 1e+300 over 33 points per axis gives a "
+                    "lattice cell (spacing^3) outside the normal doubles"),
+    "tiny-euclidean-cutoff": ("field:\n  mass: 1.0\n  euclidean: {cutoff: 1e-300}\n",
+                              "field.euclidean.cutoff (line 4): cutoff 1e-300 over 9 points per "
+                              "axis gives a lattice cell (spacing^4) outside the normal doubles"),
+    "huge-mass": ("field:\n  mass: 1e300\n  cutoff: 6.0\n",
+                  "field.mass (line 3): mass 1e+300 has a square outside the normal doubles"),
+    "huge-default-cutoff": ("field:\n  mass: 1e150\n",
+                            "field (line 3): cutoff 6e+150 over 33 points per axis gives a "
+                            "lattice cell (spacing^3) outside the normal doubles"),
+    "first-mass-outside": ("field: {mass: 3.0, second_mass: 1.0, cutoff: 2.0}\n",
+                           "field.mass (line 2): both mass shells of the witness must lie "
+                           "inside the cutoff 2"),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(FIELD_OUT_OF_BOUNDS))
+def test_cli_batch_names_a_field_outside_the_grid_bounds(case, jobs, tmp_path, capsys):
+    # each ended in a traceback (ValueError, ZeroDivisionError, OverflowError)
+    # that lost the whole batch, or ran a grid of negative spacing
+    body, message = FIELD_OUT_OF_BOUNDS[case]
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (batch / "a.yaml").write_text(MINIMAL_GNS)
+    (batch / "b.yaml").write_text("kind: field\n" + body)
+    (batch / "c.yaml").write_text(DEMO["field"])
+    expected = f"schema error: {batch / 'b.yaml'}: {message}\n"
+    out_dir = tmp_path / "reports"
+    assert main(["run", str(batch), "--jobs", jobs, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == expected
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.report.txt", "c.report.txt"]
+    assert main(["validate", str(batch), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == expected
+
+
+def test_field_with_equal_masses_outside_the_cutoff_still_runs():
+    # equal masses need no witness sum, so the cutoff does not bound them
+    report = run_scenario(parse_scenario(
+        "kind: field\nfield: {mass: 3.0, second_mass: 3.0, cutoff: 2.0, points: 9}\n"))
+    assert "mass_witness_verdict = equivalent-by-construction [computed]" in report.lines
+
+
+def test_cli_imports_the_thread_pool_only_for_parallel_jobs(tmp_path):
+    # concurrent.futures costs every start a few ms; one worker never needs it
+    script = ("import sys\nfrom opalg.cli import main\n"
+              "main(['demo', 'gns', '--out', sys.argv[1]])\n"
+              "print('concurrent.futures' in sys.modules)\n"
+              "main(['demo', 'all', '--jobs', '2', '--out', sys.argv[1]])\n"
+              "print('concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(scenarios.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\nTrue\n", "")
 
 
 def _group_table_document(table):

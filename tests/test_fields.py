@@ -11,14 +11,14 @@ from opalg import (
     MassShellGrid,
     NumericalError,
     commutator_identity_check,
-    klein_gordon_residual,
+    klein_gordon_residuals,
     mass_kernel_witness,
     parse_scenario,
     pauli_jordan,
     pauli_jordan_minus,
     run_scenario,
 )
-from opalg.fields import OCTANT_POINT_LIMIT, _fold, _octant_sum
+from opalg.fields import OCTANT_POINT_LIMIT, _fold, _minus_sheet, _octant_sum
 
 GRID = MassShellGrid(1.0, cutoff=4.0, points=13)   # small grid for unit tests
 
@@ -55,8 +55,7 @@ def test_pauli_jordan_minus_translation_invariance_of_two_point():
 def test_klein_gordon_residual_refines_quadratically():
     grid = MassShellGrid(1.0, cutoff=6.0, points=33)
     x = np.array([0.37, 0.21, -0.45, 0.11])
-    coarse = klein_gordon_residual(grid, x, 0.08)
-    fine = klein_gordon_residual(grid, x, 0.04)
+    coarse, fine = klein_gordon_residuals(grid, x, (0.08, 0.04))
     assert 3.2 <= coarse / fine <= 4.8
 
 
@@ -82,7 +81,7 @@ def test_commutator_identity():
 
 
 def test_mass_witness_separates_shell_forms():
-    report = mass_kernel_witness(1.0, 2.0, cutoff=6.0, points=33)
+    report = mass_kernel_witness(MassShellGrid(1.0, cutoff=6.0, points=33), 2.0)
     assert report.verdict == "inequivalent"
     assert report.separation_ratio >= 1e4
     assert report.value_on_first_shell <= 1e-8 * report.value_on_second_shell
@@ -90,14 +89,14 @@ def test_mass_witness_separates_shell_forms():
 
 
 def test_mass_witness_symmetry_and_degenerate_cases():
-    forward = mass_kernel_witness(1.0, 2.0, cutoff=6.0, points=17)
-    backward = mass_kernel_witness(2.0, 1.0, cutoff=6.0, points=17)
+    forward = mass_kernel_witness(MassShellGrid(1.0, cutoff=6.0, points=17), 2.0)
+    backward = mass_kernel_witness(MassShellGrid(2.0, cutoff=6.0, points=17), 1.0)
     assert forward.verdict == backward.verdict == "inequivalent"
     assert forward.separation_ratio >= 1e4
     assert backward.separation_ratio >= 1e4
-    same = mass_kernel_witness(1.0, 1.0)
+    same = mass_kernel_witness(MassShellGrid(1.0), 1.0)
     assert same.verdict == "equivalent-by-construction"
-    close = mass_kernel_witness(1.0, 1.0 + 1e-9, cutoff=6.0, points=17)
+    close = mass_kernel_witness(MassShellGrid(1.0, cutoff=6.0, points=17), 1.0 + 1e-9)
     assert close.verdict == "undecided"
     assert "resolution" in close.hint
 
@@ -115,8 +114,10 @@ def test_euclidean_propagator_even_and_decaying():
 
 
 def test_euclidean_green_identity_residual_refines():
-    coarse = EuclideanLattice(1.0, cutoff=6.0, points=9).green_identity_residual()
-    mid = EuclideanLattice(1.0, cutoff=6.0, points=17).green_identity_residual()
+    coarse_lattice = EuclideanLattice(1.0, cutoff=6.0, points=9)
+    mid_lattice = EuclideanLattice(1.0, cutoff=6.0, points=17)
+    coarse = coarse_lattice.green_identity_residual(coarse_lattice.propagator(np.zeros(4)))
+    mid = mid_lattice.green_identity_residual(mid_lattice.propagator(np.zeros(4)))
     assert mid <= 0.05
     assert mid < coarse
 
@@ -176,7 +177,7 @@ def test_folded_euclidean_propagator_matches_the_full_grid(points, mass, cutoff,
 def test_folded_witness_shell_values_match_the_full_grid(points, cutoff, first, second):
     mass_first, mass_second = first * cutoff, second * cutoff
     assume(abs(mass_first - mass_second) >= 2 * cutoff / (points - 1) / 10.0)
-    report = mass_kernel_witness(mass_first, mass_second, cutoff, points)
+    report = mass_kernel_witness(MassShellGrid(mass_first, cutoff, points), mass_second)
     want = oracles.witness_shell_values_by_grid(mass_first, mass_second, cutoff, points)
     got = (report.value_on_first_shell, report.value_on_second_shell)
     for value, reference in zip(got, want):
@@ -215,7 +216,7 @@ def test_shell_sums_equal_the_per_point_oracles(points, mass, cutoff, x, h):
         want, scale = oracle(grid, x)
         assert abs(got(grid, x) - want) <= FOLD_TOL * scale + underflow
     want, scale = oracles.klein_gordon_residual_by_octant(grid, x, h)
-    assert abs(klein_gordon_residual(grid, x, h) - want) <= FOLD_TOL * scale
+    assert abs(klein_gordon_residuals(grid, x, (h,))[0] - want) <= FOLD_TOL * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,6 +254,30 @@ def test_shell_index_rebuilds_octant_omega_bitwise(points, mass, cutoff):
     assert np.all(np.diff(values) > 0.0)
     assert index.shape == grid.octant_omega.shape
     assert np.array_equal(values[index].view(np.uint64), grid.octant_omega.view(np.uint64))
+
+
+# the exponent -i(omega x0) of the sheet at -x0 is the negated one at x0 (the
+# product -1j * t gives the real part +0 for either sign of t), so the sheet is
+# the conjugate wherever the cosine is even and the sine odd bit for bit; the
+# bytes also catch a change in the sign of a zero
+nonzero_times = st.floats(1e-300, 1e3).flatmap(lambda t: st.sampled_from([t, -t]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=odd_points, mass=st.floats(0.1, 3.0), cutoff=st.floats(0.5, 6.0), x0=nonzero_times)
+@example(points=41, mass=1.0, cutoff=6.0, x0=0.37)
+@example(points=33, mass=0.8, cutoff=6.0, x0=-1e-14)
+def test_sheet_at_minus_x0_is_the_conjugate_bit_for_bit(points, mass, cutoff, x0):
+    grid = MassShellGrid(mass, cutoff, points)
+    assert _minus_sheet(grid, -x0).tobytes() == _minus_sheet(grid, x0).conj().tobytes()
+
+
+def test_sheet_at_time_zero_equals_its_conjugate():
+    # at x0 = 0 every phase is 1 and the conjugate differs only in the sign of
+    # the zero imaginary parts, which no modulus sees
+    sheet = _minus_sheet(GRID, 0.0)
+    assert not np.any(sheet.imag)
+    assert np.array_equal(sheet, sheet.conj())
 
 
 def test_shells_are_far_fewer_than_octant_points():
