@@ -83,7 +83,7 @@ from .symmetry import (
     AutomorphismGroup,
     InnerAutomorphism,
     one_parameter_flow,
-    pushforward_state,
+    pushforwards,
     stabilizer_orbit,
     stationarity_check,
     unitary_implementer,

@@ -310,7 +310,7 @@ class EuclideanLattice:
         for axis in range(4):
             e = np.zeros(4)
             e[axis] = h
-            lap += (self.propagator(e) + self.propagator(-e) - 2.0 * w0) / h**2
+            lap += (2.0 * self.propagator(e) - 2.0 * w0) / h**2    # w(-e) == w(e)
         lhs = -lap + self.mass**2 * w0
         ref = self.band_limited_delta(origin)
         return abs(lhs - ref) / ref

@@ -188,7 +188,8 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     then the rank vectors (the multiplicity of each block).  Equal rank
     vectors give the same representation matrices, so the identity is the
     intertwiner (``EquivalenceReport.intertwiner`` builds it on request);
-    its residual and the transition elements are verified.
+    its residual and the transition elements are verified.  Two pure states
+    pass both representations to :func:`pure_unitary_intertwiner`.
     """
     rep_f = gns_construct(algebra, f)
     rep_g = gns_construct(algebra, g)
@@ -231,20 +232,21 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
         raise NumericalError(f"transition elements failed verification ({worst:.3e})")
     report.transition_residual = worst
     if rep_f.commutant_dim == rep_g.commutant_dim == 1:    # pure states only
-        report.unitary = pure_unitary_intertwiner(algebra, f, g)
+        report.unitary = pure_unitary_intertwiner(rep_f, rep_g, f, g)
     return report
 
 
-def pure_unitary_intertwiner(algebra: StarAlgebra, f: State, g: State):
+def pure_unitary_intertwiner(rep_f: GnsRep, rep_g: GnsRep, f: State, g: State):
     """Unitary U in A with g(a) = f(U* a U) for equivalent pure states.
 
-    Raises on mixed input, judged by the rank vectors of :func:`gns_construct`
-    (the rule behind :func:`purity_check`); returns None when the pure states
-    are inequivalent.  The U(1) phase family is pinned by making the first
+    ``rep_f`` and ``rep_g`` are the :func:`gns_construct` data of ``f`` and
+    ``g``.  Raises on mixed input, judged by their rank vectors (the rule
+    behind :func:`purity_check`); returns None when the pure states are
+    inequivalent.  The U(1) phase family is pinned by making the first
     nonzero column entry real positive.
     """
-    ranks_f = gns_construct(algebra, f).ranks
-    ranks_g = gns_construct(algebra, g).ranks
+    algebra = rep_f.algebra
+    ranks_f, ranks_g = rep_f.ranks, rep_g.ranks
     if sum(ranks_f) != 1 or sum(ranks_g) != 1:      # one block of rank one each
         raise OpalgError("pure_unitary_intertwiner requires pure states")
     block_f = ranks_f.index(1)

@@ -641,6 +641,13 @@ def _parse_field(w, top):
         if second != mass and max(mass, second) >= cutoff:
             w.fail(("field", "second_mass" if second >= cutoff else "mass"),
                    f"both mass shells of the witness must lie inside the cutoff {cutoff:g}")
+        # resolved masses (a tenth of the spacing apart) weigh the witness by
+        # beta = log(1e10) / (2 gap^2), gap = m^2 - m'^2: gap^2 and beta must be normal
+        gap, lo, hi = mass**2 - second**2, sys.float_info.min, sys.float_info.max
+        if abs(mass - second) >= 2.0 * cutoff / (points - 1) / 10.0 and not (
+                lo <= gap * gap <= hi and lo <= math.log(1e10) / (2.0 * gap * gap) <= hi):
+            w.fail(("field", "second_mass"), f"squared-mass gap {gap:g} gives a witness "
+                   "weight beta = log(1e10) / (2 gap^2) outside the normal doubles")
         params["second_mass"] = second
     if "euclidean" in spec:
         espec = w.mapping(spec["euclidean"], ("field", "euclidean"),
@@ -962,10 +969,8 @@ def _run_symmetry(scenario: Scenario, report: Report):
     configured = {"tol": tol} if src == "configured" else {}
     rep = gns_construct(algebra, state)
     # each pushforward and its distance to the state serve the stationarity line and the orbit
-    moved, distances = [], []
+    moved, distances = symmetry_mod.pushforwards(state, autos)
     for k, rho in enumerate(autos):
-        moved.append(symmetry_mod.pushforward_state(state, rho))
-        distances.append(dual_norm_distance(state, moved[k]))
         report.info(f"automorphism[{k}].stationary", distances[k] <= tol)
         result = symmetry_mod.unitary_implementer(rep, rho, **configured)
         report.info(f"automorphism[{k}].implementer",
@@ -982,7 +987,7 @@ def _run_symmetry(scenario: Scenario, report: Report):
     except (ValueError, OpalgError) as exc:
         report.info("group", f"not a group: {exc}")
         return
-    orbit = symmetry_mod._orbit(moved, distances, tol)
+    orbit = symmetry_mod.stabilizer_orbit(moved, distances, tol)
     report.info("group_order", orbit.group_order)
     report.info("stabilizer_size", orbit.stabilizer_size)
     report.info("orbit_size", orbit.orbit_size)

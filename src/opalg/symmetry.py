@@ -8,7 +8,8 @@ bookkeeping quotients away but records as a multiplier).  On the GNS carrier
 of a stationary state the implementer is closed-form too, the sum of
 U_b (x) V_b with V_b = (Theta_b^+ U_b* Theta_b)^T, and
 :func:`opalg.gns.intertwining_residual` and :func:`cyclic_vector_certificate`
-certify it from the pairs (U_b, V_b).
+certify it from the pairs (U_b, V_b).  The :func:`pushforwards` of a state
+serve both :func:`stationarity_check` and :func:`stabilizer_orbit`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .algebra import UNITARY_TOL, AlgebraElement, State, dual_norm_distance
+from .algebra import UNITARY_TOL, AlgebraElement, State
 from .errors import NumericalError, OpalgError, ShapeMismatchError
 from .gns import TRANSITION_TOL, GnsRep, cyclic_vector_residual, intertwining_residual
-from .linalg import block_diag
+from .linalg import block_diag, nuclear_norm
 
 STATIONARY_TOL = 1e-10    # dual-norm distance of f and its pushforward
 ACTION_TOL = 1e-9         # entrywise distance of two action matrices
@@ -107,19 +108,18 @@ class AutomorphismGroup:
         return num / sum(self.algebra.blocks)
 
 
-def pushforward_state(f: State, rho: InnerAutomorphism) -> State:
-    """f_rho(a) = f(rho(a)): the density transforms as U* rho_f U blockwise."""
-    if f.algebra != rho.algebra:
+def pushforwards(f: State, automorphisms) -> tuple:
+    """The densities U_b* rho_b U_b of f_rho(a) = f(rho(a)) for each automorphism, as
+    computed (no :class:`State` is built), and their :func:`dual_norm_distance` to f."""
+    if any(f.algebra != rho.algebra for rho in automorphisms):
         raise ShapeMismatchError("state and automorphism live on different algebras")
-    dens = [
-        u.conj().T @ d @ u
-        for d, u in zip(f.densities, rho.unitary.mats)
-    ]
-    return State(f.algebra, dens)
+    moved = [[u.conj().T @ d @ u for d, u in zip(f.densities, rho.unitary.mats)]
+             for rho in automorphisms]
+    return moved, [float(sum(nuclear_norm(a - b) for a, b in zip(f.densities, m))) for m in moved]
 
 
 def stationarity_check(f: State, rho: InnerAutomorphism, tol: float = STATIONARY_TOL) -> bool:
-    return dual_norm_distance(f, pushforward_state(f, rho)) <= tol
+    return pushforwards(f, [rho])[1][0] <= tol
 
 
 @dataclass
@@ -190,39 +190,30 @@ class OrbitReport:
     stabilizer_size: int
     orbit_size: int
     group_order: int
-    orbit_states: list
+    orbit_states: list    # the densities of each orbit state, block by block
 
 
-def stabilizer_orbit(f: State, group: AutomorphismGroup,
-                     tol: float = STATIONARY_TOL) -> OrbitReport:
+def stabilizer_orbit(moved: list, distances: list, tol: float = STATIONARY_TOL) -> OrbitReport:
     """Stabilizer H = {g : f stationary}, orbit of pushforward states, |orbit| = |G|/|H|.
 
-    g fixes f when the dual-norm distance of f and its pushforward is at most
+    ``moved`` and ``distances`` are :func:`pushforwards` of f by the group's
+    elements, in the group's order.  g fixes f when its distance is at most
     ``tol``, and orbit states within ``tol`` of each other count as one: a
     single threshold keeps the two counts consistent with the orbit law.  The
     orbit densities are kept as one stack per block, so a pushforward meets
     all orbit states found so far in one stacked SVD per block; the distances
     are :func:`dual_norm_distance` bit for bit.
     """
-    if f.algebra != group.algebra:
-        raise ShapeMismatchError("state and group live on different algebras")
-    moved = [pushforward_state(f, g) for g in group.elements]
-    return _orbit(moved, [dual_norm_distance(f, m) for m in moved], tol)
-
-
-def _orbit(moved: list, distances: list, tol: float) -> OrbitReport:
-    """:func:`stabilizer_orbit` from the pushforwards of f by the group's elements,
-    in the group's order, and their dual-norm distances to f."""
     orbit: list = []
-    stacks = [np.empty((len(moved),) + d.shape, dtype=complex) for d in moved[0].densities]
-    for state in moved:
+    stacks = [np.empty((len(moved),) + d.shape, dtype=complex) for d in moved[0]]
+    for dens in moved:
         k = len(orbit)
         apart = sum(np.sum(np.linalg.svd(d - s[:k], compute_uv=False), axis=1)
-                    for d, s in zip(state.densities, stacks))
+                    for d, s in zip(dens, stacks))
         if np.all(apart > tol):
-            for d, s in zip(state.densities, stacks):
+            for d, s in zip(dens, stacks):
                 s[k] = d
-            orbit.append(state)
+            orbit.append(dens)
     report = OrbitReport(
         stabilizer_size=sum(distance <= tol for distance in distances),
         orbit_size=len(orbit),

@@ -3,9 +3,11 @@
 ``gram_gns`` is the textbook construction: the carrier is the algebra modulo
 the null space of the Gram matrix f(e_j* e_i) over the matrix units, and
 left multiplication pushed to orthonormal coordinates of that quotient is the
-representation.  Commutants and intertwiners come from Kronecker null-space
-solves.  None of this uses the density eigendecompositions that
-``opalg.gns`` is built on, so agreement between the two is evidence for both.
+representation.  The quotient comes from ``quotient_by_svd``, an SVD of the
+full Gram with its own rank cut (``GRAM_CUT``).  Commutants and intertwiners
+come from Kronecker null-space solves.  None of this uses the density
+eigendecompositions or ``opalg.linalg.psd_factors`` that ``opalg.gns`` is
+built on, so agreement between the two is evidence for both.
 The null-space solves cost O(D^6) in the carrier dimension D: use them on
 small algebras only.  ``basis_triples``, ``basis_labels``, ``coords`` and
 ``left_mult_matrix`` give the canonical matrix-unit coordinates the quotient
@@ -25,14 +27,17 @@ as (max |U_b|)^2 max |V_b V_b* - I| per block.  ``generator_matrices`` and
 table one at a time, as ``opalg.groups.FiniteGroup`` compares them in one
 array expression.  ``gns_from_group_function_by_permutations`` builds each
 translation as the dense product T P_g T+ with the permutation matrix P_g,
-where ``opalg.groups`` gathers the columns of T, and
+where ``opalg.groups`` gathers the columns of T; its T comes from
+``quotient_by_eigh``, the arithmetic of ``psd_factors`` written out here, so
+the two are compared bit for bit; and
 ``left_regular_representation_by_loop`` sets the entries of each P_g one at
 a time.  ``automorphism_closure_by_loop`` builds the closure table of a
 list of unitary elements pair by pair, with one action matrix
 (the sum of U_b (x) conj(U_b)) per product and a linear search of the list,
 as ``opalg.symmetry.AutomorphismGroup`` did before it compared each row of
 products with the whole list at once; ``stabilizer_orbit_by_pairs`` compares
-each pushforward with the orbit states one pair at a time, as
+each pushforward (the densities U_b* rho_b U_b as computed) with the orbit
+states one pair at a time by ``trace_distance``, as
 ``opalg.symmetry.stabilizer_orbit`` did before it stacked them per block.
 ``load_with_marks_by_python`` reads a scenario document with PyYAML's
 pure-Python parser alone, the reference for the libyaml path of
@@ -89,16 +94,16 @@ from dataclasses import dataclass
 import numpy as np
 import yaml
 
-from opalg.algebra import (UNITARY_TOL, StarAlgebra, State, dual_norm_distance, evaluate_state,
-                           transport_residual)
+from opalg.algebra import UNITARY_TOL, StarAlgebra, State, evaluate_state, transport_residual
 from opalg.ccr import ORACLE_LEVELS, ORACLE_STEP
 from opalg.errors import NumericalError, OpalgError
 from opalg.fields import TWO_PI, MassShellGrid
 from opalg.groups import GroupRep, delta, pd_kernel
-from opalg.linalg import block_diag, fix_phases, gram_quotient
+from opalg.linalg import block_diag, fix_phases
 from opalg.qubits import PARTIAL_SUM_WINDOW
 
 KERNEL_TOL = 1e-9
+GRAM_CUT = 1e-12    # Gram spectrum up to order * GRAM_CUT * its largest value is null
 
 
 def nullspace(m: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
@@ -181,6 +186,34 @@ class OracleRep:
         return int(self.cyclic_vector.shape[0])
 
 
+def quotient_by_svd(gram: np.ndarray):
+    """(T, T+, rank) for the quotient of a PSD Gram by its null space, from its SVD.
+
+    A PSD Gram is V S V*, so its right singular vectors V and singular values
+    S give T = sqrt(S_k) V_k* with (T b)* (T a) = b* Gram a, keeping the k
+    singular values above ``len(gram) * GRAM_CUT`` times the largest.
+    """
+    _, s, vh = np.linalg.svd(gram)
+    rank = int(np.sum(s > len(gram) * GRAM_CUT * s[0]))
+    root = np.sqrt(s[:rank])
+    return root[:, None] * vh[:rank], vh[:rank].conj().T / root[None, :], rank
+
+
+def quotient_by_eigh(gram: np.ndarray):
+    """(T, T+, rank) as ``quotient_by_svd``, from the eigendecomposition of (Gram + Gram*) / 2.
+
+    The eigenvalues above ``len(gram) * GRAM_CUT`` times the largest are kept,
+    largest first, each eigenvector rotated by ``fix_phases``: the arithmetic
+    of ``opalg.linalg.psd_factors``, so translations built on it can be
+    compared with ``opalg.groups`` bit for bit.
+    """
+    gram = np.asarray(gram, dtype=complex)
+    lam, vec = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    keep = lam > len(gram) * GRAM_CUT * max(float(lam[-1]), 0.0)
+    vec, root = fix_phases(vec[:, keep][:, ::-1]), np.sqrt(lam[keep][::-1])
+    return root[:, None] * vec.conj().T, vec * (1.0 / root)[None, :], int(root.size)
+
+
 def gram_gns(algebra, f) -> OracleRep:
     """GNS by the quotient of the algebra by the null space of its Gram matrix."""
     triples = basis_triples(algebra)
@@ -191,7 +224,7 @@ def gram_gns(algebra, f) -> OracleRep:
         for col, (b2, i2, j2) in enumerate(triples):
             if b1 == b2 and i1 == i2:
                 gram[row, col] = f.densities[b1][j2, j1]
-    t, t_pinv, rank = gram_quotient(gram)
+    t, t_pinv, rank = quotient_by_svd(gram)
     gens = tuple(t @ left_mult_matrix(algebra.basis_element(k)) @ t_pinv for k in range(dim))
     scale = max(float(np.max(np.abs(m))) for m in gens)
     kernel = tuple(
@@ -343,7 +376,7 @@ def gns_from_group_function_by_permutations(group, psi):
     T delta_e, where ``opalg.groups.gns_from_group_function`` gathers the
     columns T[:, table[g]] instead.
     """
-    t, t_pinv, rank = gram_quotient(pd_kernel(group, psi).T)
+    t, t_pinv, rank = quotient_by_eigh(pd_kernel(group, psi).T)
     n = group.order
     mats = []
     for g in range(n):
@@ -412,20 +445,25 @@ def automorphism_closure_by_loop(unitaries, action_tol):
     return table, identity, multipliers
 
 
-def stabilizer_orbit_by_pairs(f, elements, tol):
-    """(stabilizer size, orbit states) with one ``dual_norm_distance`` per pair of states.
+def trace_distance(first, second) -> float:
+    """Sum over blocks of the trace norms of the density differences, blocks in order."""
+    return float(sum(np.sum(np.linalg.svd(a - b, compute_uv=False)) for a, b in zip(first, second)))
 
-    The pushforward of f by Ad(U) has the densities U_b* rho_b U_b; it joins
-    the orbit when it is farther than ``tol`` from every orbit state found so
-    far, checked one state at a time.
+
+def stabilizer_orbit_by_pairs(f, elements, tol):
+    """(stabilizer size, orbit densities) with one ``trace_distance`` per pair.
+
+    The pushforward of f by Ad(U) has the densities U_b* rho_b U_b, kept as
+    computed; it joins the orbit when it is farther than ``tol`` from every
+    orbit state found so far, checked one state at a time.
     """
     stabilizer = 0
     orbit = []
     for g in elements:
-        moved = State(f.algebra, [u.conj().T @ d @ u for d, u in zip(f.densities, g.unitary.mats)])
-        if dual_norm_distance(f, moved) <= tol:
+        moved = [u.conj().T @ d @ u for d, u in zip(f.densities, g.unitary.mats)]
+        if trace_distance(f.densities, moved) <= tol:
             stabilizer += 1
-        if all(dual_norm_distance(moved, seen) > tol for seen in orbit):
+        if all(trace_distance(moved, seen) > tol for seen in orbit):
             orbit.append(moved)
     return stabilizer, orbit
 

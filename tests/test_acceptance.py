@@ -41,6 +41,7 @@ from opalg import (
     pair_partitions,
     pauli_jordan,
     purity_check,
+    pushforwards,
     quasi_invariance_factor,
     stabilizer_orbit,
     stationarity_check,
@@ -374,7 +375,7 @@ def test_symmetry():
             stationary = stationarity_check(f, rho)
             result = unitary_implementer(gns_construct(f.algebra, f), rho)
             iff_ok = iff_ok and stationary == (result.unitary is not None)
-        report = stabilizer_orbit(f, group)
+        report = stabilizer_orbit(*pushforwards(f, group.elements))
         law_ok = law_ok and report.orbit_size * report.stabilizer_size == len(group)
     rng = np.random.default_rng(111)
     m3 = StarAlgebra([3])

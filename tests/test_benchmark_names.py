@@ -25,8 +25,6 @@ UNREACHED = {
     "qubits.finite_marginal_state": "the function has moved to tests/oracles.py",
     "gns.commutant_basis": "only the harness's size sweep calls it",
     "algebra.evaluate_state": "no scenario kind calls it",
-    "symmetry.stabilizer_orbit": "the runner calls symmetry._orbit; the span moves with "
-                                 "the benchmark change of ROADMAP item 3",
 }
 
 

@@ -16,8 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from opalg import (ValidationError, fields, gns, groups, parse_scenario, run_scenario, scenarios,
-                   symmetry)
+from opalg import (State, ValidationError, fields, gns, groups, parse_scenario, run_scenario,
+                   scenarios, symmetry)
 from opalg.cli import main
 from opalg.scenarios import DEFAULT_TOLERANCES, KINDS
 
@@ -675,24 +675,22 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
     case = workloads.symmetry_case(np.random.default_rng(7), "z160", [2], [2], 160, False)
     scenario = parse_scenario(case.text)
     state, autos = scenario.params["state"], scenario.params["automorphisms"]
-    counts = dict.fromkeys(["gns_construct", "pushforward_state", "dual_norm_distance"], 0)
+    counts = dict.fromkeys(["gns_construct", "pushforwards", "nuclear_norm", "_validated"], 0)
 
-    def counted(name, fn, counts_call=lambda *args: True):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            counts[name] += counts_call(*args)
+            counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
     monkeypatch.setattr(scenarios, "gns_construct", counted("gns_construct", gns.gns_construct))
-    for module in (scenarios, symmetry):
-        monkeypatch.setattr(module, "dual_norm_distance",
-                            counted("dual_norm_distance", scenarios.dual_norm_distance,
-                                    lambda f, g: f is state))
-    monkeypatch.setattr(symmetry, "pushforward_state",
-                        counted("pushforward_state", symmetry.pushforward_state))
+    for name in ("pushforwards", "nuclear_norm"):
+        monkeypatch.setattr(symmetry, name, counted(name, getattr(symmetry, name)))
+    monkeypatch.setattr(State, "_validated", staticmethod(counted("_validated", State._validated)))
     text = run_scenario(scenario).render()
-    # one per automorphism in the runner's loop, where the stationarity check and
-    # the orbit used to compute each pushforward and distance again (320 each)
-    assert counts == {"gns_construct": 1, "pushforward_state": 160, "dual_norm_distance": 160}
+    # one pushforward and one distance (one trace norm on M2) per automorphism,
+    # where the stationarity check and the orbit used to compute them again
+    # (320 each); no pushforward is wrapped in a State and validated again (160)
+    assert counts == {"gns_construct": 1, "pushforwards": 1, "nuclear_norm": 160, "_validated": 0}
     monkeypatch.undo()
     assert workloads.check_report(case, text) == ""
     lines = text.splitlines()
@@ -703,9 +701,27 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
         defect = symmetry.unitary_implementer(gns.gns_construct(state.algebra, state),
                                               rho).isometry_defect
         assert f"automorphism[{k}].isometry_defect = {scenarios._fmt(defect)} [computed]" in lines
-    orbit = symmetry.stabilizer_orbit(state, symmetry.AutomorphismGroup(autos), tol)
+    orbit = symmetry.stabilizer_orbit(*symmetry.pushforwards(state, autos), tol)
     assert f"stabilizer_size = {orbit.stabilizer_size} [computed]" in lines
     assert f"orbit_size = {orbit.orbit_size} [computed]" in lines
+
+
+def test_equiv_runner_builds_each_gns_once(monkeypatch):
+    workloads = _workloads()
+    cases = [case for case in workloads.generate("kinds-small", 4243) if case.kind == "equiv"]
+    built = []
+    real = gns.gns_construct
+    monkeypatch.setattr(gns, "gns_construct", lambda algebra, f: built.append(f) or real(algebra, f))
+    pure = 0
+    for case in cases:
+        scenario = parse_scenario(case.text)
+        built.clear()
+        text = run_scenario(scenario).render()
+        # the pure-state unitary used to build both representations again (4)
+        assert built == list(scenario.params["states"])
+        assert workloads.check_report(case, text) == ""
+        pure += "pure_unitary_intertwiner = present [computed]" in text.splitlines()
+    assert pure > 0
 
 
 def test_field_runner_builds_each_sheet_grid_and_value_once(monkeypatch):
@@ -725,9 +741,10 @@ def test_field_runner_builds_each_sheet_grid_and_value_once(monkeypatch):
     text = run_scenario(scenario).render()
     # sheets: 3 samples, 1 per consecutive pair (the pair's reverse takes the
     # conjugate), 5 for the Klein-Gordon stencils at h and h/2 (they were 13);
-    # octant sums: the Euclidean w(0) once and the Klein-Gordon center once
-    # (39); grids: the runner's and the second mass's (3)
-    assert counts == {"_minus_sheet": 10, "_octant_sum": 37, "MassShellGrid": 2}
+    # octant sums: the Euclidean w(0) once, the Klein-Gordon center once (39)
+    # and w at +e only on each axis of the Green identity, w being even (37);
+    # grids: the runner's and the second mass's (3)
+    assert counts == {"_minus_sheet": 10, "_octant_sum": 33, "MassShellGrid": 2}
     monkeypatch.undo()
     assert _workloads().check_report(case, text) == ""
 
@@ -1353,6 +1370,16 @@ FIELD_OUT_OF_BOUNDS = {
     "first-mass-outside": ("field: {mass: 3.0, second_mass: 1.0, cutoff: 2.0}\n",
                            "field.mass (line 2): both mass shells of the witness must lie "
                            "inside the cutoff 2"),
+    # the witness weight beta = log(1e10) / (2 gap^2): a ZeroDivisionError when gap^2
+    # underflows, and beta = 0 with +nan shell values when it overflows
+    "gap-underflow": ("field: {mass: 1.0e-103, second_mass: 4.0e-103, cutoff: 4.8e-102, "
+                      "points: 33}\n",
+                      "field.second_mass (line 2): squared-mass gap -1.5e-205 gives a witness "
+                      "weight beta = log(1e10) / (2 gap^2) outside the normal doubles"),
+    "gap-overflow": ("field: {mass: 1.0e103, second_mass: 2.0e103, cutoff: 5.0e103, "
+                     "points: 33}\n",
+                     "field.second_mass (line 2): squared-mass gap -3e+206 gives a witness "
+                     "weight beta = log(1e10) / (2 gap^2) outside the normal doubles"),
 }
 
 

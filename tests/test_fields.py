@@ -116,6 +116,10 @@ def test_euclidean_propagator_even_and_decaying():
 def test_euclidean_green_identity_residual_refines():
     coarse_lattice = EuclideanLattice(1.0, cutoff=6.0, points=9)
     mid_lattice = EuclideanLattice(1.0, cutoff=6.0, points=17)
+    for lattice in (coarse_lattice, mid_lattice):    # the identity takes w(-e) as w(e)
+        h = 8.0 / (lattice.cutoff * (lattice.points - 1))
+        for e in h * np.eye(4):
+            assert lattice.propagator(-e) == lattice.propagator(e)
     coarse = coarse_lattice.green_identity_residual(coarse_lattice.propagator(np.zeros(4)))
     mid = mid_lattice.green_identity_residual(mid_lattice.propagator(np.zeros(4)))
     assert mid <= 0.05
