@@ -11,10 +11,12 @@ Theta_b = V_b sqrt(Lambda_b) (n_b x r_b, kept eigenpairs only).  Then:
 * the cyclic vector is the sum of vec(Theta_b), so <theta, pi(a) theta> =
   sum trace(rho_b a_b), and pi(x) theta = vec(x_b Theta_b) blockwise;
 * the commutant is the sum of I_{n_b} (x) M_{r_b}, of dimension sum r_b^2,
-  so f is pure iff exactly one r_b is 1 and the rest are 0;
-* two states with equal kernels are equivalent iff their rank vectors agree.
-  Their representations are then the same matrices, the identity intertwines
-  them, and b = Theta_g Theta_f^+ blockwise carries f to g.
+  so f is pure iff exactly one r_b is 1 and the rest are 0 (``GnsRep.pure``);
+* the kernel of pi is the sum of the blocks with r_b = 0
+  (``GnsRep.vanished_blocks``), and two states with equal kernels are
+  equivalent iff their rank vectors agree.  Their representations are then
+  the same matrices, the identity intertwines them, and b = Theta_g Theta_f^+
+  blockwise carries f to g.
 
 Vectors of C^n (x) C^r are stored row-major, so vec(a X) = (a (x) I) vec(X).
 Certificates are recomputed rather than read off the closed form.  Every
@@ -35,9 +37,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, StarAlgebra, State, transport_residual
 from .errors import NumericalError, OpalgError, ShapeMismatchError
-from .linalg import block_diag, fix_global_phase, psd_factors, two_vector_unitary
+from .linalg import block_diag, fix_global_phase, fix_phases, psd_factors, two_vector_unitary
 
-KERNEL_TOL = 1e-9         # blocks of trace at most this lie in the representation kernel
 TRANSITION_TOL = 1e-8     # transition and pure-unitary certificates raise past this
 EQUAL_STATES_TOL = 1e-12  # equivalence_check: densities this close entrywise are one state
 
@@ -47,8 +48,8 @@ class GnsRep:
     """Cyclic representation data produced by :func:`gns_construct`."""
 
     algebra: StarAlgebra
+    state: State                    # the state represented
     factors: tuple                  # Theta_b (n_b x r_b): Theta_b Theta_b* = rho_b above the cut
-    vanished_blocks: tuple          # block indices entirely inside the kernel
 
     @property
     def ranks(self) -> tuple:
@@ -56,9 +57,19 @@ class GnsRep:
         return tuple(t.shape[1] for t in self.factors)
 
     @property
+    def vanished_blocks(self) -> tuple:
+        """Indices of the blocks entirely inside the kernel: those of multiplicity r_b = 0."""
+        return tuple(b for b, r in enumerate(self.ranks) if r == 0)
+
+    @property
     def commutant_dim(self) -> int:
         """Dimension sum r_b^2 of the commutant, without building :func:`commutant_basis`."""
         return sum(r * r for r in self.ranks)
+
+    @property
+    def pure(self) -> bool:
+        """Whether the commutant is one-dimensional: one block of rank one, the others zero."""
+        return self.commutant_dim == 1
 
     @property
     def carrier_dim(self) -> int:
@@ -95,11 +106,7 @@ def gns_construct(algebra: StarAlgebra, f: State) -> GnsRep:
     factors = [vec * root[None, :] for vec, root in psd_factors(f.densities, algebra.dim)]
     if not any(t.shape[1] for t in factors):
         raise NumericalError("state Gram has rank zero")
-    vanished = tuple(
-        b for b, n in enumerate(algebra.blocks)
-        if float(np.trace(f.densities[b]).real) <= KERNEL_TOL
-    )
-    return GnsRep(algebra=algebra, factors=tuple(factors), vanished_blocks=vanished)
+    return GnsRep(algebra=algebra, state=f, factors=tuple(factors))
 
 
 def commutant_basis(rep: GnsRep) -> list:
@@ -120,7 +127,7 @@ def commutant_basis(rep: GnsRep) -> list:
 
 def purity_check(algebra: StarAlgebra, f: State) -> str:
     """'pure' iff the GNS commutant is one-dimensional, else 'mixed'."""
-    return "pure" if gns_construct(algebra, f).commutant_dim == 1 else "mixed"
+    return "pure" if gns_construct(algebra, f).pure else "mixed"
 
 
 @dataclass
@@ -191,14 +198,12 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     its residual and the transition elements are verified.  Two pure states
     pass both representations to :func:`pure_unitary_intertwiner`.
     """
-    rep_f = gns_construct(algebra, f)
-    rep_g = gns_construct(algebra, g)
+    rep_f, rep_g = gns_construct(algebra, f), gns_construct(algebra, g)
     kernels = (rep_f.vanished_blocks, rep_g.vanished_blocks)
     dims = (rep_f.carrier_dim, rep_g.carrier_dim)
 
     def inequivalent(note):
-        return EquivalenceReport(verdict="inequivalent", kernel_first=kernels[0],
-                                 kernel_second=kernels[1], note=note, carrier_dims=dims)
+        return EquivalenceReport("inequivalent", *kernels, note=note, carrier_dims=dims)
 
     equal_states = all(np.max(np.abs(a - b)) <= EQUAL_STATES_TOL for a, b in zip(f.densities, g.densities))
     if not equal_states:
@@ -212,13 +217,9 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
                                 f"multiplicities {list(rep_f.ranks)} != {list(rep_g.ranks)}")
 
     report = EquivalenceReport(
-        verdict="equal" if equal_states else "equivalent",
-        kernel_first=kernels[0],
-        kernel_second=kernels[1],
+        "equal" if equal_states else "equivalent", *kernels, carrier_dims=dims,
         intertwiner_residual=intertwining_residual(
-            [(np.eye(n), np.eye(r)) for n, r in zip(algebra.blocks, rep_f.ranks)]),
-        carrier_dims=dims,
-    )
+            [(np.eye(n), np.eye(r)) for n, r in zip(algebra.blocks, rep_f.ranks)]))
     if equal_states:
         report.transition = (algebra.identity(), algebra.identity())
     else:
@@ -231,30 +232,29 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     if worst > TRANSITION_TOL:
         raise NumericalError(f"transition elements failed verification ({worst:.3e})")
     report.transition_residual = worst
-    if rep_f.commutant_dim == rep_g.commutant_dim == 1:    # pure states only
-        report.unitary = pure_unitary_intertwiner(rep_f, rep_g, f, g)
+    if rep_f.pure and rep_g.pure:
+        report.unitary = pure_unitary_intertwiner(rep_f, rep_g)
     return report
 
 
-def pure_unitary_intertwiner(rep_f: GnsRep, rep_g: GnsRep, f: State, g: State):
-    """Unitary U in A with g(a) = f(U* a U) for equivalent pure states.
+def pure_unitary_intertwiner(rep_f: GnsRep, rep_g: GnsRep):
+    """Unitary U in A with g(a) = f(U* a U) for equivalent pure states f and g.
 
-    ``rep_f`` and ``rep_g`` are the :func:`gns_construct` data of ``f`` and
-    ``g``.  Raises on mixed input, judged by their rank vectors (the rule
-    behind :func:`purity_check`); returns None when the pure states are
+    ``rep_f`` and ``rep_g`` are the :func:`gns_construct` data of f and g.
+    Raises unless both are ``GnsRep.pure`` (the rule behind
+    :func:`purity_check`); returns None when the pure states are
     inequivalent.  The U(1) phase family is pinned by making the first
     nonzero column entry real positive.
     """
-    algebra = rep_f.algebra
-    ranks_f, ranks_g = rep_f.ranks, rep_g.ranks
-    if sum(ranks_f) != 1 or sum(ranks_g) != 1:      # one block of rank one each
+    algebra, f, g = rep_f.algebra, rep_f.state, rep_g.state
+    if not (rep_f.pure and rep_g.pure):
         raise OpalgError("pure_unitary_intertwiner requires pure states")
-    block_f = ranks_f.index(1)
-    block_g = ranks_g.index(1)
+    block_f, block_g = rep_f.ranks.index(1), rep_g.ranks.index(1)
     if block_f != block_g:
         return None  # different kernels: inequivalent
-    vec_f = _support_vector(f.densities[block_f])
-    vec_g = _support_vector(g.densities[block_g])
+    # each support vector: the eigenvector of the largest eigenvalue, pinned by fix_phases
+    vec_f, vec_g = (fix_phases(np.linalg.eigh(d[block_f])[1][:, -1:])[:, 0]
+                    for d in (f.densities, g.densities))
     u_block = fix_global_phase(two_vector_unitary(vec_f, vec_g))
     mats = [np.eye(m, dtype=complex) for m in algebra.blocks]
     mats[block_f] = u_block
@@ -263,13 +263,6 @@ def pure_unitary_intertwiner(rep_f: GnsRep, rep_g: GnsRep, f: State, g: State):
     if worst > TRANSITION_TOL:
         raise NumericalError(f"unitary intertwiner failed verification ({worst:.3e})")
     return u
-
-
-def _support_vector(density: np.ndarray) -> np.ndarray:
-    lam, vec = np.linalg.eigh(density)
-    v = vec[:, -1]
-    idx = int(np.argmax(np.abs(v)))
-    return v * (abs(v[idx]) / v[idx])
 
 
 def superselection_operator(reps, weights) -> np.ndarray:

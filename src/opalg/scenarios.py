@@ -557,6 +557,12 @@ def _parse_ccr(w, top):
         if rows > MOMENT_ROW_LIMIT:
             w.fail(("moments", "vectors"), f"{len(vectors)} vectors give a moment table of "
                    f"{rows} rows up to order {order}, over the limit {MOMENT_ROW_LIMIT}")
+        with np.errstate(over="ignore", invalid="ignore"):    # (m-1)!! |K^-1 q|^m bounds order m
+            norm = np.sqrt(np.max(np.einsum("ki,ij,kj->k", vectors, space.covariance, vectors)))
+            largest = max(math.prod(range(m - 1, 0, -2)) * norm**m for m in range(2, order + 1, 2))
+        if not np.isfinite(largest):
+            w.fail(("moments", "vectors"), f"vectors of K^-1-image norm up to {norm:.3g} give "
+                   f"moments up to order {order} that can leave double range")
         params["moments"] = {"vectors": vectors, "max_order": order}
     if "fock" in top:
         fspec = w.mapping(top["fock"], ("fock",), optional=("max_occupation",))
@@ -622,6 +628,7 @@ def _parse_field(w, top):
     if points % 2 == 0:
         w.fail(("field", "points"), "points must be odd (grid symmetric about 0)")
     _check_cutoff(w, spec, ("field",), cutoff, points, 3)
+    spacing = 2.0 * cutoff / (points - 1)
     samples = []
     for k, pt in enumerate(w.sequence(spec.get("sample_points", []), ("field", "sample_points"))):
         vec = w.vector(pt, ("field", "sample_points", k), w.number)
@@ -644,11 +651,16 @@ def _parse_field(w, top):
         # resolved masses (a tenth of the spacing apart) weigh the witness by
         # beta = log(1e10) / (2 gap^2), gap = m^2 - m'^2: gap^2 and beta must be normal
         gap, lo, hi = mass**2 - second**2, sys.float_info.min, sys.float_info.max
-        if abs(mass - second) >= 2.0 * cutoff / (points - 1) / 10.0 and not (
+        if abs(mass - second) >= spacing / 10.0 and not (
                 lo <= gap * gap <= hi and lo <= math.log(1e10) / (2.0 * gap * gap) <= hi):
             w.fail(("field", "second_mass"), f"squared-mass gap {gap:g} gives a witness "
                    "weight beta = log(1e10) / (2 gap^2) outside the normal doubles")
         params["second_mass"] = second
+    # each multiplicity mu = 2^d weighs most (mu spacing^3 / omega) nearest the origin
+    largest = max(2**d * spacing**3 / math.sqrt(d * spacing**2 + mass**2) for d in range(4))
+    if math.log(largest) + 3 * math.log(points // 2 + 1) > math.log(sys.float_info.max):
+        w.fail(("field",), f"mass {mass:g} and cutoff {cutoff:g} over {points} points per axis "
+               f"give shell weights (largest {largest:g}) whose octant sum can overflow")
     if "euclidean" in spec:
         espec = w.mapping(spec["euclidean"], ("field", "euclidean"),
                           optional=("cutoff", "points"))
@@ -772,7 +784,7 @@ def _run_gns(scenario: Scenario, report: Report):
     tol, src = _tol(scenario, "reconstruction")
     report.check("reconstruction_residual_max", worst, tol, src)
     report.info("commutant_dim", rep.commutant_dim)
-    report.info("purity", "pure" if rep.commutant_dim == 1 else "mixed")
+    report.info("purity", "pure" if rep.pure else "mixed")
     report.info("kernel_block_indices", list(rep.vanished_blocks))
 
 
@@ -963,16 +975,12 @@ def _run_symmetry(scenario: Scenario, report: Report):
     state = scenario.params["state"]
     autos = scenario.params["automorphisms"]
     report.info("algebra blocks", list(algebra.blocks), "configured")
-    tol, src = _tol(scenario, "stationarity")
-    # the stabilizer orbit always judges at the stationarity tolerance; the
-    # implementer's isometry test (ISOMETRY_TOL on another norm) only when configured
-    configured = {"tol": tol} if src == "configured" else {}
+    tol, _ = _tol(scenario, "stationarity")
     rep = gns_construct(algebra, state)
-    # each pushforward and its distance to the state serve the stationarity line and the orbit
-    moved, distances = symmetry_mod.pushforwards(state, autos)
-    for k, rho in enumerate(autos):
-        report.info(f"automorphism[{k}].stationary", distances[k] <= tol)
-        result = symmetry_mod.unitary_implementer(rep, rho, **configured)
+    # each pushforward and its distance serve the stationary and implementer lines and the orbit
+    results = [symmetry_mod.unitary_implementer(rep, rho, tol) for rho in autos]
+    for k, result in enumerate(results):
+        report.info(f"automorphism[{k}].stationary", result.distance <= tol)
         report.info(f"automorphism[{k}].implementer",
                     "present" if result.pairs is not None else "absent")
         report.info(f"automorphism[{k}].isometry_defect", result.isometry_defect)
@@ -987,7 +995,8 @@ def _run_symmetry(scenario: Scenario, report: Report):
     except (ValueError, OpalgError) as exc:
         report.info("group", f"not a group: {exc}")
         return
-    orbit = symmetry_mod.stabilizer_orbit(moved, distances, tol)
+    orbit = symmetry_mod.stabilizer_orbit([r.moved for r in results],
+                                          [r.distance for r in results], tol)
     report.info("group_order", orbit.group_order)
     report.info("stabilizer_size", orbit.stabilizer_size)
     report.info("orbit_size", orbit.orbit_size)

@@ -8,8 +8,8 @@ bookkeeping quotients away but records as a multiplier).  On the GNS carrier
 of a stationary state the implementer is closed-form too, the sum of
 U_b (x) V_b with V_b = (Theta_b^+ U_b* Theta_b)^T, and
 :func:`opalg.gns.intertwining_residual` and :func:`cyclic_vector_certificate`
-certify it from the pairs (U_b, V_b).  The :func:`pushforwards` of a state
-serve both :func:`stationarity_check` and :func:`stabilizer_orbit`.
+certify it from the pairs (U_b, V_b).  It exists exactly when the state is
+stationary, judged on the pushforward that :func:`stabilizer_orbit` reads too.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .linalg import block_diag, nuclear_norm
 
 STATIONARY_TOL = 1e-10    # dual-norm distance of f and its pushforward
 ACTION_TOL = 1e-9         # entrywise distance of two action matrices
-ISOMETRY_TOL = 1e-9       # entrywise defect of U_b* rho~_b U_b - rho~_b
 CLOSURE_ENTRY_LIMIT = 2 ** 26   # n^3 sum n_b^4: action entries the closure of n elements compares
 CLOSURE_ROW_LIMIT = 2 ** 20     # n^2 sum n_b^4: action entries one closure row holds (48 MiB peak)
 _NOT_UNITARY = f"defining element is not unitary within {UNITARY_TOL:.0e}"
@@ -124,7 +123,9 @@ def stationarity_check(f: State, rho: InnerAutomorphism, tol: float = STATIONARY
 
 @dataclass
 class ImplementerResult:
-    pairs: Optional[list]    # (U_b, V_b) of each block; None when the defining map is not isometric
+    moved: list              # the densities U_b* rho_b U_b of the pushforward, as computed
+    distance: float          # its dual_norm_distance to the state
+    pairs: Optional[list]    # (U_b, V_b) of each block; None when the state is not stationary
     isometry_defect: float
     intertwining_residual: Optional[float] = None
 
@@ -135,31 +136,28 @@ class ImplementerResult:
 
 
 def unitary_implementer(rep: GnsRep, rho: InnerAutomorphism,
-                        tol: float = ISOMETRY_TOL) -> ImplementerResult:
+                        tol: float = STATIONARY_TOL) -> ImplementerResult:
     """Unitary on the carrier of ``rep`` with U pi(a) U^-1 = pi(rho(a)) and U theta = theta.
 
-    ``rep`` is the :func:`opalg.gns.gns_construct` data of the state, and
-    ``rho`` must act on the same algebra.  pi(a) theta -> pi(rho(a)) theta
-    preserves the Gram form iff U_b* rho~_b U_b = rho~_b in every block (rho~_b
-    = Theta_b Theta_b*, the density above the rank cut, whose entries are at
-    most 1).  Past ``tol`` the state is not stationary and no implementer
-    exists; otherwise it is the sum of U_b (x) V_b with V_b = (Theta_b^+ U_b*
-    Theta_b)^T, sending vec(x Theta_b) to vec(U_b x U_b* Theta_b).
-    The result keeps the pairs (U_b, V_b); they give the certificates, and the
-    dense unitary only when ``ImplementerResult.unitary`` is read.
-    :func:`cyclic_vector_certificate` checks W theta = theta.
+    ``rep`` is the :func:`opalg.gns.gns_construct` data of a state f, and
+    ``rho`` must act on the same algebra.  It exists iff f is stationary (the
+    :func:`pushforwards` distance of f o rho to f is at most ``tol``), and is
+    then the sum of U_b (x) V_b with V_b = (Theta_b^+ U_b* Theta_b)^T, sending
+    vec(x Theta_b) to vec(U_b x U_b* Theta_b).  The result keeps the
+    pushforward, its distance, the isometry defect max |U_b* rho~_b U_b -
+    rho~_b| (rho~_b = Theta_b Theta_b*, the density above the rank cut) that
+    bounds :func:`cyclic_vector_certificate`, and the pairs (U_b, V_b), which
+    give the certificates, and the dense unitary when ``.unitary`` is read.
     """
-    if rep.algebra != rho.algebra:
-        raise ShapeMismatchError("state and automorphism live on different algebras")
-    kept = [t @ t.conj().T for t in rep.factors]
+    [moved], [distance] = pushforwards(rep.state, [rho])
     defect = max(float(np.max(np.abs(u.conj().T @ d @ u - d)))
-                 for u, d in zip(rho.unitary.mats, kept))
-    if defect > tol:
-        return ImplementerResult(pairs=None, isometry_defect=defect)
+                 for u, d in zip(rho.unitary.mats, (t @ t.conj().T for t in rep.factors)))
+    if distance > tol:
+        return ImplementerResult(moved, distance, pairs=None, isometry_defect=defect)
     pairs = [(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)
              for u, t in zip(rho.unitary.mats, rep.factors)]
     cyclic_vector_certificate(pairs, rep.factors, defect)
-    return ImplementerResult(pairs=pairs, isometry_defect=defect,
+    return ImplementerResult(moved, distance, pairs=pairs, isometry_defect=defect,
                              intertwining_residual=intertwining_residual(pairs))
 
 
@@ -171,8 +169,8 @@ def cyclic_vector_certificate(pairs, thetas, defect: float) -> float:
     Theta_b, and Q_b U_b* Theta_b Theta_b* U_b = Q_b D_b for the isometry
     defect D_b = U_b* rho~_b U_b - rho~_b.  So the residual is at most
     |D_b|_op / sigma_min(Theta_b) <= n_b * defect / sigma_min(Theta_b): a
-    near-stationary state that passed the isometry test may leave W theta
-    that far from theta.  A residual past that bound plus
+    state within the stationarity tolerance but not exactly stationary may
+    leave W theta that far from theta.  A residual past that bound plus
     ``gns.TRANSITION_TOL`` means W was built wrong and raises
     :class:`NumericalError`.  The columns of Theta_b are orthogonal, so
     sigma_min is their smallest norm.

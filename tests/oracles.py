@@ -9,10 +9,12 @@ come from Kronecker null-space solves.  None of this uses the density
 eigendecompositions or ``opalg.linalg.psd_factors`` that ``opalg.gns`` is
 built on, so agreement between the two is evidence for both.
 The null-space solves cost O(D^6) in the carrier dimension D: use them on
-small algebras only.  ``basis_triples``, ``basis_labels``, ``coords`` and
-``left_mult_matrix`` give the canonical matrix-unit coordinates the quotient
-is taken in, and ``kernel_labels`` reads the units with pi(e) = 0 off a
-``GnsRep``'s ranks, for comparison with the quotient's.
+small algebras only.  ``basis_triples``, ``basis_labels`` and ``coords``
+give the canonical matrix-unit coordinates the quotient is taken in, where
+left multiplication by e_ij moves each unit e_jl to e_il.  ``kernel_labels``
+reads the units with pi(e) = 0 off a ``GnsRep``'s ranks, for comparison with
+the quotient's, whose vanished blocks are those of which every matrix unit
+has a vanishing generator.
 
 ``transport_residual_by_units`` evaluates both states on every transported
 matrix unit; ``opalg.algebra.transport_residual`` gets the same number from
@@ -102,7 +104,7 @@ from opalg.groups import GroupRep, delta, pd_kernel
 from opalg.linalg import block_diag, fix_phases
 from opalg.qubits import PARTIAL_SUM_WINDOW
 
-KERNEL_TOL = 1e-9
+KERNEL_TOL = 1e-9    # generator entries up to this times the largest count as zero
 GRAM_CUT = 1e-12    # Gram spectrum up to order * GRAM_CUT * its largest value is null
 
 
@@ -225,17 +227,22 @@ def gram_gns(algebra, f) -> OracleRep:
             if b1 == b2 and i1 == i2:
                 gram[row, col] = f.densities[b1][j2, j1]
     t, t_pinv, rank = quotient_by_svd(gram)
-    gens = tuple(t @ left_mult_matrix(algebra.basis_element(k)) @ t_pinv for k in range(dim))
+    # e_ij e_jl = e_il: left multiplication L by e_ij sends the unit (b, j, l) to
+    # (b, i, l), so T L takes the column of T at (b, i, l) to (b, j, l); pi(e) = T L T+
+    where = {triple: k for k, triple in enumerate(triples)}
+    gens = []
+    for b, i, j in triples:
+        tl = np.zeros_like(t)
+        for l in range(algebra.blocks[b]):
+            tl[:, where[b, j, l]] = t[:, where[b, i, l]]
+        gens.append(tl @ t_pinv)
     scale = max(float(np.max(np.abs(m))) for m in gens)
-    kernel = tuple(
-        label for label, m in zip(basis_labels(algebra), gens)
-        if np.max(np.abs(m)) <= KERNEL_TOL * max(scale, 1.0)
-    )
-    vanished = tuple(
-        b for b in range(len(algebra.blocks))
-        if float(np.trace(f.densities[b]).real) <= KERNEL_TOL
-    )
-    return OracleRep(gens, t @ coords(algebra.identity()), rank, kernel, vanished)
+    dead = [bool(np.max(np.abs(m)) <= KERNEL_TOL * max(scale, 1.0)) for m in gens]
+    kernel = tuple(label for label, d in zip(basis_labels(algebra), dead) if d)
+    # a block lies in the kernel when the generator of each of its matrix units vanishes
+    vanished = tuple(b for b in range(len(algebra.blocks))
+                     if all(d for (c, _, _), d in zip(triples, dead) if c == b))
+    return OracleRep(tuple(gens), t @ coords(algebra.identity()), rank, kernel, vanished)
 
 
 def basis_triples(algebra) -> list:
@@ -250,11 +257,6 @@ def basis_labels(algebra) -> tuple:
 def coords(a) -> np.ndarray:
     """Canonical coordinates of an element: its blocks row-major, one after another."""
     return np.concatenate([m.reshape(-1) for m in a.mats])
-
-
-def left_mult_matrix(a) -> np.ndarray:
-    """Matrix of x -> a x on canonical coordinates: row-major vec(AX) = (A kron I) vec(X)."""
-    return block_diag([np.kron(m, np.eye(len(m))) for m in a.mats])
 
 
 def kernel_labels(rep) -> tuple:

@@ -688,9 +688,10 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
     monkeypatch.setattr(State, "_validated", staticmethod(counted("_validated", State._validated)))
     text = run_scenario(scenario).render()
     # one pushforward and one distance (one trace norm on M2) per automorphism,
-    # where the stationarity check and the orbit used to compute them again
-    # (320 each); no pushforward is wrapped in a State and validated again (160)
-    assert counts == {"gns_construct": 1, "pushforwards": 1, "nuclear_norm": 160, "_validated": 0}
+    # computed by its implementer and read again by the stationarity line and the
+    # orbit; no pushforward is wrapped in a State and validated again (160)
+    assert counts == {"gns_construct": 1, "pushforwards": 160, "nuclear_norm": 160,
+                      "_validated": 0}
     monkeypatch.undo()
     assert workloads.check_report(case, text) == ""
     lines = text.splitlines()
@@ -704,6 +705,51 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
     orbit = symmetry.stabilizer_orbit(*symmetry.pushforwards(state, autos), tol)
     assert f"stabilizer_size = {orbit.stabilizer_size} [computed]" in lines
     assert f"orbit_size = {orbit.orbit_size} [computed]" in lines
+
+
+ONE_RULE_PER_VERDICT = {
+    # block traces 5e-10 and 2e-9, both above the rank cut: both kernels are empty,
+    # where a second kernel rule (block trace <= 1e-9) reported them different
+    "equiv.yaml": ("""\
+kind: equiv
+algebra: {blocks: [2, 1]}
+states:
+  - densities:
+      - [[[0.9999999995, 0], [0, 0]], [[0, 0], [0, 0]]]
+      - [[[5.0e-10, 0]]]
+  - densities:
+      - [[[0.999999998, 0], [0, 0]], [[0, 0], [0, 0]]]
+      - [[[2.0e-9, 0]]]
+""", ["verdict = equivalent [computed]", "kernel_blocks_first = [] [computed]",
+      "kernel_blocks_second = [] [computed]", "carrier_dims = [3, 3] [computed]"]),
+    # a rotation by 2e-9 moves diag(0.6, 0.4) by 8e-10 in dual norm, past the
+    # stationarity tolerance 1e-10: no implementer, where an isometry test
+    # (defect 4e-10 within 1e-9) reported one
+    "symmetry.yaml": ("""\
+kind: symmetry
+algebra: {blocks: [2]}
+state:
+  densities:
+    - [[[0.6, 0], [0, 0]], [[0, 0], [0.4, 0]]]
+unitaries:
+  - [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]
+  - [[[[1, 0], [-2.0e-9, 0]], [[2.0e-9, 0], [1, 0]]]]
+""", ["automorphism[1].stationary = False [computed]",
+      "automorphism[1].implementer = absent [computed]"]),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_batch_reads_each_gns_verdict_by_one_rule(jobs, tmp_path):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name, (text, _) in ONE_RULE_PER_VERDICT.items():
+        (batch / name).write_text(text)
+    out_dir = tmp_path / "reports"
+    assert main(["run", str(batch), "--jobs", jobs, "--out", str(out_dir)]) == 0
+    for name, (_, expected) in ONE_RULE_PER_VERDICT.items():
+        lines = (out_dir / name.replace(".yaml", ".report.txt")).read_text().splitlines()
+        assert [line for line in expected if line not in lines] == []
 
 
 def test_equiv_runner_builds_each_gns_once(monkeypatch):
@@ -1380,6 +1426,16 @@ FIELD_OUT_OF_BOUNDS = {
                      "points: 33}\n",
                      "field.second_mass (line 2): squared-mass gap -3e+206 gives a witness "
                      "weight beta = log(1e10) / (2 gap^2) outside the normal doubles"),
+    # shell weights mu spacing^3 / omega past double range: equal_time_pauli_jordan
+    # = +nan and klein_gordon_refinement_ratio = +inf, each a FAIL, with numpy
+    # RuntimeWarnings, exit 0; 8 spacing^3 overflows in the first, the division
+    # by omega ~ mass in the second
+    "weight-overflow": ("field: {mass: 1.0e103, cutoff: 5.0e103, points: 33}\n",
+                        "field (line 2): mass 1e+103 and cutoff 5e+103 over 33 points per "
+                        "axis give shell weights (largest inf) whose octant sum can overflow"),
+    "weight-over-mass": ("field: {mass: 1.0e-150, cutoff: 1.0e100, points: 33}\n",
+                         "field (line 2): mass 1e-150 and cutoff 1e+100 over 33 points per "
+                         "axis give shell weights (largest inf) whose octant sum can overflow"),
 }
 
 
@@ -1401,6 +1457,22 @@ def test_cli_batch_names_a_field_outside_the_grid_bounds(case, jobs, tmp_path, c
     assert sorted(p.name for p in out_dir.iterdir()) == ["a.report.txt", "c.report.txt"]
     assert main(["validate", str(batch), "--jobs", jobs]) == 1
     assert capsys.readouterr().err == expected
+
+
+def test_ccr_moments_past_double_range_are_a_schema_error(tmp_path, capsys):
+    # the demo with its first vector scaled to 1e150 printed
+    # moment_cross_validation_worst_rel = +1.446e-11 ... pass, while its moments
+    # table held wick = oracle = +inf and relative_residual = +nan at 0x0x0x0
+    path = tmp_path / "big.yaml"
+    path.write_text(DEMO["ccr"].replace("- [1, 0]", "- [1.0e150, 0]"))
+    assert main(["run", str(path), "--csv", str(tmp_path / "csv")]) == 1
+    assert capsys.readouterr().err == (
+        f"schema error: {path}: moments.vectors (line 8): vectors of K^-1-image norm up to "
+        "7.07e+149 give moments up to order 4 that can leave double range\n")
+    # an image norm of 1e75 keeps 3 |q|^4 = 3e300 finite, and the file runs
+    path.write_text(DEMO["ccr"].replace("- [1, 0]", "- [1.0e75, 0]"))
+    assert main(["run", str(path)]) == 0
+    assert "moment_cross_validation_worst_rel" in capsys.readouterr().out
 
 
 def test_field_with_equal_masses_outside_the_cutoff_still_runs():

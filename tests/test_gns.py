@@ -309,14 +309,14 @@ def test_transition_for_random_mixed_equivalent_states():
 
 def test_pure_unitary_intertwiner_identity_case():
     f = State.pure(M2, 0, [1.0, 0.0])
-    u = pure_unitary_intertwiner(gns_construct(M2, f), gns_construct(M2, f), f, f)
+    u = pure_unitary_intertwiner(gns_construct(M2, f), gns_construct(M2, f))
     assert np.max(np.abs(u.mats[0] - np.eye(2))) <= 1e-12
 
 
 def test_pure_unitary_intertwiner_flip_case():
     f = State.pure(M2, 0, [1.0, 0.0])
     g = State.pure(M2, 0, [0.0, 1.0])
-    u = pure_unitary_intertwiner(gns_construct(M2, f), gns_construct(M2, g), f, g)
+    u = pure_unitary_intertwiner(gns_construct(M2, f), gns_construct(M2, g))
     assert u.is_unitary()
     # g(a) = f(U* a U) evaluates a at the (2,2) entry
     e22 = M2.element([np.diag([0.0, 1.0])])
@@ -326,10 +326,10 @@ def test_pure_unitary_intertwiner_flip_case():
 def test_pure_unitary_intertwiner_rejects_mixed_and_cross_block():
     f, g = State.tracial(M2), State.pure(M2, 0, [1.0, 0.0])
     with pytest.raises(OpalgError):
-        pure_unitary_intertwiner(gns_construct(M2, f), gns_construct(M2, g), f, g)
+        pure_unitary_intertwiner(gns_construct(M2, f), gns_construct(M2, g))
     f = State.pure(M2M2, 0, [1.0, 0.0])
     g = State.pure(M2M2, 1, [1.0, 0.0])
-    assert pure_unitary_intertwiner(gns_construct(M2M2, f), gns_construct(M2M2, g), f, g) is None
+    assert pure_unitary_intertwiner(gns_construct(M2M2, f), gns_construct(M2M2, g)) is None
 
 
 NEARLY_PURE_PAIR = """\
@@ -349,7 +349,7 @@ def test_pure_unitary_intertwiner_judges_purity_by_the_gns_ranks():
     assert rep_f.ranks == rep_g.ranks == (2,)
     assert purity_check(M2, f) == purity_check(M2, g) == "mixed"
     with pytest.raises(OpalgError):
-        pure_unitary_intertwiner(rep_f, rep_g, f, g)
+        pure_unitary_intertwiner(rep_f, rep_g)
     lines = run_scenario(parse_scenario(NEARLY_PURE_PAIR)).lines
     assert "verdict = equivalent [computed]" in lines
     assert "carrier_dims = [4, 4] [computed]" in lines

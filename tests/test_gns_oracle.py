@@ -77,6 +77,7 @@ def _with_small_eigenvalue(f, small):
 # drops it from the closed-form carrier but not from the oracle's
 @example(shape=([1, 1], [1, 1], [1, 1]), seed=0, partner="equal", small=1e-8)
 @example(shape=([2, 2], [2, 1], [1, 2]), seed=1, partner="equal", small=1e-9)
+# ranks (1, 1, 1) though the M2 block's trace is below 1e-9: no block is in the kernel
 @example(shape=([4, 3, 2], [1, 1, 1], [1, 1, 0]), seed=2, partner="equal", small=1e-10)
 @example(shape=([3], [3], [3]), seed=3, partner="equal", small=1e-8)
 @example(shape=([4], [4], [4]), seed=4, partner="equal", small=1e-9)
@@ -108,6 +109,18 @@ def test_closed_form_agrees_with_gram_quotient_oracle(shape, seed, partner, smal
     g = f if partner == "equal" else _state(
         alg, rng, ranks if partner == "same_ranks" else other_ranks)
     assert equivalence_check(alg, f, g).verdict == oracles.equivalence_verdict(alg, f, g)
+
+
+def test_a_block_below_the_rank_cut_lies_in_the_kernel():
+    # 8e-10 I_30 lies below the rank cut (901e-12 of the largest eigenvalue), so
+    # M30 has multiplicity 0 and lies in the kernel, though its trace is 2.4e-8
+    alg = StarAlgebra([30, 1])
+    f = State(alg, [8e-10 * np.eye(30), np.array([[1 - 2.4e-8]])])
+    rep, oracle = gns_construct(alg, f), oracles.gram_gns(alg, f)
+    assert rep.ranks == (0, 1)
+    assert rep.carrier_dim == oracle.carrier_dim == 1
+    assert oracles.kernel_labels(rep) == oracle.kernel_labels
+    assert rep.vanished_blocks == oracle.vanished_blocks == (0,)
 
 
 def _unitary(rng, n):

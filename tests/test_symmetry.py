@@ -164,26 +164,33 @@ def _plane_rotation(eps):
 
 
 def test_near_stationary_implementer_keeps_its_report():
-    # diag(1 - 1e-4, 1e-4, 0) turned by 1e-5 in the (e2, e3) plane has
-    # isometry defect 1e-9, inside the default test; W theta misses theta by
-    # 1e-7, past TRANSITION_TOL but within defect * n / sqrt(1e-4), so the
-    # implementer is present and the scenario reports, as before the certificate
+    # diag(1 - 1e-4, 1e-4, 0) turned by 1e-5 in the (e2, e3) plane lies 2e-9
+    # from its pushforward: not stationary at the default 1e-10, so no
+    # implementer, but stationary at a configured 1e-8.  There W theta misses
+    # theta by 1e-7, past TRANSITION_TOL but within defect * n / sqrt(1e-4)
+    # (isometry defect 1e-9), so the implementer is present and the scenario
+    # reports, as before the certificate
     m3 = StarAlgebra([3])
     f = State(m3, [np.diag([1 - 1e-4, 1e-4, 0.0])])
     rho = InnerAutomorphism(m3.element([_plane_rotation(1e-5)]))
-    result = unitary_implementer(gns_construct(f.algebra, f), rho)
-    assert result.unitary is not None
     rep = gns_construct(m3, f)
+    assert unitary_implementer(rep, rho).unitary is None
+    result = unitary_implementer(rep, rho, tol=1e-8)
+    assert result.unitary is not None
     assert np.max(np.abs(result.unitary @ rep.cyclic_vector - rep.cyclic_vector)) > 1e-8
-    report = run_scenario(Scenario("symmetry", {"algebra": m3, "state": f,
-                                                "automorphisms": [rho]}))
-    assert "automorphism[0].implementer = present [computed]" in report.lines
+    params = {"algebra": m3, "state": f, "automorphisms": [rho]}
+    default = run_scenario(Scenario("symmetry", params)).lines
+    assert "automorphism[0].stationary = False [computed]" in default
+    assert "automorphism[0].implementer = absent [computed]" in default
+    configured = run_scenario(Scenario("symmetry", params, {"stationarity": 1e-8})).lines
+    assert "automorphism[0].stationary = True [computed]" in configured
+    assert "automorphism[0].implementer = present [computed]" in configured
 
 
-def test_implementer_within_a_configured_isometry_tolerance_is_present():
-    # a pure state moved by 2e-5 under Z passes an isometry test at 1e-3;
-    # W theta = Z v (1 - 2e-10) is 2e-5 away from theta = v, the distance the
-    # defect allows
+def test_implementer_within_a_configured_stationarity_tolerance_is_present():
+    # a pure state moved by 2e-5 under Z lies 4e-5 from its pushforward, inside
+    # a stationarity tolerance of 1e-3; W theta = Z v (1 - 2e-10) is 2e-5 away
+    # from theta = v, the distance the isometry defect allows
     eps = 1e-5
     v = np.array([np.cos(eps), np.sin(eps)])
     f = State(M2, [np.outer(v, v)])
