@@ -198,12 +198,14 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     its residual and the transition elements are verified.  Two pure states
     pass both representations to :func:`pure_unitary_intertwiner`.
     """
-    rep_f, rep_g = gns_construct(algebra, f), gns_construct(algebra, g)
+    rep_f = gns_construct(algebra, f)
+    rep_g = gns_construct(algebra, g)
     kernels = (rep_f.vanished_blocks, rep_g.vanished_blocks)
     dims = (rep_f.carrier_dim, rep_g.carrier_dim)
 
     def inequivalent(note):
-        return EquivalenceReport("inequivalent", *kernels, note=note, carrier_dims=dims)
+        return EquivalenceReport(verdict="inequivalent", kernel_first=kernels[0],
+                                 kernel_second=kernels[1], note=note, carrier_dims=dims)
 
     equal_states = all(np.max(np.abs(a - b)) <= EQUAL_STATES_TOL for a, b in zip(f.densities, g.densities))
     if not equal_states:
@@ -217,9 +219,13 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
                                 f"multiplicities {list(rep_f.ranks)} != {list(rep_g.ranks)}")
 
     report = EquivalenceReport(
-        "equal" if equal_states else "equivalent", *kernels, carrier_dims=dims,
+        verdict="equal" if equal_states else "equivalent",
+        kernel_first=kernels[0],
+        kernel_second=kernels[1],
         intertwiner_residual=intertwining_residual(
-            [(np.eye(n), np.eye(r)) for n, r in zip(algebra.blocks, rep_f.ranks)]))
+            [(np.eye(n), np.eye(r)) for n, r in zip(algebra.blocks, rep_f.ranks)]),
+        carrier_dims=dims,
+    )
     if equal_states:
         report.transition = (algebra.identity(), algebra.identity())
     else:
@@ -249,7 +255,8 @@ def pure_unitary_intertwiner(rep_f: GnsRep, rep_g: GnsRep):
     algebra, f, g = rep_f.algebra, rep_f.state, rep_g.state
     if not (rep_f.pure and rep_g.pure):
         raise OpalgError("pure_unitary_intertwiner requires pure states")
-    block_f, block_g = rep_f.ranks.index(1), rep_g.ranks.index(1)
+    block_f = rep_f.ranks.index(1)
+    block_g = rep_g.ranks.index(1)
     if block_f != block_g:
         return None  # different kernels: inequivalent
     # each support vector: the eigenvector of the largest eigenvalue, pinned by fix_phases

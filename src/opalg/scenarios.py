@@ -656,11 +656,14 @@ def _parse_field(w, top):
             w.fail(("field", "second_mass"), f"squared-mass gap {gap:g} gives a witness "
                    "weight beta = log(1e10) / (2 gap^2) outside the normal doubles")
         params["second_mass"] = second
-    # each multiplicity mu = 2^d weighs most (mu spacing^3 / omega) nearest the origin
+    # each multiplicity mu = 2^d weighs most (mu spacing^3 / omega) nearest the origin;
+    # it must be normal (0 or inf when mu spacing^3 / omega leaves double range)
     largest = max(2**d * spacing**3 / math.sqrt(d * spacing**2 + mass**2) for d in range(4))
-    if math.log(largest) + 3 * math.log(points // 2 + 1) > math.log(sys.float_info.max):
+    if not (sys.float_info.min <= largest and math.log(largest) + 3 * math.log(points // 2 + 1)
+            <= math.log(sys.float_info.max)):
         w.fail(("field",), f"mass {mass:g} and cutoff {cutoff:g} over {points} points per axis "
-               f"give shell weights (largest {largest:g}) whose octant sum can overflow")
+               f"give shell weights (largest {largest:g}) that underflow or whose octant sum "
+               "can overflow")
     if "euclidean" in spec:
         espec = w.mapping(spec["euclidean"], ("field", "euclidean"),
                           optional=("cutoff", "points"))

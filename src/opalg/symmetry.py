@@ -150,8 +150,9 @@ def unitary_implementer(rep: GnsRep, rho: InnerAutomorphism,
     give the certificates, and the dense unitary when ``.unitary`` is read.
     """
     [moved], [distance] = pushforwards(rep.state, [rho])
+    kept = [t @ t.conj().T for t in rep.factors]
     defect = max(float(np.max(np.abs(u.conj().T @ d @ u - d)))
-                 for u, d in zip(rho.unitary.mats, (t @ t.conj().T for t in rep.factors)))
+                 for u, d in zip(rho.unitary.mats, kept))
     if distance > tol:
         return ImplementerResult(moved, distance, pairs=None, isometry_defect=defect)
     pairs = [(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)

@@ -1432,10 +1432,18 @@ FIELD_OUT_OF_BOUNDS = {
     # by omega ~ mass in the second
     "weight-overflow": ("field: {mass: 1.0e103, cutoff: 5.0e103, points: 33}\n",
                         "field (line 2): mass 1e+103 and cutoff 5e+103 over 33 points per "
-                        "axis give shell weights (largest inf) whose octant sum can overflow"),
+                        "axis give shell weights (largest inf) that underflow or whose octant "
+                        "sum can overflow"),
     "weight-over-mass": ("field: {mass: 1.0e-150, cutoff: 1.0e100, points: 33}\n",
                          "field (line 2): mass 1e-150 and cutoff 1e+100 over 33 points per "
-                         "axis give shell weights (largest inf) whose octant sum can overflow"),
+                         "axis give shell weights (largest inf) that underflow or whose "
+                         "octant sum can overflow"),
+    # 8 spacing^3 / omega = 8 * 2.44e-307 / 1e20 rounds to 0: every weight vanishes,
+    # and the run printed klein_gordon_refinement_ratio = +inf ... FAIL, exit 0
+    "weight-underflow": ("field: {mass: 1.0e20, cutoff: 1.0e-101, points: 33}\n",
+                         "field (line 2): mass 1e+20 and cutoff 1e-101 over 33 points per "
+                         "axis give shell weights (largest 0) that underflow or whose octant "
+                         "sum can overflow"),
 }
 
 
@@ -1469,10 +1477,17 @@ def test_ccr_moments_past_double_range_are_a_schema_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"schema error: {path}: moments.vectors (line 8): vectors of K^-1-image norm up to "
         "7.07e+149 give moments up to order 4 that can leave double range\n")
-    # an image norm of 1e75 keeps 3 |q|^4 = 3e300 finite, and the file runs
+    # an image norm of 1e75 keeps 3 |q|^4 = 3e300 finite: every row of the table is
+    # finite, so the worst_rel line that reads pass reads a finite value
     path.write_text(DEMO["ccr"].replace("- [1, 0]", "- [1.0e75, 0]"))
-    assert main(["run", str(path)]) == 0
-    assert "moment_cross_validation_worst_rel" in capsys.readouterr().out
+    assert main(["run", str(path), "--csv", str(tmp_path / "csv")]) == 0
+    worst = next(line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("moment_cross_validation_worst_rel = "))
+    assert worst.endswith(" pass") and math.isfinite(float(worst.split()[2]))
+    header, *rows = (tmp_path / "csv" / "big.moments.csv").read_text().splitlines()
+    assert header == "multi_index,wick,oracle,relative_residual"
+    assert "0x0x0x0" in [row.split(",")[0] for row in rows]
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
 
 def test_field_with_equal_masses_outside_the_cutoff_still_runs():
