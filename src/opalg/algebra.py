@@ -158,7 +158,8 @@ class State:
 
     Eigenvalues in ``[-PSD_TOL * trace_scale, 0)`` are treated as numerical
     zeros of the state cone; anything more negative raises
-    :class:`InvalidStateError`.
+    :class:`InvalidStateError`.  ``spectra`` holds the pair (lam_b, V_b) each
+    density is recomposed from, eigenvalues ascending and clipped at zero.
     """
 
     def __init__(self, algebra: StarAlgebra, densities):
@@ -169,29 +170,31 @@ class State:
         for d, n in zip(densities, algebra.blocks):
             if d.shape != (n, n):
                 raise ShapeMismatchError(f"density of shape {d.shape} does not match M{n}")
-        self.densities = tuple(_freeze(d) for d in self._validated(densities))
+        densities, self.spectra = self._validated(densities)
+        self.densities = tuple(_freeze(d) for d in densities)
 
     @staticmethod
     def _validated(densities):
-        scale = sum(abs(np.trace(d)) for d in densities)
+        """The recomposed densities and their clipped spectra, each over the total trace."""
+        scale = sum(abs(d.trace()) for d in densities)
         if scale <= 0.0:
             raise InvalidStateError("all densities vanish")
         clean = []
         for d in densities:
-            herm_defect = np.max(np.abs(d - d.conj().T)) if d.size else 0.0
+            herm_defect = np.abs(d - d.conj().T).max()
             if herm_defect > DENSITY_HERMITIAN_TOL * max(scale, 1.0):
                 raise InvalidStateError(f"density is not Hermitian (defect {herm_defect:.3e})")
-            h = hermitize(d)
-            lam, vec = np.linalg.eigh(h)
-            if lam.size and lam[0] < -PSD_TOL * max(scale, 1.0):
+            lam, vec = np.linalg.eigh(hermitize(d))
+            if lam[0] < -PSD_TOL * max(scale, 1.0):
                 raise InvalidStateError(
                     f"density eigenvalue {lam[0]:.3e} below -{PSD_TOL:.0e} * scale")
-            lam = np.clip(lam, 0.0, None)
-            clean.append((vec * lam[None, :]) @ vec.conj().T)
-        total = sum(float(np.trace(d).real) for d in clean)
+            lam = lam.clip(0.0, None)
+            clean.append((lam, vec, (vec * lam[None, :]) @ vec.conj().T))
+        total = sum(float(d.trace().real) for _, _, d in clean)
         if abs(total - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"total trace {total!r} != 1")
-        return [d / total for d in clean]
+        return ([d / total for _, _, d in clean],
+                tuple((_freeze(lam / total), _freeze(vec)) for lam, vec, _ in clean))
 
     @classmethod
     def pure(cls, algebra: StarAlgebra, block: int, vector) -> "State":
@@ -234,7 +237,7 @@ def transport_residual(f: State, g: State, b: AlgebraElement) -> float:
     if not f.algebra == g.algebra == b.algebra:
         raise ShapeMismatchError("states and element live on different algebras")
     return max(
-        float(np.max(np.abs(dg - m @ df @ m.conj().T)))
+        float(np.abs(dg - m @ df @ m.conj().T).max())
         for df, dg, m in zip(f.densities, g.densities, b.mats)
     )
 

@@ -16,7 +16,8 @@ Theta_b = V_b sqrt(Lambda_b) (n_b x r_b, kept eigenpairs only).  Then:
   (``GnsRep.vanished_blocks``), and two states with equal kernels are
   equivalent iff their rank vectors agree.  Their representations are then
   the same matrices, the identity intertwines them, and b = Theta_g Theta_f^+
-  blockwise carries f to g.
+  blockwise carries f to g.  The columns of Theta_b are orthogonal with
+  squared norms Lambda_b, so Theta_b^+ = Lambda_b^-1 Theta_b* needs no SVD.
 
 Vectors of C^n (x) C^r are stored row-major, so vec(a X) = (a (x) I) vec(X).
 Certificates are recomputed rather than read off the closed form.  Every
@@ -37,7 +38,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, StarAlgebra, State, transport_residual
 from .errors import NumericalError, OpalgError, ShapeMismatchError
-from .linalg import block_diag, fix_global_phase, fix_phases, psd_factors, two_vector_unitary
+from .linalg import block_diag, cut_spectra, fix_global_phase, fix_phases, two_vector_unitary
 
 TRANSITION_TOL = 1e-8     # transition and pure-unitary certificates raise past this
 EQUAL_STATES_TOL = 1e-12  # equivalence_check: densities this close entrywise are one state
@@ -50,6 +51,7 @@ class GnsRep:
     algebra: StarAlgebra
     state: State                    # the state represented
     factors: tuple                  # Theta_b (n_b x r_b): Theta_b Theta_b* = rho_b above the cut
+    eigenvalues: tuple              # Lambda_b: the kept eigenvalues of rho_b, largest first
 
     @property
     def ranks(self) -> tuple:
@@ -89,6 +91,12 @@ class GnsRep:
             raise ShapeMismatchError("element does not belong to the represented algebra")
         return block_diag([np.kron(m, np.eye(r)) for m, r in zip(a.mats, self.ranks)])
 
+    @cached_property
+    def inverses(self) -> tuple:
+        """Theta_b^+ = Lambda_b^-1 Theta_b* of each block (r_b x n_b)."""
+        return tuple((1.0 / lam)[:, None] * t.conj().T
+                     for t, lam in zip(self.factors, self.eigenvalues))
+
     def vector_state_values(self) -> np.ndarray:
         """<theta, pi(E_ij) theta> = (conj(Theta_b) Theta_b^T)_ij over the canonical basis."""
         return np.concatenate([(t.conj() @ t.T).reshape(-1) for t in self.factors])
@@ -98,15 +106,18 @@ def gns_construct(algebra: StarAlgebra, f: State) -> GnsRep:
     """Run the GNS construction for a state on a finite-dimensional *-algebra.
 
     The Gram matrix f(e_j* e_i) restricted to block b is I (x) rho_b^T, so its
-    spectrum is that of the densities, read and cut jointly by
-    :func:`opalg.linalg.psd_factors` with ``size`` the dimension of the algebra.
+    spectrum is that of the densities: the ``State.spectra`` taken when f was
+    built, cut jointly by :func:`opalg.linalg.cut_spectra` with ``size`` the
+    dimension of the algebra.
     """
     if f.algebra != algebra:
         raise ShapeMismatchError("state does not live on the given algebra")
-    factors = [vec * root[None, :] for vec, root in psd_factors(f.densities, algebra.dim)]
+    kept = cut_spectra(f.spectra, algebra.dim)
+    factors = tuple(vec * np.sqrt(lam)[None, :] for vec, lam in kept)
     if not any(t.shape[1] for t in factors):
         raise NumericalError("state Gram has rank zero")
-    return GnsRep(algebra=algebra, state=f, factors=tuple(factors))
+    return GnsRep(algebra=algebra, state=f, factors=factors,
+                  eigenvalues=tuple(lam for _, lam in kept))
 
 
 def commutant_basis(rep: GnsRep) -> list:
@@ -166,8 +177,8 @@ def intertwining_residual(factors) -> float:
     worst = 0.0
     for u, v in factors:
         if len(v):
-            defect = float(np.max(np.abs(v @ v.conj().T - np.eye(len(v)))))
-            worst = max(worst, float(np.max(np.abs(u))) ** 2 * defect)
+            defect = float(np.abs(v @ v.conj().T - np.eye(len(v))).max())
+            worst = max(worst, float(np.abs(u).max()) ** 2 * defect)
     return worst
 
 
@@ -182,7 +193,7 @@ def cyclic_vector_residual(factors, thetas) -> float:
     worst = 0.0
     for (u, v), t in zip(factors, thetas):
         if t.size:
-            worst = max(worst, float(np.max(np.abs(u @ t @ v.T - t))))
+            worst = max(worst, float(np.abs(u @ t @ v.T - t).max()))
     return worst
 
 
@@ -207,7 +218,7 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
         return EquivalenceReport(verdict="inequivalent", kernel_first=kernels[0],
                                  kernel_second=kernels[1], note=note, carrier_dims=dims)
 
-    equal_states = all(np.max(np.abs(a - b)) <= EQUAL_STATES_TOL for a, b in zip(f.densities, g.densities))
+    equal_states = all(np.abs(a - b).max() <= EQUAL_STATES_TOL for a, b in zip(f.densities, g.densities))
     if not equal_states:
         if kernels[0] != kernels[1]:
             return inequivalent("representation kernels differ")
@@ -231,7 +242,7 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     else:
         # pi_f(b) theta_f = vec(b Theta_f) = theta_g for b = Theta_g Theta_f^+, and back
         report.transition = tuple(
-            algebra.element([tg @ np.linalg.pinv(tf) for tf, tg in zip(src.factors, dst.factors)])
+            algebra.element([tg @ tf_inv for tf_inv, tg in zip(src.inverses, dst.factors)])
             for src, dst in ((rep_f, rep_g), (rep_g, rep_f)))
     b, b_back = report.transition
     worst = max(transport_residual(f, g, b), transport_residual(g, f, b_back))

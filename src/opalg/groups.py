@@ -23,6 +23,9 @@ ORDER_LIMIT = 1024
 # any translation is built: a full-rank function on z256 sits at the limit
 # (256 MiB of matrices), a character on z1024 holds 1024 entries
 REP_ENTRY_LIMIT = 1 << 24
+# most entries of the columns T[:, table[g]] gathered for one stacked product (16 MiB);
+# all elements at once would hold rank * order^2 (2 GiB for rank 128 on z1024)
+GATHER_ENTRY_LIMIT = 1 << 20
 
 
 class FiniteGroup:
@@ -132,7 +135,7 @@ class GroupRep:
 
     group: FiniteGroup
     function: np.ndarray     # the positive-definite function it reproduces
-    matrices: tuple          # pi(g) per element
+    matrices: np.ndarray     # pi(g) per element, stacked: order x carrier_dim x carrier_dim
     cyclic_vector: np.ndarray
     gram_rank: int
 
@@ -144,6 +147,11 @@ class GroupRep:
         """<pi(g) theta | theta> per element; equals psi for the defining function."""
         th = self.cyclic_vector
         return np.array([np.vdot(th, m @ th) for m in self.matrices])
+
+    def unitarity_defect(self) -> float:
+        """max over g of |pi(g) pi(g)* - I|, from one stacked product; 0 on a zero carrier."""
+        products = self.matrices @ np.swapaxes(self.matrices.conj(), 1, 2)
+        return float(np.max(np.abs(products - np.eye(self.carrier_dim)), initial=0.0))
 
 
 def _check_rep_size(group: FiniteGroup, rank: int) -> None:
@@ -170,8 +178,13 @@ def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
     gram = pd_kernel(group, psi).T
     t, t_pinv, rank = gram_quotient(gram)
     _check_rep_size(group, rank)
-    # pi(g) = T P_g T+, and P_g only permutes columns: T P_g is T[:, table[g]]
-    mats = tuple(t[:, row] @ t_pinv for row in group.table)
+    # pi(g) = T P_g T+, and P_g only permutes columns: T P_g is T[:, table[g]], gathered
+    # for a run of elements at a time and multiplied by T+ as one stack
+    step = max(1, GATHER_ENTRY_LIMIT // max(1, rank * group.order))
+    mats = np.empty((group.order, rank, rank), dtype=complex)
+    for start in range(0, group.order, step):
+        rows = group.table[start:start + step]
+        np.matmul(np.swapaxes(t[:, rows], 0, 1), t_pinv, out=mats[start:start + step])
     return GroupRep(group=group, function=psi, matrices=mats,
                     cyclic_vector=t[:, group.identity], gram_rank=rank)
 
@@ -182,7 +195,7 @@ def left_regular_representation(group: FiniteGroup) -> GroupRep:
     _check_rep_size(group, n)
     eye = np.eye(n, dtype=complex)
     return GroupRep(group=group, function=delta(group, group.identity),
-                    matrices=tuple(eye[:, row] for row in group.table),
+                    matrices=np.swapaxes(eye[:, group.table], 0, 1),
                     cyclic_vector=delta(group, group.identity), gram_rank=n)
 
 

@@ -23,7 +23,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of singular values (trace norm)."""
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
 def block_diag(mats) -> np.ndarray:
@@ -40,17 +40,15 @@ def block_diag(mats) -> np.ndarray:
 def fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
     out = vectors.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
+    for k, idx in enumerate(np.argmax(np.abs(vectors), axis=0)):
+        pivot = vectors[idx, k]
         if abs(pivot) > 0.0:
-            out[:, k] = col * (abs(pivot) / pivot)
+            out[:, k] = vectors[:, k] * (abs(pivot) / pivot)
     return out
 
 
-def psd_factors(mats, size: int) -> list:
-    """The pair (V, sqrt(lam)) of each PSD matrix: its eigenpairs above one joint rank cut.
+def cut_spectra(spectra, size: int) -> list:
+    """The pair (V, lam) of each ``eigh`` pair (lam, vec) of a PSD matrix above one joint rank cut.
 
     ``V`` holds the kept eigenvectors, largest eigenvalue first, each pinned
     by :func:`fix_phases`, so V diag(lam) V* is the matrix above the cut.
@@ -58,7 +56,6 @@ def psd_factors(mats, size: int) -> list:
     ``-size * PSD_TOL * max(top, 1)`` raise :class:`InvalidStateError`, and
     those at most ``size * GRAM_REL_CUT * top`` count as null directions.
     """
-    spectra = [np.linalg.eigh(hermitize(np.asarray(m, dtype=complex))) for m in mats]
     top = max(float(lam[-1]) for lam, _ in spectra)
     low = min(float(lam[0]) for lam, _ in spectra)
     if low < -size * PSD_TOL * max(top, 1.0):
@@ -67,8 +64,14 @@ def psd_factors(mats, size: int) -> list:
     out = []
     for lam, vec in spectra:
         keep = lam > cut
-        out.append((fix_phases(vec[:, keep][:, ::-1]), np.sqrt(lam[keep][::-1])))
+        out.append((fix_phases(vec[:, keep][:, ::-1]), lam[keep][::-1]))
     return out
+
+
+def psd_factors(mats, size: int) -> list:
+    """:func:`cut_spectra` of the eigendecompositions of the Hermitian parts of ``mats``."""
+    spectra = [np.linalg.eigh(hermitize(np.asarray(m, dtype=complex))) for m in mats]
+    return cut_spectra(spectra, size)
 
 
 def gram_quotient(gram: np.ndarray):
@@ -79,7 +82,8 @@ def gram_quotient(gram: np.ndarray):
     Gram pairing ) and ``T_pinv`` is its Moore-Penrose inverse; the spectrum
     is read and cut by :func:`psd_factors` with ``size`` the order of the Gram.
     """
-    [(vec, scale)] = psd_factors([gram], len(gram))
+    [(vec, lam)] = psd_factors([gram], len(gram))
+    scale = np.sqrt(lam)
     t = scale[:, None] * vec.conj().T
     t_pinv = vec * (1.0 / scale)[None, :]
     return t, t_pinv, int(scale.size)

@@ -151,12 +151,12 @@ def unitary_implementer(rep: GnsRep, rho: InnerAutomorphism,
     """
     [moved], [distance] = pushforwards(rep.state, [rho])
     kept = [t @ t.conj().T for t in rep.factors]
-    defect = max(float(np.max(np.abs(u.conj().T @ d @ u - d)))
+    defect = max(float(np.abs(u.conj().T @ d @ u - d).max())
                  for u, d in zip(rho.unitary.mats, kept))
     if distance > tol:
         return ImplementerResult(moved, distance, pairs=None, isometry_defect=defect)
-    pairs = [(u, (np.linalg.pinv(t) @ u.conj().T @ t).T)
-             for u, t in zip(rho.unitary.mats, rep.factors)]
+    pairs = [(u, (t_inv @ u.conj().T @ t).T)
+             for u, t, t_inv in zip(rho.unitary.mats, rep.factors, rep.inverses)]
     cyclic_vector_certificate(pairs, rep.factors, defect)
     return ImplementerResult(moved, distance, pairs=pairs, isometry_defect=defect,
                              intertwining_residual=intertwining_residual(pairs))

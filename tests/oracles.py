@@ -16,6 +16,10 @@ reads the units with pi(e) = 0 off a ``GnsRep``'s ranks, for comparison with
 the quotient's, whose vanished blocks are those of which every matrix unit
 has a vanishing generator.
 
+``fix_phases_by_columns`` pins one column at a time.
+``transitions_by_pinv`` and ``implementer_by_pinv`` take Theta_b^+ by the
+SVD of ``np.linalg.pinv``, where ``opalg.gns`` reads it off the kept
+eigenvalues as Lambda_b^-1 Theta_b*.
 ``transport_residual_by_units`` evaluates both states on every transported
 matrix unit; ``opalg.algebra.transport_residual`` gets the same number from
 one density identity per block.  ``intertwining_residual_by_units`` builds
@@ -188,6 +192,18 @@ class OracleRep:
         return int(self.cyclic_vector.shape[0])
 
 
+def fix_phases_by_columns(vectors: np.ndarray) -> np.ndarray:
+    """Each column times |p| / p for its first entry p of largest magnitude, one column at a
+    time, as ``opalg.linalg.fix_phases`` did before it found every pivot in one argmax."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        pivot = col[int(np.argmax(np.abs(col)))]
+        if abs(pivot) > 0.0:
+            out[:, k] = col * (abs(pivot) / pivot)
+    return out
+
+
 def quotient_by_svd(gram: np.ndarray):
     """(T, T+, rank) for the quotient of a PSD Gram by its null space, from its SVD.
 
@@ -276,6 +292,16 @@ def equivalence_verdict(algebra, f, g) -> str:
     space = intertwiner_space(rep_f.generator_matrices, rep_g.generator_matrices)
     gamma, _ = best_invertible(space)
     return "inequivalent" if gamma is None else "equivalent"
+
+
+def transitions_by_pinv(factors_f, factors_g) -> list:
+    """b_b = Theta_g,b pinv(Theta_f,b) of each block, carrying f to g."""
+    return [tg @ np.linalg.pinv(tf) for tf, tg in zip(factors_f, factors_g)]
+
+
+def implementer_by_pinv(unitaries, factors) -> list:
+    """V_b = (pinv(Theta_b) U_b* Theta_b)^T of each block, the implementer's second factor."""
+    return [(np.linalg.pinv(t) @ u.conj().T @ t).T for u, t in zip(unitaries, factors)]
 
 
 def transport_residual_by_units(f, g, b) -> float:

@@ -182,6 +182,30 @@ def test_moment_tables_check_their_multi_indices():
             moment_oracle(space, vectors, index)
 
 
+@pytest.mark.parametrize("wick, oracle", [(math.inf, math.inf), (math.nan, 1.0)])
+def test_a_non_finite_moment_row_fails_the_cross_validation(wick, oracle, monkeypatch):
+    # the relative residual of such a row is nan, which max(worst, rel) dropped:
+    # the worst_rel line read pass beside it
+    from opalg import ccr
+    from opalg.scenarios import KINDS
+
+    def first_row(table, value):
+        def patched(space, vectors, index):
+            out = table(space, vectors, index)
+            out[0] = value
+            return out
+        return patched
+
+    monkeypatch.setattr(ccr, "wick_moment", first_row(ccr.wick_moment, wick))
+    monkeypatch.setattr(ccr, "moment_oracle", first_row(ccr.moment_oracle, oracle))
+    report = run_scenario(parse_scenario(KINDS["ccr"].demo))
+    _, rows = report.tables["moments"]
+    assert math.isnan(rows[0][3]) and any(math.isfinite(row[3]) for row in rows)
+    worst = next(line for line in report.lines
+                 if line.startswith("moment_cross_validation_worst_rel = "))
+    assert worst.startswith("moment_cross_validation_worst_rel = +nan") and worst.endswith(" FAIL")
+
+
 def test_stacked_quasi_invariance_factor_matches_single_calls():
     rng = np.random.default_rng(69)
     for n in (1, 3, 5):

@@ -707,6 +707,43 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
     assert f"orbit_size = {orbit.orbit_size} [computed]" in lines
 
 
+def test_each_density_is_decomposed_once_and_no_pseudo_inverse_is_taken(monkeypatch):
+    # a State takes one eigh per density block and keeps it; gns_construct cuts that
+    # spectrum, and the transitions and implementers take Theta^+ in closed form
+    workloads = _workloads()
+    rng = np.random.default_rng(25)
+    blocks = [1, 2, 3]
+    cases = [(workloads.gns_case(rng, "gns", blocks, [1, 2, 1]), 1),
+             (workloads.equiv_case(rng, "equiv", blocks, [0, 2, 2], [0, 2, 2]), 2),
+             (workloads.symmetry_case(rng, "symmetry", blocks, [1, 2, 2], 3, True), 1)]
+    calls = {"eigh": 0, "eigh in gns_construct": 0, "pinv": 0}
+    inside = []
+    eigh, pinv, construct = np.linalg.eigh, np.linalg.pinv, gns.gns_construct
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            calls["eigh in gns_construct"] += bool(inside) and name == "eigh"
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def flagged(*args, **kwargs):
+        inside.append(True)
+        try:
+            return construct(*args, **kwargs)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", pinv))
+    monkeypatch.setattr(gns, "gns_construct", flagged)
+    monkeypatch.setattr(scenarios, "gns_construct", flagged)
+    for case, states in cases:
+        calls["eigh"] = 0
+        text = run_scenario(parse_scenario(case.text)).render()
+        assert workloads.check_report(case, text) == ""
+        assert calls == {"eigh": states * len(blocks), "eigh in gns_construct": 0, "pinv": 0}
+
+
 ONE_RULE_PER_VERDICT = {
     # block traces 5e-10 and 2e-9, both above the rank cut: both kernels are empty,
     # where a second kernel rule (block trace <= 1e-9) reported them different
@@ -1444,6 +1481,22 @@ FIELD_OUT_OF_BOUNDS = {
                          "field (line 2): mass 1e+20 and cutoff 1e-101 over 33 points per "
                          "axis give shell weights (largest 0) that underflow or whose octant "
                          "sum can overflow"),
+    # m^2 D and second differences of D over h^2 past double range: each printed
+    # klein_gordon_residual_h = +inf and klein_gordon_refinement_ratio = +nan ... FAIL,
+    # exit 0, with no warning
+    "klein-gordon-mass": ("field: {mass: 1.0e100, points: 33}\n",
+                          "field (line 2): mass 1e+100 and cutoff 6e+100 over 33 points per "
+                          "axis give Klein-Gordon terms (m^2 + 16 / h^2) D that can overflow"),
+    "klein-gordon-cutoff": ("field: {mass: 1.0e50, cutoff: 1.0e101, points: 33}\n",
+                            "field (line 2): mass 1e+50 and cutoff 1e+101 over 33 points per "
+                            "axis give Klein-Gordon terms (m^2 + 16 / h^2) D that can overflow"),
+    # 2 cutoff / (points - 1) raised OverflowError: int too large to convert to float
+    "points-past-double-range": ("field: {mass: 1.0, cutoff: 1.0e4, points: 1" + "0" * 399
+                                 + "1}\n", "field.points (line 2): points must lie in double "
+                                 "range"),
+    "euclidean-points-past-double-range": ("field: {mass: 1.0, euclidean: {points: 1" + "0" * 399
+                                           + "1}}\n", "field.euclidean.points (line 2): points "
+                                           "must lie in double range"),
 }
 
 

@@ -82,6 +82,24 @@ def test_gns_rejects_non_psd_gram():
         gram_quotient(bad)
 
 
+def test_phase_pinning_equals_the_column_loop():
+    # every pivot from one argmax over the columns, each column still scaled by the
+    # scalar |p| / p: the same bits as the per-column loop, on ties, zero and real columns
+    from opalg.linalg import fix_phases
+
+    rng = np.random.default_rng(25)
+    for case in range(200):
+        n, k = rng.integers(1, 7), rng.integers(0, 7)
+        v = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
+        v = [v, np.round(v), v.real + 0j, 1e-200 * v][case % 4]
+        v[:, : k // 3] = 0.0
+        got, want = fix_phases(v), oracles.fix_phases_by_columns(v)
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+        pivots = got[np.argmax(np.abs(got), axis=0), np.arange(k)]
+        assert np.all((np.abs(pivots.imag) <= 1e-15 * np.abs(pivots)) & (pivots.real >= 0.0))
+
+
 def test_gns_tracial_state_has_four_dimensional_carrier():
     f = State.tracial(M2)
     rep = gns_construct(M2, f)

@@ -1,6 +1,7 @@
 """The closed-form GNS construction and its factored certificate against generic oracles."""
 
 import ast
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -208,6 +209,49 @@ def test_implementer_certificate_matches_its_dense_unitary(shape, seed, flat):
     assert abs(result.intertwining_residual - want) <= 1e-12
     # the identity holds for U_b (x) V' with any unitary V'; W theta = theta pins V_b
     assert np.max(np.abs(w @ rep.cyclic_vector - rep.cyclic_vector)) <= 1e-12
+
+
+def _agrees_with_pinv(got, want, lam) -> bool:
+    """max |got - want| <= 1e-13 cond max |want|, cond = sqrt(lam_max / lam_min) the condition
+    number of Theta_b: the SVD inside np.linalg.pinv is only accurate to that."""
+    cond = math.sqrt(lam[0] / lam[-1]) if lam.size else 1.0
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-13 * cond * np.max(np.abs(want), initial=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=shapes(), seed=st.integers(0, 2**32 - 1), small=st.just(None))
+# the near-cut examples of test_closed_form_agrees_with_gram_quotient_oracle: a kept
+# eigenvalue 1e-10 to 1e-8 of the largest, so cond reaches 1e5
+@example(shape=([1, 1], [1, 1], [1, 1]), seed=0, small=1e-8)
+@example(shape=([2, 2], [2, 1], [1, 2]), seed=1, small=1e-9)
+@example(shape=([4, 3, 2], [1, 1, 1], [1, 1, 0]), seed=2, small=1e-10)
+@example(shape=([3], [3], [3]), seed=3, small=1e-8)
+@example(shape=([4], [4], [4]), seed=4, small=1e-9)
+def test_closed_form_inverses_agree_with_the_pinv_oracle(shape, seed, small):
+    blocks, ranks, _ = shape
+    rng = np.random.default_rng(seed)
+    alg = StarAlgebra(blocks)
+    u, f = _stationary(alg, rng, ranks)
+    if small is not None:
+        f = _with_small_eigenvalue(f, small)    # the same eigenvectors: u still fixes f
+    rep = gns_construct(alg, f)
+    for inv, t, lam in zip(rep.inverses, rep.factors, rep.eigenvalues):
+        assert _agrees_with_pinv(inv, np.linalg.pinv(t), lam)
+    result = unitary_implementer(rep, InnerAutomorphism(u))
+    want = oracles.implementer_by_pinv(u.mats, rep.factors)
+    for (_, v), ref, lam in zip(result.pairs, want, rep.eigenvalues):
+        assert _agrees_with_pinv(v, ref, lam)
+    if small is not None:
+        return    # |b|^2 ~ 1 / small puts the transition residual past TRANSITION_TOL
+    g = _state(alg, rng, ranks)
+    rep_g = gns_construct(alg, g)
+    report = equivalence_check(alg, f, g)
+    if report.verdict == "equal":
+        return    # the identity carries f to g
+    for (src, dst), b in zip(((rep, rep_g), (rep_g, rep)), report.transition):
+        want = oracles.transitions_by_pinv(src.factors, dst.factors)
+        for got, ref, lam in zip(b.mats, want, src.eigenvalues):
+            assert _agrees_with_pinv(got, ref, lam)
 
 
 def test_oracle_commutant_of_faithful_m4_stays_small():

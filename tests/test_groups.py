@@ -18,8 +18,11 @@ from opalg import (
     is_positive_definite,
     left_regular_representation,
     orthogonality_check,
+    parse_scenario,
+    run_scenario,
     symmetric_group,
 )
+from opalg import groups
 from opalg.groups import REP_ENTRY_LIMIT
 from oracles import (associativity_failure_by_loop, best_invertible,
                      gns_from_group_function_by_permutations, intertwiner_space,
@@ -262,6 +265,36 @@ def test_gathered_translations_equal_the_permutation_products(order, kind, seed)
     assert all(np.array_equal(a, b) for a, b in zip(rep.matrices, ref.matrices))
     assert np.array_equal(rep.cyclic_vector, ref.cyclic_vector)
     assert np.array_equal(rep.reconstruction(), ref.reconstruction())
+    # the stacked unitarity defect is the loop's, bit for bit (0 on a zero carrier)
+    eye = np.eye(rep.carrier_dim)
+    assert rep.unitarity_defect() == max(float(np.max(np.abs(m @ m.conj().T - eye), initial=0.0))
+                                         for m in ref.matrices)
+
+
+@pytest.mark.parametrize("limit", [1, 100, 1 << 20])
+def test_translations_gathered_in_runs_equal_the_permutation_products(limit, monkeypatch):
+    # one stacked product per run of GATHER_ENTRY_LIMIT // (rank * order) elements:
+    # one element at a time, runs of a few (and a short last run), or all at once
+    monkeypatch.setattr(groups, "GATHER_ENTRY_LIMIT", limit)
+    for group, kind, seed in ((cyclic_group(12), "vectors", 1), (S3, "character", 2),
+                              (cyclic_group(9), "delta", 0)):
+        psi = _positive_definite(group, kind, seed)
+        rep = gns_from_group_function(group, psi)
+        ref = gns_from_group_function_by_permutations(group, psi)
+        assert rep.matrices.shape == (group.order, rep.carrier_dim, rep.carrier_dim)
+        assert np.array_equal(rep.matrices, np.stack(ref.matrices))
+
+
+def test_the_zero_function_gives_the_zero_representation():
+    # psi = 0 is positive-definite with a Gram of rank 0; the unitarity loop took the
+    # max of empty arrays and ended the run in a ValueError traceback
+    rep = gns_from_group_function(Z3, np.zeros(3))
+    assert rep.carrier_dim == 0 and rep.matrices.shape == (3, 0, 0)
+    assert rep.unitarity_defect() == 0.0
+    report = run_scenario(parse_scenario("kind: group\ngroup: {name: z3}\nfunctions:\n"
+                                         "  - [[0, 0], [0, 0], [0, 0]]\n"))
+    assert "function[0].unitarity_defect = +0.000000000000e+00 [tol 1.0e-12 default, " \
+           "computed] pass" in report.lines
 
 
 @pytest.mark.parametrize("group", [cyclic_group(n) for n in (2, 5, 12, 64)] + [S3])

@@ -129,8 +129,9 @@ def test_cyclic_vector_residual_pins_the_implementer():
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     rep = gns_construct(m3, f)
     result = unitary_implementer(rep, InnerAutomorphism(m3.element([u])))
-    (theta,) = rep.factors
-    v = (np.linalg.pinv(theta) @ u.conj().T @ theta).T
+    (theta,), (lam,) = rep.factors, rep.eigenvalues
+    # Theta^+ in closed form: the columns of Theta are orthogonal with squared norms lam
+    v = (((1.0 / lam)[:, None] * theta.conj().T) @ u.conj().T @ theta).T
     assert np.max(np.abs(result.unitary - np.kron(u, v))) == 0.0
     assert cyclic_vector_residual([(u, v)], rep.factors) <= 1e-12
     assert intertwining_residual([(u, v.T)]) <= 1e-12
@@ -151,8 +152,9 @@ def test_implementer_builds_its_dense_unitary_only_on_request():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    (theta,) = gns_construct(m30, f).factors
-    dense = block_diag([np.kron(u, (np.linalg.pinv(theta) @ u.conj().T @ theta).T)])
+    rep = gns_construct(m30, f)
+    (theta,), (lam,) = rep.factors, rep.eigenvalues
+    dense = block_diag([np.kron(u, (((1.0 / lam)[:, None] * theta.conj().T) @ u.conj().T @ theta).T)])
     assert np.array_equal(result.unitary, dense)
     assert result.unitary is not result.unitary
 
