@@ -9,6 +9,9 @@ elsewhere in the package decidable by dense linear algebra.
 
 from __future__ import annotations
 
+import itertools
+from functools import reduce
+
 import numpy as np
 
 from .errors import InvalidStateError, ShapeMismatchError
@@ -34,12 +37,8 @@ class StarAlgebra:
         if not blocks or any(n < 1 for n in blocks):
             raise ValueError(f"block dimensions must be positive integers, got {blocks}")
         self.blocks = blocks
-        self._offsets = []
-        off = 0
-        for n in blocks:
-            self._offsets.append(off)
-            off += n * n
-        self._dim = off
+        self._offsets = list(itertools.accumulate((n * n for n in blocks), initial=0))
+        self._dim = self._offsets.pop()
 
     @property
     def dim(self) -> int:
@@ -80,11 +79,8 @@ class StarAlgebra:
         return self.element(mats)
 
     def random_element(self, rng, scale: float = 1.0) -> "AlgebraElement":
-        mats = [
-            scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-            for n in self.blocks
-        ]
-        return self.element(mats)
+        return self.element([scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                             for n in self.blocks])
 
     def random_hermitian(self, rng, scale: float = 1.0) -> "AlgebraElement":
         a = self.random_element(rng, scale)
@@ -136,21 +132,28 @@ class AlgebraElement:
         return all(np.max(np.abs(m - m.conj().T)) <= bound for m in self.mats)
 
     def is_unitary(self) -> bool:
-        return all(
-            np.max(np.abs(m.conj().T @ m - np.eye(n))) <= UNITARY_TOL * max(1.0, n)
-            for m, n in zip(self.mats, self.algebra.blocks)
-        )
+        return not unitarity_failures([m[None] for m in self.mats])[0]
 
     def __repr__(self):
         return f"AlgebraElement({self.algebra!r})"
 
 
+def stack_blocks(elements) -> list:
+    """The blocks of k elements of one algebra as one k x n_b x n_b stack per block."""
+    return [np.array(mats) for mats in zip(*(e.mats for e in elements))]
+
+
+def unitarity_failures(stacks) -> np.ndarray:
+    """Whether each of k elements fails to be unitary, from their blocks as one k x n_b x n_b
+    stack per block: some block has an entry of u* u - I past ``UNITARY_TOL * max(1, n_b)``."""
+    return reduce(np.logical_or, [~(np.abs(s.conj().swapaxes(1, 2) @ s - np.eye(s.shape[-1]))
+                                    .max(axis=(1, 2)) <= UNITARY_TOL * max(1.0, s.shape[-1]))
+                                  for s in stacks])
+
+
 def operator_norm(a: AlgebraElement) -> float:
     """C*-norm: the largest singular value over all blocks."""
-    return max(
-        float(np.linalg.norm(m, 2)) if m.size else 0.0
-        for m in a.mats
-    )
+    return max(float(np.linalg.norm(m, 2)) if m.size else 0.0 for m in a.mats)
 
 
 class State:
@@ -236,10 +239,8 @@ def transport_residual(f: State, g: State, b: AlgebraElement) -> float:
     """
     if not f.algebra == g.algebra == b.algebra:
         raise ShapeMismatchError("states and element live on different algebras")
-    return max(
-        float(np.abs(dg - m @ df @ m.conj().T).max())
-        for df, dg, m in zip(f.densities, g.densities, b.mats)
-    )
+    return max(float(np.abs(dg - m @ df @ m.conj().T).max())
+               for df, dg, m in zip(f.densities, g.densities, b.mats))
 
 
 def dual_norm_distance(f: State, g: State) -> float:

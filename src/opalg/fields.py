@@ -177,11 +177,15 @@ def klein_gordon_residuals(grid: MassShellGrid, x, steps) -> tuple:
 
     The center and its six spatial neighbours at every step share the time
     slice x0, and with it one sheet and the center value; only the two time
-    neighbours of each step need their own.
+    neighbours of each step need their own.  The neighbours along x1 and x2
+    start from the center's contractions over x3 (and x2), bit for bit.
     """
     x = _four_vector(x, "spacetime")
     sheet = _minus_sheet(grid, x[0])
-    center = _minus_value(grid, sheet, x[1:])
+    c3 = sheet @ np.cos(grid.half_axis * x[3])
+    # [a - 1] for the spatial axis a: the center's sheet with the axes after a contracted
+    shared = (c3 @ np.cos(grid.half_axis * x[2]), c3, sheet)
+    center = _minus_value(grid, shared[0], x[1:2])
     residuals = []
     for h in steps:
         acc = 0.0 + 0.0j
@@ -190,11 +194,11 @@ def klein_gordon_residuals(grid: MassShellGrid, x, steps) -> tuple:
             e[axis] = h
             up, down = x + e, x - e
             if axis == 0:
-                sheets = _minus_sheet(grid, up[0]), _minus_sheet(grid, down[0])
+                sheets, rest = (_minus_sheet(grid, up[0]), _minus_sheet(grid, down[0])), slice(1, 4)
             else:
-                sheets = sheet, sheet
+                sheets, rest = (shared[axis - 1],) * 2, slice(1, axis + 1)
             second = (
-                _minus_value(grid, sheets[0], up[1:]) + _minus_value(grid, sheets[1], down[1:])
+                _minus_value(grid, sheets[0], up[rest]) + _minus_value(grid, sheets[1], down[rest])
                 - 2.0 * center
             ) / h**2
             acc += second if axis == 0 else -second

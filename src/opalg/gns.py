@@ -125,13 +125,10 @@ def commutant_basis(rep: GnsRep) -> list:
     out = []
     off = 0
     for n, r in zip(rep.algebra.blocks, rep.ranks):
-        for p in range(r):
-            for q in range(r):
-                unit = np.zeros((r, r))
-                unit[p, q] = 1.0
-                m = np.zeros((rep.carrier_dim, rep.carrier_dim), dtype=complex)
-                m[off:off + n * r, off:off + n * r] = np.kron(np.eye(n), unit)
-                out.append(m)
+        for unit in np.eye(r * r).reshape(r * r, r, r):    # E_pq, p major
+            m = np.zeros((rep.carrier_dim, rep.carrier_dim), dtype=complex)
+            m[off:off + n * r, off:off + n * r] = np.kron(np.eye(n), unit)
+            out.append(m)
         off += n * r
     return out
 
@@ -165,36 +162,37 @@ class EquivalenceReport:
         return np.eye(self.carrier_dims[0], dtype=complex) if self.equivalent else None
 
 
-def intertwining_residual(factors) -> float:
+def intertwining_residual(factors):
     """max |W pi(E_ij) W* - pi(U E_ij U*)| over matrix units, for W = sum U_b (x) V_b.
 
-    ``factors`` holds the pair (U_b, V_b) of each block, V_b of order r_b.  On
-    carrier block b, pi(E_ij) = E_ij (x) I_{r_b}, so the difference is
-    (U_b E_ij U_b*) (x) (V_b V_b* - I), whose largest entry over all i, j is
-    (max |U_b|)^2 max |V_b V_b* - I|: O(sum n_b^2 + r_b^3), and blocks with
-    r_b = 0 carry nothing.
+    ``factors`` holds the pair (U_b, V_b) of each block, V_b of order r_b, or a
+    stack of k pairs per block for k residuals.  On carrier block b, pi(E_ij) =
+    E_ij (x) I_{r_b}, so the difference is (U_b E_ij U_b*) (x) (V_b V_b* - I),
+    whose largest entry over all i, j is (max |U_b|)^2 max |V_b V_b* - I|:
+    O(sum n_b^2 + r_b^3), and blocks with r_b = 0 carry nothing.  The square
+    is libm's pow, as ``float ** 2`` takes it (``x * x`` can differ in the last bit).
     """
-    worst = 0.0
+    worst = np.zeros(np.shape(factors[0][0])[:-2])
     for u, v in factors:
-        if len(v):
-            defect = float(np.abs(v @ v.conj().T - np.eye(len(v))).max())
-            worst = max(worst, float(np.abs(u).max()) ** 2 * defect)
-    return worst
+        if v.shape[-1]:
+            defect = np.abs(v @ v.conj().swapaxes(-1, -2) - np.eye(v.shape[-1])).max(axis=(-2, -1))
+            worst = np.maximum(worst, np.float_power(np.abs(u).max(axis=(-2, -1)), 2) * defect)
+    return worst[()]
 
 
-def cyclic_vector_residual(factors, thetas) -> float:
+def cyclic_vector_residual(factors, thetas):
     """max |W theta - theta| for W = sum U_b (x) V_b and theta = sum vec(Theta_b).
 
-    The intertwining identity holds for U_b (x) V' with any unitary V'; this
-    identity pins V_b.  Row-major, (U_b (x) V_b) vec(Theta_b) = vec(U_b Theta_b
-    V_b^T), so the defect is max_b |U_b Theta_b V_b^T - Theta_b|:
-    O(sum n_b^2 r_b + n_b r_b^2).
+    ``factors`` as for :func:`intertwining_residual`.  The intertwining identity
+    holds for U_b (x) V' with any unitary V'; this identity pins V_b.  Row-major,
+    (U_b (x) V_b) vec(Theta_b) = vec(U_b Theta_b V_b^T), so the defect is max_b
+    |U_b Theta_b V_b^T - Theta_b|: O(sum n_b^2 r_b + n_b r_b^2).
     """
-    worst = 0.0
+    worst = np.zeros(np.shape(factors[0][0])[:-2])
     for (u, v), t in zip(factors, thetas):
         if t.size:
-            worst = max(worst, float(np.abs(u @ t @ v.T - t).max()))
-    return worst
+            worst = np.maximum(worst, np.abs(u @ t @ v.swapaxes(-1, -2) - t).max(axis=(-2, -1)))
+    return worst[()]
 
 
 def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceReport:
@@ -233,8 +231,8 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
         verdict="equal" if equal_states else "equivalent",
         kernel_first=kernels[0],
         kernel_second=kernels[1],
-        intertwiner_residual=intertwining_residual(
-            [(np.eye(n), np.eye(r)) for n, r in zip(algebra.blocks, rep_f.ranks)]),
+        intertwiner_residual=float(intertwining_residual(
+            [(np.eye(n), np.eye(r)) for n, r in zip(algebra.blocks, rep_f.ranks)])),
         carrier_dims=dims,
     )
     if equal_states:

@@ -42,21 +42,17 @@ class FiniteGroup:
             raise ValueError("multiplication table must be n x n with entries in [0, n)")
         self.table = table
         self.order = n
-        identity = None
-        for e in range(n):
-            if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n)):
-                identity = e
-                break
-        if identity is None:
+        idx = np.arange(n)
+        units = np.flatnonzero(np.all(table == idx, axis=1) & np.all(table.T == idx, axis=1))
+        if not units.size:
             raise ValueError("table has no two-sided identity")
-        self.identity = identity
-        inv = np.full(n, -1, dtype=int)
-        for g in range(n):
-            hits = np.where(table[g] == identity)[0]
-            if hits.size != 1 or table[hits[0], g] != identity:
-                raise ValueError(f"element {g} has no two-sided inverse")
-            inv[g] = hits[0]
-        self.inverse = inv
+        self.identity = identity = int(units[0])
+        # g's inverse is the one h with gh = e, and hg = e must hold too
+        hits = table == identity
+        self.inverse = np.argmax(hits, axis=1)
+        fails = np.flatnonzero((hits.sum(axis=1) != 1) | (table[self.inverse, idx] != identity))
+        if fails.size:
+            raise ValueError(f"element {fails[0]} has no two-sided inverse")
         if n <= 24:
             a, b, c = np.indices((n, n, n)).reshape(3, -1)
         else:
@@ -79,17 +75,19 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table)
 
 
+def _permutations(n: int) -> np.ndarray:
+    """The permutations of {0..n-1} as rows, sorted lexicographically."""
+    perms = sorted(itertools.permutations(range(n)))
+    return np.array(perms, dtype=int).reshape(len(perms), n)
+
+
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on {0..n-1}; elements sorted lexicographically, composition left-to-right."""
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: k for k, p in enumerate(perms)}
-    order = len(perms)
-    table = np.zeros((order, order), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            composed = tuple(p[q[k]] for k in range(n))
-            table[i, j] = index[composed]
-    return FiniteGroup(table)
+    perms = _permutations(n)
+    # p o q is read as base-n digits, whose order is the lexicographic one
+    digits = n ** np.arange(n - 1, -1, -1)
+    composed = perms[np.arange(len(perms))[:, None, None], perms[None, :, :]]
+    return FiniteGroup(np.searchsorted(perms @ digits, composed @ digits))
 
 
 def _as_function(group: FiniteGroup, values) -> np.ndarray:
@@ -109,10 +107,11 @@ def convolve(group: FiniteGroup, f1, f2) -> np.ndarray:
     """(f1 * f2)(g) = sum_q f1(q) f2(q^-1 g); delta at the identity is the unit."""
     f1 = _as_function(group, f1)
     f2 = _as_function(group, f2)
-    out = np.zeros(group.order, dtype=complex)
-    for g in range(group.order):
-        out[g] = np.sum(f1 * f2[group.table[group.inverse, g]])
-    return out
+    # row g of the gather holds f2(q^-1 g) for every q, in C order, so each row is summed as
+    # the contiguous vector it is (an F-ordered gather sums in another order); f1 as a row
+    # keeps order 1 off numpy's broadcast loop, whose complex product rounds otherwise
+    idx = np.arange(group.order)
+    return np.sum(f1[None, :] * f2[group.table[group.inverse[None, :], idx[:, None]]], axis=1)
 
 
 def pd_kernel(group: FiniteGroup, psi) -> np.ndarray:
@@ -121,8 +120,10 @@ def pd_kernel(group: FiniteGroup, psi) -> np.ndarray:
     return psi[group.table[group.inverse]].T
 
 
-def is_positive_definite(group: FiniteGroup, psi) -> bool:
-    k = pd_kernel(group, psi)
+def is_positive_definite(group: FiniteGroup, psi, kernel=None) -> bool:
+    """Whether the kernel ``pd_kernel(group, psi)`` (``kernel``, when the caller has it)
+    is Hermitian and positive semidefinite within ``PSD_TOL``."""
+    k = pd_kernel(group, psi) if kernel is None else kernel
     if np.max(np.abs(k - k.conj().T)) > PSD_TOL * max(1.0, float(np.max(np.abs(k)))):
         return False
     lam = np.linalg.eigvalsh(0.5 * (k + k.conj().T))
@@ -146,7 +147,7 @@ class GroupRep:
     def reconstruction(self) -> np.ndarray:
         """<pi(g) theta | theta> per element; equals psi for the defining function."""
         th = self.cyclic_vector
-        return np.array([np.vdot(th, m @ th) for m in self.matrices])
+        return np.vecdot(th, self.matrices @ th)
 
     def unitarity_defect(self) -> float:
         """max over g of |pi(g) pi(g)* - I|, from one stacked product; 0 on a zero carrier."""
@@ -171,11 +172,12 @@ def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
     :class:`NumericalError` before any translation is built.
     """
     psi = _as_function(group, psi)
-    if not is_positive_definite(group, psi):
+    kernel = pd_kernel(group, psi)
+    if not is_positive_definite(group, psi, kernel=kernel):
         raise InvalidStateError("function is not positive-definite within tolerance")
     # pairing <delta_a | delta_b> = psi(b^-1 a); as a Gram with the starred
     # slot on rows this is the transpose of the positive-definiteness kernel
-    gram = pd_kernel(group, psi).T
+    gram = kernel.T
     t, t_pinv, rank = gram_quotient(gram)
     _check_rep_size(group, rank)
     # pi(g) = T P_g T+, and P_g only permutes columns: T P_g is T[:, table[g]], gathered
@@ -227,20 +229,11 @@ def irreducible_characters(group: FiniteGroup):
     cyclic = cyclic_group(n)
     if np.array_equal(group.table, cyclic.table):
         return [np.exp(2j * np.pi * k * idx / n) for k in range(n)]
-    s3 = symmetric_group(3)
-    if n == 6 and np.array_equal(group.table, s3.table):
-        perms = sorted(itertools.permutations(range(3)))
-        def sign(p):
-            s = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if p[i] > p[j]:
-                        s = -s
-            return s
-        def fixed(p):
-            return sum(1 for i in range(3) if p[i] == i)
-        trivial = np.ones(6, dtype=complex)
-        alternating = np.array([sign(p) for p in perms], dtype=complex)
-        standard = np.array([fixed(p) - 1 for p in perms], dtype=complex)
-        return [trivial, alternating, standard]
+    if n == 6 and np.array_equal(group.table, symmetric_group(3).table):
+        perms = _permutations(3)
+        inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+        # trivial, sign and standard: the sign is -1 per inversion, the standard character
+        # counts fixed points less one
+        return [np.ones(6, dtype=complex), ((-1) ** inversions).astype(complex),
+                (np.sum(perms == np.arange(3), axis=1) - 1).astype(complex)]
     raise ValueError("irreducible characters are built in only for Z_n and S_3 tables")

@@ -26,7 +26,8 @@ from . import fields as fields_mod
 from . import groups as groups_mod
 from . import qubits as qubits_mod
 from . import symmetry as symmetry_mod
-from .algebra import TRACE_TOL, StarAlgebra, State, dual_norm_distance
+from .algebra import (TRACE_TOL, StarAlgebra, State, dual_norm_distance, stack_blocks,
+                      unitarity_failures)
 from .errors import InvalidStateError, NumericalError, OpalgError, ValidationError
 from .gns import TRANSITION_TOL, equivalence_check, gns_construct
 
@@ -52,7 +53,26 @@ KLEIN_GORDON_STEPS = (0.08, 0.04)
 # parsing
 
 
-class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+class _Resolve:
+    """PyYAML's ``Resolver.resolve`` without path resolvers (none is registered, so the
+    composer's path hooks are skipped): a plain scalar's implicit resolvers come from
+    ``_first``, a table by first character built once from the registered ones."""
+
+    def descend_resolver(self, *args):    # no path resolver to follow
+        pass
+    ascend_resolver = descend_resolver
+
+    def resolve(self, kind, value, implicit):
+        if kind is yaml.ScalarNode:
+            if implicit[0]:
+                for tag, regexp in self._first.get(value[:1], self._wildcard):
+                    if regexp.match(value):
+                        return tag
+            return _STR
+        return _SEQ if kind is yaml.SequenceNode else _MAP
+
+
+class _Loader(_Resolve, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """Safe loader that also reads YAML 1.2 floats such as ``1e-05`` as numbers.
 
     It parses with libyaml when PyYAML was built with it.  The YAML 1.1 float
@@ -62,7 +82,7 @@ class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """
 
 
-class _PyLoader(yaml.SafeLoader):
+class _PyLoader(_Resolve, yaml.SafeLoader):
     """The pure-Python parser with the same resolver; its errors quote the source."""
 
 
@@ -75,13 +95,19 @@ def _construct_int(loader, node):
                               line=node.start_mark.line + 1) from None
 
 
+_FLOAT, _INT, _STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{name}"
+                                  for name in ("float", "int", "str", "seq", "map"))
+_CORE_SCALARS = frozenset(f"tag:yaml.org,2002:{name}"
+                          for name in ("null", "bool", "int", "float", "str"))
+
 for _cls in (_Loader, _PyLoader):
-    _cls.add_implicit_resolver(
-        "tag:yaml.org,2002:float",
-        re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-        list("-+0123456789."),
-    )
-    _cls.add_constructor("tag:yaml.org,2002:int", _construct_int)
+    _cls.add_implicit_resolver(_FLOAT, re.compile(
+        r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), list("-+0123456789."))
+    _cls.add_constructor(_INT, _construct_int)
+    assert not _cls.yaml_path_resolvers, "_Resolve ignores path resolvers"
+    _cls._wildcard = tuple(_cls.yaml_implicit_resolvers.get(None, ()))
+    _cls._first = {first: tuple(resolvers) + _cls._wildcard
+                   for first, resolvers in _cls.yaml_implicit_resolvers.items() if first is not None}
 
 # Text on which libyaml and the pure-Python parser may disagree is read by the
 # pure-Python parser alone.  libyaml accepts tabs as separators, '?' and '!'
@@ -95,11 +121,6 @@ _EMPTY_FLOW_VALUE = re.compile(r":[ ]*(?:#[^\n]*)?\n(?:[ ]*(?:#[^\n]*)?\n)*[ ]*[
 # (a crash, not an exception) a few tens of thousands of levels deep; deeper
 # documents are refused from the parse events first, which need no recursion.
 MAX_NESTING = 10_000
-
-_FLOAT, _INT, _STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{name}"
-                                  for name in ("float", "int", "str", "seq", "map"))
-_CORE_SCALARS = frozenset(f"tag:yaml.org,2002:{name}"
-                          for name in ("null", "bool", "int", "float", "str"))
 
 
 def _descend(node):
@@ -445,12 +466,8 @@ def _parse_equiv(w, top):
     states = w.sequence(top.get("states"), ("states",), min_len=2)
     if len(states) != 2:
         w.fail(("states",), "equivalence scenarios compare exactly two states")
-    return {
-        "algebra": algebra,
-        "states": [
-            _parse_state(w, s, ("states", k), algebra) for k, s in enumerate(states)
-        ],
-    }
+    return {"algebra": algebra,
+            "states": [_parse_state(w, s, ("states", k), algebra) for k, s in enumerate(states)]}
 
 
 def _parse_qubit_config(w, obj, path):
@@ -485,11 +502,7 @@ def _parse_qubit(w, top):
     configs = w.sequence(top.get("configs"), ("configs",), min_len=2)
     if len(configs) != 2:
         w.fail(("configs",), "qubit scenarios compare exactly two configurations")
-    return {
-        "configs": [
-            _parse_qubit_config(w, c, ("configs", k)) for k, c in enumerate(configs)
-        ]
-    }
+    return {"configs": [_parse_qubit_config(w, c, ("configs", k)) for k, c in enumerate(configs)]}
 
 
 def _parse_group(w, top):
@@ -701,22 +714,20 @@ def _parse_element(w, obj, path, algebra):
 def _parse_symmetry(w, top):
     algebra = _parse_algebra(w, top.get("algebra"), ("algebra",))
     state = _parse_state(w, top.get("state"), ("state",), algebra)
-    unitaries = []
-    for k, u in enumerate(w.sequence(top.get("unitaries"), ("unitaries",), min_len=1)):
-        element = _parse_element(w, u, ("unitaries", k), algebra)
-        try:
-            unitaries.append(symmetry_mod.InnerAutomorphism(element))
-        except OpalgError as exc:
-            w.fail(("unitaries", k), str(exc))
+    elements = []
+    try:    # one stacked unitarity check, run too when a later entry fails, which it precedes
+        for k, u in enumerate(w.sequence(top.get("unitaries"), ("unitaries",), min_len=1)):
+            elements.append(_parse_element(w, u, ("unitaries", k), algebra))
+    finally:
+        failed = np.flatnonzero(unitarity_failures(stack_blocks(elements))) if elements else ()
+        if len(failed):
+            w.fail(("unitaries", int(failed[0])), symmetry_mod.NOT_UNITARY)
+    unitaries = [symmetry_mod.InnerAutomorphism(e, checked=True) for e in elements]
     multipliers = top.get("report_multipliers", False)
     if not isinstance(multipliers, bool):
         w.fail(("report_multipliers",), "expected a boolean")
-    return {
-        "algebra": algebra,
-        "state": state,
-        "automorphisms": unitaries,
-        "report_multipliers": multipliers,
-    }
+    return {"algebra": algebra, "state": state, "automorphisms": unitaries,
+            "report_multipliers": multipliers}
 
 
 # ---------------------------------------------------------------------------
@@ -910,10 +921,7 @@ def _run_ccr(scenario: Scenario, report: Report):
     if "fock" in scenario.params:
         fock = ccr_mod.build_fock_operators(space, scenario.params["fock"])
         report.info("fock_basis_size", fock.dim)
-        q = np.zeros(space.n)
-        q[0] = 1.0
-        qp = np.zeros(space.n)
-        qp[-1] = 1.0
+        q, qp = np.eye(space.n)[[0, -1]]
         tol, src = _tol(scenario, "commutation")
         report.check("fock_commutator_defect_protected", fock.commutator_defect(q, qp), tol, src)
         annil = float(np.max(np.abs(fock.a_minus_action(np.eye(space.n), fock.vacuum()))))
@@ -921,11 +929,8 @@ def _run_ccr(scenario: Scenario, report: Report):
     if "eigenvalue_model" in scenario.params:
         verdict = ccr_mod.gaussian_equivalence_verdict(scenario.params["eigenvalue_model"])
         report.info("gaussian_equivalence_series", verdict.verdict)
-        report.info(
-            "gaussian_equivalence",
-            {"convergent": "equivalent-to-Fock", "divergent": "inequivalent"}.get(
-                verdict.verdict, "undecided"),
-        )
+        label = {"convergent": "equivalent-to-Fock", "divergent": "inequivalent"}
+        report.info("gaussian_equivalence", label.get(verdict.verdict, "undecided"))
         report.info("gaussian_equivalence_justification", verdict.justification)
 
 
@@ -944,9 +949,9 @@ def _run_field(scenario: Scenario, report: Report):
                          float(value.real), float(value.imag)))
         report.table("pauli_jordan_minus", ("x0", "x1", "x2", "x3", "re", "im"), rows)
         tol, src = _tol(scenario, "commutator_identity")
-        worst = 0.0
-        for x, y in zip(samples, samples[1:]):
-            worst = max(worst, fields_mod.commutator_identity_check(grid, x, y))
+        # np.max keeps the nan of a pair past double range, which max() would drop: a FAIL
+        worst = float(np.max([fields_mod.commutator_identity_check(grid, x, y)
+                              for x, y in zip(samples, samples[1:])], initial=0.0))
         if len(samples) >= 2:
             report.check("commutator_identity_residual", worst, tol, src)
     equal_time = fields_mod.pauli_jordan(grid, (0.0, 0.4, -0.3, 0.2))
@@ -988,7 +993,7 @@ def _run_symmetry(scenario: Scenario, report: Report):
     tol, _ = _tol(scenario, "stationarity")
     rep = gns_construct(algebra, state)
     # each pushforward and its distance serve the stationary and implementer lines and the orbit
-    results = [symmetry_mod.unitary_implementer(rep, rho, tol) for rho in autos]
+    results = symmetry_mod.unitary_implementer(rep, autos, tol)
     for k, result in enumerate(results):
         report.info(f"automorphism[{k}].stationary", result.distance <= tol)
         report.info(f"automorphism[{k}].implementer",

@@ -15,28 +15,29 @@ stationary, judged on the pushforward that :func:`stabilizer_orbit` reads too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Optional
 
 import numpy as np
 
-from .algebra import UNITARY_TOL, AlgebraElement, State
+from .algebra import UNITARY_TOL, AlgebraElement, State, stack_blocks, unitarity_failures
 from .errors import NumericalError, OpalgError, ShapeMismatchError
 from .gns import TRANSITION_TOL, GnsRep, cyclic_vector_residual, intertwining_residual
-from .linalg import block_diag, nuclear_norm
+from .linalg import block_diag
 
 STATIONARY_TOL = 1e-10    # dual-norm distance of f and its pushforward
 ACTION_TOL = 1e-9         # entrywise distance of two action matrices
 CLOSURE_ENTRY_LIMIT = 2 ** 26   # n^3 sum n_b^4: action entries the closure of n elements compares
 CLOSURE_ROW_LIMIT = 2 ** 20     # n^2 sum n_b^4: action entries one closure row holds (48 MiB peak)
-_NOT_UNITARY = f"defining element is not unitary within {UNITARY_TOL:.0e}"
+NOT_UNITARY = f"defining element is not unitary within {UNITARY_TOL:.0e}"
 
 
 class InnerAutomorphism:
-    """a -> U a U^-1 for a unitary element U of the algebra."""
+    """a -> U a U^-1 for a unitary element U; ``checked``: U was found unitary already."""
 
-    def __init__(self, unitary: AlgebraElement):
-        if not unitary.is_unitary():
-            raise OpalgError(_NOT_UNITARY)
+    def __init__(self, unitary: AlgebraElement, checked: bool = False):
+        if not (checked or unitary.is_unitary()):
+            raise OpalgError(NOT_UNITARY)
         self.unitary = unitary
         self.algebra = unitary.algebra
 
@@ -51,7 +52,9 @@ class AutomorphismGroup:
     """Finite list of inner automorphisms, closed under composition and inverse.
 
     Closure is verified at the level of actions; the scalar mismatch between
-    chosen unitary representatives is recorded in the multiplier table.
+    chosen unitary representatives is recorded in the multiplier table.  Each
+    run of rows i of products U_i U_j holds at most ``CLOSURE_ROW_LIMIT`` / n
+    action entries, and at least one row.
     """
 
     def __init__(self, elements: List[InnerAutomorphism]):
@@ -71,24 +74,26 @@ class AutomorphismGroup:
                                  f"{CLOSURE_ROW_LIMIT}")
         self.algebra = algebra
         self.elements = list(elements)
-        self._stacks = [np.stack(mats) for mats in zip(*(e.unitary.mats for e in elements))]
+        self._stacks = stack_blocks([e.unitary for e in elements])
         actions = _action_rows(self._stacks)
 
         def matches(stacks):    # [j, k]: the j-th unitaries act as listed element k
             return np.all(np.abs(_action_rows(stacks)[:, None] - actions) <= ACTION_TOL, axis=2)
         self.table = np.empty((n, n), dtype=int)
-        for i in range(n):    # a row of products against all n actions; each takes its first match
-            prods = [s[i] @ s for s in self._stacks]
-            unitary = np.all([np.max(np.abs(np.swapaxes(p.conj(), 1, 2) @ p - np.eye(m)), axis=(1, 2))
-                              <= UNITARY_TOL * max(1.0, m) for p, m in zip(prods, algebra.blocks)], 0)
+        step = max(1, CLOSURE_ROW_LIMIT // (n * row))
+        for i in range(0, n, step):    # each product takes its first match
+            prods = [(s[i:i + step, None] @ s).reshape(-1, m, m)
+                     for s, m in zip(self._stacks, algebra.blocks)]
             same = matches(prods)
-            failed = ~unitary | ~np.any(same, axis=1)
+            not_unitary = unitarity_failures(prods)
+            failed = not_unitary | ~np.any(same, axis=1)
             if np.any(failed):
-                j = int(np.argmax(failed))    # the first failing pair in row-major order
-                if not unitary[j]:
-                    raise OpalgError(_NOT_UNITARY)
-                raise ValueError(f"closure fails: product of elements {i} and {j} not in list")
-            self.table[i] = np.argmax(same, axis=1)
+                k = int(np.argmax(failed))    # the first failing pair in row-major order
+                if not_unitary[k]:
+                    raise OpalgError(NOT_UNITARY)
+                raise ValueError(f"closure fails: product of elements {i + k // n} and {k % n} "
+                                 "not in list")
+            self.table[i:i + step] = np.argmax(same, axis=1).reshape(-1, n)
         unit = matches([np.eye(m, dtype=complex)[None] for m in algebra.blocks])[0]
         if not np.any(unit):
             raise ValueError("group contains no identity automorphism")
@@ -109,12 +114,15 @@ class AutomorphismGroup:
 
 def pushforwards(f: State, automorphisms) -> tuple:
     """The densities U_b* rho_b U_b of f_rho(a) = f(rho(a)) for each automorphism, as
-    computed (no :class:`State` is built), and their :func:`dual_norm_distance` to f."""
+    computed (no :class:`State` is built), and their :func:`dual_norm_distance` to f, bit
+    for bit: one stacked product and one stacked SVD per block for all of them."""
     if any(f.algebra != rho.algebra for rho in automorphisms):
         raise ShapeMismatchError("state and automorphism live on different algebras")
-    moved = [[u.conj().T @ d @ u for d, u in zip(f.densities, rho.unitary.mats)]
-             for rho in automorphisms]
-    return moved, [float(sum(nuclear_norm(a - b) for a, b in zip(f.densities, m))) for m in moved]
+    stacks = stack_blocks([rho.unitary for rho in automorphisms])
+    moved = [s.conj().swapaxes(1, 2) @ d @ s for d, s in zip(f.densities, stacks)]
+    distances = sum((np.linalg.svd(d - m, compute_uv=False).sum(axis=1)
+                     for d, m in zip(f.densities, moved)), np.zeros(len(automorphisms)))
+    return list(zip(*moved)), distances.tolist()
 
 
 def stationarity_check(f: State, rho: InnerAutomorphism, tol: float = STATIONARY_TOL) -> bool:
@@ -123,7 +131,7 @@ def stationarity_check(f: State, rho: InnerAutomorphism, tol: float = STATIONARY
 
 @dataclass
 class ImplementerResult:
-    moved: list              # the densities U_b* rho_b U_b of the pushforward, as computed
+    moved: tuple             # the densities U_b* rho_b U_b of the pushforward, as computed
     distance: float          # its dual_norm_distance to the state
     pairs: Optional[list]    # (U_b, V_b) of each block; None when the state is not stationary
     isometry_defect: float
@@ -135,52 +143,62 @@ class ImplementerResult:
         return None if self.pairs is None else block_diag([np.kron(u, v) for u, v in self.pairs])
 
 
-def unitary_implementer(rep: GnsRep, rho: InnerAutomorphism,
-                        tol: float = STATIONARY_TOL) -> ImplementerResult:
-    """Unitary on the carrier of ``rep`` with U pi(a) U^-1 = pi(rho(a)) and U theta = theta.
+def unitary_implementer(rep: GnsRep, automorphisms,
+                        tol: float = STATIONARY_TOL) -> List[ImplementerResult]:
+    """For each rho of ``automorphisms``: the unitary on the carrier of ``rep`` with
+    U pi(a) U^-1 = pi(rho(a)) and U theta = theta.
 
     ``rep`` is the :func:`opalg.gns.gns_construct` data of a state f, and
-    ``rho`` must act on the same algebra.  It exists iff f is stationary (the
-    :func:`pushforwards` distance of f o rho to f is at most ``tol``), and is
-    then the sum of U_b (x) V_b with V_b = (Theta_b^+ U_b* Theta_b)^T, sending
-    vec(x Theta_b) to vec(U_b x U_b* Theta_b).  The result keeps the
-    pushforward, its distance, the isometry defect max |U_b* rho~_b U_b -
-    rho~_b| (rho~_b = Theta_b Theta_b*, the density above the rank cut) that
-    bounds :func:`cyclic_vector_certificate`, and the pairs (U_b, V_b), which
-    give the certificates, and the dense unitary when ``.unitary`` is read.
+    every rho must act on the same algebra.  The unitary exists iff f is
+    stationary (the :func:`pushforwards` distance of f o rho to f is at most
+    ``tol``), and is then the sum of U_b (x) V_b with V_b = (Theta_b^+ U_b*
+    Theta_b)^T, sending vec(x Theta_b) to vec(U_b x U_b* Theta_b).  Each result
+    keeps the pushforward, its distance, the isometry defect max |U_b*
+    rho~_b U_b - rho~_b| (rho~_b = Theta_b Theta_b*, the density above the
+    rank cut) that bounds :func:`cyclic_vector_certificate`, and the pairs
+    (U_b, V_b), which give the certificates, and the dense unitary when
+    ``.unitary`` is read.  Each quantity is one stacked expression per block.
     """
-    [moved], [distance] = pushforwards(rep.state, [rho])
+    moved, distances = pushforwards(rep.state, automorphisms)
+    stacks = stack_blocks([rho.unitary for rho in automorphisms])
     kept = [t @ t.conj().T for t in rep.factors]
-    defect = max(float(np.abs(u.conj().T @ d @ u - d).max())
-                 for u, d in zip(rho.unitary.mats, kept))
-    if distance > tol:
-        return ImplementerResult(moved, distance, pairs=None, isometry_defect=defect)
-    pairs = [(u, (t_inv @ u.conj().T @ t).T)
-             for u, t, t_inv in zip(rho.unitary.mats, rep.factors, rep.inverses)]
-    cyclic_vector_certificate(pairs, rep.factors, defect)
-    return ImplementerResult(moved, distance, pairs=pairs, isometry_defect=defect,
-                             intertwining_residual=intertwining_residual(pairs))
+    defects = reduce(np.maximum, (np.abs(s.conj().swapaxes(1, 2) @ d @ s - d).max(axis=(1, 2))
+                                  for s, d in zip(stacks, kept)))
+    results = [ImplementerResult(m, d, pairs=None, isometry_defect=e)
+               for m, d, e in zip(moved, distances, defects.tolist())]
+    held = np.flatnonzero(np.array(distances) <= tol)
+    pairs = [(u, (t_inv @ u.conj().swapaxes(1, 2) @ t).swapaxes(1, 2))
+             for u, t, t_inv in zip((s[held] for s in stacks), rep.factors, rep.inverses)]
+    cyclic_vector_certificate(pairs, rep.factors, defects[held])
+    for j, (k, residual) in enumerate(zip(held.tolist(), intertwining_residual(pairs).tolist())):
+        results[k].pairs = [(u[j], v[j]) for u, v in pairs]
+        results[k].intertwining_residual = residual
+    return results
 
 
-def cyclic_vector_certificate(pairs, thetas, defect: float) -> float:
+def cyclic_vector_certificate(pairs, thetas, defect):
     """max |W theta - theta| for W = sum U_b (x) V_b, raising past what ``defect`` allows.
 
-    With V_b^T = Theta_b^+ U_b* Theta_b the residual U_b Theta_b V_b^T -
-    Theta_b is -U_b Q_b U_b* Theta_b, Q_b the projector off the range of
-    Theta_b, and Q_b U_b* Theta_b Theta_b* U_b = Q_b D_b for the isometry
-    defect D_b = U_b* rho~_b U_b - rho~_b.  So the residual is at most
-    |D_b|_op / sigma_min(Theta_b) <= n_b * defect / sigma_min(Theta_b): a
+    ``pairs`` holds one pair (U_b, V_b), or one stack of them, per block, as
+    for :func:`opalg.gns.cyclic_vector_residual`, and ``defect`` the isometry
+    defect of each W.  With V_b^T = Theta_b^+ U_b* Theta_b the residual U_b
+    Theta_b V_b^T - Theta_b is -U_b Q_b U_b* Theta_b, Q_b the projector off
+    the range of Theta_b, and Q_b U_b* Theta_b Theta_b* U_b = Q_b D_b for the
+    isometry defect D_b = U_b* rho~_b U_b - rho~_b.  So the residual is at
+    most |D_b|_op / sigma_min(Theta_b) <= n_b * defect / sigma_min(Theta_b): a
     state within the stationarity tolerance but not exactly stationary may
     leave W theta that far from theta.  A residual past that bound plus
     ``gns.TRANSITION_TOL`` means W was built wrong and raises
-    :class:`NumericalError`.  The columns of Theta_b are orthogonal, so
-    sigma_min is their smallest norm.
+    :class:`NumericalError`, naming the first such W.  The columns of Theta_b
+    are orthogonal, so sigma_min is their smallest norm, taken as np.linalg.norm does.
     """
     fixed = cyclic_vector_residual(pairs, thetas)
-    allowed = max((len(t) / float(np.min(np.linalg.norm(t, axis=0)))
+    allowed = max((len(t) / float(np.sqrt((t.conj() * t).real.sum(axis=0).min()))
                    for t in thetas if t.size), default=0.0) * defect
-    if fixed > TRANSITION_TOL + allowed:
-        raise NumericalError(f"implementer does not fix the cyclic vector ({fixed:.3e})")
+    failed = np.flatnonzero(fixed > TRANSITION_TOL + allowed)
+    if failed.size:
+        raise NumericalError(f"implementer does not fix the cyclic vector "
+                             f"({np.ravel(fixed)[failed[0]]:.3e})")
     return fixed
 
 
@@ -205,25 +223,19 @@ def stabilizer_orbit(moved: list, distances: list, tol: float = STATIONARY_TOL) 
     """
     orbit: list = []
     stacks = [np.empty((len(moved),) + d.shape, dtype=complex) for d in moved[0]]
-    for dens in moved:
+    for dens in moved:    # the first one starts the orbit without a comparison
         k = len(orbit)
-        apart = sum(np.sum(np.linalg.svd(d - s[:k], compute_uv=False), axis=1)
-                    for d, s in zip(dens, stacks))
-        if np.all(apart > tol):
-            for d, s in zip(dens, stacks):
-                s[k] = d
-            orbit.append(dens)
-    report = OrbitReport(
-        stabilizer_size=sum(distance <= tol for distance in distances),
-        orbit_size=len(orbit),
-        group_order=len(moved),
-        orbit_states=orbit,
-    )
+        if k and not np.all(sum(np.sum(np.linalg.svd(d - s[:k], compute_uv=False), axis=1)
+                                for d, s in zip(dens, stacks)) > tol):
+            continue
+        for d, s in zip(dens, stacks):
+            s[k] = d
+        orbit.append(dens)
+    report = OrbitReport(stabilizer_size=sum(distance <= tol for distance in distances),
+                         orbit_size=len(orbit), group_order=len(moved), orbit_states=orbit)
     if report.orbit_size * report.stabilizer_size != report.group_order:
-        raise OpalgError(
-            f"orbit law violated: {report.orbit_size} * {report.stabilizer_size} "
-            f"!= {report.group_order}"
-        )
+        raise OpalgError(f"orbit law violated: {report.orbit_size} * {report.stabilizer_size} "
+                         f"!= {report.group_order}")
     return report
 
 

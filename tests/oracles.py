@@ -49,6 +49,20 @@ states one pair at a time by ``trace_distance``, as
 pure-Python parser alone, the reference for the libyaml path of
 ``opalg.scenarios``.
 
+The per-element loops that ``opalg`` replaced with one stacked expression per
+block: ``unitarity_by_blocks`` tests one element's blocks in turn, as
+``AlgebraElement.is_unitary`` did; ``pushforwards_by_loop`` and
+``implementer_by_loop`` take one automorphism at a time, as
+``opalg.symmetry.pushforwards`` and ``unitary_implementer`` did, with
+``intertwining_residual_by_pairs`` and ``cyclic_vector_residual_by_pairs``
+the one-W certificates of ``opalg.gns`` (Python's ``float ** 2`` included);
+``group_laws_by_loop`` finds a table's identity and inverses one element at a
+time, ``convolve_by_loop`` sums one g at a time and
+``reconstruction_by_vdot`` takes one ``np.vdot`` per element, as
+``opalg.groups`` did; ``klein_gordon_residuals_unshared`` contracts every
+stencil point's sheet fully, as ``opalg.fields.klein_gordon_residuals`` did
+before its spatial neighbours shared the center's partial contractions.
+
 The ``*_by_grid`` functions are the direct sums over the full symmetric
 momentum lattice: one phase per lattice point, as ``opalg.fields`` summed
 before it folded every sum onto the octant p_i >= 0 as cosine products.
@@ -103,9 +117,9 @@ import yaml
 from opalg.algebra import UNITARY_TOL, StarAlgebra, State, evaluate_state, transport_residual
 from opalg.ccr import ORACLE_LEVELS, ORACLE_STEP
 from opalg.errors import NumericalError, OpalgError
-from opalg.fields import TWO_PI, MassShellGrid
+from opalg.fields import TWO_PI, MassShellGrid, _four_vector, _minus_sheet, _minus_value
 from opalg.groups import GroupRep, delta, pd_kernel
-from opalg.linalg import block_diag, fix_phases
+from opalg.linalg import block_diag, fix_phases, nuclear_norm
 from opalg.qubits import PARTIAL_SUM_WINDOW
 
 KERNEL_TOL = 1e-9    # generator entries up to this times the largest count as zero
@@ -447,7 +461,7 @@ def automorphism_closure_by_loop(unitaries, action_tol):
     for i, ui in enumerate(unitaries):
         for j, uj in enumerate(unitaries):
             prod = ui * uj
-            if not prod.is_unitary():
+            if not unitarity_by_blocks(prod):
                 raise OpalgError(f"defining element is not unitary within {UNITARY_TOL:.0e}")
             prod_action = action(prod)
             for k, act in enumerate(actions):
@@ -471,6 +485,109 @@ def automorphism_closure_by_loop(unitaries, action_tol):
             num = sum(np.trace(r.conj().T @ p) for r, p in zip(unitaries[table[i, j]].mats, prod.mats))
             multipliers[i, j] = num / sum(unitaries[0].algebra.blocks)
     return table, identity, multipliers
+
+
+def unitarity_by_blocks(element) -> bool:
+    """u* u - I within ``UNITARY_TOL * max(1, n)`` entrywise, one block at a time."""
+    return all(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= UNITARY_TOL * max(1.0, n)
+               for m, n in zip(element.mats, element.algebra.blocks))
+
+
+def pushforwards_by_loop(f, automorphisms):
+    """(moved, distances): U_b* rho_b U_b and the trace-norm distance, one automorphism at a time."""
+    moved = [[u.conj().T @ d @ u for d, u in zip(f.densities, rho.unitary.mats)]
+             for rho in automorphisms]
+    return moved, [float(sum(nuclear_norm(a - b) for a, b in zip(f.densities, m))) for m in moved]
+
+
+def intertwining_residual_by_pairs(pairs) -> float:
+    """(max |U_b|)^2 max |V_b V_b* - I| over the blocks with r_b > 0, one pair at a time."""
+    worst = 0.0
+    for u, v in pairs:
+        if len(v):
+            defect = float(np.abs(v @ v.conj().T - np.eye(len(v))).max())
+            worst = max(worst, float(np.abs(u).max()) ** 2 * defect)
+    return worst
+
+
+def cyclic_vector_residual_by_pairs(pairs, thetas) -> float:
+    """max_b |U_b Theta_b V_b^T - Theta_b| over the blocks with r_b > 0, one pair at a time."""
+    worst = 0.0
+    for (u, v), t in zip(pairs, thetas):
+        if t.size:
+            worst = max(worst, float(np.abs(u @ t @ v.T - t).max()))
+    return worst
+
+
+def implementer_by_loop(rep, rho, tol):
+    """(distance, isometry defect, pairs, intertwining residual, cyclic residual) of one
+    automorphism; the last three are None when the state is not stationary."""
+    [moved], [distance] = pushforwards_by_loop(rep.state, [rho])
+    kept = [t @ t.conj().T for t in rep.factors]
+    defect = max(float(np.abs(u.conj().T @ d @ u - d).max())
+                 for u, d in zip(rho.unitary.mats, kept))
+    if distance > tol:
+        return distance, defect, None, None, None
+    pairs = [(u, (t_inv @ u.conj().T @ t).T)
+             for u, t, t_inv in zip(rho.unitary.mats, rep.factors, rep.inverses)]
+    return (distance, defect, pairs, intertwining_residual_by_pairs(pairs),
+            cyclic_vector_residual_by_pairs(pairs, rep.factors))
+
+
+def group_laws_by_loop(table):
+    """(identity, inverses) of a multiplication table, or the message of its first failure."""
+    table = np.asarray(table)
+    n = table.shape[0]
+    identity = next((e for e in range(n) if np.array_equal(table[e], np.arange(n))
+                     and np.array_equal(table[:, e], np.arange(n))), None)
+    if identity is None:
+        return "table has no two-sided identity"
+    inv = np.full(n, -1, dtype=int)
+    for g in range(n):
+        hits = np.where(table[g] == identity)[0]
+        if hits.size != 1 or table[hits[0], g] != identity:
+            return f"element {g} has no two-sided inverse"
+        inv[g] = hits[0]
+    return identity, inv
+
+
+def convolve_by_loop(group, f1, f2):
+    """(f1 * f2)(g) = sum_q f1(q) f2(q^-1 g), one g at a time."""
+    out = np.zeros(group.order, dtype=complex)
+    for g in range(group.order):
+        out[g] = np.sum(f1 * f2[group.table[group.inverse, g]])
+    return out
+
+
+def reconstruction_by_vdot(rep):
+    """<pi(g) theta | theta> with one np.vdot per element."""
+    th = rep.cyclic_vector
+    return np.array([np.vdot(th, m @ th) for m in rep.matrices])
+
+
+def klein_gordon_residuals_unshared(grid, x, steps) -> tuple:
+    """``opalg.fields.klein_gordon_residuals`` with every stencil value a full octant sum."""
+    x = _four_vector(x, "spacetime")
+    sheet = _minus_sheet(grid, x[0])
+    center = _minus_value(grid, sheet, x[1:])
+    residuals = []
+    for h in steps:
+        acc = 0.0 + 0.0j
+        for axis in range(4):
+            e = np.zeros(4)
+            e[axis] = h
+            up, down = x + e, x - e
+            if axis == 0:
+                sheets = _minus_sheet(grid, up[0]), _minus_sheet(grid, down[0])
+            else:
+                sheets = sheet, sheet
+            second = (
+                _minus_value(grid, sheets[0], up[1:]) + _minus_value(grid, sheets[1], down[1:])
+                - 2.0 * center
+            ) / h**2
+            acc += second if axis == 0 else -second
+        residuals.append(abs(acc + grid.mass**2 * center))
+    return tuple(residuals)
 
 
 def trace_distance(first, second) -> float:

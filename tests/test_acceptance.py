@@ -373,7 +373,7 @@ def test_symmetry():
     for f in states:
         for rho in group.elements:
             stationary = stationarity_check(f, rho)
-            result = unitary_implementer(gns_construct(f.algebra, f), rho)
+            [result] = unitary_implementer(gns_construct(f.algebra, f), [rho])
             iff_ok = iff_ok and stationary == (result.unitary is not None)
         report = stabilizer_orbit(*pushforwards(f, group.elements))
         law_ok = law_ok and report.orbit_size * report.stabilizer_size == len(group)

@@ -675,36 +675,164 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
     case = workloads.symmetry_case(np.random.default_rng(7), "z160", [2], [2], 160, False)
     scenario = parse_scenario(case.text)
     state, autos = scenario.params["state"], scenario.params["automorphisms"]
-    counts = dict.fromkeys(["gns_construct", "pushforwards", "nuclear_norm", "_validated"], 0)
+    counts = dict.fromkeys(["gns_construct", "pushforwards", "svd in pushforwards",
+                            "_validated"], 0)
+    inside = []
+    svd = np.linalg.svd
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
-            return fn(*args, **kwargs)
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
         return wrapper
+
+    def counted_svd(*args, **kwargs):
+        counts["svd in pushforwards"] += "pushforwards" in inside
+        return svd(*args, **kwargs)
     monkeypatch.setattr(scenarios, "gns_construct", counted("gns_construct", gns.gns_construct))
-    for name in ("pushforwards", "nuclear_norm"):
-        monkeypatch.setattr(symmetry, name, counted(name, getattr(symmetry, name)))
+    monkeypatch.setattr(symmetry, "pushforwards", counted("pushforwards", symmetry.pushforwards))
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(State, "_validated", staticmethod(counted("_validated", State._validated)))
     text = run_scenario(scenario).render()
-    # one pushforward and one distance (one trace norm on M2) per automorphism,
-    # computed by its implementer and read again by the stationarity line and the
-    # orbit; no pushforward is wrapped in a State and validated again (160)
-    assert counts == {"gns_construct": 1, "pushforwards": 160, "nuclear_norm": 160,
+    # all 160 pushforwards and their distances in one call, one stacked SVD for the one
+    # M2 block, read by the stationary and implementer lines and the orbit; no
+    # pushforward is wrapped in a State and validated again (160 calls and 160 trace
+    # norms, one per automorphism, before the stacks)
+    assert counts == {"gns_construct": 1, "pushforwards": 1, "svd in pushforwards": 1,
                       "_validated": 0}
     monkeypatch.undo()
     assert workloads.check_report(case, text) == ""
     lines = text.splitlines()
     tol = symmetry.STATIONARY_TOL
-    for k, rho in enumerate(autos):    # the public functions give the same lines
+    results = symmetry.unitary_implementer(gns.gns_construct(state.algebra, state), autos)
+    for k, (rho, result) in enumerate(zip(autos, results)):    # the public functions agree
         assert (f"automorphism[{k}].stationary = {symmetry.stationarity_check(state, rho, tol)} "
                 "[computed]") in lines
-        defect = symmetry.unitary_implementer(gns.gns_construct(state.algebra, state),
-                                              rho).isometry_defect
-        assert f"automorphism[{k}].isometry_defect = {scenarios._fmt(defect)} [computed]" in lines
+        assert (f"automorphism[{k}].isometry_defect = {scenarios._fmt(result.isometry_defect)} "
+                "[computed]") in lines
     orbit = symmetry.stabilizer_orbit(*symmetry.pushforwards(state, autos), tol)
     assert f"stabilizer_size = {orbit.stabilizer_size} [computed]" in lines
     assert f"orbit_size = {orbit.orbit_size} [computed]" in lines
+
+
+@pytest.mark.parametrize("blocks, order", [([2], 160), ([4], 40)])
+def test_the_longest_symmetry_documents_keep_their_memory_peak(blocks, order):
+    # one closure row of 409600 action entries at a time: 9.8 MiB at 160 x M2 and
+    # 9.6 MiB at 40 x M4 under tracemalloc; runs of two rows held 19.2 MiB
+    case = _workloads().symmetry_case(np.random.default_rng(7), "long", blocks, blocks, order,
+                                      False)
+    scenario = parse_scenario(case.text)
+    tracemalloc.start()
+    try:
+        text = run_scenario(scenario).render()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _workloads().check_report(case, text) == ""
+    assert peak < 11 << 20
+
+
+SYMMETRY_HEAD = "kind: symmetry\nalgebra: {blocks: [2]}\nstate: {densities: [[[[1, 0], [0, 0]], " \
+    "[[0, 0], [0, 0]]]]}\nunitaries:\n"
+UNITARY = "  - [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]\n"
+NOT_UNITARY = "  - [[[[2, 0], [0, 0]], [[0, 0], [1, 0]]]]\n"
+MALFORMED = "  - [[[[1, 0], [0, 0]], [[0, 0]]]]\n"
+
+
+@pytest.mark.parametrize("entries, path", [
+    ([UNITARY, NOT_UNITARY, UNITARY, NOT_UNITARY], "unitaries[1] (line 6)"),
+    ([UNITARY, UNITARY, NOT_UNITARY, MALFORMED], "unitaries[2] (line 7)"),
+    ([NOT_UNITARY, MALFORMED], "unitaries[0] (line 5)"),
+    ([MALFORMED, NOT_UNITARY], "unitaries[0][0] (line 5)"),
+])
+def test_symmetry_schema_names_the_first_failing_unitary(entries, path):
+    # every unitary is judged in one stacked check, and a unitary that fails before a
+    # later entry fails to parse is still the one named
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(SYMMETRY_HEAD + "".join(entries))
+    problem = ("rows have inconsistent lengths" if entries[0] is MALFORMED
+               else "defining element is not unitary within 1e-12")
+    assert str(err.value) == f"{path}: {problem}"
+
+
+def test_field_commutator_check_past_double_range_fails():
+    # x0 = 1e300 overflows omega x0: the pair's residual is nan, which max() dropped,
+    # printing +0 ... pass
+    text = DEMO["field"].replace("[0.3, 0.1, -0.2, 0.4]", "[1.0e+300, 0.1, -0.2, 0.4]")
+    assert "1.0e+300" in text
+    with pytest.warns(RuntimeWarning):
+        report = run_scenario(parse_scenario(text))
+    assert ("commutator_identity_residual = +nan [tol 1.0e-10 default, computed] FAIL"
+            in report.lines)
+
+
+def _resolver_documents():
+    workloads = _workloads()
+    docs = list(DEMO.values())
+    for name in ("gns-mid", "numerics-large", "kinds-small"):
+        for seed in (4243, 7, 501):
+            docs += [case.text for case in workloads.generate(name, seed)]
+    return docs
+
+
+def _check_tags(loader_cls, text):
+    """Every node's tag against PyYAML's own Resolver.resolve with the loader's resolvers."""
+    loader = loader_cls(text)
+    try:
+        node = loader.get_single_node()
+    finally:
+        loader.dispose()
+    stack = [] if node is None else [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, yaml.ScalarNode):
+            implicit = (not item.style, bool(item.style))    # plain: None, or '' from libyaml
+            want = yaml.resolver.BaseResolver.resolve(loader, type(item), item.value, implicit)
+            assert item.tag == want, (item.value, item.tag, want)
+        elif isinstance(item, yaml.MappingNode):
+            assert item.tag == "tag:yaml.org,2002:map"
+            stack += [part for pair in item.value for part in pair]
+        else:
+            assert item.tag == "tag:yaml.org,2002:seq"
+            stack += item.value
+
+
+def test_yaml_loaders_register_no_path_resolver():
+    for loader_cls in (scenarios._Loader, scenarios._PyLoader):
+        assert not loader_cls.yaml_path_resolvers
+        assert yaml.resolver.BaseResolver.yaml_path_resolvers == {}
+
+
+@pytest.mark.parametrize("loader_cls", ["_Loader", "_PyLoader"])
+def test_resolver_table_gives_pyyaml_tags_on_every_node_of_the_workloads(loader_cls):
+    for text in _resolver_documents():
+        _check_tags(getattr(scenarios, loader_cls), text)
+
+
+PLAIN = st.one_of(
+    st.text(alphabet="0123456789+-._eExXoObB:~", min_size=0, max_size=8),
+    st.sampled_from(["yes", "No", "TRUE", "off", "null", "Null", "~", "<<", "=", ".inf",
+                     "-.Inf", ".nan", "0x1f", "0o17", "017", "1_000", "1:20", "2001-12-14",
+                     "2001-12-14t21:59:43.10-05:00", "1e5", "1.5e-3", "+.5", "._"]),
+    st.floats(allow_nan=True).map(repr), st.integers().map(str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=PLAIN, plain=st.booleans())
+def test_resolver_table_gives_pyyaml_tags_on_any_scalar(value, plain):
+    for loader_cls in (scenarios._Loader, scenarios._PyLoader):
+        loader = loader_cls("")
+        try:
+            for kind in (yaml.ScalarNode, yaml.SequenceNode, yaml.MappingNode):
+                implicit = (plain, not plain)
+                assert (loader.resolve(kind, value, implicit)
+                        == yaml.resolver.BaseResolver.resolve(loader, kind, value, implicit))
+        finally:
+            loader.dispose()
 
 
 def test_each_density_is_decomposed_once_and_no_pseudo_inverse_is_taken(monkeypatch):
@@ -826,6 +954,8 @@ def test_field_runner_builds_each_sheet_grid_and_value_once(monkeypatch):
     # conjugate), 5 for the Klein-Gordon stencils at h and h/2 (they were 13);
     # octant sums: the Euclidean w(0) once, the Klein-Gordon center once (39)
     # and w at +e only on each axis of the Green identity, w being even (37);
+    # the Klein-Gordon center and its 8 neighbours along x1 and x2 start from the
+    # center's contractions over x3 (and x2): 8 of the 17 sums contract a full sheet;
     # grids: the runner's and the second mass's (3)
     assert counts == {"_minus_sheet": 10, "_octant_sum": 33, "MassShellGrid": 2}
     monkeypatch.undo()
@@ -837,11 +967,15 @@ def test_group_runner_checks_positive_definiteness_once_per_function(monkeypatch
     case = _workloads().group_case(np.random.default_rng(11), name, name, 3)
     scenario = parse_scenario(case.text)
     calls = []
-    real = groups.is_positive_definite
-    monkeypatch.setattr(groups, "is_positive_definite",
-                        lambda group, psi: calls.append(name) or real(group, psi))
+    for attr in ("is_positive_definite", "pd_kernel"):
+        real = getattr(groups, attr)
+        monkeypatch.setattr(groups, attr, lambda *args, real=real, attr=attr, **kwargs:
+                            calls.append(attr) or real(*args, **kwargs))
     text = run_scenario(scenario).render()
-    assert len(calls) == 3
+    # one check and one kernel psi(g_j^-1 g_i) per function; the Gram of a
+    # positive-definite one is that kernel's transpose, not a second build
+    assert calls.count("is_positive_definite") == 3
+    assert calls.count("pd_kernel") == 3
     assert _workloads().check_report(case, text) == ""
 
 

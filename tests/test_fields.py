@@ -224,6 +224,20 @@ def test_shell_sums_equal_the_per_point_oracles(points, mass, cutoff, x, h):
 
 
 @settings(max_examples=60, deadline=None)
+@given(points=odd_points, mass=st.floats(0.1, 3.0), cutoff=st.floats(0.5, 6.0),
+       x=repeating_four_vectors(), steps=st.lists(st.floats(0.01, 0.5), min_size=1, max_size=3))
+@example(points=41, mass=1.0, cutoff=6.0, x=np.array([0.37, 0.21, -0.45, 0.11]),
+         steps=[0.08, 0.04])
+@example(points=29, mass=1.2, cutoff=6.0, x=np.array([-0.0, 0.3, 0.3, -0.0]), steps=[0.04])
+def test_klein_gordon_partial_contractions_equal_the_full_sums(points, mass, cutoff, x, steps):
+    # the neighbours along x1 and x2 start from the center's contractions over x3
+    # (and x2): the residuals are those of a full octant sum per stencil point
+    grid = MassShellGrid(mass, cutoff, points)
+    assert (klein_gordon_residuals(grid, x, steps)
+            == oracles.klein_gordon_residuals_unshared(grid, x, steps))
+
+
+@settings(max_examples=60, deadline=None)
 @given(points=st.integers(1, 10).map(lambda k: 2 * k + 1), mass=st.floats(0.1, 3.0),
        cutoff=st.floats(0.5, 6.0), x=repeating_four_vectors())
 @example(points=21, mass=1.0, cutoff=6.0, x=np.array([0.37, 0.21, -0.45, 0.11]))

@@ -200,7 +200,7 @@ def test_implementer_certificate_matches_its_dense_unitary(shape, seed, flat):
     rng = np.random.default_rng(seed)
     alg = StarAlgebra(blocks)
     u, f = _stationary(alg, rng, ranks, flat)
-    result = unitary_implementer(gns_construct(f.algebra, f), InnerAutomorphism(u))
+    [result] = unitary_implementer(gns_construct(f.algebra, f), [InnerAutomorphism(u)])
     w = result.unitary
     assert np.max(np.abs(w.conj().T @ w - np.eye(w.shape[0]))) <= 1e-12
     rep = gns_construct(alg, f)
@@ -237,7 +237,7 @@ def test_closed_form_inverses_agree_with_the_pinv_oracle(shape, seed, small):
     rep = gns_construct(alg, f)
     for inv, t, lam in zip(rep.inverses, rep.factors, rep.eigenvalues):
         assert _agrees_with_pinv(inv, np.linalg.pinv(t), lam)
-    result = unitary_implementer(rep, InnerAutomorphism(u))
+    [result] = unitary_implementer(rep, [InnerAutomorphism(u)])
     want = oracles.implementer_by_pinv(u.mats, rep.factors)
     for (_, v), ref, lam in zip(result.pairs, want, rep.eigenvalues):
         assert _agrees_with_pinv(v, ref, lam)

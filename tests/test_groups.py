@@ -24,9 +24,10 @@ from opalg import (
 )
 from opalg import groups
 from opalg.groups import REP_ENTRY_LIMIT
-from oracles import (associativity_failure_by_loop, best_invertible,
-                     gns_from_group_function_by_permutations, intertwiner_space,
-                     left_regular_representation_by_loop)
+from oracles import (associativity_failure_by_loop, best_invertible, convolve_by_loop,
+                     gns_from_group_function_by_permutations, group_laws_by_loop,
+                     intertwiner_space, left_regular_representation_by_loop,
+                     reconstruction_by_vdot)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -50,6 +51,61 @@ def test_bad_table_rejected():
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     with pytest.raises(ValueError, match="associativity fails"):
         FiniteGroup(loop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       change=st.sampled_from(["none", "relabel", "entry", "row", "column"]))
+def test_identity_and_inverses_equal_the_element_loop(n, seed, change):
+    # Z_n relabelled, or with one entry, row or column overwritten: a missing
+    # identity, an element with no or two one-sided inverses, or none of these
+    rng = np.random.default_rng(seed)
+    table = cyclic_group(n).table.copy()
+    if change == "relabel":
+        perm = rng.permutation(n)
+        table = np.argsort(perm)[table[perm][:, perm]]
+    elif change != "none":
+        i, j = rng.integers(n, size=2)
+        value = rng.integers(n)
+        if change == "entry":
+            table[i, j] = value
+        elif change == "row":
+            table[i] = value
+        else:
+            table[:, j] = value
+    want = group_laws_by_loop(table)
+    try:
+        group = FiniteGroup(table)
+        got = group.identity, group.inverse
+    except ValueError as exc:
+        got = str(exc)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want or (isinstance(got, str) and got.startswith("associativity"))
+    else:
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert got[1].dtype == want[1].dtype
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.one_of(st.integers(1, 70), st.just("s3")), seed=st.integers(0, 2**32 - 1))
+@example(order=32, seed=0)
+@example(order=1, seed=2)    # a broadcast f1 rounded the one product otherwise
+def test_convolution_equals_the_element_loop(order, seed):
+    # each row of the gather sums as the loop's contiguous vector, bit for bit
+    group = S3 if order == "s3" else cyclic_group(order)
+    rng = np.random.default_rng(seed)
+    f1, f2 = rng.normal(size=(2, group.order)) + 1j * rng.normal(size=(2, group.order))
+    assert np.array_equal(convolve(group, f1, f2), convolve_by_loop(group, f1, f2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.one_of(st.integers(2, 40), st.just("s3")),
+       kind=st.sampled_from(["delta", "character", "vectors"]), seed=st.integers(0, 2**32 - 1))
+@example(order=32, kind="vectors", seed=0)
+def test_reconstruction_equals_the_vdot_loop(order, kind, seed):
+    group = S3 if order == "s3" else cyclic_group(order)
+    rep = gns_from_group_function(group, _positive_definite(group, kind, seed))
+    assert np.array_equal(rep.reconstruction(), reconstruction_by_vdot(rep))
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,13 +22,17 @@ from opalg import (
     stationarity_check,
     unitary_implementer,
 )
+from opalg import symmetry
+from opalg.algebra import stack_blocks, unitarity_failures
 from opalg.gns import cyclic_vector_residual, intertwining_residual
 from opalg.linalg import block_diag
 from opalg.scenarios import Scenario, run_scenario
 from opalg.symmetry import (ACTION_TOL, CLOSURE_ENTRY_LIMIT, CLOSURE_ROW_LIMIT, STATIONARY_TOL,
                             cyclic_vector_certificate)
-from oracles import (automorphism_closure_by_loop, generator_matrices, stabilizer_orbit_by_pairs,
-                     trace_distance)
+from oracles import (automorphism_closure_by_loop, cyclic_vector_residual_by_pairs,
+                     generator_matrices, implementer_by_loop, intertwining_residual_by_pairs,
+                     pushforwards_by_loop, stabilizer_orbit_by_pairs, trace_distance,
+                     unitarity_by_blocks)
 
 M2 = StarAlgebra([2])
 
@@ -86,14 +90,14 @@ def test_stationarity_examples():
 
 def test_unitary_implementer_identity():
     f = State(M2, [np.diag([1.0, 0.0])])
-    result = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[0])
+    [result] = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[:1])
     assert result.unitary is not None
     assert np.max(np.abs(result.unitary - np.eye(result.unitary.shape[0]))) <= 1e-10
 
 
 def test_unitary_implementer_tracial_flip():
     f = State.tracial(M2)
-    result = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[1])
+    [result] = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[1:2])
     assert result.unitary is not None
     w = result.unitary
     assert w.shape == (4, 4)
@@ -106,7 +110,7 @@ def test_unitary_implementer_tracial_flip():
 
 def test_unitary_implementer_absent_when_not_stationary():
     f = State(M2, [np.diag([1.0, 0.0])])
-    result = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[1])
+    [result] = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[1:2])
     assert result.unitary is None
     assert result.isometry_defect > 1e-3
 
@@ -116,7 +120,7 @@ def test_unitary_implementer_refuses_an_automorphism_of_another_algebra():
     m2_m1 = StarAlgebra([2, 1])
     rho = InnerAutomorphism(m2_m1.element([SIGMA_X, np.eye(1)]))
     with pytest.raises(ShapeMismatchError):
-        unitary_implementer(gns_construct(M2, State.tracial(M2)), rho)
+        unitary_implementer(gns_construct(M2, State.tracial(M2)), [rho])
 
 
 def test_cyclic_vector_residual_pins_the_implementer():
@@ -128,7 +132,7 @@ def test_cyclic_vector_residual_pins_the_implementer():
     rng = np.random.default_rng(81)
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
     rep = gns_construct(m3, f)
-    result = unitary_implementer(rep, InnerAutomorphism(m3.element([u])))
+    [result] = unitary_implementer(rep, [InnerAutomorphism(m3.element([u]))])
     (theta,), (lam,) = rep.factors, rep.eigenvalues
     # Theta^+ in closed form: the columns of Theta are orthogonal with squared norms lam
     v = (((1.0 / lam)[:, None] * theta.conj().T) @ u.conj().T @ theta).T
@@ -147,7 +151,7 @@ def test_implementer_builds_its_dense_unitary_only_on_request():
     rho = InnerAutomorphism(m30.element([u]))
     tracemalloc.start()
     try:
-        result = unitary_implementer(gns_construct(f.algebra, f), rho)
+        [result] = unitary_implementer(gns_construct(f.algebra, f), [rho])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -176,8 +180,8 @@ def test_near_stationary_implementer_keeps_its_report():
     f = State(m3, [np.diag([1 - 1e-4, 1e-4, 0.0])])
     rho = InnerAutomorphism(m3.element([_plane_rotation(1e-5)]))
     rep = gns_construct(m3, f)
-    assert unitary_implementer(rep, rho).unitary is None
-    result = unitary_implementer(rep, rho, tol=1e-8)
+    assert unitary_implementer(rep, [rho])[0].unitary is None
+    [result] = unitary_implementer(rep, [rho], tol=1e-8)
     assert result.unitary is not None
     assert np.max(np.abs(result.unitary @ rep.cyclic_vector - rep.cyclic_vector)) > 1e-8
     params = {"algebra": m3, "state": f, "automorphisms": [rho]}
@@ -196,7 +200,7 @@ def test_implementer_within_a_configured_stationarity_tolerance_is_present():
     eps = 1e-5
     v = np.array([np.cos(eps), np.sin(eps)])
     f = State(M2, [np.outer(v, v)])
-    result = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[3], tol=1e-3)
+    [result] = unitary_implementer(gns_construct(f.algebra, f), PAULI_GROUP[3:4], tol=1e-3)
     assert result.unitary is not None
     assert result.isometry_defect > 1e-5
 
@@ -208,8 +212,8 @@ def test_cyclic_vector_certificate_raises_on_a_wrong_implementer():
     f = State.tracial(m3)
     rng = np.random.default_rng(81)
     u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    defect = unitary_implementer(gns_construct(m3, f),
-                                 InnerAutomorphism(m3.element([u]))).isometry_defect
+    [result] = unitary_implementer(gns_construct(m3, f), [InnerAutomorphism(m3.element([u]))])
+    defect = result.isometry_defect
     (theta,) = gns_construct(m3, f).factors
     v = (np.linalg.pinv(theta) @ u.conj().T @ theta).T
     assert cyclic_vector_certificate([(u, v)], [theta], defect) <= 1e-12
@@ -220,7 +224,7 @@ def test_cyclic_vector_certificate_raises_on_a_wrong_implementer():
 def test_implementer_uniqueness_via_independent_solve():
     f = State.tracial(M2)
     rho = PAULI_GROUP[1]
-    result = unitary_implementer(gns_construct(f.algebra, f), rho)
+    [result] = unitary_implementer(gns_construct(f.algebra, f), [rho])
     rep = gns_construct(M2, f)
     # oracle: cyclicity pins W through W pi(a) theta = pi(rho(a)) theta
     columns = np.stack([m @ rep.cyclic_vector for m in generator_matrices(rep)], axis=1)
@@ -242,7 +246,7 @@ def test_stationarity_iff_implementer_on_pauli_suite():
     for f in states:
         for rho in PAULI_GROUP:
             stationary = stationarity_check(f, rho)
-            result = unitary_implementer(gns_construct(f.algebra, f), rho)
+            [result] = unitary_implementer(gns_construct(f.algebra, f), [rho])
             assert stationary == (result.unitary is not None)
 
 
@@ -356,6 +360,121 @@ def test_stacked_closure_equals_the_loop_oracle(seed, blocks, kind, order, phase
     elements = _listed_elements(seed, blocks, kind, order, phases, change)
     stacked = _closure_outcome(lambda: _stacked(elements))
     assert stacked == _closure_outcome(lambda: automorphism_closure_by_loop(elements, ACTION_TOL))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       blocks=st.sampled_from([[1], [2], [1, 2], [2, 3]]),
+       kind=st.sampled_from(["cyclic", "pauli", "chain"]), order=st.integers(2, 7),
+       change=st.sampled_from(["none", "tie", "no_inverse", "not_closed", "non_unitary_product"]),
+       run=st.integers(1, 3))
+def test_closure_in_runs_of_rows_equals_the_loop_oracle(seed, blocks, kind, order, change, run):
+    # a row limit that makes each run ``run`` rows long, the last one shorter
+    elements = _listed_elements(seed, blocks, kind, order, "random", change)
+    n = len(elements)
+    row = n**2 * sum(m**4 for m in elements[0].algebra.blocks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symmetry, "CLOSURE_ROW_LIMIT", run * n * row)
+        stacked = _closure_outcome(lambda: _stacked(elements))
+    assert stacked == _closure_outcome(lambda: automorphism_closure_by_loop(elements, ACTION_TOL))
+
+
+def test_closure_keeps_one_row_a_run_on_the_longest_lists():
+    # 160 x M2 and 40 x M4 hold 409600 action entries a row, more than
+    # CLOSURE_ROW_LIMIT / n, so their runs hold one row and their peak is a row's
+    for blocks, order in (([2], 160), ([4], 40)):
+        algebra = StarAlgebra(blocks)
+        elements = [InnerAutomorphism(algebra.element(
+            [np.diag(np.exp(2j * np.pi * k * np.arange(blocks[0]) / order))])) for k in range(order)]
+        row = order**2 * blocks[0]**4
+        assert row == 409600 and order * row > CLOSURE_ROW_LIMIT
+        tracemalloc.start()
+        try:
+            group = AutomorphismGroup(elements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        k = np.arange(order)
+        assert np.array_equal(group.table, (k[:, None] + k[None, :]) % order)
+        # one row: a complex difference and its modulus, 24 bytes an entry (9.4 MiB);
+        # two rows a run would hold twice that
+        assert peak < 1.3 * 24 * row
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.sampled_from([[1], [2], [3], [1, 2], [2, 3, 1]]),
+       count=st.integers(1, 6))
+def test_stacked_unitarity_equals_the_block_loop(seed, blocks, count):
+    # unitaries scaled by 1 + c 1e-12, so the defects straddle the bound
+    rng = np.random.default_rng(seed)
+    algebra = StarAlgebra(blocks)
+    elements = [algebra.element([(1 + rng.choice([0.0, 0.2, 0.45, 0.55, 2.0]) * 1e-12)
+                                 * _random_unitary(rng, n) for n in blocks]) for _ in range(count)]
+    want = [not unitarity_by_blocks(e) for e in elements]
+    assert unitarity_failures(stack_blocks(elements)).tolist() == want
+    assert [not e.is_unitary() for e in elements] == want
+
+
+def _stationary_case(seed, blocks, order):
+    """A state and a cyclic list of automorphisms of which those of a subgroup fix it."""
+    elements = _listed_elements(seed, blocks, "cyclic", order, "random", "none")
+    group = AutomorphismGroup([InnerAutomorphism(e) for e in elements])
+    rng = np.random.default_rng(seed)
+    ranks = [int(rng.integers(0, n + 1)) for n in blocks]
+    ranks[-1] = max(ranks[-1], 1)
+    f = _twirled_state(rng, group, int(rng.integers(len(group))), ranks)
+    return f, group.elements
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       blocks=st.sampled_from([[1], [2], [3], [1, 2], [2, 3], [1, 2, 3], [4, 2]]),
+       order=st.integers(1, 6), tol=st.sampled_from([STATIONARY_TOL, 1e-3]))
+def test_stacked_implementers_equal_the_loop_oracle(seed, blocks, order, tol):
+    f, autos = _stationary_case(seed, blocks, order)
+    rep = gns_construct(f.algebra, f)
+    moved, distances = pushforwards(f, autos)
+    want_moved, want_distances = pushforwards_by_loop(f, autos)
+    assert distances == want_distances
+    assert all(np.array_equal(a, b) for m, w in zip(moved, want_moved) for a, b in zip(m, w))
+    results = unitary_implementer(rep, autos, tol)
+    for result, rho, m in zip(results, autos, moved):
+        distance, defect, pairs, intertwining, cyclic = implementer_by_loop(rep, rho, tol)
+        assert all(np.array_equal(a, b) for a, b in zip(result.moved, m))
+        assert (result.distance, result.isometry_defect) == (distance, defect)
+        assert result.intertwining_residual == intertwining
+        if pairs is None:
+            assert result.pairs is None
+            continue
+        assert all(np.array_equal(u, u2) and np.array_equal(v, v2)
+                   for (u, v), (u2, v2) in zip(result.pairs, pairs))
+        assert cyclic_vector_residual(result.pairs, rep.factors) == cyclic
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 5),
+       blocks=st.sampled_from([[1, 2], [2, 3], [3], [2, 1, 2]]))
+def test_stacked_certificates_equal_the_pair_loops(seed, count, blocks):
+    # V far from unitary, and U with a largest entry whose libm square is not x * x,
+    # so a residual differs if the stack squares otherwise than float ** 2
+    rng = np.random.default_rng(seed)
+    odd = next((x for x in rng.uniform(0.5, 1.0, size=100000).tolist()
+                if x ** 2 != float(np.square(x))), 0.75)    # 0.75 where pow is x * x
+    ranks = [int(rng.integers(0, n + 1)) for n in blocks]
+    ranks[0] = max(ranks[0], 1)
+    thetas = [rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)) for n, r in zip(blocks, ranks)]
+    stacks = []
+    for n, r in zip(blocks, ranks):
+        u = 0.1 * rng.normal(size=(count, n, n)) + 0.1j * rng.normal(size=(count, n, n))
+        u[:, 0, 0] = odd
+        stacks.append((u, rng.normal(size=(count, r, r)) + 1j * rng.normal(size=(count, r, r))))
+    pairs_each = [[(u[k], v[k]) for u, v in stacks] for k in range(count)]
+    assert intertwining_residual(stacks).tolist() == [intertwining_residual_by_pairs(p)
+                                                      for p in pairs_each]
+    assert cyclic_vector_residual(stacks, thetas).tolist() == [
+        cyclic_vector_residual_by_pairs(p, thetas) for p in pairs_each]
+    assert [float(intertwining_residual(p)) for p in pairs_each] == [
+        intertwining_residual_by_pairs(p) for p in pairs_each]
 
 
 def test_closure_limit_refuses_162_automorphisms_before_any_product():
