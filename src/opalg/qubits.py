@@ -73,9 +73,12 @@ class QubitConfig:
             return np.array([np.cos(a), np.sin(a)], dtype=complex)
         return self.default
 
-    def window_vectors(self, count: int) -> np.ndarray:
-        """(2, count) array whose column s - 1 is the vector at site s, overrides applied."""
-        if self.tail is not None:
+    def window_vectors(self, count: int, tail_window=None) -> np.ndarray:
+        """(2, count) array whose column s - 1 is the vector at site s, overrides applied
+        to a copy of ``tail_window``, the window of this tail without them, if given."""
+        if tail_window is not None:
+            vecs = tail_window.copy()
+        elif self.tail is not None:
             a = self.tail.angles(np.arange(1, count + 1))
             vecs = np.array([np.cos(a), np.sin(a)], dtype=complex)
         else:
@@ -93,8 +96,10 @@ class QubitConfig:
 
 
 def _partial_sum(sigma, sigma2) -> float:
-    v = sigma.window_vectors(PARTIAL_SUM_WINDOW)
-    w = sigma2.window_vectors(PARTIAL_SUM_WINDOW)
+    same = sigma.tail is not None and sigma.tail == sigma2.tail    # windows depend on (c, p) only
+    shared = QubitConfig(tail=sigma.tail).window_vectors(PARTIAL_SUM_WINDOW) if same else None
+    v = sigma.window_vectors(PARTIAL_SUM_WINDOW, shared)
+    w = sigma2.window_vectors(PARTIAL_SUM_WINDOW, shared)
     overlaps = np.abs(np.conj(v[0]) * w[0] + np.conj(v[1]) * w[1])
     return float(np.sum(np.abs(overlaps - 1.0)))
 

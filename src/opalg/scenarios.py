@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import math
 import re
 import sys
@@ -124,18 +125,19 @@ MAX_NESTING = 10_000
 
 
 def _descend(node):
-    """Recurse once per nesting level, so a tree too deep for the limit raises RecursionError."""
-    if isinstance(node, yaml.MappingNode):
-        for _, value_node in node.value:
-            _descend(value_node)
-    elif isinstance(node, yaml.SequenceNode):
-        for child in node.value:
+    """Recurse once per nesting level of ``node``, a node or a list read whole, so a tree
+    too deep for the limit raises RecursionError."""
+    if type(node) is not list:    # a node: its children (a scalar has none)
+        node = ([value for _, value in node.value] if isinstance(node, yaml.MappingNode)
+                else node.value if isinstance(node, yaml.SequenceNode) else ())
+    for child in node:
+        if type(child) is not float:    # a float read whole ends its branch
             _descend(child)
 
 
-def _build(node, loader, built, foreign):
-    """The data of a node of the core schema; ``built`` holds each collection
-    built so far, and ``foreign`` gathers the nodes outside the core schema."""
+def _build(node, loader, built, foreign, flows=None):
+    """The data of a node of the core schema; ``built`` holds each collection built
+    so far, ``foreign`` gathers the nodes outside it, ``flows`` the unmet placeholders."""
     cls, tag = type(node), node.tag
     if cls is yaml.ScalarNode:
         value = node.value
@@ -145,6 +147,9 @@ def _build(node, loader, built, foreign):
             except ValueError:
                 pass
         elif tag == _STR:
+            if flows and value in flows:    # a placeholder, kept on the node for _line
+                value = node.value = flows.pop(value)
+                _descend(value)    # as deep as _descend of the nodes it stands for
             return value
         elif tag == _INT and value.isdigit() and (value[0] != "0" or value == "0"):
             try:    # decimal without sign or octal prefix, within int()'s digits
@@ -163,24 +168,24 @@ def _build(node, loader, built, foreign):
     if cls is yaml.SequenceNode and tag == _SEQ:
         data = built[node] = []    # before the items, so a node inside itself is itself
         for item in node.value:
-            data.append(_build(item, loader, built, foreign))
+            data.append(_build(item, loader, built, foreign, flows))
     elif cls is yaml.MappingNode and tag == _MAP:
         data = built[node] = {}
         for key_node, value_node in node.value:
-            if type(key_node) is yaml.ScalarNode:
+            if type(key_node) is yaml.ScalarNode:    # a placeholder key stays unmet
                 key = _build(key_node, loader, built, foreign)
             else:
                 foreign.append(key_node)
                 key = None
             # a repeated key keeps its last value
-            data[key] = _build(value_node, loader, built, foreign)
+            data[key] = _build(value_node, loader, built, foreign, flows)
     else:
         foreign.append(node)
         data = None
     return data
 
 
-def _compose(loader_cls, text: str):
+def _compose(loader_cls, text: str, flows=None):
     """The data of ``text`` and its root node; (None, None) for an empty document.
 
     The core schema is built by ``_build`` from the node tree in one walk, one
@@ -191,8 +196,8 @@ def _compose(loader_cls, text: str):
     so its data and first error are PyYAML's.  PyYAML builds nested sequences
     and mappings without recursion, so when the walk overflows (a scalar read
     through a constructor takes a few frames below its level) PyYAML builds
-    the data, its error winning, and ``_descend`` refuses what is too deep to
-    read.
+    the data, its error winning, and ``_descend`` refuses what is too deep.  With
+    ``flows`` from ``_flows``, None unless each placeholder is one whole scalar value.
     """
     loader = loader_cls(text)
     try:
@@ -203,11 +208,15 @@ def _compose(loader_cls, text: str):
             return loader.construct_document(node), node
         foreign = []
         try:
-            data = _build(node, loader, {}, foreign)
+            data = _build(node, loader, {}, foreign, flows)
         except RecursionError:
+            if flows is not None:
+                return None
             data = loader.construct_document(node)
             _descend(node)
             return data, node
+        if flows is not None and (flows or foreign):
+            return None
         if foreign:
             data = loader.construct_document(node)
         return data, node
@@ -233,15 +242,49 @@ def _check_nesting(text: str):
         pass  # malformed within the limit: the loaders below report it
 
 
+# In a text of _FLOW_TEXT without _FLOW, each one-line flow sequence of JSON numbers (the
+# same int or float here) after ': ' or '- ' and before a line end, ',', ']' or '}' is read
+# by the C JSON decoder, and libyaml reads the rest with a plain scalar _FLOW<k> in its place.
+_FLOW = "__flow"
+_FLOW_TEXT = re.compile(r"[-+._,:\[\]{} \nA-Za-z0-9]*")
+_FLOW_STARTS = (re.compile(r": \["), re.compile(r"- \["))    # literals: found fastest one by one
+_FLOW_SPAN = re.compile(r"[-+.eE0-9, \[\]]*")
+_decode = json.JSONDecoder().raw_decode
+
+
+def _flows(text: str):
+    """``text`` with a placeholder for each numeric flow sequence, and their lists, or None."""
+    if not _FLOW_TEXT.fullmatch(text) or _FLOW in text:
+        return None
+    parts, flows, end = [], {}, 0
+    starts = sorted(match.start() + 2 for start in _FLOW_STARTS for match in start.finditer(text))
+    for start, limit in zip(starts, starts[1:] + [len(text)]):
+        piece = text[start:limit]    # no span holds ': ' or '- '; a decode error scans only this
+        try:
+            value, stop = _decode(piece)
+        except (ValueError, RecursionError):    # ValueError: also past int()'s 4300 digits
+            continue
+        if (stop == len(piece) or piece[stop] in ",]}\n") and _FLOW_SPAN.fullmatch(piece, 0, stop):
+            placeholder = f"{_FLOW}{len(flows)}"
+            flows[placeholder] = value
+            parts += (text[end:start], placeholder)
+            end = start + stop
+    return "".join(parts) + text[end:], flows
+
+
 def _load(text: str):
     """(data, root node) of a scenario document; malformed text is a ValidationError."""
     if len(text) > MAX_NESTING:   # every level takes at least one character
         _check_nesting(text)
-    if not (_PY_ONLY_CHAR.search(text) or _EMPTY_FLOW_VALUE.search(text)):
-        try:
-            return _compose(_Loader, text)
-        except yaml.YAMLError:
-            pass  # libyaml's messages omit the source snippet: re-parse for the error
+    flows = _flows(text)    # None outside its subset, which has no character of _PY_ONLY_CHAR
+    if not ((flows is None and _PY_ONLY_CHAR.search(text)) or _EMPTY_FLOW_VALUE.search(text)):
+        for args in (flows, (text,)):    # the numbers read whole first, if they can be
+            try:
+                read = args and _compose(_Loader, *args)
+            except yaml.YAMLError:
+                continue    # libyaml's messages omit the source snippet: re-parse for the error
+            if read is not None:
+                return read
     try:
         return _compose(_PyLoader, text)
     except yaml.YAMLError as exc:
@@ -265,8 +308,10 @@ def _line(node, path):
     step, rest = path[0], path[1:]
     if isinstance(node, yaml.MappingNode):
         children = [value for key, value in node.value if str(key.value) == step]
-    elif isinstance(node, yaml.SequenceNode) and isinstance(step, int) and 0 <= step < len(node.value):
+    elif isinstance(node.value, list) and isinstance(step, int) and 0 <= step < len(node.value):
         children = [node.value[step]]
+        if isinstance(node, yaml.ScalarNode):    # holding a flow sequence, which is on one line
+            children = [yaml.ScalarNode(_STR, children[0], node.start_mark)]
     else:
         children = []
     for child in reversed(children):
@@ -766,7 +811,7 @@ class Report:
         """Emit a matrix in the scenario numeric format: rows of [re, im] pairs."""
         mat = np.asarray(mat, dtype=complex)
         self.lines.append(f"{key} = [matrix {mat.shape[0]}x{mat.shape[1]}] [computed]")
-        for row in mat:
+        for row in mat.tolist():    # Python complex formats as numpy's, and faster
             cells = ", ".join(f"[{v.real:+.12e}, {v.imag:+.12e}]" for v in row)
             self.lines.append(f"  [{cells}]")
 

@@ -5,9 +5,11 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -432,11 +434,14 @@ def test_nesting_of_400_levels_reaches_the_schema_walker():
     assert (str(err.value), err.value.line) == ("algebra (line 2): expected a mapping, got list", 2)
 
 
-def _deepest_list_read(leaf):
-    """The deepest list around ``leaf`` that parse_scenario reads to the schema walker."""
+def _deepest_list_read(leaf, blocks=0):
+    """The deepest flow list around ``leaf`` that parse_scenario reads to the schema
+    walker, below ``blocks`` nested block sequences."""
+    head = "kind: gns\nalgebra:" + ("\n" + "- " * blocks if blocks else " ")
+
     def read(depth):
         try:
-            parse_scenario("kind: gns\nalgebra: " + "[" * depth + leaf + "]" * depth + "\n")
+            parse_scenario(head + "[" * depth + leaf + "]" * depth + "\n")
         except ValidationError as exc:
             return "nested too deeply" not in str(exc)
     lo, hi = 100, sys.getrecursionlimit() + 100
@@ -454,6 +459,141 @@ def test_nesting_boundary_does_not_depend_on_the_scalar_inside():
     assert depth < sys.getrecursionlimit()
     for leaf in ["a", "1", "-1", "012", "0x1F", "1_000", "true", "~", ".inf", "2001-12-14"]:
         assert _deepest_list_read(leaf) == depth, leaf
+
+
+def test_nesting_boundary_below_block_sequences_does_not_depend_on_the_scalar_inside():
+    # the JSON decoder reads a list whole from near the bottom of the stack, however
+    # deep the block levels above it; it must still be refused exactly as deep as a
+    # list the decoder leaves to libyaml
+    depth = _deepest_list_read("a", 300)
+    assert depth < sys.getrecursionlimit() - 300
+    for leaf in ["1.5", "-1"]:
+        assert _deepest_list_read(leaf, 300) == depth, leaf
+
+
+# ---------------------------------------------------------------------------
+# numeric flow sequences read whole by the JSON decoder
+
+
+def _read_whole(root):
+    """The lists read whole by the JSON decoder, in document order: the scalars that hold one."""
+    found, stack = [], [] if root is None else [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, yaml.MappingNode):
+            stack += [value for _, value in reversed(node.value)]
+        elif isinstance(node, yaml.SequenceNode):
+            stack += reversed(node.value)
+        elif isinstance(node.value, list):
+            found.append(node.value)
+    return found
+
+
+def _with_flows(text):
+    """``_load`` one frame down, as deep in the stack as ``_without_flows`` reads."""
+    return scenarios._load(text)
+
+
+def _without_flows(text):
+    """``_load`` with every flow sequence composed by libyaml, as a document outside the subset is."""
+    with mock.patch.object(scenarios, "_flows", lambda text: None):
+        return scenarios._load(text)
+
+
+def _paths(obj, path=(), depth=40):
+    yield path
+    if len(path) < depth and isinstance(obj, (dict, list)):
+        for step, child in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _paths(child, path + (step,), depth)
+
+
+def _read_outcome(load, text):
+    """The repr of the data and the line of every path into it, or the error and its line."""
+    try:
+        data, root = load(text)
+    except ValidationError as exc:
+        return "error", str(exc), exc.line
+    return "ok", repr(data), [(path, scenarios._line(root, path)) for path in _paths(data)]
+
+
+# JSON number tokens (1e5 resolves through the YAML 1.2 float pattern, -0 and
+# -0.0 as themselves, 1e400 to inf) and tokens JSON refuses, which leave their
+# sequence to libyaml: signs, bare dots, octal, underscores, 4301 digits
+FLOW_TOKENS = st.one_of(
+    st.sampled_from(["0", "-0", "-0.0", "7", "-7", "1.5", "-2.5e-3", "1e5", "1E+5", "6E0", "1e400",
+                     "-1e400", "1e-400", "+1", ".5", "5.", "010", "1_000", "1-2", "1 2", "0x1F",
+                     ".inf", "1e", "", "9" * 4301]),
+    st.floats(allow_nan=False, allow_infinity=False).map("%.17e".__mod__),
+    st.integers(-10 ** 20, 10 ** 20).map(str))
+FLOW_SPANS = st.recursive(FLOW_TOKENS, lambda inner: st.lists(inner, max_size=3),
+                          max_leaves=8).map(_flow)
+# nests deeper than the JSON decoder reads (PyYAML's own parser, which reads
+# the errors, takes about a second over two of them, so they come as examples)
+DEEP = "[" * 1200 + "{}" + "]" * 1200
+# places for a span: values of block and flow mappings, nested block sequences,
+# and traps where libyaml would join its placeholder into a longer scalar
+FLOW_PLACES = ["k{k}: {0}", "k{k}:\n  - {0}\n  - {1}", "k{k}:\n- - {0}\n  -   {1}",
+               "k{k}: {{a: {0}, b: {1}}}", "k{k}: {{a: {0},\n  b: {1}}}", "k{k}: out - {0}",
+               "k{k}: x\n  - {0}", "k{k}: {0}\n  extra", "k{k}: {0}, {1}", "k{k}: __flow{k}"]
+
+
+@st.composite
+def flow_documents(draw):
+    places = draw(st.lists(st.sampled_from(FLOW_PLACES), min_size=1, max_size=4))
+    return "".join(place.format(draw(FLOW_SPANS), draw(FLOW_SPANS), k=k) + "\n"
+                   for k, place in enumerate(places))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flow_documents())
+@example("report: out - [1]\n")    # 'out - __flow0' as one scalar
+@example("a: x\n  - [1]\n")         # 'x - __flow0', a continuation line
+@example("key: [1, 2]\n  extra\n")  # '__flow0 extra': a YAML error would turn into data
+@example("k0: __flow0\nk1: [1]\n")  # the text already holds a placeholder
+@example(f"k0: {DEEP.format('1.5')}\n")
+@example(f"k0: {{a: [1], b: {DEEP.format('-1')}}}\nk1: out - {DEEP.format('2')}\n")
+@example(f"k0:\n- - {DEEP.format('a')}\n  - [2]\n")
+def test_flow_sequences_read_whole_give_the_data_and_errors_libyaml_gives(text):
+    assert _read_outcome(_with_flows, text) == _read_outcome(_without_flows, text)
+
+
+@pytest.mark.parametrize("text, whole", [
+    ("a: [1, -2.5e-3, 1e5]\n", [[1, -0.0025, 1e5]]),
+    ("- [[1, 2], [3]]\n- {b: [], c: [[[-0.0]]]}\n", [[[1, 2], [3]], [], [[[-0.0]]]]),
+    ("a: {b: [1],\n  c: [2]}\n", [[1], [2]]),
+    ("a: [1] \n", []),               # a span ends its line or comes before ',', ']' or '}'
+    ("a:  [1]\nb: [+1]\n", []),      # it starts right after ': ' or '- ', and holds JSON
+    ('a: [1]\nb: "x"\n', []),        # quotes, comments, tags, anchors lie outside the subset
+    ("a: [1]\nb: x # note\n", []),
+    ("a: [1]\nb: x/y\n", []),
+])
+def test_flow_sequences_are_read_whole_in_the_subset_only(text, whole):
+    data, root = scenarios._load(text)
+    assert _read_whole(root) == whole
+    assert repr(data) == repr(_without_flows(text)[0])
+
+
+def test_every_benchmark_document_reads_its_numbers_whole():
+    # every flow sequence after ': ' or '- ' of the demos and of the workloads at three
+    # seeds is read by the JSON decoder
+    for text in _resolver_documents():
+        read = scenarios._compose(scenarios._Loader, *scenarios._flows(text))
+        assert read is not None, text
+        starts = sum(len(start.findall(text)) for start in scenarios._FLOW_STARTS)
+        assert len(_read_whole(read[1])) == starts, text
+
+
+@pytest.mark.parametrize("unit", [": [0, 0, 0, 0, 0, 0, 0", " - [0, 0, 0, 0, 0, 0, 0"])
+def test_a_megabyte_of_flow_starts_is_scanned_in_linear_time(unit):
+    # each start's JSON read stops at the next ': ' or '- '; a read to the end of the
+    # line from each of its 50000 starts would step over 2e10 characters
+    text = "k: a" + unit * (2 ** 20 // len(unit)) + "\n"
+    start = time.perf_counter()
+    try:
+        scenarios._load(text)
+    except ValidationError:
+        pass
+    assert time.perf_counter() - start < 1.0
 
 
 def test_line_lookup_through_an_alias_fan_out_searches_each_node_once(monkeypatch):
@@ -614,6 +754,16 @@ def test_report_lines_carry_tolerance_provenance():
     line2 = next(l for l in run_scenario(configured).lines
                  if l.startswith("reconstruction_residual_max"))
     assert "configured" in line2
+
+
+def test_report_matrix_prints_python_scalars_as_numpy_scalars():
+    parts = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.5e-310, 1.0, -1e300]
+    mat = np.array([[complex(re, im) for im in parts] for re in parts])
+    report = scenarios.Report("equiv")
+    report.matrix("m", mat)
+    rows = ["  [" + ", ".join(f"[{v.real:+.12e}, {v.imag:+.12e}]" for v in row) + "]"
+            for row in mat]    # each v a numpy complex128
+    assert report.lines[1:] == ["m = [matrix 10x10] [computed]"] + rows
 
 
 def test_parse_reads_yaml_1_2_floats():

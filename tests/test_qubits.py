@@ -255,3 +255,26 @@ def test_partial_sum_equals_the_mask_form(seed, kinds):
     rng = np.random.default_rng(seed)
     first, second = (_random_config(rng, kind) for kind in kinds)
     assert _partial_sum(first, second) == oracles.partial_sum_by_masks(first, second)
+
+
+def test_configurations_of_one_tail_share_its_window(monkeypatch):
+    # sites 3 and 9 are overridden in the first configuration only, site 3 in both
+    turn = np.array([0.6, 0.8j])
+    first = QubitConfig(overrides={3: E2, 9: turn}, tail=PowerTail(1.3, 0.75))
+    second = QubitConfig(overrides={3: turn}, tail=PowerTail(1.3, 0.75))
+    shared = QubitConfig(tail=PowerTail(1.3, 0.75)).window_vectors(PARTIAL_SUM_WINDOW)
+    kept = shared.copy()
+    for config in (first, second):
+        assert np.array_equal(config.window_vectors(PARTIAL_SUM_WINDOW, shared),
+                              config.window_vectors(PARTIAL_SUM_WINDOW))
+    assert np.array_equal(shared, kept)    # copied, not written
+    v, w = first.window_vectors(PARTIAL_SUM_WINDOW), second.window_vectors(PARTIAL_SUM_WINDOW)
+    own = np.abs(np.conj(v[0]) * w[0] + np.conj(v[1]) * w[1])    # each with its own window
+    angles = []
+    tail_angles = PowerTail.angles
+    monkeypatch.setattr(PowerTail, "angles",
+                        lambda self, sites: angles.append(len(sites)) or tail_angles(self, sites))
+    assert _partial_sum(first, second) == float(np.sum(np.abs(own - 1.0)))
+    assert angles == [PARTIAL_SUM_WINDOW]
+    _partial_sum(first, QubitConfig(tail=PowerTail(1.3, 0.5)))    # another tail: a window each
+    assert angles == [PARTIAL_SUM_WINDOW] * 3
