@@ -170,18 +170,21 @@ class State:
         densities = tuple(np.asarray(d, dtype=complex) for d in densities)
         if len(densities) != len(algebra.blocks):
             raise ShapeMismatchError("one density per block required")
+        # the total trace is judged before the shapes; a density that is no matrix fails those
+        traces = [d.trace() for d in densities if d.ndim == 2]
+        total = sum(float(t.real) for t in traces)
+        if abs(total - 1.0) > TRACE_TOL:
+            raise InvalidStateError(f"densities must be normalized: total trace {total:.6g} != 1")
         for d, n in zip(densities, algebra.blocks):
             if d.shape != (n, n):
                 raise ShapeMismatchError(f"density of shape {d.shape} does not match M{n}")
-        densities, self.spectra = self._validated(densities)
+        densities, self.spectra = self._validated(densities, sum(abs(t) for t in traces))
         self.densities = tuple(_freeze(d) for d in densities)
 
     @staticmethod
-    def _validated(densities):
-        """The recomposed densities and their clipped spectra, each over the total trace."""
-        scale = sum(abs(d.trace()) for d in densities)
-        if scale <= 0.0:
-            raise InvalidStateError("all densities vanish")
+    def _validated(densities, scale):
+        """The recomposed densities and their clipped spectra, each over the recomposed total
+        trace; ``scale`` is the sum of the moduli of the given traces."""
         clean = []
         for d in densities:
             herm_defect = np.abs(d - d.conj().T).max()
@@ -193,9 +196,8 @@ class State:
                     f"density eigenvalue {lam[0]:.3e} below -{PSD_TOL:.0e} * scale")
             lam = lam.clip(0.0, None)
             clean.append((lam, vec, (vec * lam[None, :]) @ vec.conj().T))
+        # clipping moves the total by at most sum n_b * PSD_TOL * max(scale, 1)
         total = sum(float(d.trace().real) for _, _, d in clean)
-        if abs(total - 1.0) > TRACE_TOL:
-            raise InvalidStateError(f"total trace {total!r} != 1")
         return ([d / total for _, _, d in clean],
                 tuple((_freeze(lam / total), _freeze(vec)) for lam, vec, _ in clean))
 

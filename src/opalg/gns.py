@@ -38,9 +38,9 @@ import numpy as np
 
 from .algebra import AlgebraElement, StarAlgebra, State, transport_residual
 from .errors import NumericalError, OpalgError, ShapeMismatchError
-from .linalg import block_diag, cut_spectra, fix_global_phase, fix_phases, two_vector_unitary
+from .linalg import block_diag, cut_spectra, fix_global_phase, two_vector_unitary
 
-TRANSITION_TOL = 1e-8     # transition and pure-unitary certificates raise past this
+TRANSITION_TOL = 1e-8     # default transition tolerance; pure-unitary certificates raise past it
 EQUAL_STATES_TOL = 1e-12  # equivalence_check: densities this close entrywise are one state
 
 
@@ -204,8 +204,8 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
     then the rank vectors (the multiplicity of each block).  Equal rank
     vectors give the same representation matrices, so the identity is the
     intertwiner (``EquivalenceReport.intertwiner`` builds it on request);
-    its residual and the transition elements are verified.  Two pure states
-    pass both representations to :func:`pure_unitary_intertwiner`.
+    its residual and that of the transition elements are returned unjudged.
+    Two pure states pass both representations to :func:`pure_unitary_intertwiner`.
     """
     rep_f = gns_construct(algebra, f)
     rep_g = gns_construct(algebra, g)
@@ -243,10 +243,7 @@ def equivalence_check(algebra: StarAlgebra, f: State, g: State) -> EquivalenceRe
             algebra.element([tg @ tf_inv for tf_inv, tg in zip(src.inverses, dst.factors)])
             for src, dst in ((rep_f, rep_g), (rep_g, rep_f)))
     b, b_back = report.transition
-    worst = max(transport_residual(f, g, b), transport_residual(g, f, b_back))
-    if worst > TRANSITION_TOL:
-        raise NumericalError(f"transition elements failed verification ({worst:.3e})")
-    report.transition_residual = worst
+    report.transition_residual = max(transport_residual(f, g, b), transport_residual(g, f, b_back))
     if rep_f.pure and rep_g.pure:
         report.unitary = pure_unitary_intertwiner(rep_f, rep_g)
     return report
@@ -268,9 +265,9 @@ def pure_unitary_intertwiner(rep_f: GnsRep, rep_g: GnsRep):
     block_g = rep_g.ranks.index(1)
     if block_f != block_g:
         return None  # different kernels: inequivalent
-    # each support vector: the eigenvector of the largest eigenvalue, pinned by fix_phases
-    vec_f, vec_g = (fix_phases(np.linalg.eigh(d[block_f])[1][:, -1:])[:, 0]
-                    for d in (f.densities, g.densities))
+    # each support vector: the kept eigenvector, Theta_b / sqrt(lambda_b)
+    vec_f, vec_g = (rep.factors[block_f][:, 0] / np.sqrt(rep.eigenvalues[block_f][0])
+                    for rep in (rep_f, rep_g))
     u_block = fix_global_phase(two_vector_unitary(vec_f, vec_g))
     mats = [np.eye(m, dtype=complex) for m in algebra.blocks]
     mats[block_f] = u_block

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStateError, NumericalError, ShapeMismatchError
-from .linalg import PSD_TOL, gram_quotient
+from .linalg import PSD_TOL, gram_quotient, hermitize
 
 # largest built-in cyclic group a scenario may name: the positive-definiteness
 # test and the Gram quotient of one function on z1024 take about 2.5 s and
@@ -120,14 +120,19 @@ def pd_kernel(group: FiniteGroup, psi) -> np.ndarray:
     return psi[group.table[group.inverse]].T
 
 
-def is_positive_definite(group: FiniteGroup, psi, kernel=None) -> bool:
-    """Whether the kernel ``pd_kernel(group, psi)`` (``kernel``, when the caller has it)
-    is Hermitian and positive semidefinite within ``PSD_TOL``."""
-    k = pd_kernel(group, psi) if kernel is None else kernel
+def _kernel_spectrum(group: FiniteGroup, psi):
+    """The ``eigh`` pair of the Hermitian part of the Gram ``pd_kernel(group, psi).T``, or
+    None unless the kernel is Hermitian and positive semidefinite within ``PSD_TOL``."""
+    k = pd_kernel(group, psi)
     if np.max(np.abs(k - k.conj().T)) > PSD_TOL * max(1.0, float(np.max(np.abs(k)))):
-        return False
-    lam = np.linalg.eigvalsh(0.5 * (k + k.conj().T))
-    return bool(lam[0] >= -PSD_TOL * max(float(lam[-1]), 1.0))
+        return None
+    lam, vec = np.linalg.eigh(hermitize(k.T))
+    return (lam, vec) if lam[0] >= -PSD_TOL * max(float(lam[-1]), 1.0) else None
+
+
+def is_positive_definite(group: FiniteGroup, psi) -> bool:
+    """Whether the kernel ``pd_kernel(group, psi)`` is Hermitian and PSD within ``PSD_TOL``."""
+    return _kernel_spectrum(group, psi) is not None
 
 
 @dataclass
@@ -172,13 +177,12 @@ def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
     :class:`NumericalError` before any translation is built.
     """
     psi = _as_function(group, psi)
-    kernel = pd_kernel(group, psi)
-    if not is_positive_definite(group, psi, kernel=kernel):
-        raise InvalidStateError("function is not positive-definite within tolerance")
     # pairing <delta_a | delta_b> = psi(b^-1 a); as a Gram with the starred
     # slot on rows this is the transpose of the positive-definiteness kernel
-    gram = kernel.T
-    t, t_pinv, rank = gram_quotient(gram)
+    spectrum = _kernel_spectrum(group, psi)
+    if spectrum is None:
+        raise InvalidStateError("function is not positive-definite within tolerance")
+    t, t_pinv, rank = gram_quotient(spectrum)
     _check_rep_size(group, rank)
     # pi(g) = T P_g T+, and P_g only permutes columns: T P_g is T[:, table[g]], gathered
     # for a run of elements at a time and multiplied by T+ as one stack

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidStateError
-
 PSD_TOL = 1e-10           # relative allowance for negative eigenvalues of a PSD matrix
 GRAM_REL_CUT = 1e-12      # eigenvalues up to size * GRAM_REL_CUT * top are null directions
 PHASE_PIVOT_TOL = 1e-12   # fix_global_phase skips entries up to this magnitude
@@ -52,14 +50,11 @@ def cut_spectra(spectra, size: int) -> list:
 
     ``V`` holds the kept eigenvectors, largest eigenvalue first, each pinned
     by :func:`fix_phases`, so V diag(lam) V* is the matrix above the cut.
-    With ``top`` the largest eigenvalue of all the matrices, eigenvalues below
-    ``-size * PSD_TOL * max(top, 1)`` raise :class:`InvalidStateError`, and
-    those at most ``size * GRAM_REL_CUT * top`` count as null directions.
+    With ``top`` the largest eigenvalue of all the matrices, eigenvalues at
+    most ``size * GRAM_REL_CUT * top`` count as null directions; positivity
+    is the caller's rule.
     """
     top = max(float(lam[-1]) for lam, _ in spectra)
-    low = min(float(lam[0]) for lam, _ in spectra)
-    if low < -size * PSD_TOL * max(top, 1.0):
-        raise InvalidStateError(f"Gram matrix has negative eigenvalue {low:.3e} beyond tolerance")
     cut = size * GRAM_REL_CUT * max(top, 0.0)
     out = []
     for lam, vec in spectra:
@@ -68,21 +63,15 @@ def cut_spectra(spectra, size: int) -> list:
     return out
 
 
-def psd_factors(mats, size: int) -> list:
-    """:func:`cut_spectra` of the eigendecompositions of the Hermitian parts of ``mats``."""
-    spectra = [np.linalg.eigh(hermitize(np.asarray(m, dtype=complex))) for m in mats]
-    return cut_spectra(spectra, size)
-
-
-def gram_quotient(gram: np.ndarray):
+def gram_quotient(spectrum):
     """Orthonormal coordinates for the quotient by the null space of a PSD Gram.
 
     Returns ``(T, T_pinv, rank)`` where ``T`` maps raw coordinates to an
     orthonormal basis of the quotient ( ``y^H (T b)^H (T a) y`` reproduces the
-    Gram pairing ) and ``T_pinv`` is its Moore-Penrose inverse; the spectrum
-    is read and cut by :func:`psd_factors` with ``size`` the order of the Gram.
+    Gram pairing ) and ``T_pinv`` is its Moore-Penrose inverse; ``spectrum``,
+    the ``eigh`` pair of the Gram, is cut by :func:`cut_spectra` with ``size`` its order.
     """
-    [(vec, lam)] = psd_factors([gram], len(gram))
+    [(vec, lam)] = cut_spectra([spectrum], len(spectrum[0]))
     scale = np.sqrt(lam)
     t = scale[:, None] * vec.conj().T
     t_pinv = vec * (1.0 / scale)[None, :]

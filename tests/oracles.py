@@ -6,7 +6,7 @@ left multiplication pushed to orthonormal coordinates of that quotient is the
 representation.  The quotient comes from ``quotient_by_svd``, an SVD of the
 full Gram with its own rank cut (``GRAM_CUT``).  Commutants and intertwiners
 come from Kronecker null-space solves.  None of this uses the density
-eigendecompositions or ``opalg.linalg.psd_factors`` that ``opalg.gns`` is
+eigendecompositions or ``opalg.linalg.cut_spectra`` that ``opalg.gns`` is
 built on, so agreement between the two is evidence for both.
 The null-space solves cost O(D^6) in the carrier dimension D: use them on
 small algebras only.  ``basis_triples``, ``basis_labels`` and ``coords``
@@ -17,6 +17,9 @@ the quotient's, whose vanished blocks are those of which every matrix unit
 has a vanishing generator.
 
 ``fix_phases_by_columns`` pins one column at a time.
+``support_vector_by_eigh`` takes the unit vector of a rank-one density from
+its own eigendecomposition, where ``opalg.gns.pure_unitary_intertwiner`` reads
+it off the GNS factor as Theta_b / sqrt(lambda_b).
 ``transitions_by_pinv`` and ``implementer_by_pinv`` take Theta_b^+ by the
 SVD of ``np.linalg.pinv``, where ``opalg.gns`` reads it off the kept
 eigenvalues as Lambda_b^-1 Theta_b*.
@@ -34,8 +37,8 @@ table one at a time, as ``opalg.groups.FiniteGroup`` compares them in one
 array expression.  ``gns_from_group_function_by_permutations`` builds each
 translation as the dense product T P_g T+ with the permutation matrix P_g,
 where ``opalg.groups`` gathers the columns of T; its T comes from
-``quotient_by_eigh``, the arithmetic of ``psd_factors`` written out here, so
-the two are compared bit for bit; and
+``quotient_by_eigh``, the arithmetic of ``opalg.linalg.gram_quotient``
+written out here, so the two are compared bit for bit; and
 ``left_regular_representation_by_loop`` sets the entries of each P_g one at
 a time.  ``automorphism_closure_by_loop`` builds the closure table of a
 list of unitary elements pair by pair, with one action matrix
@@ -218,6 +221,12 @@ def fix_phases_by_columns(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def support_vector_by_eigh(density: np.ndarray) -> np.ndarray:
+    """The unit eigenvector of the largest eigenvalue of a density, pinned by
+    ``fix_phases_by_columns``."""
+    return fix_phases_by_columns(np.linalg.eigh(density)[1][:, -1:])[:, 0]
+
+
 def quotient_by_svd(gram: np.ndarray):
     """(T, T+, rank) for the quotient of a PSD Gram by its null space, from its SVD.
 
@@ -236,8 +245,8 @@ def quotient_by_eigh(gram: np.ndarray):
 
     The eigenvalues above ``len(gram) * GRAM_CUT`` times the largest are kept,
     largest first, each eigenvector rotated by ``fix_phases``: the arithmetic
-    of ``opalg.linalg.psd_factors``, so translations built on it can be
-    compared with ``opalg.groups`` bit for bit.
+    of ``opalg.linalg.gram_quotient`` on the spectrum ``opalg.groups`` takes,
+    so translations built on it can be compared with ``opalg.groups`` bit for bit.
     """
     gram = np.asarray(gram, dtype=complex)
     lam, vec = np.linalg.eigh(0.5 * (gram + gram.conj().T))

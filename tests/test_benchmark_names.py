@@ -25,6 +25,7 @@ UNREACHED = {
     "qubits.finite_marginal_state": "the function has moved to tests/oracles.py",
     "gns.commutant_basis": "only the harness's size sweep calls it",
     "algebra.evaluate_state": "no scenario kind calls it",
+    "groups.is_positive_definite": "the group runner decides positivity from the spectrum it cuts",
 }
 
 

@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from opalg import (State, ValidationError, fields, gns, groups, parse_scenario, run_scenario,
-                   scenarios, symmetry)
+from opalg import (NumericalError, State, ValidationError, fields, gns, groups, parse_scenario,
+                   run_scenario, scenarios, symmetry)
 from opalg.cli import main
 from opalg.scenarios import DEFAULT_TOLERANCES, KINDS
 
@@ -41,11 +41,17 @@ def test_parse_minimal_gns():
 
 
 def test_parse_rejects_unnormalized_density():
+    # the State checks the total trace before the shapes, with the schema's text and line
     bad = MINIMAL_GNS.replace("[[[1, 0], [0, 0]]", "[[[0.5, 0], [0, 0]]")
-    with pytest.raises(ValidationError) as err:
-        parse_scenario(bad)
-    assert "densities" in str(err.value)
-    assert "trace" in str(err.value)
+    zeros = "[[0, 0], [0, 0], [0, 0]]"
+    misshapen = MINIMAL_GNS.replace("[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
+                                    f"[[[0.5, 0], [0, 0], [0, 0]], {zeros}, {zeros}]")
+    for text in (bad, misshapen):
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+        assert str(err.value) == ("state.densities (line 5): densities must be normalized: "
+                                  "total trace 0.5 != 1")
+        assert (err.value.path, err.value.line) == ("state.densities", 5)
 
 
 def test_parse_rejects_unknown_kind_and_fields():
@@ -910,14 +916,30 @@ def test_symmetry_schema_names_the_first_failing_unitary(entries, path):
 
 
 def test_field_commutator_check_past_double_range_fails():
-    # x0 = 1e300 overflows omega x0: the pair's residual is nan, which max() dropped,
-    # printing +0 ... pass
+    # x0 = 1e300 makes the phase exp(-i omega x0) invalid: the run's floating-point rule
+    # fails the document, where the nan residual once read +0 ... pass, then +nan ... FAIL
     text = DEMO["field"].replace("[0.3, 0.1, -0.2, 0.4]", "[1.0e+300, 0.1, -0.2, 0.4]")
     assert "1.0e+300" in text
-    with pytest.warns(RuntimeWarning):
-        report = run_scenario(parse_scenario(text))
-    assert ("commutator_identity_residual = +nan [tol 1.0e-10 default, computed] FAIL"
-            in report.lines)
+    with pytest.raises(NumericalError, match="^FloatingPointError: "):
+        run_scenario(parse_scenario(text))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_floating_point_fault_is_a_numerical_failure_of_its_file(jobs, tmp_path, capsys):
+    # psi(e) = 1e308 overflows the Hermitian part of the group kernel; its eigensolver
+    # ended the whole batch in an uncaught LinAlgError, with no report written
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    group = DEMO["group"].replace("  - [[1, 0], [1, 0], [1, 0]]", "  - [[1e308, 0], [1, 0], [1, 0]]")
+    assert "1e308" in group
+    (batch / "a_group.yaml").write_text(group)
+    (batch / "b_gns.yaml").write_text(DEMO["gns"])
+    out = tmp_path / "reports"
+    assert main(["run", str(batch), "--jobs", jobs, "--out", str(out)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"numerical failure: {batch / 'a_group.yaml'}: NumericalError: "
+                           "FloatingPointError: ")
+    assert [p.name for p in out.iterdir()] == ["b_gns.report.txt"]
 
 
 def _resolver_documents():
@@ -994,32 +1016,43 @@ def test_each_density_is_decomposed_once_and_no_pseudo_inverse_is_taken(monkeypa
     cases = [(workloads.gns_case(rng, "gns", blocks, [1, 2, 1]), 1),
              (workloads.equiv_case(rng, "equiv", blocks, [0, 2, 2], [0, 2, 2]), 2),
              (workloads.symmetry_case(rng, "symmetry", blocks, [1, 2, 2], 3, True), 1)]
-    calls = {"eigh": 0, "eigh in gns_construct": 0, "pinv": 0}
+    # a pure pair: the intertwiner reads each support vector off the kept spectrum
+    pure = workloads.equiv_case(rng, "equiv", blocks, [0, 0, 1], [0, 0, 1])
+    cases.append((pure, 2))
+    calls = {"eigh": 0, "eigh in gns_construct": 0, "eigh in pure_unitary_intertwiner": 0,
+             "pinv": 0}
     inside = []
     eigh, pinv, construct = np.linalg.eigh, np.linalg.pinv, gns.gns_construct
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            calls["eigh in gns_construct"] += bool(inside) and name == "eigh"
+            if inside and name == "eigh":
+                calls[f"eigh in {inside[-1]}"] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    def flagged(*args, **kwargs):
-        inside.append(True)
-        try:
-            return construct(*args, **kwargs)
-        finally:
-            inside.pop()
+    def flagged(name, fn):
+        def wrapper(*args, **kwargs):
+            inside.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return wrapper
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
     monkeypatch.setattr(np.linalg, "pinv", counted("pinv", pinv))
-    monkeypatch.setattr(gns, "gns_construct", flagged)
-    monkeypatch.setattr(scenarios, "gns_construct", flagged)
+    for module in (gns, scenarios):
+        monkeypatch.setattr(module, "gns_construct", flagged("gns_construct", construct))
+    monkeypatch.setattr(gns, "pure_unitary_intertwiner",
+                        flagged("pure_unitary_intertwiner", gns.pure_unitary_intertwiner))
     for case, states in cases:
         calls["eigh"] = 0
         text = run_scenario(parse_scenario(case.text)).render()
         assert workloads.check_report(case, text) == ""
-        assert calls == {"eigh": states * len(blocks), "eigh in gns_construct": 0, "pinv": 0}
+        assert calls == {"eigh": states * len(blocks), "eigh in gns_construct": 0,
+                         "eigh in pure_unitary_intertwiner": 0, "pinv": 0}
+    assert "pure_unitary_intertwiner = present [computed]" in text.splitlines()
 
 
 ONE_RULE_PER_VERDICT = {
@@ -1065,6 +1098,45 @@ def test_cli_batch_reads_each_gns_verdict_by_one_rule(jobs, tmp_path):
     for name, (_, expected) in ONE_RULE_PER_VERDICT.items():
         lines = (out_dir / name.replace(".yaml", ".report.txt")).read_text().splitlines()
         assert [line for line in expected if line not in lines] == []
+
+
+def _near_cut_equiv():
+    """An M3 equiv document with spectra (1 - 6.7e-11, 6.7e-11, 0) and (0.7, 0.3, 0) in
+    random bases: b = Theta_g Theta_f^+ has norm about 1e5, so the residual of the
+    transition is about 5e-8, past the default transition tolerance 1e-8."""
+    workloads = _workloads()
+    rng = np.random.default_rng(3)
+    dens = []
+    for spectrum in ((1 - 6.7e-11, 6.7e-11, 0.0), (0.7, 0.3, 0.0)):
+        q = workloads.unitary(rng, 3)
+        rho = (q * np.array(spectrum)[None, :]) @ q.conj().T
+        dens.append(0.5 * (rho + rho.conj().T))
+    return ("kind: equiv\nalgebra: {blocks: [3]}\nstates:\n"
+            + "".join(f"  - densities:\n      - {workloads.cmat(d)}\n" for d in dens))
+
+
+@pytest.mark.parametrize("setting, args, status", [
+    ("tolerances: {transition: 1.0e-6}\n", [], "[tol 1.0e-06 configured, computed] pass"),
+    ("", ["--tol", "1e-5"], "[tol 1.0e-05 configured, computed] pass"),
+    ("", [], "[tol 1.0e-08 default, computed] FAIL"),
+])
+def test_transition_certificate_is_judged_by_its_report_line(setting, args, status, tmp_path,
+                                                             capsys):
+    # equivalence_check returned the residual only after its own raise at 1e-8, so the
+    # configured tolerance never applied; the report line is now the one judgment
+    text = _near_cut_equiv() + setting
+    scenario = parse_scenario(text)
+    report = gns.equivalence_check(scenario.params["algebra"], *scenario.params["states"])
+    assert report.verdict == "equivalent" and 1e-8 < report.transition_residual < 1e-6
+    path = tmp_path / "near_cut.yaml"
+    path.write_text(text)
+    assert main(["run", str(path), *args]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert "verdict = equivalent [computed]" in lines
+    [line] = [line for line in lines if line.startswith("transition_identity_residual = ")]
+    assert line == f"transition_identity_residual = {report.transition_residual:+.12e} {status}"
 
 
 def test_equiv_runner_builds_each_gns_once(monkeypatch):
@@ -1117,15 +1189,16 @@ def test_group_runner_checks_positive_definiteness_once_per_function(monkeypatch
     case = _workloads().group_case(np.random.default_rng(11), name, name, 3)
     scenario = parse_scenario(case.text)
     calls = []
-    for attr in ("is_positive_definite", "pd_kernel"):
-        real = getattr(groups, attr)
-        monkeypatch.setattr(groups, attr, lambda *args, real=real, attr=attr, **kwargs:
+    for owner, attr in ((groups, "pd_kernel"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        real = getattr(owner, attr)
+        monkeypatch.setattr(owner, attr, lambda *args, real=real, attr=attr, **kwargs:
                             calls.append(attr) or real(*args, **kwargs))
     text = run_scenario(scenario).render()
-    # one check and one kernel psi(g_j^-1 g_i) per function; the Gram of a
-    # positive-definite one is that kernel's transpose, not a second build
-    assert calls.count("is_positive_definite") == 3
+    # one kernel psi(g_j^-1 g_i) and one spectrum per function: positivity is decided
+    # from the eigh whose spectrum the Gram quotient cuts, not from a second eigvalsh
     assert calls.count("pd_kernel") == 3
+    assert calls.count("eigh") == 3
+    assert calls.count("eigvalsh") == 0
     assert _workloads().check_report(case, text) == ""
 
 

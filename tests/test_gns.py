@@ -71,15 +71,18 @@ def test_gns_pure_state_gives_defining_representation():
 
 
 def test_gns_rejects_non_psd_gram():
-    # a State refuses such a density, so the shared factorization is tried directly
+    # the rank cut refuses nothing: a State refuses a density with eigenvalue -0.5, and
+    # the group rule a kernel with that spectrum (psi = (0.5, 1) on Z_2 has eigenvalues
+    # 1.5 and -0.5), before either spectrum is cut
     from opalg import InvalidStateError
-    from opalg.linalg import gram_quotient, psd_factors
+    from opalg.groups import cyclic_group, gns_from_group_function, is_positive_definite
 
-    bad = np.diag([1.5, -0.5])
-    with pytest.raises(InvalidStateError):
-        psd_factors([bad], M2.dim)
-    with pytest.raises(InvalidStateError):
-        gram_quotient(bad)
+    with pytest.raises(InvalidStateError, match="eigenvalue -5.000e-01"):
+        State(M2, [np.diag([1.5, -0.5])])
+    z2, psi = cyclic_group(2), np.array([0.5, 1.0])
+    assert not is_positive_definite(z2, psi)
+    with pytest.raises(InvalidStateError, match="not positive-definite"):
+        gns_from_group_function(z2, psi)
 
 
 def test_phase_pinning_equals_the_column_loop():

@@ -4,6 +4,7 @@ import ast
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -241,8 +242,6 @@ def test_closed_form_inverses_agree_with_the_pinv_oracle(shape, seed, small):
     want = oracles.implementer_by_pinv(u.mats, rep.factors)
     for (_, v), ref, lam in zip(result.pairs, want, rep.eigenvalues):
         assert _agrees_with_pinv(v, ref, lam)
-    if small is not None:
-        return    # |b|^2 ~ 1 / small puts the transition residual past TRANSITION_TOL
     g = _state(alg, rng, ranks)
     rep_g = gns_construct(alg, g)
     report = equivalence_check(alg, f, g)
@@ -252,6 +251,25 @@ def test_closed_form_inverses_agree_with_the_pinv_oracle(shape, seed, small):
         want = oracles.transitions_by_pinv(src.factors, dst.factors)
         for got, ref, lam in zip(b.mats, want, src.eigenvalues):
             assert _agrees_with_pinv(got, ref, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks=st.lists(st.integers(1, 4), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_pure_support_vectors_agree_with_the_eigh_oracle(blocks, seed):
+    # the intertwiner of two pure states reads each support vector off its GnsRep, the
+    # kept eigenvector Theta_b / sqrt(lambda_b); an eigh of the density pinned column by
+    # column gives the same unit vector up to rounding
+    rng = np.random.default_rng(seed)
+    alg = StarAlgebra(blocks)
+    b = int(rng.integers(len(blocks)))
+    ranks = [int(k == b) for k in range(len(blocks))]
+    f, g = _state(alg, rng, ranks), _state(alg, rng, ranks)
+    with mock.patch.object(opalg.gns, "two_vector_unitary",
+                           wraps=opalg.gns.two_vector_unitary) as spy:
+        assert equivalence_check(alg, f, g).unitary is not None
+    (vec_f, vec_g), _ = spy.call_args
+    for got, state in ((vec_f, f), (vec_g, g)):
+        assert np.max(np.abs(got - oracles.support_vector_by_eigh(state.densities[b]))) <= 1e-13
 
 
 def test_oracle_commutant_of_faithful_m4_stays_small():
