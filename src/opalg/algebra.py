@@ -145,10 +145,12 @@ def stack_blocks(elements) -> list:
 
 def unitarity_failures(stacks) -> np.ndarray:
     """Whether each of k elements fails to be unitary, from their blocks as one k x n_b x n_b
-    stack per block: some block has an entry of u* u - I past ``UNITARY_TOL * max(1, n_b)``."""
-    return reduce(np.logical_or, [~(np.abs(s.conj().swapaxes(1, 2) @ s - np.eye(s.shape[-1]))
-                                    .max(axis=(1, 2)) <= UNITARY_TOL * max(1.0, s.shape[-1]))
-                                  for s in stacks])
+    stack per block: some block has an entry of u* u - I past ``UNITARY_TOL * max(1, n_b)``,
+    or an inf or nan entry, which entries near double range give."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return reduce(np.logical_or, [~(np.abs(s.conj().swapaxes(1, 2) @ s - np.eye(s.shape[-1]))
+                                        .max(axis=(1, 2)) <= UNITARY_TOL * max(1.0, s.shape[-1]))
+                                      for s in stacks])
 
 
 def operator_norm(a: AlgebraElement) -> float:
@@ -187,7 +189,8 @@ class State:
         trace; ``scale`` is the sum of the moduli of the given traces."""
         clean = []
         for d in densities:
-            herm_defect = np.abs(d - d.conj().T).max()
+            with np.errstate(over="ignore"):    # a defect past double range reads inf: refused
+                herm_defect = np.abs(d - d.conj().T).max()
             if herm_defect > DENSITY_HERMITIAN_TOL * max(scale, 1.0):
                 raise InvalidStateError(f"density is not Hermitian (defect {herm_defect:.3e})")
             lam, vec = np.linalg.eigh(hermitize(d))

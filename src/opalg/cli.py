@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -67,46 +69,105 @@ def _check_directory(target, where) -> None:
         raise ValidationError(f"{existing} exists and is not a directory", path=where)
 
 
-def _fail(exc: OpalgError, source: str = "") -> int:
-    """Write the stderr line for ``exc`` from ``source`` and return its exit code."""
+def _failure(exc: OpalgError, source: str = ""):
+    """The exit code for ``exc`` from ``source`` and its stderr line."""
     where = f"{source}: " if source else ""
     if isinstance(exc, ValidationError):
-        sys.stderr.write(f"schema error: {where}{exc}\n")
-        return 1
-    sys.stderr.write(f"numerical failure: {where}{type(exc).__name__}: {exc}\n")
-    return 2
+        return 1, f"schema error: {where}{exc}\n"
+    return 2, f"numerical failure: {where}{type(exc).__name__}: {exc}\n"
+
+
+def _attempt(job, work):
+    """(result, None) for a job that succeeds, (None, (exit code, stderr line)) for a failure."""
+    source, document = job
+    try:
+        return work(source, _text(document)), None
+    except OpalgError as exc:
+        return None, _failure(exc, source)
+
+
+def _share(jobs, work):
+    """The outcomes of ``jobs`` in order up to the first exception that is no OpalgError,
+    and that exception (or None)."""
+    outcomes = []
+    try:
+        for job in jobs:
+            outcomes.append(_attempt(job, work))
+    except Exception as exc:    # raised by the parent once every worker is reaped
+        return outcomes, exc
+    return outcomes, None
+
+
+def _forked(jobs, work, n: int):
+    """The outcomes of ``jobs``, share k = ``jobs[k::n]`` run by forked child k, share 0 here.
+
+    A child sends its share's outcomes down its own pipe, pickled, and leaves
+    with os._exit: no atexit handler runs and no stdio buffer it inherited is
+    flushed.  Every child is reaped before this returns or raises.  Forked,
+    not spawned: a spawned worker would pay the interpreter start and the
+    imports again, about as long as a whole benchmark batch takes to run.
+    """
+    children = []   # (pid, read end of its pipe)
+    try:
+        for k in range(1, n):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_end)
+                    payload = pickle.dumps(_share(jobs[k::n], work))
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            children.append((pid, read_end))
+        shares = [_share(jobs[::n], work)]
+        for pid, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            if not payload:
+                raise ChildProcessError(f"worker process {pid} ended without sending its outcomes")
+            shares.append(pickle.loads(payload))
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)      # a child still writing gets EPIPE and leaves
+            os.waitpid(pid, 0)
+    outcomes, crashes = [None] * len(jobs), []
+    for k, (done, exc) in enumerate(shares):
+        outcomes[k:k + n * len(done):n] = done
+        if exc is not None:
+            crashes.append((k + n * len(done), exc))
+    if crashes:     # the exception of the first job that raised one, as a serial run gives
+        raise min(crashes, key=lambda crash: crash[0])[1]
+    return outcomes
 
 
 def _each(jobs, work, workers: int, target=lambda result: None):
-    """Apply ``work(source, text)`` to every (source, document) job, reading each file here.
+    """Apply ``work(source, text)`` to every (source, document) job, each file read by its worker.
 
-    Every job is tried, serially or on ``workers`` threads.  A success whose
+    Every job is tried, serially or in ``min(workers, len(jobs), cpu count)``
+    worker processes forked with os.fork (serially where there is none).
+    Results cross a pipe, so ``work`` returns plain data.  A success whose
     ``target(result)`` (the file it writes, or None) an earlier job already
-    claimed fails instead.  Each failure gets its stderr line, in job order
-    (pool.map keeps it), which is source order.  Returns the successful
-    results and the highest exit code.
+    claimed fails instead.  Each failure gets its stderr line, in job order,
+    which is source order.  Returns the successful results and the highest
+    exit code.
     """
-    def attempt(job):
-        source, document = job
-        try:
-            return work(source, _text(document)), None
-        except OpalgError as exc:
-            return None, exc
-
-    if workers <= 1 or len(jobs) <= 1:
-        outcomes = [attempt(job) for job in jobs]
+    n = min(workers, len(jobs), os.cpu_count() or 1)
+    if n <= 1 or not hasattr(os, "fork"):
+        outcomes = [_attempt(job, work) for job in jobs]
     else:
-        # imported here: it costs every start a few ms, and only --jobs > 1 needs it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(attempt, jobs))
+        outcomes = _forked(jobs, work, n)
     results, claimed, code = [], {}, 0
-    for (source, _), (result, exc) in zip(jobs, outcomes):
-        written = None if exc else target(result)
+    for (source, _), (result, failure) in zip(jobs, outcomes):
+        written = None if failure else target(result)
         if written in claimed:
-            exc = ValidationError(f"{claimed[written]} already writes {written}", path="report")
-        if exc:
-            code = max(code, _fail(exc, source))
+            failure = _failure(ValidationError(f"{claimed[written]} already writes {written}",
+                                               path="report"), source)
+        if failure:
+            code = max(code, failure[0])
+            sys.stderr.write(failure[1])
         else:
             results.append(result)
             if written is not None:
@@ -117,9 +178,10 @@ def _each(jobs, work, workers: int, target=lambda result: None):
 def _execute(source: str, text: str, args, out_dir):
     """Run one scenario; ``source`` (a file path or demo name) also names its report.
 
-    Returns the name, the report and the resolved file the report is written
-    to: its ``report:`` path, else one in ``out_dir`` (already resolved), else
-    None for stdout.
+    Returns the name, the report text, the (table, CSV text) pairs that
+    ``--csv`` asks for and the resolved file the report is written to: its
+    ``report:`` path, else one in ``out_dir`` (already resolved), else None
+    for stdout.
     """
     scenario = _apply_global_tol(parse_scenario(text), args.tol)
     name = Path(source).stem
@@ -130,7 +192,9 @@ def _execute(source: str, text: str, args, out_dir):
             raise ValidationError(f"{target} is a directory", path="report")
         _check_directory(target.parent, "report")
         target = target.resolve()
-    return name, run_scenario(scenario), target
+    report = run_scenario(scenario)
+    tables = [(t, report.render_csv(t)) for t in sorted(report.tables)] if args.csv else []
+    return name, report.render(), tables, target
 
 
 def _emit(results, args) -> None:
@@ -139,16 +203,14 @@ def _emit(results, args) -> None:
     csv_dir = Path(args.csv) if args.csv else None
     if csv_dir:
         csv_dir.mkdir(parents=True, exist_ok=True)
-    for name, report, target in results:
-        text = report.render()
+    for name, text, tables, target in results:
         if target:
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(text)
         else:
             sys.stdout.write(f"== {name}\n{text}")
-        if csv_dir:
-            for table in sorted(report.tables):
-                (csv_dir / f"{name}.{table}.csv").write_text(report.render_csv(table))
+        for table, csv in tables:
+            (csv_dir / f"{name}.{table}.csv").write_text(csv)
 
 
 def _run_many(jobs, args) -> int:
@@ -157,7 +219,7 @@ def _run_many(jobs, args) -> int:
             _check_directory(target, flag)
     out_dir = Path(args.out).resolve() if args.out else None
     results, code = _each(jobs, lambda source, text: _execute(source, text, args, out_dir),
-                          args.jobs, lambda result: result[2])
+                          args.jobs, lambda result: result[3])
     _emit(sorted(results, key=lambda item: item[0]), args)
     return code
 
@@ -168,9 +230,9 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     jobs = _file_jobs(Path(args.path))
-    results, code = _each(jobs, lambda source, text: (source, parse_scenario(text)), args.jobs)
-    for source, scenario in results:
-        sys.stdout.write(f"{source}: valid scenario of kind {scenario.kind}\n")
+    results, code = _each(jobs, lambda source, text: (source, parse_scenario(text).kind), args.jobs)
+    for source, kind in results:
+        sys.stdout.write(f"{source}: valid scenario of kind {kind}\n")
     return code
 
 
@@ -200,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("path", help="scenario file or directory")
         p.add_argument("--tol", type=float, default=None,
                        help="uniform tolerance override for unconfigured checks")
-        p.add_argument("--jobs", type=int, default=1, help="parallel scenario workers")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for a batch, at most one per CPU "
+                            "(serial where os.fork is missing)")
         p.add_argument("--csv", default=None, help="directory for CSV artifacts")
         p.add_argument("--out", default=None, help="directory for report files")
         p.set_defaults(handler=handler)
@@ -215,9 +279,14 @@ def main(argv=None) -> int:
         if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
             raise ValidationError(f"tolerances must be positive and finite, got {args.tol}",
                                   path="--tol")
+        if args.jobs < 1:
+            raise ValidationError(f"the number of workers must be positive, got {args.jobs}",
+                                  path="--jobs")
         return args.handler(args)
     except OpalgError as exc:
-        return _fail(exc)
+        code, line = _failure(exc)
+        sys.stderr.write(line)
+        return code
 
 
 if __name__ == "__main__":

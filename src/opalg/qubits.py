@@ -41,6 +41,12 @@ class PowerTail:
         return self.c * sites.astype(float) ** (-self.p)
 
 
+def _norm(vec) -> float:
+    """The Euclidean norm of ``vec``; inf past double range, which no unit vector reaches."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(vec)
+
+
 class QubitConfig:
     """Site map sigma: {1, 2, ...} -> unit vectors in C^2."""
 
@@ -49,8 +55,7 @@ class QubitConfig:
         default = np.asarray(default, dtype=complex)
         if default.shape != (2,):
             raise ShapeMismatchError("default vector must live in C^2")
-        norm = np.linalg.norm(default)
-        if abs(norm - 1.0) > UNIT_TOL:
+        if abs(_norm(default) - 1.0) > UNIT_TOL:
             raise ValueError(f"default vector must have unit norm within {UNIT_TOL:.0e}")
         self.default = default
         self.tail = tail
@@ -60,7 +65,7 @@ class QubitConfig:
             if site < 1:
                 raise ValueError("sites are positive integers")
             vec = np.asarray(vec, dtype=complex)
-            if vec.shape != (2,) or abs(np.linalg.norm(vec) - 1.0) > UNIT_TOL:
+            if vec.shape != (2,) or abs(_norm(vec) - 1.0) > UNIT_TOL:
                 raise ValueError(f"override at site {site} is not a unit vector in C^2")
             clean[site] = vec
         self.overrides = clean

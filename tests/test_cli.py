@@ -73,6 +73,26 @@ def test_parse_rejects_non_finite_numbers():
     assert "finite" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    (MINIMAL_GNS.replace("[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]",
+                         "[[[1, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]"),
+     "state.densities (line 5): density is not Hermitian (defect inf)"),
+    (DEMO["symmetry"].replace("[[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]]",
+                              "[[[[1e308, 0], [1e308, 0]], [[1e308, 0], [0, 0]]]]"),
+     "unitaries[1] (line 8): defining element is not unitary within 1e-12"),
+    ("kind: qubit\nconfigs:\n  - default: [[1e308, 0], [1e308, 0]]\n"
+     "  - default: [[1, 0], [0, 0]]\n",
+     "configs[0] (line 3): default vector must have unit norm within 1e-12"),
+], ids=["hermitian", "unitary", "unit-norm"])
+def test_parse_refuses_entries_near_double_range_without_a_warning(text, message):
+    # the Hermitian defect, u* u and the norm overflow to inf or nan, which each check refuses
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(text)
+    assert str(err.value) == message
+
+
 def test_parse_error_carries_line_information():
     with pytest.raises(ValidationError) as err:
         parse_scenario("kind: gns\nalgebra: {blocks: [0]}\nstate: {densities: [[[[1,0]]]]}\n")
@@ -1907,17 +1927,81 @@ def test_field_with_equal_masses_outside_the_cutoff_still_runs():
     assert "mass_witness_verdict = equivalent-by-construction [computed]" in report.lines
 
 
-def test_cli_imports_the_thread_pool_only_for_parallel_jobs(tmp_path):
-    # concurrent.futures costs every start a few ms; one worker never needs it
-    script = ("import sys\nfrom opalg.cli import main\n"
-              "main(['demo', 'gns', '--out', sys.argv[1]])\n"
-              "print('concurrent.futures' in sys.modules)\n"
-              "main(['demo', 'all', '--jobs', '2', '--out', sys.argv[1]])\n"
-              "print('concurrent.futures' in sys.modules)\n")
+def _demo_batch(tmp_path, kinds):
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for kind in kinds:
+        (batch / f"{kind}.yaml").write_text(DEMO[kind])
+    return batch
+
+
+def test_cli_jobs_run_in_forked_worker_processes(tmp_path):
+    # a subprocess, so that no module another test imported hides what the CLI imports
+    batch = _demo_batch(tmp_path, ("ccr", "equiv", "gns", "qubit"))
+    script = ("import os, sys\nfrom opalg import cli\nreal = cli.run_scenario\n"
+              "def run(scenario):\n"
+              "    with open(sys.argv[2], 'a') as log:\n"
+              "        log.write(f'{os.getpid()}\\n')\n"
+              "    return real(scenario)\n"
+              "cli.run_scenario = run\n"
+              "print(cli.main(['run', sys.argv[1], '--jobs', '2', '--out', sys.argv[3]]))\n"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n")
+    pids = tmp_path / "pids.txt"
     env = dict(os.environ, PYTHONPATH=str(Path(scenarios.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\nTrue\n", "")
+    done = subprocess.run([sys.executable, "-c", script, str(batch), str(pids),
+                           str(tmp_path / "out")], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n[]\n", "")
+    assert len(pids.read_text().split()) == 4
+    assert len(set(pids.read_text().split())) == min(2, os.cpu_count())
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        f"{kind}.report.txt" for kind in ("ccr", "equiv", "gns", "qubit")]
+
+
+def test_cli_jobs_fork_at_most_one_worker_per_job_and_cpu(tmp_path, monkeypatch, capsys):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    batch = _demo_batch(tmp_path, ("equiv", "gns", "qubit"))
+    assert main(["run", str(batch), "--jobs", "64", "--out", str(tmp_path / "out")]) == 0
+    assert len(forks) == min(3, os.cpu_count()) - 1
+    assert len(list((tmp_path / "out").iterdir())) == 3
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cli_rejects_fewer_than_one_worker(value, capsys):
+    assert main(["demo", "gns", "--jobs", value]) == 1
+    assert capsys.readouterr() == (
+        "", f"schema error: --jobs: the number of workers must be positive, got {value}\n")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_exception_in_a_worker_leaves_main_after_every_child_is_reaped(jobs, tmp_path,
+                                                                          monkeypatch, capsys):
+    # with --jobs 2 equiv and gns run in this process, field and qubit in the
+    # child: the first file that raises in file order is field, as with one worker
+    real = run_scenario
+
+    def run(scenario):
+        if scenario.kind in ("field", "gns"):
+            raise RuntimeError(f"boom in {scenario.kind}")
+        return real(scenario)
+
+    monkeypatch.setattr("opalg.cli.run_scenario", run)
+    batch = _demo_batch(tmp_path, ("equiv", "field", "gns", "qubit"))
+    with pytest.raises(RuntimeError, match="^boom in field$"):
+        main(["run", str(batch), "--jobs", jobs, "--out", str(tmp_path / "out")])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capsys.readouterr() == ("", "")
+    assert not (tmp_path / "out").exists()
 
 
 def _group_table_document(table):

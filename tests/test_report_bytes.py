@@ -1,5 +1,6 @@
 """Every report and CSV table of ``opalg demo all`` and of the benchmark's three
-workloads at seeds 4243, 7 and 501 keeps its bytes.
+workloads at seeds 4243, 7 and 501 keeps its bytes, and so does every file that
+``opalg run --jobs 2`` writes for the gns-mid batch at seed 4243.
 
 ``report_digests.json`` holds the SHA-256 of each file, named as ``opalg run``
 and ``opalg demo`` name it, with a two-byte digest of each of its lines (to
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from opalg import parse_scenario, run_scenario
+from opalg.cli import main
 from opalg.scenarios import KINDS
 
 DIGESTS = Path(__file__).with_name("report_digests.json")
@@ -90,6 +92,20 @@ def test_reports_keep_their_bytes():
     moved = _moved(record["files"], _files())
     if moved and record["versions"] != _versions():
         moved.append(f"recorded with {record['versions']}, run with {_versions()}")
+    assert not moved, "\n".join(moved)
+
+
+def test_forked_batch_writes_the_recorded_bytes(tmp_path):
+    # the reports and CSV tables cross a pipe from the worker processes of --jobs 2
+    batch, out, csv = tmp_path / "batch", tmp_path / "out", tmp_path / "csv"
+    batch.mkdir()
+    for case in _workloads().generate("gns-mid", 4243):
+        (batch / f"{case.name}.yaml").write_text(case.text)
+    assert main(["run", str(batch), "--out", str(out), "--csv", str(csv), "--jobs", "2"]) == 0
+    files = {f"gns-mid-4243/{p.name}": p.read_text() for d in (out, csv) for p in d.iterdir()}
+    recorded = {path: entry for path, entry in json.loads(DIGESTS.read_text())["files"].items()
+                if path.startswith("gns-mid-4243/")}
+    moved = _moved(recorded, files)
     assert not moved, "\n".join(moved)
 
 
