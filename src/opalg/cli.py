@@ -289,5 +289,17 @@ def main(argv=None) -> int:
         return code
 
 
+def entry():
+    """The ``opalg`` command: ``main``, then exit without interpreter teardown."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:    # a pipe closed early: reported and ended as teardown would
+        code = 120
+        sys.stderr.write(f"Exception ignored in: {sys.stdout!r}\n{type(exc).__name__}: {exc}\n")
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

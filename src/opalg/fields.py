@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -64,10 +64,10 @@ def _fold(points: int, spacing: float, dims: int):
         raise NumericalError(f"{points} points per axis give a {dims}-d octant of {octant} "
                              f"points, over the limit {OCTANT_POINT_LIMIT}")
     half = np.arange(points // 2 + 1) * spacing
-    axis_mult = np.full(half.size, 2.0)
-    axis_mult[0] = 1.0
-    p_squared = sum(np.ix_(*[half**2] * dims))
-    return half, p_squared, math.prod(np.ix_(*[axis_mult] * dims))
+    axis_mult = np.full(half.size, 2, dtype=np.uint8)    # mu <= 16, exact in every product
+    axis_mult[0] = 1
+    p_squared = reduce(np.add.outer, [half**2] * dims)
+    return half, p_squared, reduce(np.multiply.outer, [axis_mult] * dims)
 
 
 def _octant_sum(sheet: np.ndarray, half_axis: np.ndarray, coords):
@@ -88,8 +88,8 @@ class MassShellGrid:
     """Symmetric 3-momentum lattice with the mass-shell measure weights.
 
     Holds the octant arrays the sums run over: ``octant_omega``,
-    ``octant_p_squared`` and the folded weights ``octant_weights`` = mu dp^3 /
-    omega.
+    ``octant_p_squared``, the multiplicities ``octant_mu`` and the folded
+    weights ``octant_weights`` = mu dp^3 / omega.
     """
 
     def __init__(self, mass: float, cutoff: Optional[float] = None, points: int = 33):
@@ -102,9 +102,9 @@ class MassShellGrid:
         self.points = int(points)
         # integer multiples of the spacing: the grid is exactly p -> -p symmetric
         self.spacing = 2.0 * self.cutoff / (self.points - 1)
-        self.half_axis, self.octant_p_squared, mult = _fold(self.points, self.spacing, 3)
+        self.half_axis, self.octant_p_squared, self.octant_mu = _fold(self.points, self.spacing, 3)
         self.octant_omega = np.sqrt(self.octant_p_squared + self.mass**2)
-        self.octant_weights = mult * self.spacing**3 / self.octant_omega
+        self.octant_weights = self.octant_mu * self.spacing**3 / self.octant_omega
 
     @cached_property
     def shells(self):
@@ -224,7 +224,7 @@ def mass_kernel_witness(grid: MassShellGrid, mass_second: float) -> MassWitnessR
     shell: exactly 1 on the m'-shell and exp(-beta (m^2 - m'^2)^2) on the
     m-shell, so beta chosen from the squared-mass gap makes the two quadratic
     forms differ by many orders of magnitude.  The m'-shell is summed on the
-    lattice of ``grid``.
+    lattice of ``grid``, from its p^2 and multiplicities.
     """
     mass_first, cutoff = grid.mass, grid.cutoff
     if mass_first == mass_second:
@@ -234,7 +234,8 @@ def mass_kernel_witness(grid: MassShellGrid, mass_second: float) -> MassWitnessR
         )
     if max(mass_first, mass_second) >= cutoff:
         raise ValueError("both mass shells must lie inside the momentum cutoff")
-    grid_b = MassShellGrid(mass_second, cutoff, grid.points)
+    if mass_second <= 0.0:
+        raise ValueError("mass must be positive")
     if abs(mass_first - mass_second) < grid.spacing / 10.0:
         return MassWitnessReport(
             mass_first, mass_second, float("nan"), float("nan"), float("nan"),
@@ -246,17 +247,19 @@ def mass_kernel_witness(grid: MassShellGrid, mass_second: float) -> MassWitnessR
     beta = math.log(1e10) / (2.0 * gap * gap)
     width = max(cutoff / 3.0, 1e-6)
 
-    def shell_value(grid):
+    p_squared = grid.octant_p_squared
+    bump = np.exp(-p_squared / (2.0 * width**2))
+    omega_b = np.sqrt(p_squared + mass_second**2)
+
+    def shell_value(omega, weights):
         # (psi | psi)_m of the profile restricted to the shell: the profile
         # depends on p only through p^2, so both sheets carry the same data
-        p_squared = grid.octant_p_squared
-        bump = np.exp(-p_squared / (2.0 * width**2))
-        offshell = grid.octant_omega * grid.octant_omega - p_squared - mass_second**2
+        offshell = omega * omega - p_squared - mass_second**2
         sheet = np.exp(-beta * offshell**2) * bump
-        return float(np.sum(grid.octant_weights * sheet * sheet))
+        return float(np.sum(weights * sheet * sheet))
 
-    value_a = shell_value(grid)
-    value_b = shell_value(grid_b)
+    value_a = shell_value(grid.octant_omega, grid.octant_weights)
+    value_b = shell_value(omega_b, grid.octant_mu * grid.spacing**3 / omega_b)
     ratio = value_b / value_a if value_a > 0.0 else float("inf")
     return MassWitnessReport(
         mass_first, mass_second, value_a, value_b, ratio, "inequivalent",

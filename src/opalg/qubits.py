@@ -78,12 +78,9 @@ class QubitConfig:
             return np.array([np.cos(a), np.sin(a)], dtype=complex)
         return self.default
 
-    def window_vectors(self, count: int, tail_window=None) -> np.ndarray:
-        """(2, count) array whose column s - 1 is the vector at site s, overrides applied
-        to a copy of ``tail_window``, the window of this tail without them, if given."""
-        if tail_window is not None:
-            vecs = tail_window.copy()
-        elif self.tail is not None:
+    def window_vectors(self, count: int) -> np.ndarray:
+        """(2, count) array whose column s - 1 is the vector at site s."""
+        if self.tail is not None:
             a = self.tail.angles(np.arange(1, count + 1))
             vecs = np.array([np.cos(a), np.sin(a)], dtype=complex)
         else:
@@ -100,12 +97,23 @@ class QubitConfig:
         return ("const", self.default)
 
 
+def _overlaps(v, w) -> np.ndarray:
+    return np.abs(np.conj(v[0]) * w[0] + np.conj(v[1]) * w[1])
+
+
 def _partial_sum(sigma, sigma2) -> float:
-    same = sigma.tail is not None and sigma.tail == sigma2.tail    # windows depend on (c, p) only
-    shared = QubitConfig(tail=sigma.tail).window_vectors(PARTIAL_SUM_WINDOW) if same else None
-    v = sigma.window_vectors(PARTIAL_SUM_WINDOW, shared)
-    w = sigma2.window_vectors(PARTIAL_SUM_WINDOW, shared)
-    overlaps = np.abs(np.conj(v[0]) * w[0] + np.conj(v[1]) * w[1])
+    if sigma.tail is None or sigma.tail != sigma2.tail:
+        overlaps = _overlaps(sigma.window_vectors(PARTIAL_SUM_WINDOW),
+                             sigma2.window_vectors(PARTIAL_SUM_WINDOW))
+    else:
+        # one real window: off the overrides the complex form's modulus is x*x + y*y, bit for bit
+        a = sigma.tail.angles(np.arange(1, PARTIAL_SUM_WINDOW + 1))
+        x, y = np.cos(a), np.sin(a)
+        overlaps = x * x + y * y
+        sites = [s for s in {*sigma.overrides, *sigma2.overrides} if s <= PARTIAL_SUM_WINDOW]
+        v, w = (np.array([config.overrides.get(s, (x[s - 1], y[s - 1])) for s in sites],
+                         dtype=complex).reshape(-1, 2).T for config in (sigma, sigma2))
+        overlaps[np.array(sites, dtype=int) - 1] = _overlaps(v, w)
     return float(np.sum(np.abs(overlaps - 1.0)))
 
 

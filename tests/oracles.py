@@ -807,6 +807,23 @@ def witness_shell_values_by_grid(mass_first, mass_second, cutoff, points):
     return tuple(values)
 
 
+def witness_shell_values_by_two_grids(grid, mass_second):
+    """The mass witness's two shell values, the second on a fresh
+    MassShellGrid(m', cutoff, points) with its own fold, omega and weights."""
+    gap = grid.mass**2 - mass_second**2
+    beta = math.log(1e10) / (2.0 * gap * gap)
+    width = max(grid.cutoff / 3.0, 1e-6)
+
+    def shell_value(shell_grid):
+        p_squared = shell_grid.octant_p_squared
+        bump = np.exp(-p_squared / (2.0 * width**2))
+        offshell = shell_grid.octant_omega * shell_grid.octant_omega - p_squared - mass_second**2
+        sheet = np.exp(-beta * offshell**2) * bump
+        return float(np.sum(shell_grid.octant_weights * sheet * sheet))
+
+    return shell_value(grid), shell_value(MassShellGrid(mass_second, grid.cutoff, grid.points))
+
+
 def fock_ladders_by_tuples(n: int, n_max: int):
     """(occupations, raise_rows, lower_rows, raise_values) of the n-mode basis of total <= n_max."""
     states = [()]

@@ -1180,17 +1180,15 @@ def test_equiv_runner_builds_each_gns_once(monkeypatch):
 def test_field_runner_builds_each_sheet_grid_and_value_once(monkeypatch):
     case = _workloads().field_case(np.random.default_rng(7), "p33", 33, 17, 3)
     scenario = parse_scenario(case.text)
-    counts = dict.fromkeys(["_minus_sheet", "_octant_sum", "MassShellGrid"], 0)
+    counts = dict.fromkeys(["_minus_sheet", "_octant_sum", "_fold"], 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
         return wrapper
-    for name in ("_minus_sheet", "_octant_sum"):
+    for name in ("_minus_sheet", "_octant_sum", "_fold"):
         monkeypatch.setattr(fields, name, counted(name, getattr(fields, name)))
-    monkeypatch.setattr(fields.MassShellGrid, "__init__",
-                        counted("MassShellGrid", fields.MassShellGrid.__init__))
     text = run_scenario(scenario).render()
     # sheets: 3 samples, 1 per consecutive pair (the pair's reverse takes the
     # conjugate), 5 for the Klein-Gordon stencils at h and h/2 (they were 13);
@@ -1198,8 +1196,9 @@ def test_field_runner_builds_each_sheet_grid_and_value_once(monkeypatch):
     # and w at +e only on each axis of the Green identity, w being even (37);
     # the Klein-Gordon center and its 8 neighbours along x1 and x2 start from the
     # center's contractions over x3 (and x2): 8 of the 17 sums contract a full sheet;
-    # grids: the runner's and the second mass's (3)
-    assert counts == {"_minus_sheet": 10, "_octant_sum": 33, "MassShellGrid": 2}
+    # lattice folds: the runner's grid and the Euclidean lattice; the second mass's
+    # shell is read off the runner's grid (3)
+    assert counts == {"_minus_sheet": 10, "_octant_sum": 33, "_fold": 2}
     monkeypatch.undo()
     assert _workloads().check_report(case, text) == ""
 
@@ -1957,6 +1956,76 @@ def test_cli_jobs_run_in_forked_worker_processes(tmp_path):
     assert len(set(pids.read_text().split())) == min(2, os.cpu_count())
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         f"{kind}.report.txt" for kind in ("ccr", "equiv", "gns", "qubit")]
+
+
+def _command(launcher, args):
+    """``opalg ARGS`` through ``python -m opalg.cli``, or through the function the console
+    script of pyproject.toml calls, as its generated wrapper calls it."""
+    if launcher == "module":
+        return [sys.executable, "-m", "opalg.cli", *args]
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^opalg = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    return [sys.executable, "-c", f"import sys; from {module} import {name}; sys.exit({name}())",
+            *args]
+
+
+def _child_env(buffered=True):
+    env = dict(os.environ, PYTHONPATH=str(Path(scenarios.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_the_command_exits_with_the_code_of_main_after_all_its_output(tmp_path, capsys,
+                                                                     launcher, code):
+    # the command leaves without interpreter teardown: every byte main wrote must reach
+    # the pipes first, past the 8 KiB that a block-buffered stdout holds
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for kind, text in DEMO.items():
+        for copy in "ab":
+            (batch / f"{copy}_{kind}.yaml").write_text(text)
+    if code == 1:
+        (batch / "c_bad.yaml").write_text("kind: nonsense\n")
+    if code == 2:
+        (batch / "c_big.yaml").write_text(
+            "kind: ccr\nspace:\n  gram: [[1, 0], [0, 1]]\n  k: [[1, 0], [0, 1]]\n"
+            "fock: {max_occupation: 100000}\n")
+    assert main(["run", str(batch)]) == code
+    want = capsys.readouterr()
+    assert len(want.out) > 8192 and (want.err == "") == (code == 0)
+    done = subprocess.run(_command(launcher, ["run", str(batch)]), capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (code, want.out, want.err)
+
+
+def _with_stdout_closed(argv, buffered):
+    """(exit status, stderr) of ``argv`` whose stdout pipe is closed before it writes."""
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=_child_env(buffered))
+    child.stdout.close()
+    try:
+        err = child.stderr.read().decode()
+    finally:
+        child.stderr.close()
+    return child.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("launcher", ["module", "script"])
+@pytest.mark.parametrize("buffered", [True, False])
+def test_a_stdout_closed_early_ends_the_command_as_teardown_ends_it(launcher, buffered):
+    # the reference is a plain interpreter: buffered, its teardown cannot flush stdout,
+    # reports that and exits 120; unbuffered, the write itself raises and exits 1
+    status, err = _with_stdout_closed([sys.executable, "-c", "import sys; sys.stdout.write('x')"],
+                                      buffered)
+    assert status == (120 if buffered else 1)
+    assert err.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+    got_status, got_err = _with_stdout_closed(_command(launcher, ["demo", "all"]), buffered)
+    assert got_status == status
+    assert got_err == err if buffered else got_err.splitlines()[-1] == err.splitlines()[-1]
 
 
 def test_cli_jobs_fork_at_most_one_worker_per_job_and_cpu(tmp_path, monkeypatch, capsys):

@@ -99,6 +99,9 @@ def test_mass_witness_symmetry_and_degenerate_cases():
     close = mass_kernel_witness(MassShellGrid(1.0, cutoff=6.0, points=17), 1.0 + 1e-9)
     assert close.verdict == "undecided"
     assert "resolution" in close.hint
+    for mass_second in (0.0, -2.0):
+        with pytest.raises(ValueError, match="mass must be positive"):
+            mass_kernel_witness(MassShellGrid(1.0, cutoff=6.0, points=17), mass_second)
 
 
 def test_euclidean_propagator_even_and_decaying():
@@ -181,9 +184,12 @@ def test_folded_euclidean_propagator_matches_the_full_grid(points, mass, cutoff,
 def test_folded_witness_shell_values_match_the_full_grid(points, cutoff, first, second):
     mass_first, mass_second = first * cutoff, second * cutoff
     assume(abs(mass_first - mass_second) >= 2 * cutoff / (points - 1) / 10.0)
-    report = mass_kernel_witness(MassShellGrid(mass_first, cutoff, points), mass_second)
+    grid = MassShellGrid(mass_first, cutoff, points)
+    report = mass_kernel_witness(grid, mass_second)
     want = oracles.witness_shell_values_by_grid(mass_first, mass_second, cutoff, points)
     got = (report.value_on_first_shell, report.value_on_second_shell)
+    # the second shell, read off the first grid's fold, is the one a grid of its own gives
+    assert got == oracles.witness_shell_values_by_two_grids(grid, mass_second)
     for value, reference in zip(got, want):
         assert abs(value - reference) <= FOLD_TOL * reference
 
