@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidStateError, ShapeMismatchError
-from .linalg import PSD_TOL, hermitize, nuclear_norm
+from .linalg import PSD_TOL, hermitize
 
 HERMITIAN_TOL = 1e-10   # is_hermitian: entrywise defect relative to max(1, norm)
 UNITARY_TOL = 1e-12     # is_unitary: entrywise defect of u* u - I relative to max(1, n)
@@ -256,4 +256,13 @@ def dual_norm_distance(f: State, g: State) -> float:
     """
     if f.algebra != g.algebra:
         raise ShapeMismatchError("states live on different algebras")
-    return float(sum(nuclear_norm(a - b) for a, b in zip(f.densities, g.densities)))
+    return float(trace_norm_distance(f.densities, g.densities))
+
+
+def trace_norm_distance(first, second):
+    """sum_b |first_b - second_b|_1, block by block in order, from the singular values.
+
+    Each block is one density or one (k, n_b, n_b) stack; with stacks the result
+    is one distance per stack entry, each the unstacked one bit for bit.
+    """
+    return sum(np.linalg.svd(a - b, compute_uv=False).sum(axis=-1) for a, b in zip(first, second))

@@ -416,36 +416,23 @@ class FiniteEigenvalues:
 def gaussian_equivalence_verdict(model) -> SeriesVerdict:
     """Trace criterion sum_k |1 - s_k / 2| for equivalence with the Fock state.
 
-    ``convergent`` means equivalent-to-Fock, ``divergent`` inequivalent.
+    ``convergent`` means equivalent-to-Fock, ``divergent`` inequivalent; the
+    verdict is argued from the declared model alone, with no partial sum.
     """
     if isinstance(model, FiniteEigenvalues):
-        vals = np.asarray(model.values, dtype=float)
-        partial = float(np.sum(np.abs(1.0 - vals / 2.0)))
         return SeriesVerdict(
-            "convergent", partial, len(model.values),
-            "finite-dimensional: finitely many terms, all Gaussian states equivalent",
+            "convergent", "finite-dimensional: finitely many terms, all Gaussian states equivalent",
         )
-    window = 10_000
-    k = np.arange(1, window + 1, dtype=float)
     if isinstance(model, ConstantEigenvalues):
         defect = abs(1.0 - model.value / 2.0)
-        partial = defect * window
         if defect == 0.0:
-            return SeriesVerdict(
-                "convergent", 0.0, window, "spectrum identically 2: every term vanishes",
-            )
+            return SeriesVerdict("convergent", "spectrum identically 2: every term vanishes")
         return SeriesVerdict(
-            "divergent", partial, window,
-            f"constant defect |1 - s/2| = {defect:g} > 0 diverges linearly",
+            "divergent", f"constant defect |1 - s/2| = {defect:g} > 0 diverges linearly",
         )
     if isinstance(model, PowerTailEigenvalues):
-        partial = float(np.sum(np.abs(model.amplitude) / 2.0 * k ** (-model.exponent)))
         if model.amplitude == 0.0:
-            return SeriesVerdict(
-                "convergent", 0.0, window, "spectrum identically 2: every term vanishes",
-            )
-        return p_series_verdict(
-            model.exponent, partial, window,
-            f"trace criterion terms |1 - s_k/2| = {abs(model.amplitude) / 2:g} k^-{model.exponent:g}",
-        )
-    return SeriesVerdict("undecided", float("nan"), 0, "unmodeled eigenvalue sequence")
+            return SeriesVerdict("convergent", "spectrum identically 2: every term vanishes")
+        terms = f"{abs(model.amplitude) / 2:g} k^-{model.exponent:g}"
+        return p_series_verdict(model.exponent, f"trace criterion terms |1 - s_k/2| = {terms}")
+    return SeriesVerdict("undecided", "unmodeled eigenvalue sequence")

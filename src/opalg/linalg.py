@@ -19,11 +19,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-def nuclear_norm(m: np.ndarray) -> float:
-    """Sum of singular values (trace norm)."""
-    return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
 def block_diag(mats) -> np.ndarray:
     """Place (possibly rectangular or empty) blocks along the diagonal."""
     out = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)), dtype=complex)

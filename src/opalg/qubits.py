@@ -4,9 +4,12 @@ A configuration assigns a unit vector in C^2 to every site s = 1, 2, ...;
 two product states are equivalent exactly when the overlap-defect series
 sum_s | |<sigma(s)|sigma'(s)>| - 1 | converges.  Tails are declared, not
 truncated: a power tail places the site vector at angle c * s^-p from the
-first basis vector, and all verdicts are argued against the declared models.
-A finite difference is witnessed by b = tensor u_s, and b is checked on the
-pure marginals from their 2^k-entry product vectors, never as a dense matrix.
+first basis vector, and every verdict is argued from the declared models
+alone (``partial_sum`` over the first sites is a diagnostic no verdict reads).
+One rule decides whether two configurations differ on a finite set of sites,
+for the verdict and for the local transition alike.  A finite difference is
+witnessed by b = tensor u_s, and b is checked on the pure marginals from their
+2^k-entry product vectors, never as a dense matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ PARTIAL_SUM_WINDOW = 10_000
 UNIT_TOL = 1e-12          # unit norms, and same rays: | |<v, w>| - 1 | at most this
 TRANSITION_SITE_CAP = 12  # transition_residual compares 4^k entries for k sites up to this
 ROW_BLOCK_ENTRIES = 1 << 16   # entries of w w* - x x* held at once
+E1 = np.array([1.0, 0.0], dtype=complex)   # the ray of a tail with amplitude c = 0
 
 
 @dataclass(frozen=True)
@@ -90,18 +94,14 @@ class QubitConfig:
                 vecs[:, site - 1] = vec
         return vecs
 
-    def asymptotic(self):
-        """('power', c, p) under a tail model, else ('const', default vector)."""
-        if self.tail is not None:
-            return ("power", self.tail.c, self.tail.p)
-        return ("const", self.default)
-
 
 def _overlaps(v, w) -> np.ndarray:
     return np.abs(np.conj(v[0]) * w[0] + np.conj(v[1]) * w[1])
 
 
-def _partial_sum(sigma, sigma2) -> float:
+def partial_sum(sigma, sigma2) -> float:
+    """sum_s | |<sigma(s)|sigma'(s)>| - 1 | over the first ``PARTIAL_SUM_WINDOW`` sites: a
+    diagnostic printed beside the verdict, which never reads it."""
     if sigma.tail is None or sigma.tail != sigma2.tail:
         overlaps = _overlaps(sigma.window_vectors(PARTIAL_SUM_WINDOW),
                              sigma2.window_vectors(PARTIAL_SUM_WINDOW))
@@ -121,62 +121,44 @@ def _same_ray(v, w) -> bool:
     return abs(abs(np.vdot(v, w)) - 1.0) <= UNIT_TOL
 
 
-def equivalence_verdict(sigma: QubitConfig, sigma2: QubitConfig) -> SeriesVerdict:
-    """Decide the overlap-defect series by comparing declared tail models.
+def _finite_support(sigma: QubitConfig, sigma2: QubitConfig) -> bool:
+    """Whether both configurations hold the same ray on every site past their overrides.
 
-    Finite-support differences converge; matching power tails reduce to a
-    p-series in the squared angle difference; a constant asymptotic vector off
-    the e_1 ray against a power tail leaves a non-vanishing defect.  Constant
-    against constant on different rays carries no tail model and stays
-    undecided (the partial sum is still reported).
+    A tail of amplitude c = 0 is the e_1 ray at every site; any other tail only
+    matches the same tail, since its angle c s^-p never vanishes.
     """
-    partial = _partial_sum(sigma, sigma2)
-    a = sigma.asymptotic()
-    b = sigma2.asymptotic()
+    ta, tb = (None if t is None or t.c == 0.0 else t for t in (sigma.tail, sigma2.tail))
+    if ta is not None or tb is not None:
+        return ta == tb
+    rays = (E1 if config.tail is not None else config.default for config in (sigma, sigma2))
+    return _same_ray(*rays)
 
-    def finite_support() -> SeriesVerdict:
+
+def equivalence_verdict(sigma: QubitConfig, sigma2: QubitConfig) -> SeriesVerdict:
+    """Decide the overlap-defect series by comparing declared tail models alone.
+
+    Configurations holding the same ray past their overrides differ on a
+    finite set of sites and converge.  Constant against constant on different
+    rays carries no tail model and stays undecided; a constant off the e_1 ray
+    against a power tail leaves a non-vanishing defect; power tails, or one
+    against the e_1 ray, reduce to a p-series in the squared angle difference.
+    """
+    if _finite_support(sigma, sigma2):
+        return SeriesVerdict("convergent", "configurations differ on a finite set of sites")
+    ta, tb = sigma.tail, sigma2.tail
+    if ta is None and tb is None:
         return SeriesVerdict(
-            "convergent", partial, PARTIAL_SUM_WINDOW,
-            "configurations differ on a finite set of sites",
+            "undecided", "incompatible default vectors with no tail model; numeric window only",
         )
-
-    if a[0] == "const" and b[0] == "const":
-        if _same_ray(a[1], b[1]):
-            return finite_support()
+    if any(config.tail is None and not _same_ray(config.default, E1) for config in (sigma, sigma2)):
         return SeriesVerdict(
-            "undecided", partial, PARTIAL_SUM_WINDOW,
-            "incompatible default vectors with no tail model; numeric window only",
+            "divergent", "defect tends to a positive constant (asymptotic rays differ)",
         )
-
-    # normalize: treat a constant e_1-ray default as the zero-angle power tail
-    def as_power(desc):
-        if desc[0] == "power":
-            return desc[1], desc[2]
-        if _same_ray(desc[1], np.array([1.0, 0.0], dtype=complex)):
-            return 0.0, None  # angle identically zero
-        return None
-
-    pa = as_power(a)
-    pb = as_power(b)
-    if pa is None or pb is None:
-        return SeriesVerdict(
-            "divergent", partial, PARTIAL_SUM_WINDOW,
-            "defect tends to a positive constant (asymptotic rays differ)",
-        )
-
-    ca, ea = pa
-    cb, eb = pb
     # angle difference delta_s; defect ~ delta_s^2 / 2
-    if ca == 0.0 and cb == 0.0:
-        return finite_support()
-    if ea is not None and eb is not None and ea == eb:
-        if ca == cb:
-            return finite_support()
-        return p_series_verdict(2.0 * ea, partial, PARTIAL_SUM_WINDOW,
-                                f"defect ~ ((c-c') s^-p)^2/2 with p={ea:g}")
-    exponents = [e for c, e in ((ca, ea), (cb, eb)) if c != 0.0 and e is not None]
-    lead = min(exponents)
-    return p_series_verdict(2.0 * lead, partial, PARTIAL_SUM_WINDOW,
+    if ta is not None and tb is not None and ta.p == tb.p:
+        return p_series_verdict(2.0 * ta.p, f"defect ~ ((c-c') s^-p)^2/2 with p={ta.p:g}")
+    lead = min(t.p for t in (ta, tb) if t is not None and t.c != 0.0)
+    return p_series_verdict(2.0 * lead,
                             f"defect ~ alpha_s^2/2 with leading angle exponent {lead:g}")
 
 
@@ -191,15 +173,10 @@ class LocalTransition:
 def local_transition_element(sigma: QubitConfig, sigma2: QubitConfig):
     """The witness b on the difference support, with f_sigma'(a) = f_sigma(b* a b).
 
-    Returns None when the configurations differ on an infinite set (their
-    asymptotic models disagree).
+    Returns None when the configurations differ on an infinite set, exactly
+    when :func:`equivalence_verdict` does not find a finite support.
     """
-    a, b = sigma.asymptotic(), sigma2.asymptotic()
-    same_model = (
-        a[0] == b[0]
-        and ((a[0] == "power" and a[1:] == b[1:]) or (a[0] == "const" and _same_ray(a[1], b[1])))
-    )
-    if not same_model:
+    if not _finite_support(sigma, sigma2):
         return None
     support = sorted(
         s for s in set(sigma.overrides) | set(sigma2.overrides)

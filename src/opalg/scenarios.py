@@ -884,8 +884,8 @@ def _run_qubit(scenario: Scenario, report: Report):
     verdict = qubits_mod.equivalence_verdict(first, second)
     report.info("verdict", verdict.verdict)
     report.info("justification", verdict.justification)
-    report.info("partial_sum_window", verdict.window, "configured")
-    report.info("partial_sum", verdict.partial_sum)
+    report.info("partial_sum_window", qubits_mod.PARTIAL_SUM_WINDOW, "configured")
+    report.info("partial_sum", qubits_mod.partial_sum(first, second))
     transition = qubits_mod.local_transition_element(first, second)
     if transition is None:
         report.info("local_transition", "absent (infinite difference support)")

@@ -1,9 +1,8 @@
 """Verdicts for infinite series decided by analytic tail comparison.
 
-Numeric partial sums are diagnostics only; a convergent/divergent verdict is
-issued exactly when a declared tail model licenses a comparison argument
-(p-series, non-vanishing terms, finite support).  Anything else stays
-undecided.
+A convergent/divergent verdict is issued exactly when a declared tail model
+licenses a comparison argument (p-series, non-vanishing terms, finite
+support); anything else stays undecided.  No verdict reads a partial sum.
 """
 
 from __future__ import annotations
@@ -14,19 +13,12 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class SeriesVerdict:
     verdict: str          # convergent | divergent | undecided
-    partial_sum: float
-    window: int
     justification: str
 
 
-def p_series_verdict(exponent: float, partial_sum: float, window: int, label: str) -> SeriesVerdict:
+def p_series_verdict(exponent: float, label: str) -> SeriesVerdict:
     """Terms ~ C * s^-exponent: convergent iff exponent > 1."""
-    if exponent > 1.0:
-        return SeriesVerdict(
-            "convergent", partial_sum, window,
-            f"{label}: p-series comparison with exponent {exponent:g} > 1",
-        )
-    return SeriesVerdict(
-        "divergent", partial_sum, window,
-        f"{label}: p-series comparison with exponent {exponent:g} <= 1",
-    )
+    convergent = exponent > 1.0
+    return SeriesVerdict("convergent" if convergent else "divergent",
+                         f"{label}: p-series comparison with exponent {exponent:g} "
+                         f"{'>' if convergent else '<='} 1")

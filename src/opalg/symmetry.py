@@ -20,7 +20,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .algebra import UNITARY_TOL, AlgebraElement, State, stack_blocks, unitarity_failures
+from .algebra import (
+    UNITARY_TOL, AlgebraElement, State, stack_blocks, trace_norm_distance, unitarity_failures,
+)
 from .errors import NumericalError, OpalgError, ShapeMismatchError
 from .gns import TRANSITION_TOL, GnsRep, cyclic_vector_residual, intertwining_residual
 from .linalg import block_diag
@@ -120,9 +122,7 @@ def pushforwards(f: State, automorphisms) -> tuple:
         raise ShapeMismatchError("state and automorphism live on different algebras")
     stacks = stack_blocks([rho.unitary for rho in automorphisms])
     moved = [s.conj().swapaxes(1, 2) @ d @ s for d, s in zip(f.densities, stacks)]
-    distances = sum((np.linalg.svd(d - m, compute_uv=False).sum(axis=1)
-                     for d, m in zip(f.densities, moved)), np.zeros(len(automorphisms)))
-    return list(zip(*moved)), distances.tolist()
+    return list(zip(*moved)), trace_norm_distance(f.densities, moved).tolist()
 
 
 def stationarity_check(f: State, rho: InnerAutomorphism, tol: float = STATIONARY_TOL) -> bool:
@@ -225,8 +225,7 @@ def stabilizer_orbit(moved: list, distances: list, tol: float = STATIONARY_TOL) 
     stacks = [np.empty((len(moved),) + d.shape, dtype=complex) for d in moved[0]]
     for dens in moved:    # the first one starts the orbit without a comparison
         k = len(orbit)
-        if k and not np.all(sum(np.sum(np.linalg.svd(d - s[:k], compute_uv=False), axis=1)
-                                for d, s in zip(dens, stacks)) > tol):
+        if k and not np.all(trace_norm_distance(dens, [s[:k] for s in stacks]) > tol):
             continue
         for d, s in zip(dens, stacks):
             s[k] = d

@@ -9,7 +9,9 @@ outcome: ``report <SHA-256 of the report>``, or ``<error class>: <text>`` for
 an ``OpalgError`` (the text holds the path and line of a schema error), or
 ``UNCAUGHT <class>: <text>`` for any other exception.  Numpy warnings raised
 on the way are appended as ``| warned <categories>``.  Counts by outcome go to
-stderr.  The name keeps pytest from collecting it.
+stderr.  The name keeps pytest from collecting it; ``tests/test_mutation_gate.py``
+runs the demos' share of it, with each demo line dropped and repeated in turn
+(``line_edits``), as a test.
 
 Run it against two trees and compare the outputs:
 
@@ -60,7 +62,18 @@ def mutants(text):
             yield k, value, text[:match.start()] + value + text[match.end():]
 
 
-def outcome(text) -> str:
+def line_edits(text):
+    """(line index, edit, document) for each line of ``text`` dropped, then repeated."""
+    lines = text.splitlines(keepends=True)
+    for k in range(len(lines)):
+        yield k, "drop", "".join(lines[:k] + lines[k + 1:])
+        yield k, "repeat", "".join(lines[:k + 1] + lines[k:])
+
+
+def attempt(text):
+    """(report, result, warnings) of one document: its rendered report or None, its outcome
+    before :func:`outcome` appends the warnings, and the warnings raised on the way."""
+    report = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -70,6 +83,11 @@ def outcome(text) -> str:
             result = f"{type(exc).__name__}: {exc}"
         except Exception as exc:    # any other exception is a finding, printed as one
             result = f"UNCAUGHT {type(exc).__name__}: {exc}"
+    return report, result, caught
+
+
+def outcome(text) -> str:
+    _, result, caught = attempt(text)
     if caught:
         result += " | warned " + ", ".join(sorted({w.category.__name__ for w in caught}))
     return result.replace("\n", "\\n")

@@ -122,7 +122,7 @@ from opalg.ccr import ORACLE_LEVELS, ORACLE_STEP
 from opalg.errors import NumericalError, OpalgError
 from opalg.fields import TWO_PI, MassShellGrid, _four_vector, _minus_sheet, _minus_value
 from opalg.groups import GroupRep, delta, pd_kernel
-from opalg.linalg import block_diag, fix_phases, nuclear_norm
+from opalg.linalg import block_diag, fix_phases
 from opalg.qubits import PARTIAL_SUM_WINDOW
 
 KERNEL_TOL = 1e-9    # generator entries up to this times the largest count as zero
@@ -506,7 +506,8 @@ def pushforwards_by_loop(f, automorphisms):
     """(moved, distances): U_b* rho_b U_b and the trace-norm distance, one automorphism at a time."""
     moved = [[u.conj().T @ d @ u for d, u in zip(f.densities, rho.unitary.mats)]
              for rho in automorphisms]
-    return moved, [float(sum(nuclear_norm(a - b) for a, b in zip(f.densities, m))) for m in moved]
+    return moved, [float(sum(np.linalg.svd(a - b, compute_uv=False).sum()
+                             for a, b in zip(f.densities, m))) for m in moved]
 
 
 def intertwining_residual_by_pairs(pairs) -> float:

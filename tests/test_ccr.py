@@ -540,3 +540,19 @@ def test_gaussian_equivalence_verdicts():
     finite = gaussian_equivalence_verdict(FiniteEigenvalues((1.0, 5.0, 0.1)))
     assert finite.verdict == "convergent"
     assert gaussian_equivalence_verdict(object()).verdict == "undecided"
+
+
+@pytest.mark.parametrize("model, verdict", [
+    (PowerTailEigenvalues(1.0, -1e308), "divergent"),
+    (PowerTailEigenvalues(1e308, 2.0), "convergent"),
+    (PowerTailEigenvalues(-1e308, 2.0), "convergent"),
+    (PowerTailEigenvalues(1e308, 0.5), "divergent"),
+])
+def test_gaussian_equivalence_verdict_reads_the_model_alone(model, verdict):
+    # k ** 1e308, and 1e308 / 2 k^-p summed over 10 000 terms, overflowed a partial sum
+    # that no report line printed; the verdict is analytic at the ends of double range
+    with np.errstate(all="raise"):
+        result = gaussian_equivalence_verdict(model)
+    assert result.verdict == verdict
+    assert result.justification.startswith(f"trace criterion terms |1 - s_k/2| = "
+                                           f"{abs(model.amplitude) / 2:g} k^-{model.exponent:g}")

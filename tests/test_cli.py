@@ -739,6 +739,18 @@ fock: {max_occupation: 40}
     assert "basis" in err
 
 
+def test_ccr_power_tail_past_double_range_reports_its_verdict(tmp_path, capsys):
+    # k ** 1e30 overflowed a 10 000-term partial sum the report never printed: exit 2
+    text = DEMO["ccr"].replace("exponent: 2.0", "exponent: -1e30")
+    assert "-1e30" in text
+    scenario = tmp_path / "tail.yaml"
+    scenario.write_text(text)
+    assert main(["run", str(scenario)]) == 0
+    out = capsys.readouterr().out
+    assert "gaussian_equivalence_series = divergent [computed]" in out
+    assert "p-series comparison with exponent -1e+30 <= 1" in out
+
+
 def test_cli_unresolvable_shells_exit_code(tmp_path, capsys):
     text = """\
 kind: field

@@ -15,7 +15,7 @@ from opalg import (
     purity_check,
     transition_residual,
 )
-from opalg.qubits import PARTIAL_SUM_WINDOW, TRANSITION_SITE_CAP, LocalTransition, _partial_sum
+from opalg.qubits import PARTIAL_SUM_WINDOW, TRANSITION_SITE_CAP, LocalTransition, partial_sum
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -88,7 +88,7 @@ def test_incompatible_defaults_without_tail_are_undecided():
     b = QubitConfig(np.array([0.6, 0.8]))
     verdict = equivalence_verdict(a, b)
     assert verdict.verdict == "undecided"
-    assert verdict.partial_sum > 0.0
+    assert partial_sum(a, b) > 0.0
 
 
 def test_verdict_is_symmetric():
@@ -261,7 +261,7 @@ def _random_config(rng, kind):
 def test_partial_sum_equals_the_mask_form(seed, kinds):
     rng = np.random.default_rng(seed)
     first, second = (_random_config(rng, kind) for kind in kinds)
-    assert _partial_sum(first, second) == oracles.partial_sum_by_masks(first, second)
+    assert partial_sum(first, second) == oracles.partial_sum_by_masks(first, second)
 
 
 @settings(max_examples=30, deadline=None)
@@ -278,7 +278,7 @@ def test_partial_sum_of_one_tail_equals_the_mask_form(moved, seed):
         sites += rng.choice(pool, size=int(rng.integers(0, 3)), replace=False).tolist()
         overrides = {int(s): _random_unit(rng) for s in sites} if moved in (side, "both") else {}
         configs.append(QubitConfig(E1, overrides, tail))
-    assert _partial_sum(*configs) == oracles.partial_sum_by_masks(*configs)
+    assert partial_sum(*configs) == oracles.partial_sum_by_masks(*configs)
 
 
 def test_partial_sum_of_one_tail_holds_no_complex_window():
@@ -286,10 +286,10 @@ def test_partial_sum_of_one_tail_holds_no_complex_window():
     turn = np.array([0.6, 0.8j])
     first = QubitConfig(overrides={1: E2, PARTIAL_SUM_WINDOW: turn}, tail=PowerTail(1.3, 0.75))
     second = QubitConfig(overrides={1: turn, 9: turn}, tail=PowerTail(1.3, 0.75))
-    _partial_sum(first, second)
+    partial_sum(first, second)
     tracemalloc.start()
     try:
-        _partial_sum(first, second)
+        partial_sum(first, second)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -307,7 +307,43 @@ def test_configurations_of_one_tail_share_its_window(monkeypatch):
     tail_angles = PowerTail.angles
     monkeypatch.setattr(PowerTail, "angles",
                         lambda self, sites: angles.append(len(sites)) or tail_angles(self, sites))
-    assert _partial_sum(first, second) == float(np.sum(np.abs(own - 1.0)))
+    assert partial_sum(first, second) == float(np.sum(np.abs(own - 1.0)))
     assert angles == [PARTIAL_SUM_WINDOW]
-    _partial_sum(first, QubitConfig(tail=PowerTail(1.3, 0.5)))    # another tail: a window each
+    partial_sum(first, QubitConfig(tail=PowerTail(1.3, 0.5)))    # another tail: a window each
     assert angles == [PARTIAL_SUM_WINDOW] * 3
+
+
+FINITE_SUPPORT = "configurations differ on a finite set of sites"
+SIDE_KINDS = ("e1", "off-axis", "zero tail", "tail")
+
+
+def _side(rng, kind):
+    """An e_1 default with a random phase, an off-axis default, a tail with c = +-0 or a tail
+    with c != 0 (amplitudes and powers from small pools, so two sides can share a tail),
+    with overrides at random sites."""
+    default, tail = np.exp(2j * np.pi * rng.uniform()) * E1, None
+    if kind == "off-axis":
+        default = _random_unit(rng)
+    elif kind != "e1":
+        amplitudes = [0.0, -0.0] if kind == "zero tail" else [-1.0, 0.25, 1.0]
+        tail = PowerTail(float(rng.choice(amplitudes)), float(rng.choice([0.5, 1.0, 2.0])))
+    sites = rng.choice(np.arange(1, 10), size=int(rng.integers(0, 4)), replace=False)
+    return QubitConfig(default, {int(s): _random_unit(rng) for s in sites}, tail)
+
+
+sides = st.builds(_side, st.integers(0, 2**32 - 1).map(np.random.default_rng),
+                  st.sampled_from(SIDE_KINDS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=sides, second=sides)
+@example(first=QubitConfig(tail=PowerTail(0.0, 1.0)), second=QubitConfig(E1))
+@example(first=QubitConfig(tail=PowerTail(0.0, 1.0), overrides={2: E2}),
+         second=QubitConfig(tail=PowerTail(-0.0, 2.0)))
+def test_transition_exists_exactly_when_the_verdict_finds_finite_support(first, second):
+    for a, b in ((first, second), (second, first)):
+        transition = local_transition_element(a, b)
+        assert (transition is None) == (equivalence_verdict(a, b).justification != FINITE_SUPPORT)
+        if transition is not None:
+            assert set(transition.sites) <= set(a.overrides) | set(b.overrides)
+            assert transition_residual(a, b, transition) <= 1e-12
