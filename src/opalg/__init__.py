@@ -55,7 +55,6 @@ from .gns import (
     intertwining_residual,
     pure_unitary_intertwiner,
     purity_check,
-    superselection_operator,
 )
 from .groups import (
     FiniteGroup,
@@ -64,9 +63,7 @@ from .groups import (
     cyclic_group,
     delta,
     gns_from_group_function,
-    irreducible_characters,
     is_positive_definite,
-    left_regular_representation,
     orthogonality_check,
     symmetric_group,
 )
@@ -82,10 +79,8 @@ from .series import SeriesVerdict
 from .symmetry import (
     AutomorphismGroup,
     InnerAutomorphism,
-    one_parameter_flow,
     pushforwards,
     stabilizer_orbit,
-    stationarity_check,
     unitary_implementer,
 )
 

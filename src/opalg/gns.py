@@ -277,17 +277,3 @@ def pure_unitary_intertwiner(rep_f: GnsRep, rep_g: GnsRep):
         raise NumericalError(f"unitary intertwiner failed verification ({worst:.3e})")
     return u
 
-
-def superselection_operator(reps, weights) -> np.ndarray:
-    """Block-scalar operator r_k * I on the k-th summand of the Hilbert sum.
-
-    Commutes with the summed representation and multiplies each embedded
-    cyclic vector by its weight, so distinct weights label the sectors.
-    """
-    reps = list(reps)
-    weights = [float(w) for w in weights]
-    if len(reps) != len(weights):
-        raise ShapeMismatchError("one weight per representation required")
-    if any(r.algebra != reps[0].algebra for r in reps):
-        raise ShapeMismatchError("summands must represent the same algebra")
-    return block_diag([w * np.eye(r.carrier_dim) for r, w in zip(reps, weights)])

@@ -29,14 +29,17 @@ GATHER_ENTRY_LIMIT = 1 << 20
 
 
 class FiniteGroup:
-    """Multiplication table, identity, and inverses; laws verified on build.
+    """Multiplication table, identity, and inverses; laws verified on build, then frozen.
 
-    Associativity is checked exhaustively for order <= 24 and on 2000 seeded
-    random triples above that; the first failing triple is reported.
+    Associativity is decided exactly by Light's test: the elements s with
+    (x s) y = x (s y) for all x and y are closed under the product, so the table
+    is associative once the elements checked generate it.  Each round checks the
+    first element not yet generated and closes the set; a group takes at most
+    log2(order) rounds.  A failure names a triple (x, s, y) that fails.
     """
 
     def __init__(self, table):
-        table = np.asarray(table, dtype=int)
+        table = np.array(table, dtype=int)
         n = table.shape[0]
         if table.shape != (n, n) or np.any(table < 0) or np.any(table >= n):
             raise ValueError("multiplication table must be n x n with entries in [0, n)")
@@ -53,14 +56,20 @@ class FiniteGroup:
         fails = np.flatnonzero((hits.sum(axis=1) != 1) | (table[self.inverse, idx] != identity))
         if fails.size:
             raise ValueError(f"element {fails[0]} has no two-sided inverse")
-        if n <= 24:
-            a, b, c = np.indices((n, n, n)).reshape(3, -1)
-        else:
-            a, b, c = np.random.default_rng(0).integers(0, n, size=(2000, 3)).T
-        fails = np.flatnonzero(table[table[a, b], c] != table[a, table[b, c]])
-        if fails.size:
-            k = fails[0]
-            raise ValueError(f"associativity fails on ({a[k]}, {b[k]}, {c[k]})")
+        generated = idx == identity
+        while not generated.all():
+            s = int(np.argmin(generated))
+            fails = table[table[:, s]] != table[:, table[s]]
+            if fails.any():
+                x, y = np.argwhere(fails)[0]
+                raise ValueError(f"associativity fails on ({x}, {s}, {y})")
+            generated[s] = True
+            size = 0    # close the generated set under the product
+            while size < (members := np.flatnonzero(generated)).size:
+                size = members.size
+                generated[table[members][:, members]] = True
+        table.setflags(write=False)
+        self.inverse.setflags(write=False)
 
     def __len__(self):
         return self.order
@@ -75,15 +84,9 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(table)
 
 
-def _permutations(n: int) -> np.ndarray:
-    """The permutations of {0..n-1} as rows, sorted lexicographically."""
-    perms = sorted(itertools.permutations(range(n)))
-    return np.array(perms, dtype=int).reshape(len(perms), n)
-
-
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n on {0..n-1}; elements sorted lexicographically, composition left-to-right."""
-    perms = _permutations(n)
+    perms = np.array(sorted(itertools.permutations(range(n))), dtype=int)
     # p o q is read as base-n digits, whose order is the lexicographic one
     digits = n ** np.arange(n - 1, -1, -1)
     composed = perms[np.arange(len(perms))[:, None, None], perms[None, :, :]]
@@ -160,13 +163,6 @@ class GroupRep:
         return float(np.max(np.abs(products - np.eye(self.carrier_dim)), initial=0.0))
 
 
-def _check_rep_size(group: FiniteGroup, rank: int) -> None:
-    entries = group.order * rank * rank
-    if entries > REP_ENTRY_LIMIT:
-        raise NumericalError(f"representation of order {group.order} and rank {rank} holds "
-                             f"{entries} matrix entries, over the limit {REP_ENTRY_LIMIT}")
-
-
 def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
     """GNS representation of the group defined by a positive-definite function.
 
@@ -183,7 +179,10 @@ def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
     if spectrum is None:
         raise InvalidStateError("function is not positive-definite within tolerance")
     t, t_pinv, rank = gram_quotient(spectrum)
-    _check_rep_size(group, rank)
+    entries = group.order * rank * rank
+    if entries > REP_ENTRY_LIMIT:
+        raise NumericalError(f"representation of order {group.order} and rank {rank} holds "
+                             f"{entries} matrix entries, over the limit {REP_ENTRY_LIMIT}")
     # pi(g) = T P_g T+, and P_g only permutes columns: T P_g is T[:, table[g]], gathered
     # for a run of elements at a time and multiplied by T+ as one stack
     step = max(1, GATHER_ENTRY_LIMIT // max(1, rank * group.order))
@@ -193,16 +192,6 @@ def gns_from_group_function(group: FiniteGroup, psi) -> GroupRep:
         np.matmul(np.swapaxes(t[:, rows], 0, 1), t_pinv, out=mats[start:start + step])
     return GroupRep(group=group, function=psi, matrices=mats,
                     cyclic_vector=t[:, group.identity], gram_rank=rank)
-
-
-def left_regular_representation(group: FiniteGroup) -> GroupRep:
-    """Left-regular representation (Pi(g) f)(q) = f(g^-1 q): the permutations P_g themselves."""
-    n = group.order
-    _check_rep_size(group, n)
-    eye = np.eye(n, dtype=complex)
-    return GroupRep(group=group, function=delta(group, group.identity),
-                    matrices=np.swapaxes(eye[:, group.table], 0, 1),
-                    cyclic_vector=delta(group, group.identity), gram_rank=n)
 
 
 @dataclass(frozen=True)
@@ -225,19 +214,3 @@ def orthogonality_check(rep: GroupRep, rep2: GroupRep) -> OrthogonalityReport:
     conv = convolve(rep.group, psi, psi2)
     return OrthogonalityReport(inner_sum=inner, convolution_max=float(np.max(np.abs(conv))))
 
-
-def irreducible_characters(group: FiniteGroup):
-    """Characters of the built-in groups (cyclic of any order, S_3)."""
-    n = group.order
-    idx = np.arange(n)
-    cyclic = cyclic_group(n)
-    if np.array_equal(group.table, cyclic.table):
-        return [np.exp(2j * np.pi * k * idx / n) for k in range(n)]
-    if n == 6 and np.array_equal(group.table, symmetric_group(3).table):
-        perms = _permutations(3)
-        inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
-        # trivial, sign and standard: the sign is -1 per inversion, the standard character
-        # counts fixed points less one
-        return [np.ones(6, dtype=complex), ((-1) ** inversions).astype(complex),
-                (np.sum(perms == np.arange(3), axis=1) - 1).astype(complex)]
-    raise ValueError("irreducible characters are built in only for Z_n and S_3 tables")

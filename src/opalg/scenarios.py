@@ -72,7 +72,25 @@ class _Resolve:
         return _SEQ if kind is yaml.SequenceNode else _MAP
 
 
-class _Loader(_Resolve, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+class _UniqueKeys:
+    """PyYAML's mapping construction, with a key of the mapping's own that constructs equal
+    to an earlier one refused as a schema error on its line.  Keys merged in with '<<' may
+    still be overridden, by later merges and by the mapping's own keys, as YAML has it."""
+
+    def construct_mapping(self, node, deep=False):
+        own = isinstance(node, yaml.MappingNode) and [k for k, _ in node.value if k.tag != _MERGE]
+        mapping = super().construct_mapping(node, deep)    # raises for any other node
+        seen = set()
+        for key_node in own:
+            key = self.constructed_objects[key_node]
+            if key in seen:
+                raise ValidationError(f"repeated field {key!r}", line=key_node.start_mark.line + 1)
+            seen.add(key)
+        return mapping
+
+
+class _Loader(_Resolve, _UniqueKeys,
+              yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
     """Safe loader that also reads YAML 1.2 floats such as ``1e-05`` as numbers.
 
     It parses with libyaml when PyYAML was built with it.  The YAML 1.1 float
@@ -82,7 +100,7 @@ class _Loader(_Resolve, yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.Safe
     """
 
 
-class _PyLoader(_Resolve, yaml.SafeLoader):
+class _PyLoader(_Resolve, _UniqueKeys, yaml.SafeLoader):
     """The pure-Python parser with the same resolver; its errors quote the source."""
 
 
@@ -95,8 +113,8 @@ def _construct_int(loader, node):
                               line=node.start_mark.line + 1) from None
 
 
-_FLOAT, _INT, _STR, _SEQ, _MAP = (f"tag:yaml.org,2002:{name}"
-                                  for name in ("float", "int", "str", "seq", "map"))
+_FLOAT, _INT, _STR, _SEQ, _MAP, _MERGE = (f"tag:yaml.org,2002:{name}" for name in
+                                          ("float", "int", "str", "seq", "map", "merge"))
 _CORE_SCALARS = frozenset(f"tag:yaml.org,2002:{name}"
                           for name in ("null", "bool", "int", "float", "str"))
 
@@ -173,10 +191,11 @@ def _build(node, loader, built, foreign, flows=None):
         for key_node, value_node in node.value:
             if type(key_node) is yaml.ScalarNode:    # a placeholder key stays unmet
                 key = _build(key_node, loader, built, foreign)
+                if key in data:    # repeated: the constructor refuses it
+                    foreign.append(key_node)
             else:
                 foreign.append(key_node)
                 key = None
-            # a repeated key keeps its last value
             data[key] = _build(value_node, loader, built, foreign, flows)
     else:
         foreign.append(node)
@@ -190,13 +209,14 @@ def _compose(loader_cls, text: str, flows=None):
     The core schema is built by ``_build`` from the node tree in one walk, one
     Python frame per nesting level.  Each collection is built once, however
     many aliases lead to it.  A document with anything else (a tag written
-    out, a timestamp, a merge or value key, a key that is no scalar, an
-    integer past int()'s digits) goes whole to PyYAML's ``construct_document``,
-    so its data and first error are PyYAML's.  PyYAML builds nested sequences
-    and mappings without recursion, so when the walk overflows (a scalar read
-    through a constructor takes a few frames below its level) PyYAML builds
-    the data, its error winning, and ``_descend`` refuses what is too deep.  With
-    ``flows`` from ``_flows``, None unless each placeholder is one whole scalar value.
+    out, a timestamp, a merge or value key, a key that is no scalar or that
+    repeats one of its mapping, an integer past int()'s digits) goes whole to
+    PyYAML's ``construct_document``, so its data and first error are PyYAML's
+    with ``_UniqueKeys``.  PyYAML builds nested sequences and mappings without
+    recursion, so when the walk overflows (a scalar read through a constructor
+    takes a few frames below its level) PyYAML builds the data, its error
+    winning, and ``_descend`` refuses what is too deep.  With ``flows`` from
+    ``_flows``, None unless each placeholder is one whole scalar value.
     """
     loader = loader_cls(text)
     try:
@@ -295,29 +315,22 @@ def _load(text: str):
 def _line(node, path):
     """The 1-based line of the node at ``path`` below ``node``, or None.
 
-    Mapping steps match keys by ``str(key.value)`` and sequence steps are
-    indices.  Of several keys that match, the last one that holds the rest
-    of the path wins: the line a walk over every path in document order
-    would leave last.  The schema fails only on paths into the data, which
-    follow the last of repeated keys, so the first child tried holds the
-    rest and the search descends once.
+    Mapping steps follow the string key of that text: one of the mapping's own
+    keys, or the last where keys merged in with '<<' are overridden.  Sequence
+    steps are indices.
     """
-    if not path:
-        return node.start_mark.line + 1
-    step, rest = path[0], path[1:]
-    if isinstance(node, yaml.MappingNode):
-        children = [value for key, value in node.value if str(key.value) == step]
-    elif isinstance(node.value, list) and isinstance(step, int) and 0 <= step < len(node.value):
-        children = [node.value[step]]
-        if isinstance(node, yaml.ScalarNode):    # holding a flow sequence, which is on one line
-            children = [yaml.ScalarNode(_STR, children[0], node.start_mark)]
-    else:
-        children = []
-    for child in reversed(children):
-        line = _line(child, rest)
-        if line is not None:
-            return line
-    return None
+    for step in path:
+        if isinstance(node, yaml.MappingNode):
+            node = next((value for key, value in reversed(node.value)
+                         if key.tag == _STR and key.value == step), None)
+        elif isinstance(node.value, list) and isinstance(step, int) and 0 <= step < len(node.value):
+            node = (yaml.ScalarNode(_STR, node.value[step], node.start_mark)    # in a flow
+                    if isinstance(node, yaml.ScalarNode) else node.value[step])  # sequence's line
+        else:
+            return None
+        if node is None:
+            return None
+    return node.start_mark.line + 1
 
 
 def _path_str(path) -> str:

@@ -125,10 +125,6 @@ def pushforwards(f: State, automorphisms) -> tuple:
     return list(zip(*moved)), trace_norm_distance(f.densities, moved).tolist()
 
 
-def stationarity_check(f: State, rho: InnerAutomorphism, tol: float = STATIONARY_TOL) -> bool:
-    return pushforwards(f, [rho])[1][0] <= tol
-
-
 @dataclass
 class ImplementerResult:
     moved: tuple             # the densities U_b* rho_b U_b of the pushforward, as computed
@@ -237,20 +233,3 @@ def stabilizer_orbit(moved: list, distances: list, tol: float = STATIONARY_TOL) 
                          f"!= {report.group_order}")
     return report
 
-
-def one_parameter_flow(b: AlgebraElement, t: float, a: AlgebraElement) -> AlgebraElement:
-    """G_t(a) = exp(-itb) a exp(itb) for Hermitian b, via blockwise eigendecomposition.
-
-    The derivative at t = 0 is -i[b, a].
-    """
-    if not b.is_hermitian():
-        raise OpalgError("flow generator must be Hermitian")
-    if a.algebra != b.algebra:
-        raise ShapeMismatchError("flow generator and argument live on different algebras")
-    out = []
-    for bm, am in zip(b.mats, a.mats):
-        lam, vec = np.linalg.eigh(bm)
-        phases = np.exp(-1j * t * lam)
-        u = (vec * phases[None, :]) @ vec.conj().T
-        out.append(u @ am @ u.conj().T)
-    return a.algebra.element(out)

@@ -11,7 +11,8 @@ an ``OpalgError`` (the text holds the path and line of a schema error), or
 on the way are appended as ``| warned <categories>``.  Counts by outcome go to
 stderr.  The name keeps pytest from collecting it; ``tests/test_mutation_gate.py``
 runs the demos' share of it, with each demo line dropped and repeated in turn
-(``line_edits``), as a test.
+(``line_edits``) and each pair of inline values made an anchor and its alias
+(``alias_edits``), as a test.
 
 Run it against two trees and compare the outputs:
 
@@ -23,6 +24,7 @@ Run it against two trees and compare the outputs:
 import collections
 import hashlib
 import importlib.util
+import itertools
 import re
 import sys
 import warnings
@@ -35,6 +37,9 @@ SEED = 4243
 STRIDE = 7
 # a YAML number token: not part of a name such as z3 or M2, nor of a longer number
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+# a line's inline value, after its indentation, an optional '- ' and an optional 'key: ';
+# a key that opens a block ('densities:') holds none
+INLINE_VALUE = re.compile(r"( *(?:- )?(?:\w+: )?)(?!- |\w+:$)(\S.*)")
 VALUES = ("1e308", "-1e308", "1e-320", "0", "-0.0", ".nan", ".inf", "-.inf", "'x'", "true",
           "null", "[1]", "{a: 1}", "1e30", "-1e30", "2", "-1", "4301")
 
@@ -68,6 +73,19 @@ def line_edits(text):
     for k in range(len(lines)):
         yield k, "drop", "".join(lines[:k] + lines[k + 1:])
         yield k, "repeat", "".join(lines[:k + 1] + lines[k:])
+
+
+def alias_edits(text):
+    """(i, j, document) for each pair of lines i < j of ``text`` that hold an inline value:
+    line i's value anchored as ``&a`` and line j's replaced by ``*a``."""
+    lines = text.splitlines(keepends=True)
+    values = [(k, match) for k, line in enumerate(lines)
+              if (match := INLINE_VALUE.fullmatch(line.rstrip("\n")))]
+    for (i, first), (j, second) in itertools.combinations(values, 2):
+        edited = lines.copy()
+        edited[i] = f"{first[1]}&a {first[2]}\n"
+        edited[j] = f"{second[1]}*a\n"
+        yield i, j, "".join(edited)
 
 
 def attempt(text):

@@ -32,11 +32,12 @@ W and gets the same number for W = sum U_b (x) V_b from the factors alone,
 as (max |U_b|)^2 max |V_b V_b* - I| per block.  ``generator_matrices`` and
 ``summed_generator_matrices`` build pi(e_k) densely for every matrix unit.
 
-``associativity_failure_by_loop`` walks the triples of a multiplication
-table one at a time, as ``opalg.groups.FiniteGroup`` compares them in one
-array expression.  ``gns_from_group_function_by_permutations`` builds each
-translation as the dense product T P_g T+ with the permutation matrix P_g,
-where ``opalg.groups`` gathers the columns of T; its T comes from
+``associativity_failure_by_loop`` walks every triple of a multiplication
+table one at a time, where ``opalg.groups.FiniteGroup`` runs Light's test
+on the elements that generate the table.
+``gns_from_group_function_by_permutations`` builds each translation as the
+dense product T P_g T+ with the permutation matrix P_g, where
+``opalg.groups`` gathers the columns of T; its T comes from
 ``quotient_by_eigh``, the arithmetic of ``opalg.linalg.gram_quotient``
 written out here, so the two are compared bit for bit; and
 ``left_regular_representation_by_loop`` sets the entries of each P_g one at
@@ -50,7 +51,8 @@ states one pair at a time by ``trace_distance``, as
 ``opalg.symmetry.stabilizer_orbit`` did before it stacked them per block.
 ``load_with_marks_by_python`` reads a scenario document with PyYAML's
 pure-Python parser alone, the reference for the libyaml path of
-``opalg.scenarios``.
+``opalg.scenarios``; ``UniqueKeysByList`` refuses a repeated key there by
+comparing each key of a mapping with the earlier ones in a list.
 
 The per-element loops that ``opalg`` replaced with one stacked expression per
 block: ``unitarity_by_blocks`` tests one element's blocks in turn, as
@@ -105,6 +107,13 @@ enumeration of pairings, and ``wick_by_partitions`` and
 with ``pair_value`` the two-point value of one pair.
 ``gaussian_density`` is the normalized density of the Gaussian measure, the
 reference the quasi-invariance cocycle is integrated against.
+
+The last five are examples the acceptance tests build from, which no
+scenario runs: ``superselection_operator`` (a block-scalar operator on a
+Hilbert sum of GNS representations), ``left_regular_representation`` and
+``irreducible_characters`` of the built-in groups, ``stationarity_check``
+(one automorphism's pushforward distance against a tolerance) and
+``one_parameter_flow`` (exp(-itb) a exp(itb) block by block).
 """
 
 from __future__ import annotations
@@ -119,9 +128,9 @@ import yaml
 
 from opalg.algebra import UNITARY_TOL, StarAlgebra, State, evaluate_state, transport_residual
 from opalg.ccr import ORACLE_LEVELS, ORACLE_STEP
-from opalg.errors import NumericalError, OpalgError
+from opalg.errors import NumericalError, OpalgError, ShapeMismatchError, ValidationError
 from opalg.fields import TWO_PI, MassShellGrid, _four_vector, _minus_sheet, _minus_value
-from opalg.groups import GroupRep, delta, pd_kernel
+from opalg.groups import GroupRep, cyclic_group, delta, pd_kernel, symmetric_group
 from opalg.linalg import block_diag, fix_phases
 from opalg.qubits import PARTIAL_SUM_WINDOW
 
@@ -402,20 +411,10 @@ def summed_generator_matrices(reps) -> list:
 
 
 def associativity_failure_by_loop(table):
-    """The message for the first non-associative triple, or None.
-
-    Every triple for order <= 24, else 2000 triples drawn one at a time from
-    default_rng(0).
-    """
-    table = np.asarray(table)
-    n = table.shape[0]
-    if n <= 24:
-        triples = itertools.product(range(n), repeat=3)
-    else:
-        rng = np.random.default_rng(0)
-        triples = (tuple(rng.integers(0, n, size=3)) for _ in range(2000))
-    for a, b, c in triples:
-        if table[table[a, b], c] != table[a, table[b, c]]:
+    """The message for the first non-associative triple in lexicographic order, or None."""
+    table = np.asarray(table).tolist()
+    for a, b, c in itertools.product(range(len(table)), repeat=3):
+        if table[table[a][b]][c] != table[a][table[b][c]]:
             return f"associativity fails on ({a}, {b}, {c})"
     return None
 
@@ -623,8 +622,26 @@ def stabilizer_orbit_by_pairs(f, elements, tol):
     return stabilizer, orbit
 
 
-class PythonYaml12Loader(yaml.SafeLoader):
-    """PyYAML's pure-Python safe loader plus the YAML 1.2 exponent floats."""
+class UniqueKeysByList:
+    """A loader mixin: PyYAML's safe mapping construction, after which the mapping's own
+    keys (not those merged in with '<<') are compared with each earlier one in a list;
+    the second of two equal keys is a ValidationError on its line."""
+
+    def construct_mapping(self, node, deep=False):
+        own = []
+        if isinstance(node, yaml.MappingNode):
+            own = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+        mapping = yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
+        keys = [self.construct_object(key) for key in own]
+        for k, key in enumerate(keys):
+            if key in keys[:k]:
+                raise ValidationError(f"repeated field {key!r}", line=own[k].start_mark.line + 1)
+        return mapping
+
+
+class PythonYaml12Loader(UniqueKeysByList, yaml.SafeLoader):
+    """PyYAML's pure-Python safe loader plus the YAML 1.2 exponent floats, refusing
+    repeated keys."""
 
 
 PythonYaml12Loader.add_implicit_resolver(
@@ -637,9 +654,9 @@ PythonYaml12Loader.add_implicit_resolver(
 def load_with_marks_by_python(text):
     """("ok", data, marks) or ("error", message, line) from the pure-Python parser.
 
-    marks maps each node's path (mapping keys and sequence indices) to its
+    marks maps each node's path (string keys and sequence indices) to its
     1-based start line; the message is the text opalg reports after
-    "not well-formed YAML: ".
+    "<document> (line N): ".
     """
     try:
         loader = PythonYaml12Loader(text)
@@ -650,14 +667,17 @@ def load_with_marks_by_python(text):
             loader.dispose()
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        return "error", str(exc), None if mark is None else mark.line + 1
+        return "error", f"not well-formed YAML: {exc}", None if mark is None else mark.line + 1
+    except ValidationError as exc:
+        return "error", str(exc).split(": ", 1)[1], exc.line
     marks = {}
 
-    def walk(item, path):   # in document order, so a repeated key keeps its last line
-        marks[path] = item.start_mark.line + 1
+    def walk(item, path):   # in document order, so a key merged in with '<<' and
+        marks[path] = item.start_mark.line + 1    # overridden keeps the last line
         if isinstance(item, yaml.MappingNode):
             for key, value in item.value:
-                walk(value, path + (str(key.value),))
+                if key.tag == "tag:yaml.org,2002:str":
+                    walk(value, path + (key.value,))
         elif isinstance(item, yaml.SequenceNode):
             for index, value in enumerate(item.value):
                 walk(value, path + (index,))
@@ -940,3 +960,65 @@ def gaussian_density(space, w) -> float:
         raise NumericalError("covariance matrix is not positive definite")
     quad = float(w @ np.linalg.solve(sigma, w))
     return float(np.exp(-0.5 * (space.n * np.log(2.0 * np.pi) + logdet + quad)))
+
+
+def superselection_operator(reps, weights) -> np.ndarray:
+    """Block-scalar operator r_k * I on the k-th summand of the Hilbert sum.
+
+    Commutes with the summed representation and multiplies each embedded
+    cyclic vector by its weight, so distinct weights label the sectors.
+    """
+    reps = list(reps)
+    weights = [float(w) for w in weights]
+    if len(reps) != len(weights):
+        raise ShapeMismatchError("one weight per representation required")
+    if any(r.algebra != reps[0].algebra for r in reps):
+        raise ShapeMismatchError("summands must represent the same algebra")
+    return block_diag([w * np.eye(r.carrier_dim) for r, w in zip(reps, weights)])
+
+
+def left_regular_representation(group) -> GroupRep:
+    """Left-regular representation (Pi(g) f)(q) = f(g^-1 q): the permutations P_g themselves."""
+    eye = np.eye(group.order, dtype=complex)
+    return GroupRep(group=group, function=delta(group, group.identity),
+                    matrices=np.swapaxes(eye[:, group.table], 0, 1),
+                    cyclic_vector=delta(group, group.identity), gram_rank=group.order)
+
+
+def irreducible_characters(group):
+    """Characters of the built-in groups (cyclic of any order, S_3)."""
+    n = group.order
+    idx = np.arange(n)
+    if np.array_equal(group.table, cyclic_group(n).table):
+        return [np.exp(2j * np.pi * k * idx / n) for k in range(n)]
+    if n == 6 and np.array_equal(group.table, symmetric_group(3).table):
+        perms = np.array(sorted(itertools.permutations(range(3))))    # S_3's element order
+        inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+        # trivial, sign and standard: the sign is -1 per inversion, the standard character
+        # counts fixed points less one
+        return [np.ones(6, dtype=complex), ((-1) ** inversions).astype(complex),
+                (np.sum(perms == np.arange(3), axis=1) - 1).astype(complex)]
+    raise ValueError("irreducible characters are built in only for Z_n and S_3 tables")
+
+
+def stationarity_check(f, rho, tol: float) -> bool:
+    """Whether the pushforward of f by rho lies within ``tol`` of f in trace norm."""
+    return pushforwards_by_loop(f, [rho])[1][0] <= tol
+
+
+def one_parameter_flow(b, t: float, a):
+    """G_t(a) = exp(-itb) a exp(itb) for Hermitian b, via blockwise eigendecomposition.
+
+    The derivative at t = 0 is -i[b, a].
+    """
+    if not b.is_hermitian():
+        raise OpalgError("flow generator must be Hermitian")
+    if a.algebra != b.algebra:
+        raise ShapeMismatchError("flow generator and argument live on different algebras")
+    out = []
+    for bm, am in zip(b.mats, a.mats):
+        lam, vec = np.linalg.eigh(bm)
+        phases = np.exp(-1j * t * lam)
+        u = (vec * phases[None, :]) @ vec.conj().T
+        out.append(u @ am @ u.conj().T)
+    return a.algebra.element(out)

@@ -31,12 +31,9 @@ from opalg import (
     gaussian_equivalence_verdict,
     gns_construct,
     gns_from_group_function,
-    irreducible_characters,
     klein_gordon_residuals,
-    left_regular_representation,
     mass_kernel_witness,
     moment_oracle,
-    one_parameter_flow,
     orthogonality_check,
     pair_partitions,
     pauli_jordan,
@@ -44,13 +41,14 @@ from opalg import (
     pushforwards,
     quasi_invariance_factor,
     stabilizer_orbit,
-    stationarity_check,
-    superselection_operator,
     symmetric_group,
     unitary_implementer,
     wick_moment,
 )
-from oracles import best_invertible, intertwiner_space, summed_generator_matrices
+from opalg.symmetry import STATIONARY_TOL
+from oracles import (best_invertible, intertwiner_space, irreducible_characters,
+                     left_regular_representation, one_parameter_flow, stationarity_check,
+                     summed_generator_matrices, superselection_operator)
 
 
 def _verdict(name: str, ok: bool, detail: str = ""):
@@ -372,7 +370,7 @@ def test_symmetry():
     law_ok = True
     for f in states:
         for rho in group.elements:
-            stationary = stationarity_check(f, rho)
+            stationary = stationarity_check(f, rho, STATIONARY_TOL)
             [result] = unitary_implementer(gns_construct(f.algebra, f), [rho])
             iff_ok = iff_ok and stationary == (result.unitary is not None)
         report = stabilizer_orbit(*pushforwards(f, group.elements))

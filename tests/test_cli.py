@@ -187,8 +187,7 @@ def _assert_reads_like_the_python_parser(load, text):
         data, root = load(text)
     except ValidationError as exc:
         assert status == "error"
-        assert (str(exc), exc.line) == (
-            str(ValidationError(f"not well-formed YAML: {first}", line=second)), second)
+        assert (str(exc), exc.line) == (str(ValidationError(first, line=second)), second)
         return
     assert status == "ok"
     assert data == first
@@ -199,6 +198,38 @@ def _assert_reads_like_the_python_parser(load, text):
 @pytest.mark.parametrize("name", sorted(YAML_CORPUS))
 def test_yaml_outcome_matches_the_python_parser(name):
     _assert_reads_like_the_python_parser(scenarios._load, YAML_CORPUS[name])
+
+
+DEEP = "[" * 1200 + "]" * 1200    # past the construction walk's depth
+
+
+@pytest.mark.parametrize("text, message", [
+    (DEMO["field"].replace("  mass: 1.0\n", "  mass: 1.0\n  mass: 3.0\n"),
+     "(line 4): repeated field 'mass'"),                                        # the walk
+    ("kind: gns\nalgebra: {blocks: [!!int 2]}\nkind: equiv\n",
+     "(line 3): repeated field 'kind'"),                                        # a tag: PyYAML
+    (f"kind: gns\nx: {DEEP}\nkind: gns\n", "(line 3): repeated field 'kind'"),  # too deep
+    ("kind: gns\nalgebra: {1: a, true: b}\n", "(line 2): repeated field True"),
+], ids=["walk", "tagged", "too-deep", "equal-keys"])
+def test_a_repeated_key_is_a_schema_error_on_its_second_line(text, message):
+    # the last value used to win without a word: mass 3.0 ran as the field's mass
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text)
+    assert str(err.value) == f"<document> {message}"
+    if DEEP in text:    # without the repeat, the walk overflows and the nest is refused
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            parse_scenario(text.rsplit("kind", 1)[0])
+
+
+def test_keys_merged_in_may_still_be_overridden():
+    # YAML's merge rule: the mapping's own keys win over merged ones, earlier merges
+    # over later ones, and neither counts as a repeat
+    text = ("kind: gns\nbase: &b {blocks: [3]}\nmore: &m {blocks: [4], x: 1}\n"
+            "algebra: {<<: [*b, *m], blocks: [2]}\n")
+    data, root = scenarios._load(text)
+    assert data["algebra"] == {"blocks": [2], "x": 1}
+    assert scenarios._line(root, ("algebra", "blocks")) == 4
+    assert scenarios._line(root, ("algebra", "x")) == 3
 
 
 def _exponent(mantissa, sign, exponent):
@@ -329,7 +360,9 @@ def _construction(build, text):
 
 
 def _pyyaml_data(loader_cls, text):
-    loader = loader_cls(text)
+    """PyYAML's data of ``text`` with ``loader_cls``'s resolvers and constructors, and
+    repeated keys refused by the oracle's rule in place of opalg's."""
+    loader = type("Checked", (oracles.UniqueKeysByList, loader_cls), {})(text)
     try:
         node = loader.get_single_node()
         return None if node is None else loader.construct_document(node)
@@ -622,22 +655,20 @@ def test_a_megabyte_of_flow_starts_is_scanned_in_linear_time(unit):
     assert time.perf_counter() - start < 1.0
 
 
-def test_line_lookup_through_an_alias_fan_out_searches_each_node_once(monkeypatch):
-    # n 'field' keys lead to one mapping with n 'euclidean' keys, which all lead
-    # to one mapping with the integer key 1; the error names that mapping, which
-    # the last key of each fan-out holds, so the lookup descends once and does
-    # not try the n * n ways
+def test_alias_fan_out_through_repeated_keys_is_refused_as_a_repeated_field():
+    # n 'field' keys lead to one mapping with n 'euclidean' keys, which all lead to
+    # one mapping; the line lookup once searched the n * n ways, and now the root's
+    # second 'field' is refused before any schema check
     n = 200
     text = ("kind: field\nfield: &F {mass: 1.0, euclidean: &E {1: 0, points: 9}"
             + ", euclidean: *E" * (n - 1) + "}\n" + "field: *F\n" * (n - 1))
-    calls = []
-    line = scenarios._line
-    monkeypatch.setattr(scenarios, "_line", lambda *args: calls.append(1) or line(*args))
     with pytest.raises(ValidationError) as err:
         parse_scenario(text)
+    assert (str(err.value), err.value.line) == ("<document> (line 3): repeated field 'field'", 3)
+    with pytest.raises(ValidationError) as err:
+        parse_scenario(text[:text.index("\nfield: *F")] + "\n")
     assert (str(err.value), err.value.line) == (
-        "field.euclidean (line 2): field name 1 is not a string", 2)
-    assert len(calls) == 3    # the root, F and E
+        "<document> (line 2): repeated field 'euclidean'", 2)
 
 
 def test_error_past_an_alias_fan_out_names_its_line():
@@ -897,8 +928,8 @@ def test_symmetry_runner_builds_each_quantity_once(monkeypatch):
     lines = text.splitlines()
     tol = symmetry.STATIONARY_TOL
     results = symmetry.unitary_implementer(gns.gns_construct(state.algebra, state), autos)
-    for k, (rho, result) in enumerate(zip(autos, results)):    # the public functions agree
-        assert (f"automorphism[{k}].stationary = {symmetry.stationarity_check(state, rho, tol)} "
+    for k, (rho, result) in enumerate(zip(autos, results)):    # the one-automorphism calls agree
+        assert (f"automorphism[{k}].stationary = {oracles.stationarity_check(state, rho, tol)} "
                 "[computed]") in lines
         assert (f"automorphism[{k}].isometry_defect = {scenarios._fmt(result.isometry_defect)} "
                 "[computed]") in lines
@@ -2112,6 +2143,27 @@ def test_cli_batch_reads_group_table_entries_as_element_indices(jobs, tmp_path, 
         "expected an element index below 2, got 2\n")
     assert sorted(p.name for p in out_dir.iterdir()) == ["a.report.txt"]
     assert "group_order = 2 [configured]" in (out_dir / "a.report.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_order_256_table_that_is_no_group_is_a_schema_error(tmp_path, capsys, command):
+    # Z_256 with one intercalate swapped keeps a Latin square, the identity and the
+    # inverses; it ran to four pass lines when associativity was sampled above order 24
+    table = groups.cyclic_group(256).table.copy()
+    for row in (1, 129):
+        table[row, [2, 130]] = table[row, [130, 2]]
+    path = tmp_path / "z256x.yaml"
+    path.write_text("kind: group\ngroup:\n  table: " + str(table.tolist()) + "\nfunctions:\n"
+                    + "  - [[1, 0]" + ", [0, 0]" * 255 + "]\n")
+    start = time.perf_counter()
+    code = main([command, str(path)])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    match = re.fullmatch(re.escape(f"schema error: {path}: group.table (line 3): ")
+                         + r"associativity fails on \((\d+), (\d+), (\d+)\)\n", captured.err)
+    a, b, c = map(int, match.groups())
+    assert table[table[a, b], c] != table[a, table[b, c]]
 
 
 def _moments_document(count):

@@ -14,9 +14,9 @@ from opalg import (
     pure_unitary_intertwiner,
     purity_check,
     run_scenario,
-    superselection_operator,
 )
 import oracles
+from oracles import superselection_operator
 
 M2 = StarAlgebra([2])
 M2M2 = StarAlgebra([2, 2])

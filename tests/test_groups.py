@@ -1,3 +1,5 @@
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,9 +16,7 @@ from opalg import (
     cyclic_group,
     delta,
     gns_from_group_function,
-    irreducible_characters,
     is_positive_definite,
-    left_regular_representation,
     orthogonality_check,
     parse_scenario,
     run_scenario,
@@ -26,8 +26,8 @@ from opalg import groups
 from opalg.groups import REP_ENTRY_LIMIT
 from oracles import (associativity_failure_by_loop, best_invertible, convolve_by_loop,
                      gns_from_group_function_by_permutations, group_laws_by_loop,
-                     intertwiner_space, left_regular_representation_by_loop,
-                     reconstruction_by_vdot)
+                     intertwiner_space, irreducible_characters, left_regular_representation,
+                     left_regular_representation_by_loop, reconstruction_by_vdot)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -109,23 +109,72 @@ def test_reconstruction_equals_the_vdot_loop(order, kind, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 32), st.lists(st.tuples(st.integers(1, 31), st.integers(1, 31),
-                                              st.integers(1, 31)), max_size=3))
+@given(st.integers(2, 64), st.lists(st.tuples(st.integers(1, 63), st.integers(1, 63),
+                                              st.integers(1, 63)), max_size=3))
 def test_associativity_check_matches_triple_loop(n, swaps):
     # swapping two non-identity entries of a non-identity row keeps the identity
-    # and the inverses, so only the associativity check can reject the table
+    # and the inverses, so only the associativity check can reject the table; it
+    # refuses exactly the tables the loop finds a failing triple in, and names one
     table = cyclic_group(n).table.copy()
     for row, i, j in swaps:
         row, i, j = row % n or 1, i % n or 1, j % n or 1
         if table[row, i] != 0 and table[row, j] != 0:
             table[row, [i, j]] = table[row, [j, i]]
-    expected = associativity_failure_by_loop(table)
-    if expected is None:
+    if associativity_failure_by_loop(table) is None:
         assert FiniteGroup(table).order == n
     else:
-        with pytest.raises(ValueError) as err:
-            FiniteGroup(table)
-        assert str(err.value) == expected
+        _assert_refused_on_a_failing_triple(table)
+
+
+def _assert_refused_on_a_failing_triple(table):
+    with pytest.raises(ValueError, match=r"^associativity fails on \(\d+, \d+, \d+\)$") as err:
+        FiniteGroup(table)
+    a, b, c = map(int, re.findall(r"\d+", str(err.value)))
+    assert table[table[a, b], c] != table[a, table[b, c]]
+
+
+@pytest.mark.parametrize("n", [25, 26, 64, 256, 400, 1024])
+def test_tables_that_are_not_groups_are_refused_at_every_order(n):
+    # Z_n with one pair swapped in row 1 (odd n), or with the intercalate (1, 2),
+    # (1, 2 + n/2), (1 + n/2, 2), (1 + n/2, 2 + n/2) swapped, which keeps a Latin square;
+    # either keeps Z_n's identity and inverses
+    table = cyclic_group(n).table.copy()
+    if n % 2:
+        table[1, [2, 3]] = table[1, [3, 2]]
+    else:
+        for row in (1, 1 + n // 2):
+            table[row, [2, 2 + n // 2]] = table[row, [2 + n // 2, 2]]
+        latin = np.arange(n)[:, None]    # every row and column a permutation
+        assert np.all(np.sort(table, axis=0) == latin) and np.all(np.sort(table, axis=1).T == latin)
+    assert not isinstance(group_laws_by_loop(table), str)
+    _assert_refused_on_a_failing_triple(table)
+
+
+@pytest.mark.parametrize("name", ["z1024", "z2^10", "relabelled", "s3"])
+def test_groups_are_accepted_with_the_loop_identity_and_inverses(name):
+    idx = np.arange(1024)
+    perm = np.random.default_rng(61).permutation(60)
+    table = {"z1024": cyclic_group(1024).table, "z2^10": idx[:, None] ^ idx[None, :],
+             "relabelled": np.argsort(perm)[cyclic_group(60).table[perm][:, perm]],
+             "s3": S3.table}[name]
+    start = time.perf_counter()
+    group = FiniteGroup(table)
+    assert time.perf_counter() - start < 0.5
+    identity, inverse = group_laws_by_loop(table)
+    assert group.identity == identity and np.array_equal(group.inverse, inverse)
+    if group.order <= 64:
+        assert associativity_failure_by_loop(table) is None
+
+
+def test_a_verified_group_keeps_its_own_frozen_table():
+    table = Z3.table.copy()
+    group = FiniteGroup(table)
+    table[1, 1] = 0
+    assert np.array_equal(group.table, Z3.table) and np.array_equal(group.inverse, Z3.inverse)
+    for array in (group.table, group.inverse):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_delta_is_convolution_unit():
@@ -375,8 +424,9 @@ def test_group_representation_past_the_entry_limit_is_refused_before_any_transla
         tracemalloc.stop()
     assert peak < 32 << 20
     assert 256**3 == REP_ENTRY_LIMIT < 257**3
+    z257 = cyclic_group(257)
     with pytest.raises(NumericalError, match="order 257 and rank 257"):
-        left_regular_representation(cyclic_group(257))
+        gns_from_group_function(z257, delta(z257, 0))
 
 
 def test_characters_on_the_largest_built_in_group_still_run():

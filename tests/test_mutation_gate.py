@@ -1,9 +1,10 @@
 """A fixed slice of the mutation sweep (``tests/mutation_sweep.py``) as a gate.
 
-Every number token of the seven demos replaced by each hostile value, and
-every demo line dropped and repeated in turn: each document must end in a
-report or an ``OpalgError``, with no other exception, no numpy warning and no
-``pass`` line that holds nan or inf.
+Every number token of the seven demos and of the group demo with its table
+written out replaced by each hostile value, every line of them dropped and
+repeated in turn, and every pair of their inline values made an anchor and
+its alias: each document must end in a report or an ``OpalgError``, with no
+other exception, no numpy warning and no ``pass`` line that holds nan or inf.
 """
 
 import re
@@ -14,14 +15,21 @@ from opalg.scenarios import KINDS
 NON_FINITE = re.compile(r"\b(nan|inf)\b")
 
 
+# the group demo with Z3 as a table, so the mutants reach FiniteGroup's law checks
+GROUP_TABLE = KINDS["group"].demo.replace("{name: z3}",
+                                         "{table: [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}")
+
+
 def demo_slice():
-    """(name, document) of every number mutant and line edit of each demo."""
-    for kind in sorted(KINDS):
-        text = KINDS[kind].demo
+    """(name, document) of every number mutant, line edit and alias edit of each demo."""
+    docs = [(f"demo_{kind}", KINDS[kind].demo) for kind in sorted(KINDS)]
+    for name, text in docs + [("demo_group_table", GROUP_TABLE)]:
         for k, value, mutant in mutation_sweep.mutants(text):
-            yield f"demo_{kind} #{k} {value}", mutant
+            yield f"{name} #{k} {value}", mutant
         for k, edit, mutant in mutation_sweep.line_edits(text):
-            yield f"demo_{kind} line {k} {edit}", mutant
+            yield f"{name} line {k} {edit}", mutant
+        for i, j, mutant in mutation_sweep.alias_edits(text):
+            yield f"{name} alias {i} {j}", mutant
 
 
 def test_demo_mutants_end_in_a_report_or_an_opalg_error():
@@ -36,4 +44,4 @@ def test_demo_mutants_end_in_a_report_or_an_opalg_error():
         findings += [f"{name}: {line}" for line in (report or "").splitlines()
                      if line.endswith(" pass") and NON_FINITE.search(line)]
     assert findings == []
-    assert len(names) == len(set(names)) == 2578
+    assert len(names) == len(set(names)) == 3079

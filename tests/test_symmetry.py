@@ -16,10 +16,8 @@ from opalg import (
     dual_norm_distance,
     evaluate_state,
     gns_construct,
-    one_parameter_flow,
     pushforwards,
     stabilizer_orbit,
-    stationarity_check,
     unitary_implementer,
 )
 from opalg import symmetry
@@ -31,8 +29,8 @@ from opalg.symmetry import (ACTION_TOL, CLOSURE_ENTRY_LIMIT, CLOSURE_ROW_LIMIT, 
                             cyclic_vector_certificate)
 from oracles import (automorphism_closure_by_loop, cyclic_vector_residual_by_pairs,
                      generator_matrices, implementer_by_loop, intertwining_residual_by_pairs,
-                     pushforwards_by_loop, stabilizer_orbit_by_pairs, trace_distance,
-                     unitarity_by_blocks)
+                     one_parameter_flow, pushforwards_by_loop, stabilizer_orbit_by_pairs,
+                     stationarity_check, trace_distance, unitarity_by_blocks)
 
 M2 = StarAlgebra([2])
 
@@ -81,11 +79,11 @@ def test_pushforward_composition_law():
 def test_stationarity_examples():
     tracial = State.tracial(M2)
     for rho in PAULI_GROUP:
-        assert stationarity_check(tracial, rho)
+        assert stationarity_check(tracial, rho, STATIONARY_TOL)
     excited = State(M2, [np.diag([1.0, 0.0])])
-    assert not stationarity_check(excited, PAULI_GROUP[1])
+    assert not stationarity_check(excited, PAULI_GROUP[1], STATIONARY_TOL)
     phase = _auto(np.diag([1.0, np.exp(0.7j)]))
-    assert stationarity_check(excited, phase)
+    assert stationarity_check(excited, phase, STATIONARY_TOL)
 
 
 def test_unitary_implementer_identity():
@@ -245,7 +243,7 @@ def test_stationarity_iff_implementer_on_pauli_suite():
     ]
     for f in states:
         for rho in PAULI_GROUP:
-            stationary = stationarity_check(f, rho)
+            stationary = stationarity_check(f, rho, STATIONARY_TOL)
             [result] = unitary_implementer(gns_construct(f.algebra, f), [rho])
             assert stationary == (result.unitary is not None)
 
